@@ -19,7 +19,7 @@ import argparse
 import math
 import os
 
-from mp2ent.entangle_circle import SectorPair
+from mp2ent.entangle_circle import CONVENTIONS, SectorPair
 from mp2ent.grids import AxisSpec, SweepSpec, run_sweep, write_grid
 
 ORTHO = math.pi / 2.0
@@ -61,7 +61,7 @@ def main() -> int:
                  ("omega", "sigma"), 0.95,
                  {"phi": ORTHO, "phi_prime": 0.0, "rho": rho}, "stripped")
             )
-        for convention in ("stripped", "full"):
+        for convention in CONVENTIONS:
             jobs.append(
                 (f"cat_pm_orthogonal_{tag}_{convention}", "cat", SectorPair.PM,
                  ("alpha", "beta"), 1.95,

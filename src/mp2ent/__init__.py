@@ -37,6 +37,7 @@ from .entangle_cylinder import (
     probability_series_cyl,
 )
 from .grids import AxisSpec, ProbabilityGrid, SweepSpec, run_sweep
+from .grids import TOOL_VERSION as __version__
 from .numerics import SeriesValue, log_factorial, power_term, theta2, theta3
 from .states import (
     CircleLabel,
@@ -53,5 +54,3 @@ from .states import (
     mp2_cylinder_projection,
 )
 from .verify import VerificationReport, verify_all
-
-__version__ = "0.1.0"

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, SectorPair, pair_matrix
+from .entangle_circle import (
+    CoefficientMatrix,
+    SectorPair,
+    check_convention,
+    entangled_pair,
+    grouped_slot,
+)
 from .numerics import DEFAULT_TERMS, SeriesValue, power_terms, stable_norm_sq
 from .states import CircleLabel, CoefficientSequence, Parity, cat_projection
 
@@ -53,27 +59,13 @@ class CatPairParams:
         return self.phi.phi - self.phi_prime.phi
 
 
-def _grouped_cat_sequence(
-    alpha: complex, label: CircleLabel, terms: int, prefactor: bool
-) -> CoefficientSequence:
-    """Grouped even+odd cat projection: even_n (1 + atilde/sqrt(2n+1))."""
-    even = cat_projection(alpha, label, Parity.EVEN, terms, prefactor=prefactor)
-    atilde = complex(alpha) * cmath.exp(1j * label.phi)
-    ns = np.arange(terms)
-    bracket = 1.0 + atilde / np.sqrt(2 * ns + 1)
-    tail = even.tail_bound * (1.0 + abs(atilde)) ** 2
-    return CoefficientSequence(Parity.EVEN, even.terms * bracket, tail)
-
-
 def cat_coefficient_matrix(
     params: CatPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
     convention: str = "stripped",
 ) -> CoefficientMatrix:
-    if convention not in ("stripped", "full"):
-        raise ValueError("convention must be 'stripped' or 'full'")
-    full = convention == "full"
+    full = check_convention(convention)
     if pair in (SectorPair.PM, SectorPair.MM) and (
         params.alpha == 0 or params.beta == 0
     ):
@@ -81,18 +73,19 @@ def cat_coefficient_matrix(
             "odd-sector cat projections need nonzero displacements "
             "(the odd cat component is null at alpha = 0)"
         )
-    if pair is SectorPair.TOTAL:
-        u1 = _grouped_cat_sequence(params.alpha, params.phi, terms, full)
-        u2 = _grouped_cat_sequence(params.beta, params.phi_prime, terms, full)
-        v1 = _grouped_cat_sequence(params.alpha, params.phi_prime, terms, full)
-        v2 = _grouped_cat_sequence(params.beta, params.phi, terms, full)
-    else:
-        p1, p2 = pair.parities
-        u1 = cat_projection(params.alpha, params.phi, p1, terms, prefactor=full)
-        u2 = cat_projection(params.beta, params.phi_prime, p2, terms, prefactor=full)
-        v1 = cat_projection(params.alpha, params.phi_prime, p1, terms, prefactor=full)
-        v2 = cat_projection(params.beta, params.phi, p2, terms, prefactor=full)
-    return pair_matrix(u1, u2, v1, v2, params.rho, swap_sign=-1.0, amp_prefactor=0.5)
+
+    def slot(alpha: complex, label: CircleLabel, parity: Parity | None):
+        seq = cat_projection(alpha, label, parity or Parity.EVEN, terms, prefactor=full)
+        if parity is not None:
+            return seq
+        # grouped even+odd cat projection: odd/even term ratio atilde/sqrt(2n+1)
+        atilde = complex(alpha) * cmath.exp(1j * label.phi)
+        return grouped_slot(seq, atilde / np.sqrt(2 * np.arange(terms) + 1), abs(atilde))
+
+    return entangled_pair(
+        slot, params.alpha, params.beta, params.phi, params.phi_prime, pair,
+        params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+    )
 
 
 def cat_entangled_probability(
@@ -102,8 +95,7 @@ def cat_entangled_probability(
     convention: str = "stripped",
 ) -> SeriesValue:
     """P = sum |c_nm|^2 with cat coefficient families in the slots."""
-    matrix = cat_coefficient_matrix(params, pair, terms, convention)
-    return SeriesValue(matrix.norm_sq(), terms, matrix.tail_bound)
+    return cat_coefficient_matrix(params, pair, terms, convention).series_value()
 
 
 @dataclass(frozen=True, eq=False)

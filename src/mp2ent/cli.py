@@ -18,7 +18,7 @@ import math
 import os
 import sys
 
-from .entangle_circle import SectorPair
+from .entangle_circle import CONVENTIONS, SectorPair
 from .grids import (
     DEFAULT_AXES,
     FAMILIES,
@@ -82,7 +82,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, family: str) -> None:
         help="fix a remaining parameter (repeatable)",
     )
     sub.add_argument("--trunc", type=int, default=DEFAULT_TERMS, help="series truncation")
-    sub.add_argument("--convention", choices=("stripped", "full"), default="stripped")
+    sub.add_argument("--convention", choices=CONVENTIONS, default="stripped")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", help="output path (default derived, under MP2E_OUT_DIR)")
 

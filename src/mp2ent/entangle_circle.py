@@ -35,7 +35,8 @@ from .states import (
     CoefficientSequence,
     Mp2Variable,
     Parity,
-    mp2_circle_projection,
+    _disk_sequence,
+    as_mp2,
 )
 
 CONVENTIONS = ("stripped", "full")
@@ -67,15 +68,13 @@ class SectorPair(Enum):
             raise ValueError(f"unknown sector pair {text!r}; use pp|pm|mm|total") from None
 
 
-def _as_mp2(value) -> Mp2Variable:
-    return value if isinstance(value, Mp2Variable) else Mp2Variable(complex(value))
-
-
 def _as_label(value) -> CircleLabel:
     return value if isinstance(value, CircleLabel) else CircleLabel(float(value))
 
 
-def _check_convention(convention: str) -> bool:
+def check_convention(convention: str) -> bool:
+    """Validate a prefactor convention (one of ``CONVENTIONS``); True for
+    ``"full"``."""
     if convention not in CONVENTIONS:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
     return convention == "full"
@@ -95,8 +94,8 @@ class CirclePairParams:
     rho: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _as_mp2(self.omega))
-        object.__setattr__(self, "sigma", _as_mp2(self.sigma))
+        object.__setattr__(self, "omega", as_mp2(self.omega))
+        object.__setattr__(self, "sigma", as_mp2(self.sigma))
         object.__setattr__(self, "phi", _as_label(self.phi))
         object.__setattr__(self, "phi_prime", _as_label(self.phi_prime))
         object.__setattr__(self, "rho", float(self.rho))
@@ -130,6 +129,10 @@ class CoefficientMatrix:
 
     def norm_sq(self) -> float:
         return stable_norm_sq(self.entries)
+
+    def series_value(self) -> SeriesValue:
+        """P = sum |c_nm|^2 at this truncation, with the matrix's tail bound."""
+        return SeriesValue(self.norm_sq(), len(self.entries), self.tail_bound)
 
 
 def pair_matrix(
@@ -167,50 +170,56 @@ def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
     return n1 * t2 + t1 * n2 + t1 * t2
 
 
-def _grouped_circle_sequence(
-    omega: Mp2Variable,
-    label: CircleLabel,
-    terms: int,
-    prefactor: bool,
+def grouped_slot(
+    even: CoefficientSequence, ratio: np.ndarray, ratio_bound: float
 ) -> CoefficientSequence:
-    """Grouped (2n, 2n+1) total-projection series of one slot:
+    """Grouped (2n, 2n+1) total-projection slot of one state,
 
-        t_n = w^(1/4) (z/2)^(2n)/sqrt((2n)!) [1 + w^(1/2) (z/2)/sqrt(2n+1)]
+        t_n = even_n (1 + ratio_n),   ratio_n = odd_n / even_n,
 
-    The even/odd interference inside each bracket is retained, matching the
-    total projected state written as a single even-indexed sum.
+    with tail bound  even.tail (1 + r)^2  for any r >= sup_n |ratio_n|.  The
+    even/odd interference inside each bracket is retained, matching the total
+    projected state written as a single even-indexed sum.
     """
-    even = mp2_circle_projection(omega, label, Parity.EVEN, terms, prefactor=prefactor)
-    z = omega.omega * cmath.exp(1j * label.phi)
-    w = 1.0 - omega.modulus**2
-    ns = np.arange(terms)
-    bracket = 1.0 + math.sqrt(w) * (z / 2.0) / np.sqrt(2 * ns + 1)
-    tail = even.tail_bound * (1.0 + abs(z) / 2.0) ** 2
-    return CoefficientSequence(Parity.EVEN, even.terms * bracket, tail)
+    tail = even.tail_bound * (1.0 + ratio_bound) ** 2
+    return CoefficientSequence(Parity.EVEN, even.terms * (1.0 + ratio), tail)
 
 
-def _circle_slots(
-    params: CirclePairParams,
-    pair: SectorPair,
-    terms: int,
-    prefactor: bool,
-) -> tuple[CoefficientSequence, ...]:
-    if pair is SectorPair.TOTAL:
-        def build(var, lab, _parity=None):
-            return _grouped_circle_sequence(var, lab, terms, prefactor)
+def disk_slot(
+    z: complex, modulus: float, parity: Parity | None, terms: int, prefactor: bool
+) -> CoefficientSequence:
+    """Sector series of a disk state at ``z`` (see ``states._disk_sequence``);
+    ``parity=None`` gives the grouped total slot, whose bracket ratio is
 
-        p1 = p2 = None
-    else:
-        p1, p2 = pair.parities
+        w^(1/2) (z/2) / sqrt(2n+1),   w = 1 - modulus^2.
+    """
+    seq = _disk_sequence(z, parity or Parity.EVEN, terms, prefactor)
+    if parity is not None:
+        return seq
+    ratio = math.sqrt(1.0 - modulus**2) * (z / 2.0) / np.sqrt(2 * np.arange(terms) + 1)
+    return grouped_slot(seq, ratio, abs(z) / 2.0)
 
-        def build(var, lab, parity):
-            return mp2_circle_projection(var, lab, parity, terms, prefactor=prefactor)
 
-    return (
-        build(params.omega, params.phi, p1),
-        build(params.sigma, params.phi_prime, p2),
-        build(params.omega, params.phi_prime, p1),
-        build(params.sigma, params.phi, p2),
+def entangled_pair(
+    slot, first, second, label, label_prime, pair: SectorPair,
+    rho: float, swap_sign: float, amp_prefactor: float, conjugate: bool = True,
+) -> CoefficientMatrix:
+    """The one pair builder every family goes through.
+
+    ``slot(var, label, parity)`` returns one state's sector sequence, or the
+    grouped total slot for ``parity=None``.  The four slots are
+
+        u1 = (first, label),  u2 = (second, label'),
+        v1 = (first, label'), v2 = (second, label),
+
+    projected onto the pair's sectors (p1 for ``first``, p2 for ``second``),
+    and combine as  p (u1 u2 + s e^(i rho) v1 v2)  in :func:`pair_matrix`.
+    """
+    p1, p2 = (None, None) if pair is SectorPair.TOTAL else pair.parities
+    return pair_matrix(
+        slot(first, label, p1), slot(second, label_prime, p2),
+        slot(first, label_prime, p1), slot(second, label, p2),
+        rho, swap_sign, amp_prefactor, conjugate,
     )
 
 
@@ -222,9 +231,16 @@ def coefficient_matrix(
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
     TOTAL uses the grouped both-bracket form."""
-    full = _check_convention(convention)
-    u1, u2, v1, v2 = _circle_slots(params, pair, terms, prefactor=full)
-    return pair_matrix(u1, u2, v1, v2, params.rho, swap_sign=-1.0, amp_prefactor=0.5)
+    full = check_convention(convention)
+
+    def slot(var: Mp2Variable, label: CircleLabel, parity: Parity | None):
+        z = var.omega * cmath.exp(1j * label.phi)
+        return disk_slot(z, var.modulus, parity, terms, full)
+
+    return entangled_pair(
+        slot, params.omega, params.sigma, params.phi, params.phi_prime, pair,
+        params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+    )
 
 
 def probability_series(
@@ -234,8 +250,7 @@ def probability_series(
     convention: str = "stripped",
 ) -> SeriesValue:
     """Ground-truth oracle: P = sum_nm |c_nm|^2 with a rigorous tail bound."""
-    matrix = coefficient_matrix(params, pair, terms, convention)
-    return SeriesValue(matrix.norm_sq(), terms, matrix.tail_bound)
+    return coefficient_matrix(params, pair, terms, convention).series_value()
 
 
 _SECTOR_FUNCS = {
@@ -265,7 +280,7 @@ def closed_form_P(
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("use closed_form_total for the total pair")
-    full = _check_convention(convention)
+    full = check_convention(convention)
     p1, p2 = pair.parities
     a = params.omega.modulus**2 / 4.0
     b = params.sigma.modulus**2 / 4.0
@@ -304,7 +319,7 @@ def closed_form_total(
     where Q is the squared single-slot bracket and G the interference-pair
     product; it agrees with probability_series(TOTAL) to machine precision.
     """
-    full = _check_convention(convention)
+    full = check_convention(convention)
     n = np.arange(terms)
     aw = params.omega.modulus**2 / 4.0
     asg = params.sigma.modulus**2 / 4.0
@@ -366,7 +381,7 @@ def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:
     if pair is SectorPair.TOTAL:
         raise ValueError("total pair not supported in the sector limits")
     p1, p2 = pair.parities
-    w, s = _as_mp2(omega), _as_mp2(sigma)
+    w, s = as_mp2(omega), as_mp2(sigma)
     f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
     return (
@@ -388,7 +403,7 @@ def limit_orthogonal(pair: SectorPair, omega, sigma, rho: float) -> float:
     if pair is SectorPair.TOTAL:
         raise ValueError("total pair not supported in the sector limits")
     p1, p2 = pair.parities
-    w, s = _as_mp2(omega), _as_mp2(sigma)
+    w, s = as_mp2(omega), as_mp2(sigma)
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
     weight = (
         0.5
@@ -414,7 +429,7 @@ def limit_degenerate(pair: SectorPair, omega, delta: float, rho: float) -> float
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("total pair not supported in the sector limits")
-    w = _as_mp2(omega)
+    w = as_mp2(omega)
     a = w.modulus**2 / 4.0
     z = 1.0 - w.modulus**2
     bb = a * math.cos(delta)

@@ -22,17 +22,17 @@ from dataclasses import dataclass
 from .entangle_circle import (
     CoefficientMatrix,
     SectorPair,
-    _grouped_circle_sequence,
-    pair_matrix,
+    check_convention,
+    disk_slot,
+    entangled_pair,
 )
 from .numerics import DEFAULT_TERMS, SeriesValue
 from .states import (
     MIN_COSET_IM_ALPHA,
-    CircleLabel,
     CosetLabel,
     Mp2Variable,
     Parity,
-    _disk_sequence,
+    as_mp2,
     coset_variable,
 )
 
@@ -50,10 +50,8 @@ class CosetPairParams:
     rho: float
 
     def __post_init__(self) -> None:
-        omega = self.omega if isinstance(self.omega, Mp2Variable) else Mp2Variable(self.omega)
-        sigma = self.sigma if isinstance(self.sigma, Mp2Variable) else Mp2Variable(self.sigma)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", as_mp2(self.omega))
+        object.__setattr__(self, "sigma", as_mp2(self.sigma))
         object.__setattr__(self, "rho", float(self.rho))
         for lab in (self.label, self.label_prime):
             if lab.alpha.imag < MIN_COSET_IM_ALPHA:
@@ -98,35 +96,22 @@ def z_factors(params: CosetPairParams) -> ZFactors:
     )
 
 
-def _grouped_coset_sequence(zvar: complex, terms: int, prefactor: bool):
-    # reuse the circle grouped bracket: it only sees the disk variable
-    return _grouped_circle_sequence(
-        Mp2Variable(zvar), CircleLabel(0.0), terms, prefactor
-    )
-
-
 def coefficient_matrix_coset(
     params: CosetPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
     convention: str = "stripped",
 ) -> CoefficientMatrix:
-    if convention not in ("stripped", "full"):
-        raise ValueError("convention must be 'stripped' or 'full'")
-    full = convention == "full"
-    zf = z_factors(params)
-    if pair is SectorPair.TOTAL:
-        u1 = _grouped_coset_sequence(zf.z1, terms, full)
-        u2 = _grouped_coset_sequence(zf.z2p, terms, full)
-        v1 = _grouped_coset_sequence(zf.z1p, terms, full)
-        v2 = _grouped_coset_sequence(zf.z2, terms, full)
-    else:
-        p1, p2 = pair.parities
-        u1 = _disk_sequence(zf.z1, p1, terms, full)
-        u2 = _disk_sequence(zf.z2p, p2, terms, full)
-        v1 = _disk_sequence(zf.z1p, p1, terms, full)
-        v2 = _disk_sequence(zf.z2, p2, terms, full)
-    return pair_matrix(u1, u2, v1, v2, params.rho, swap_sign=+1.0, amp_prefactor=0.5)
+    full = check_convention(convention)
+
+    def slot(var: Mp2Variable, label: CosetLabel, parity: Parity | None):
+        z = coset_variable(var, label)
+        return disk_slot(z, abs(z), parity, terms, full)
+
+    return entangled_pair(
+        slot, params.omega, params.sigma, params.label, params.label_prime, pair,
+        params.rho, swap_sign=+1.0, amp_prefactor=0.5,
+    )
 
 
 def probability_series_coset(
@@ -136,8 +121,7 @@ def probability_series_coset(
     convention: str = "stripped",
 ) -> SeriesValue:
     """Series oracle over the coset coefficient matrix."""
-    matrix = coefficient_matrix_coset(params, pair, terms, convention)
-    return SeriesValue(matrix.norm_sq(), terms, matrix.tail_bound)
+    return coefficient_matrix_coset(params, pair, terms, convention).series_value()
 
 
 def closed_form_coset(
@@ -156,8 +140,7 @@ def closed_form_coset(
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("closed forms cover pp, pm, mm only")
-    if convention not in ("stripped", "full"):
-        raise ValueError("convention must be 'stripped' or 'full'")
+    full = check_convention(convention)
     p1, p2 = pair.parities
     e1, e2 = 2.0 * p1.sector_index, 2.0 * p2.sector_index
     f = cmath.cosh if p1 is Parity.EVEN else cmath.sinh
@@ -180,7 +163,7 @@ def closed_form_coset(
             f"conjugate-pair combination left imaginary residue {cross.imag}"
         )
     value = 0.25 * (direct + cross.real)
-    return value / (2.0 * math.pi) ** 2 if convention == "full" else value
+    return value / (2.0 * math.pi) ** 2 if full else value
 
 
 def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> float:
@@ -191,5 +174,5 @@ def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> fl
         sum_n |z'/2|^(4n) / ((2n)! (2n+1)) * Re z' terms
 
     whose terms strictly decrease for n >= 1 whenever |z'| < 1."""
-    seq = _grouped_coset_sequence(complex(zprime), terms, prefactor=False)
-    return seq.norm_sq()
+    z = Mp2Variable(zprime).omega
+    return disk_slot(z, abs(z), None, terms, prefactor=False).norm_sq()

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, SectorPair, pair_matrix
+from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair, grouped_slot
 from .numerics import DEFAULT_TERMS, SeriesValue, theta2, theta3
 from .states import (
-    CoefficientSequence,
     CylinderLabel,
     Mp2Variable,
     Parity,
     _cylinder_sequence,
+    as_mp2,
 )
 
 DEGENERATE_NOME = math.exp(-8.0)
@@ -57,35 +57,13 @@ class CylinderPairParams:
     rho: float
 
     def __post_init__(self) -> None:
-        omega = self.omega if isinstance(self.omega, Mp2Variable) else Mp2Variable(self.omega)
-        sigma = self.sigma if isinstance(self.sigma, Mp2Variable) else Mp2Variable(self.sigma)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "omega", as_mp2(self.omega))
+        object.__setattr__(self, "sigma", as_mp2(self.sigma))
         object.__setattr__(self, "rho", float(self.rho))
 
     @property
     def delta(self) -> float:
         return self.label.phi - self.label_prime.phi
-
-
-def _grouped_cylinder_sequence(
-    omega: Mp2Variable,
-    label: CylinderLabel,
-    terms: int,
-    squared_weights: bool,
-) -> CoefficientSequence:
-    """Grouped total-projection series of one cylinder slot,
-
-        t_n = even_n [1 + w^(1/2) (z/2) e^(-(2n+1/2)) / sqrt(2n+1)],
-
-    z = omega e^(l - i phi); the odd/even term ratio fixes the bracket."""
-    even = _cylinder_sequence(omega, label, Parity.EVEN, terms, squared_weights)
-    z = omega.omega * np.exp(complex(label.l, -label.phi))
-    w = 1.0 - omega.modulus**2
-    ns = np.arange(terms)
-    bracket = 1.0 + math.sqrt(w) * (z / 2.0) * np.exp(-(2 * ns + 0.5)) / np.sqrt(2 * ns + 1)
-    tail = even.tail_bound * (1.0 + abs(z) / 2.0 * math.exp(-0.5)) ** 2
-    return CoefficientSequence(Parity.EVEN, even.terms * bracket, tail)
 
 
 def coefficient_matrix_cyl(
@@ -103,33 +81,26 @@ def coefficient_matrix_cyl(
     if weights not in WEIGHT_CONVENTIONS:
         raise ValueError(f"weights must be one of {WEIGHT_CONVENTIONS}")
     squared = weights == "displayed"
+    ns = np.arange(terms)
+
+    def slot(var: Mp2Variable, label: CylinderLabel, parity: Parity | None):
+        seq = _cylinder_sequence(var, label, parity or Parity.EVEN, terms, squared)
+        if parity is not None:
+            return seq
+        # grouped slot: odd/even term ratio w^(1/2) (z/2) e^(-(2n+1/2)) / sqrt(2n+1)
+        # with z = omega e^(l - i phi)
+        z = var.omega * np.exp(complex(label.l, -label.phi))
+        w = 1.0 - var.modulus**2
+        ratio = math.sqrt(w) * (z / 2.0) * np.exp(-(2 * ns + 0.5)) / np.sqrt(2 * ns + 1)
+        return grouped_slot(seq, ratio, abs(z) / 2.0 * math.exp(-0.5))
+
     # Pair summands conjugate the disk variable but keep the label phase
     # e^(l - i phi), so build the slots on conj(omega)/conj(sigma) directly
     # instead of conjugating whole sequences.
-    omega_c = Mp2Variable(params.omega.omega.conjugate())
-    sigma_c = Mp2Variable(params.sigma.omega.conjugate())
-    if pair is SectorPair.TOTAL:
-        def build(var, lab, _parity):
-            return _grouped_cylinder_sequence(var, lab, terms, squared)
-
-        p1 = p2 = Parity.EVEN
-    else:
-        def build(var, lab, parity):
-            return _cylinder_sequence(var, lab, parity, terms, squared)
-
-        p1, p2 = pair.parities
-    u1 = build(omega_c, params.label, p1)
-    u2 = build(sigma_c, params.label_prime, p2)
-    v1 = build(omega_c, params.label_prime, p1)
-    v2 = build(sigma_c, params.label, p2)
-    return pair_matrix(
-        u1,
-        u2,
-        v1,
-        v2,
-        params.rho,
-        swap_sign=+1.0,
-        amp_prefactor=1.0 / math.sqrt(2.0),
+    return entangled_pair(
+        slot, Mp2Variable(params.omega.omega.conjugate()),
+        Mp2Variable(params.sigma.omega.conjugate()), params.label, params.label_prime,
+        pair, params.rho, swap_sign=+1.0, amp_prefactor=1.0 / math.sqrt(2.0),
         conjugate=False,
     )
 
@@ -141,8 +112,7 @@ def probability_series_cyl(
 ) -> SeriesValue:
     """Oracle probability: squared single-state amplitudes, so the summands
     reproduce the printed sector-probability sums term by term."""
-    matrix = coefficient_matrix_cyl(params, pair, terms, weights="amplitude")
-    return SeriesValue(matrix.norm_sq(), terms, matrix.tail_bound)
+    return coefficient_matrix_cyl(params, pair, terms, weights="amplitude").series_value()
 
 
 def degenerate_limit_cyl(

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
-from .entangle_circle import CirclePairParams, SectorPair
+from .entangle_circle import CirclePairParams, SectorPair, check_convention
 from .entangle_coset import CosetPairParams
 from .entangle_cylinder import CylinderPairParams
 from .numerics import DEFAULT_TERMS
-from .states import CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
+from .states import CircleLabel, CosetLabel, CylinderLabel
 
 TOOL_VERSION = "0.1.0"
 
@@ -109,7 +109,7 @@ class AxisSpec:
         if self.steps < 2:
             raise ValueError("axis needs steps >= 2")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValueError("axis bounds must be finite")
+            raise ValueError(f"axis {self.name} bounds must be finite")
 
     def values(self) -> list[float]:
         step = (self.stop - self.start) / (self.steps - 1)
@@ -129,19 +129,16 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
-        if self.convention not in ("stripped", "full"):
-            raise ValueError("convention must be 'stripped' or 'full'")
+        check_convention(self.convention)
+        if self.truncation < 1:
+            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
             if axis.name not in catalog:
                 raise ValueError(f"{self.family} has no parameter {axis.name!r}")
-            lo, hi, open_hi = catalog[axis.name][1]
             for bound in (axis.start, axis.stop):
-                if bound < lo or bound > hi or (open_hi and bound >= hi):
-                    raise ValueError(
-                        f"axis {axis.name} bound {bound} outside validity domain"
-                    )
+                _check_domain(self.family, axis.name, bound)
         for name, value in self.fixed:
             if name not in catalog:
                 raise ValueError(f"{self.family} has no parameter {name!r}")
@@ -171,6 +168,8 @@ class SweepSpec:
 
 
 def _check_domain(family: str, name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise GridDomainError(f"{family} parameter {name}={value} must be finite")
     lo, hi, open_hi = PARAMETERS[family][name][1]
     if value < lo or value > hi or (open_hi and value >= hi):
         raise GridDomainError(
@@ -195,46 +194,64 @@ class ProbabilityGrid:
             raise ValueError("grid values must be finite and non-negative")
 
 
-def _circle_params(v: dict[str, float]) -> CirclePairParams:
-    return CirclePairParams(
-        omega=Mp2Variable(v["omega"] * np.exp(1j * v["arg_omega"])),
-        sigma=Mp2Variable(v["sigma"] * np.exp(1j * v["arg_sigma"])),
-        phi=CircleLabel(v["phi"]),
-        phi_prime=CircleLabel(v["phi_prime"]),
-        rho=v["rho"],
-    )
+def _polar(v: dict[str, float], name: str) -> complex:
+    """The complex parameter of modulus ``name`` and argument ``arg_<name>``."""
+    return v[name] * np.exp(1j * v["arg_" + name])
 
 
-def _cylinder_params(v: dict[str, float]) -> CylinderPairParams:
-    return CylinderPairParams(
-        omega=Mp2Variable(v["omega"] * np.exp(1j * v["arg_omega"])),
-        sigma=Mp2Variable(v["sigma"] * np.exp(1j * v["arg_sigma"])),
-        label=CylinderLabel(v["l"], v["phi"]),
-        label_prime=CylinderLabel(v["l_prime"], v["phi_prime"]),
-        rho=v["rho"],
-    )
+def _circle_closed_form(params, pair, terms, convention) -> float:
+    if pair is SectorPair.TOTAL:
+        return entangle_circle.closed_form_total(params, terms, convention)
+    return entangle_circle.closed_form_P(params, pair, convention)
 
 
-def _coset_params(v: dict[str, float]) -> CosetPairParams:
-    return CosetPairParams(
-        omega=Mp2Variable(v["omega"] * np.exp(1j * v["arg_omega"])),
-        sigma=Mp2Variable(v["sigma"] * np.exp(1j * v["arg_sigma"])),
-        label=CosetLabel(complex(v["alpha_re"], v["alpha_im"]), v["phi"], v["x"], v["y"]),
-        label_prime=CosetLabel(
-            complex(v["alpha2_re"], v["alpha2_im"]), v["phi_prime"], v["x2"], v["y2"]
+# family -> (resolved point -> pair params, series, closed form or None); the
+# series and the closed form take (params, pair, terms, convention).  The
+# kernels are looked up on their modules at call time, so a wrapper installed
+# on a module attribute sees every sweep.
+_FAMILY_TABLE = {
+    "circle": (
+        lambda v: CirclePairParams(
+            _polar(v, "omega"), _polar(v, "sigma"),
+            CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
         ),
-        rho=v["rho"],
-    )
-
-
-def _cat_params(v: dict[str, float]) -> cat_compare.CatPairParams:
-    return cat_compare.CatPairParams(
-        alpha=v["alpha"] * np.exp(1j * v["arg_alpha"]),
-        beta=v["beta"] * np.exp(1j * v["arg_beta"]),
-        phi=CircleLabel(v["phi"]),
-        phi_prime=CircleLabel(v["phi_prime"]),
-        rho=v["rho"],
-    )
+        lambda *args: entangle_circle.probability_series(*args),
+        _circle_closed_form,
+    ),
+    "cylinder": (
+        lambda v: CylinderPairParams(
+            _polar(v, "omega"), _polar(v, "sigma"), CylinderLabel(v["l"], v["phi"]),
+            CylinderLabel(v["l_prime"], v["phi_prime"]), v["rho"],
+        ),
+        lambda params, pair, terms, _: entangle_cylinder.probability_series_cyl(
+            params, pair, terms
+        ),
+        None,
+    ),
+    "coset": (
+        lambda v: CosetPairParams(
+            _polar(v, "omega"), _polar(v, "sigma"),
+            CosetLabel(complex(v["alpha_re"], v["alpha_im"]), v["phi"], v["x"], v["y"]),
+            CosetLabel(
+                complex(v["alpha2_re"], v["alpha2_im"]), v["phi_prime"], v["x2"], v["y2"]
+            ),
+            v["rho"],
+        ),
+        lambda *args: entangle_coset.probability_series_coset(*args),
+        lambda params, pair, _, convention: entangle_coset.closed_form_coset(
+            params, pair, convention
+        ),
+    ),
+    "cat": (
+        lambda v: cat_compare.CatPairParams(
+            _polar(v, "alpha"), _polar(v, "beta"),
+            CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
+        ),
+        lambda *args: cat_compare.cat_entangled_probability(*args),
+        None,
+    ),
+}
+_CLOSED_FORM_FAMILIES = tuple(f for f, entry in _FAMILY_TABLE.items() if entry[2])
 
 
 def evaluate_point(
@@ -245,27 +262,17 @@ def evaluate_point(
     convention: str = "stripped",
     provenance: str = "series",
 ):
-    """One probability evaluation; returns (value, tail_bound)."""
+    """One probability evaluation; returns (value, tail_bound).  Families
+    without a closed form evaluate the series for any provenance."""
     for name, value in values.items():
         _check_domain(family, name, value)
-    if family == "circle":
-        params = _circle_params(values)
-        if provenance == "closed_form":
-            if pair is SectorPair.TOTAL:
-                return entangle_circle.closed_form_total(params, terms, convention), 0.0
-            return entangle_circle.closed_form_P(params, pair, convention), 0.0
-        sv = entangle_circle.probability_series(params, pair, terms, convention)
-    elif family == "cylinder":
-        sv = entangle_cylinder.probability_series_cyl(_cylinder_params(values), pair, terms)
-    elif family == "coset":
-        params = _coset_params(values)
-        if provenance == "closed_form":
-            return entangle_coset.closed_form_coset(params, pair, convention), 0.0
-        sv = entangle_coset.probability_series_coset(params, pair, terms, convention)
-    elif family == "cat":
-        sv = cat_compare.cat_entangled_probability(_cat_params(values), pair, terms, convention)
-    else:
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
+    make_params, series, closed_form = _FAMILY_TABLE[family]
+    params = make_params(values)
+    if provenance == "closed_form" and closed_form is not None:
+        return closed_form(params, pair, terms, convention), 0.0
+    sv = series(params, pair, terms, convention)
     return float(sv.value), sv.tail_bound
 
 
@@ -274,8 +281,11 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     across runs.  Per-point domain violations abort naming the point."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
-    if provenance in ("closed_form", "both") and spec.family not in ("circle", "coset"):
-        raise ValueError("closed-form provenance is available for circle and coset only")
+    if provenance in ("closed_form", "both") and spec.family not in _CLOSED_FORM_FAMILIES:
+        raise ValueError(
+            "closed-form provenance is available for "
+            f"{' and '.join(_CLOSED_FORM_FAMILIES)} only"
+        )
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
     values = np.empty((spec.axis1.steps, spec.axis2.steps))
     tail_max = 0.0

@@ -42,6 +42,12 @@ INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
 # digits to be trustworthy.
 MIN_COSET_IM_ALPHA = 1e-6
 
+# Largest log-magnitude a cylinder series term may reach.  A pair norm
+# squares the product of two slot terms, so 4x this must stay below
+# ln(DBL_MAX) ~ 709.78; the remaining ~30 covers the prefactors and the sum
+# over the retained (n, m) square.
+MAX_CYLINDER_LOG_MAG = 170.0
+
 
 class Parity(Enum):
     """The two Mp(2) irreducible sectors."""
@@ -132,6 +138,12 @@ class Mp2Variable:
     @property
     def arg(self) -> float:
         return cmath.phase(self.omega)
+
+
+def as_mp2(value) -> Mp2Variable:
+    """``value`` if it already is an :class:`Mp2Variable`, else the disk
+    variable at the complex number it holds (validated on the way)."""
+    return value if isinstance(value, Mp2Variable) else Mp2Variable(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +271,7 @@ def _cylinder_sequence(
     lf = log_factorial_array(int(ks.max()))[ks]
     log_mag = ks * log_z - 0.5 * lf + gauss
     # n=1 (and beyond) magnitude guard against non-physical labels
-    if float(np.max(log_mag[1:] if terms > 1 else log_mag)) > 600.0:
+    if float(np.max(log_mag[1:] if terms > 1 else log_mag)) > MAX_CYLINDER_LOG_MAG:
         raise ValueError(
             f"cylinder label l={label.l} drives the series magnitude past the "
             "overflow threshold (non-physical label)"

@@ -35,6 +35,7 @@ from .states import (
     CylinderLabel,
     Mp2Variable,
     Parity,
+    as_mp2,
     cat_projection,
 )
 
@@ -179,8 +180,7 @@ def appendix_closed_form_printed(params: CirclePairParams, pair: SectorPair) -> 
 def coincident_limit_printed(pair: SectorPair, omega, sigma, rho: float) -> float:
     """Coincident limits as printed; the odd-odd one carries the weight slip
     Zw^(1/2) Zs^(3/2) instead of (Zw Zs)^(3/2)."""
-    w = omega if isinstance(omega, Mp2Variable) else Mp2Variable(omega)
-    s = sigma if isinstance(sigma, Mp2Variable) else Mp2Variable(sigma)
+    w, s = as_mp2(omega), as_mp2(sigma)
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
     zw, zs = 1.0 - w.modulus**2, 1.0 - s.modulus**2
     factor = 1.0 - math.cos(rho)
@@ -193,8 +193,7 @@ def coincident_limit_printed(pair: SectorPair, omega, sigma, rho: float) -> floa
 
 def orthogonal_limit_printed(pair: SectorPair, omega, sigma, rho: float) -> float:
     """Orthogonal limits as printed: cross terms enter with + sign."""
-    w = omega if isinstance(omega, Mp2Variable) else Mp2Variable(omega)
-    s = sigma if isinstance(sigma, Mp2Variable) else Mp2Variable(sigma)
+    w, s = as_mp2(omega), as_mp2(sigma)
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
     zw, zs = 1.0 - w.modulus**2, 1.0 - s.modulus**2
     if pair is SectorPair.PP:
@@ -212,7 +211,7 @@ def orthogonal_limit_printed(pair: SectorPair, omega, sigma, rho: float) -> floa
 
 def degenerate_limit_printed(pair: SectorPair, omega, delta: float, rho: float) -> float:
     """Analytic-degeneracy limits as printed (+ cross signs)."""
-    w = omega if isinstance(omega, Mp2Variable) else Mp2Variable(omega)
+    w = as_mp2(omega)
     a = w.modulus**2 / 4.0
     z = 1.0 - w.modulus**2
     bb, bt = a * math.cos(delta), a * math.sin(delta)
@@ -291,7 +290,7 @@ def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TER
 def crossed_pm_closed_form_printed(omega, delta: float, rho: float) -> float:
     """The degenerate crossed even-odd closed form as printed (with the
     stray |sigma|^2 read as |omega|^2)."""
-    w = omega if isinstance(omega, Mp2Variable) else Mp2Variable(omega)
+    w = as_mp2(omega)
     a = w.modulus**2 / 4.0
     z = 1.0 - w.modulus**2
     bb, bt = a * math.cos(delta), a * math.sin(delta)

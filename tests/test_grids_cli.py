@@ -1,10 +1,14 @@
+import importlib
 import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mp2ent
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import SectorPair
 from mp2ent.grids import (
@@ -184,6 +188,45 @@ class TestCli:
         rc = main(["circle", "--pair", "zz", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        ("argv", "named"),
+        [
+            (["circle", "--set", "phi=nan"], "phi=nan"),
+            (["circle", "--set", "rho=inf"], "rho=inf"),
+            (["circle", "--trunc", "0"], "truncation"),
+            (["circle", "--axis1", "omega:0:inf:3"], "axis omega"),
+        ],
+        ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf"],
+    )
+    def test_non_finite_or_out_of_range_input_names_the_parameter(
+        self, tmp_path, capsys, argv, named
+    ):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv + ["--axis2", "sigma:0:0.9:3", "--out", str(out)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("label", "rc"), [(20, 0), (30, 2)], ids=["l20", "l30"])
+    def test_cylinder_overflow_guard_fires_before_any_overflow(
+        self, tmp_path, capsys, label, rc
+    ):
+        out = tmp_path / "cyl.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "cylinder", "--set", f"l={label}",
+                "--axis1", "omega:0:0.95:4", "--axis2", "sigma:0:0.95:4",
+                "--out", str(out),
+            ])
+        assert code == rc
+        if rc == 0:
+            assert np.all(np.isfinite(read_grid_csv(out.read_text())))
+        else:
+            assert "non-physical label" in capsys.readouterr().err
+
     def test_verify_exit_zero_and_report(self, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main(["verify", "--trunc", "25", "--report", str(report_path)])
@@ -213,3 +256,16 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "circle_pp.csv").exists()
         os.remove(tmp_path / "circle_pp.csv")
+
+
+def test_one_version_source():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    attr = config["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "mp2ent.grids.TOOL_VERSION"
+    module, name = attr.rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) == mp2ent.__version__

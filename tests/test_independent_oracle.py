@@ -1,11 +1,10 @@
 """High-precision cross-checks with an independent arithmetic path.
 
 Everything in the package flows through the same float64 log-space kernels,
-so these tests rebuild a handful of probabilities from scratch in mpmath
-(40 digits, direct products and factorials, no shared code) and compare.
+so these tests rebuild the probability of every family and sector pair from
+scratch in mpmath (40 digits, direct products and factorials, no shared code)
+and compare.
 """
-
-import math
 
 import pytest
 
@@ -36,25 +35,94 @@ def mp_term(z, k):
     return (z / 2) ** k / mp.sqrt(mp.factorial(k))
 
 
-def mp_norm_sq(matrix):
-    return sum(abs(c) ** 2 for row in matrix for c in row)
+def disk_term(z, k, modulus):
+    """w^(1/4) (z/2)^k / sqrt(k!) for even k, w^(3/4) (...) for odd k, with
+    w = 1 - modulus^2."""
+    return (1 - mp.mpf(modulus) ** 2) ** (mp.mpf(1 + 2 * (k % 2)) / 4) * mp_term(z, k)
 
 
-def mp_pair(slot1, slot2, rho, swap_sign, pref):
-    phase = swap_sign * mp.expjpi(rho / mp.pi)
-    return [
-        [
-            pref * (mpc(slot1[0][n]) * slot2[0][m] + phase * slot1[1][n] * slot2[1][m])
-            for m in range(N)
-        ]
+# Fock-index term k of one state of each family, as it enters the pair
+# summands (bra-side conjugation included).
+def circle_term(var, phi, k):
+    return mp.conj(disk_term(mpc(var) * mp.expj(phi), k, abs(mpc(var))))
+
+
+def coset_term(var, label, k):
+    alpha, phi = label
+    z = mpc(var) * mp.expj(mp.mpf(phi) - mp.conj(mpc(alpha)) / 2)
+    return mp.conj(disk_term(z, k, abs(z)))
+
+
+def cylinder_term(var, label, k):
+    # pair summands conjugate the disk variable only; the amplitude weight is
+    # e^(-2n^2) for k = 2n and e^(-(2n+1)^2/2) for k = 2n+1, i.e. e^(-k^2/2)
+    l, phi = label
+    z = mp.conj(mpc(var)) * mp.exp(mpc(l, -phi))
+    return disk_term(z, k, abs(mpc(var))) * mp.exp(-mp.mpf(k) ** 2 / 2)
+
+
+def cat_term(alpha, phi, k):
+    atilde = mpc(alpha) * mp.expj(phi)
+    return mp.conj(mp.exp(-abs(mpc(alpha)) ** 2 / 2) * mp_term(2 * atilde, k))
+
+
+def mp_slot(term, var, label, parity):
+    """Fock 2n + parity of one state; parity None is the grouped total slot
+    Fock 2n + Fock 2n+1."""
+    if parity is None:
+        return [term(var, label, 2 * n) + term(var, label, 2 * n + 1) for n in range(N)]
+    return [term(var, label, 2 * n + parity) for n in range(N)]
+
+
+def mp_probability(term, first, second, label, label_prime, rho, pair, swap_sign, pref):
+    """sum_nm |p (u1_n u2_m + s e^(i rho) v1_n v2_m)|^2 over the four slots."""
+    p1, p2 = PARITIES[pair]
+    u1, u2 = mp_slot(term, first, label, p1), mp_slot(term, second, label_prime, p2)
+    v1, v2 = mp_slot(term, first, label_prime, p1), mp_slot(term, second, label, p2)
+    phase = swap_sign * mp.expj(rho)
+    return sum(
+        abs(pref * (u1[n] * u2[m] + phase * v1[n] * v2[m])) ** 2
         for n in range(N)
-    ]
+        for m in range(N)
+    )
 
 
-def mp_disk_slot(z_u, z_v, offset, weight):
-    u = [weight * mp.conj(mp_term(z_u, 2 * n + offset)) for n in range(N)]
-    v = [weight * mp.conj(mp_term(z_v, 2 * n + offset)) for n in range(N)]
-    return (u, v)
+PARITIES = {
+    SectorPair.PP: (0, 0),
+    SectorPair.PM: (0, 1),
+    SectorPair.MM: (1, 1),
+    SectorPair.TOTAL: (None, None),
+}
+
+# family -> (term, swap sign, amplitude prefactor, sample point
+# (first, second, label, label', rho), package series at that point)
+FAMILIES = {
+    "circle": (
+        circle_term, -1, mp.mpf(1) / 2, (0.3, 0.8, 1.8, 0.7, 2.0),
+        lambda w, s, lab, labp, rho, pair: probability_series(
+            CirclePairParams(w, s, lab, labp, rho), pair, N
+        ),
+    ),
+    "cylinder": (
+        cylinder_term, 1, 1 / mp.sqrt(2), (0.3, 0.8, (0.4, 0.9), (-0.2, 0.7), 1.3),
+        lambda w, s, lab, labp, rho, pair: probability_series_cyl(
+            CylinderPairParams(w, s, CylinderLabel(*lab), CylinderLabel(*labp), rho),
+            pair, N,
+        ),
+    ),
+    "coset": (
+        coset_term, 1, mp.mpf(1) / 2, (0.7, 0.3, (0.4 + 0.8j, 0.9), (-0.2 + 1.3j, 0.1), 1.2),
+        lambda w, s, lab, labp, rho, pair: probability_series_coset(
+            CosetPairParams(w, s, CosetLabel(*lab), CosetLabel(*labp), rho), pair, N
+        ),
+    ),
+    "cat": (
+        cat_term, -1, mp.mpf(1) / 2, (1.3, 0.6, 2.3, 0.7, 0.9),
+        lambda a, b, lab, labp, rho, pair: cat_entangled_probability(
+            CatPairParams(a, b, CircleLabel(lab), CircleLabel(labp), rho), pair, N
+        ),
+    ),
+}
 
 
 class TestAgainstMpmath:
@@ -63,97 +131,12 @@ class TestAgainstMpmath:
             ref = complex(mp_term(mpc(z), k))
             assert power_term(z, k) == pytest.approx(ref, rel=1e-12)
 
-    def test_circle_pp_probability(self):
-        w, s, phi, phip, rho = 0.3, 0.8, mp.mpf("1.8"), mp.mpf("0.7"), 2.0
-        zw = (1 - mp.mpf(w) ** 2) ** mp.mpf("0.25")
-        zs = (1 - mp.mpf(s) ** 2) ** mp.mpf("0.25")
-        slot1 = mp_disk_slot(w * mp.expj(phi), w * mp.expj(phip), 0, zw)
-        slot2 = mp_disk_slot(s * mp.expj(phip), s * mp.expj(phi), 0, zs)
-        matrix = mp_pair(slot1, slot2, rho + math.pi, 1, mp.mpf("0.5"))
-        reference = float(mp_norm_sq(matrix))
-        params = CirclePairParams(
-            Mp2Variable(w), Mp2Variable(s), CircleLabel(1.8), CircleLabel(0.7), rho
-        )
-        assert probability_series(params, SectorPair.PP, N).value == pytest.approx(
-            reference, rel=1e-13
-        )
-
-    def test_cylinder_pm_probability(self):
-        w, s, l, lp, phi, phip, rho = 0.3, 0.8, 0.4, -0.2, 0.9, 0.7, 1.3
-        zw = (1 - mp.mpf(w) ** 2) ** mp.mpf("0.25")
-        zs = (1 - mp.mpf(s) ** 2) ** mp.mpf("0.75")
-
-        def even(var, ll, pp, weight):
-            z = var * mp.exp(mpc(ll, -pp))
-            return [
-                weight * mp_term(z, 2 * n) * mp.exp(-2 * mp.mpf(n) ** 2)
-                for n in range(N)
-            ]
-
-        def odd(var, ll, pp, weight):
-            z = var * mp.exp(mpc(ll, -pp))
-            return [
-                weight * mp_term(z, 2 * n + 1) * mp.exp(-mp.mpf((2 * n + 1) ** 2) / 2)
-                for n in range(N)
-            ]
-
-        # pair summands conjugate the disk variable only
-        slot1 = (even(w, l, phi, zw), even(w, lp, phip, zw))
-        slot2 = (odd(s, lp, phip, zs), odd(s, l, phi, zs))
-        matrix = mp_pair(slot1, slot2, rho, 1, 1 / mp.sqrt(2))
-        reference = float(mp_norm_sq(matrix))
-        params = CylinderPairParams(
-            Mp2Variable(w), Mp2Variable(s),
-            CylinderLabel(l, phi), CylinderLabel(lp, phip), rho,
-        )
-        assert probability_series_cyl(params, SectorPair.PM, N).value == pytest.approx(
-            reference, rel=1e-13
-        )
-
-    def test_coset_pp_probability(self):
-        w, s, rho = 0.7, 0.3, 1.2
-        alpha1, phi1 = mpc("0.4", "0.8"), mp.mpf("0.9")
-        alpha2, phi2 = mpc("-0.2", "1.3"), mp.mpf("0.1")
-        z1 = w * mp.expj(phi1 - mp.conj(alpha1) / 2)
-        z1p = w * mp.expj(phi2 - mp.conj(alpha2) / 2)
-        z2 = s * mp.expj(phi1 - mp.conj(alpha1) / 2)
-        z2p = s * mp.expj(phi2 - mp.conj(alpha2) / 2)
-
-        def slot(z):
-            weight = (1 - abs(z) ** 2) ** mp.mpf("0.25")
-            return [weight * mp.conj(mp_term(z, 2 * n)) for n in range(N)]
-
-        matrix = mp_pair((slot(z1), slot(z1p)), (slot(z2p), slot(z2)), rho, 1, mp.mpf("0.5"))
-        reference = float(mp_norm_sq(matrix))
-        params = CosetPairParams(
-            Mp2Variable(w), Mp2Variable(s),
-            CosetLabel(0.4 + 0.8j, 0.9), CosetLabel(-0.2 + 1.3j, 0.1), rho,
-        )
-        assert probability_series_coset(params, SectorPair.PP, N).value == pytest.approx(
-            reference, rel=1e-13
-        )
-
-    def test_cat_pp_probability(self):
-        a, b, phi, phip, rho = 1.3, 0.6, mp.mpf("2.3"), mp.mpf("0.7"), 0.9
-
-        def slot(disp, ang):
-            pref = mp.exp(-mp.mpf(disp) ** 2 / 2)
-            atilde = disp * mp.expj(ang)
-            return [
-                pref * mp.conj(atilde ** (2 * n) / mp.sqrt(mp.factorial(2 * n)))
-                for n in range(N)
-            ]
-
-        matrix = mp_pair(
-            (slot(a, phi), slot(a, phip)),
-            (slot(b, phip), slot(b, phi)),
-            rho + math.pi, 1, mp.mpf("0.5"),
-        )
-        reference = float(mp_norm_sq(matrix))
-        params = CatPairParams(1.3, 0.6, CircleLabel(2.3), CircleLabel(0.7), rho)
-        assert cat_entangled_probability(params, SectorPair.PP, N).value == pytest.approx(
-            reference, rel=1e-13
-        )
+    @pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_pair_probability(self, family, pair):
+        term, swap_sign, pref, point, package = FAMILIES[family]
+        reference = float(mp_probability(term, *point, pair, swap_sign, pref))
+        assert package(*point, pair).value == pytest.approx(reference, rel=1e-13)
 
 
 class TestTruncationContract:
