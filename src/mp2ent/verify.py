@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from . import entangle_circle, entangle_coset, entangle_cylinder
+from . import entangle_circle, entangle_coset, entangle_cylinder, numerics
 from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams, z_factors
 from .entangle_cylinder import DEGENERATE_NOME, CylinderPairParams
-from .numerics import DEFAULT_TERMS, log_factorial_array, theta2, theta3
+from .numerics import DEFAULT_TERMS, log_factorial_array
 from .states import (
     CircleLabel,
     CosetLabel,
@@ -57,18 +59,9 @@ class Comparison:
     sample: dict | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "form": self.form,
-            "status": self.status,
-            "must_match": self.must_match,
-            "ok": self.ok,
-            "max_deviation": self.max_deviation,
-            "printed_deviation": self.printed_deviation,
-            "note": self.note,
-        }
-        if self.sample is not None:
-            out["sample"] = self.sample
+        out = asdict(self)
+        if self.sample is None:
+            del out["sample"]
         return out
 
 
@@ -83,53 +76,30 @@ class VerificationReport:
         return all(c.ok for c in self.comparisons)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tolerance": self.tolerance,
-            "truncation": self.truncation,
-            "passed": self.passed,
-            "comparisons": [c.to_json_dict() for c in self.comparisons],
-        }
+        comparisons = [c.to_json_dict() for c in self.comparisons]
+        return {"tolerance": self.tolerance, "truncation": self.truncation,
+                "passed": self.passed, "comparisons": comparisons}
 
 
-def _compare(
-    name: str,
-    form: str,
-    oracle,
-    corrected,
-    printed,
-    tol: float,
-    must_match: bool,
-    note: str,
-) -> Comparison:
-    oracle = np.asarray(oracle, dtype=float)
-    corrected = np.asarray(corrected, dtype=float)
-    dev_c = float(np.max(np.abs(corrected - oracle))) if oracle.size else 0.0
-    if printed is None:
-        dev_p = None
-        status = "match" if dev_c <= tol else "paper-form-mismatch"
+def _compare(name, form, oracle, corrected, printed, tol, must_match, note) -> Comparison:
+    """Deviations from the oracle, the status, and the values at the worst
+    point of the printed form (of the corrected one if nothing is printed)."""
+    roles = (("oracle", oracle), ("corrected", corrected), ("printed", printed))
+    values = {role: np.asarray(v, dtype=float) for role, v in roles if v is not None}
+    ref, shown = values["oracle"], values.get("printed", values["corrected"])
+    dev_c = float(np.max(np.abs(values["corrected"] - ref)))
+    dev_p = None if printed is None else float(np.max(np.abs(values["printed"] - ref)))
+    if dev_p is not None and dev_p <= tol:
+        status = "match"
+    elif dev_c <= tol:
+        status = "match" if printed is None else "corrected-form-match"
     else:
-        printed = np.asarray(printed, dtype=float)
-        dev_p = float(np.max(np.abs(printed - oracle)))
-        if dev_p <= tol:
-            status = "match"
-        elif dev_c <= tol:
-            status = "corrected-form-match"
-        else:
-            status = "paper-form-mismatch"
-    ok = (dev_c <= tol) if must_match else True
+        status = "paper-form-mismatch"
     sample = None
-    if status != "match" and oracle.size:
-        idx = (
-            int(np.argmax(np.abs(printed - oracle)))
-            if printed is not None and np.asarray(printed).size
-            else int(np.argmax(np.abs(corrected - oracle)))
-        )
-        sample = {
-            "oracle": float(oracle.flat[idx]),
-            "corrected": float(corrected.flat[idx]),
-        }
-        if printed is not None:
-            sample["printed"] = float(np.asarray(printed).flat[idx])
+    if status != "match":
+        idx = int(np.argmax(np.abs(shown - ref)))
+        sample = {role: float(v[idx]) for role, v in values.items()}
+    ok = dev_c <= tol if must_match else True
     return Comparison(name, form, status, must_match, ok, dev_c, dev_p, note, sample)
 
 
@@ -409,23 +379,26 @@ def coset_mm_printed(params: CosetPairParams) -> float:
     return outer * (bracket + cross)
 
 
+def _re_zprime_series(zprime: complex, terms: int, power: float) -> float:
+    """sum_n |z'/2|^(4n) / ((2n)! (2n+1)^power), 1 at z' = 0."""
+    if zprime == 0:
+        return 1.0
+    n = np.arange(terms)
+    lf = log_factorial_array(2 * terms)[2 * n]
+    return math.fsum(
+        np.exp(4 * n * math.log(abs(zprime) / 2.0) - lf - power * np.log(2 * n + 1)).tolist()
+    )
+
+
 def coset_single_norm_printed(zprime: complex, terms: int = DEFAULT_TERMS) -> float:
     """Single-projection squared norm as printed: cosh/sinh at |z'|^2/2 and
     the Re z' series with denominator (2n)! (2n+1)."""
     zprime = complex(zprime)
     zd = 1.0 - abs(zprime) ** 2
-    n = np.arange(terms)
-    lf = log_factorial_array(2 * terms)[2 * n]
-    if zprime == 0:
-        series = 1.0
-    else:
-        series = math.fsum(
-            np.exp(4 * n * math.log(abs(zprime) / 2.0) - lf - np.log(2 * n + 1)).tolist()
-        )
     return (
         zd**0.5 * math.cosh(abs(zprime) ** 2 / 2.0)
         + zd**1.5 * math.sinh(abs(zprime) ** 2 / 2.0)
-        + zd**0.5 * zprime.real * series
+        + zd**0.5 * zprime.real * _re_zprime_series(zprime, terms, 1.0)
     )
 
 
@@ -438,29 +411,74 @@ def coset_single_norm_corrected(zprime: complex, terms: int = DEFAULT_TERMS) -> 
     zprime = complex(zprime)
     zd = 1.0 - abs(zprime) ** 2
     a4 = abs(zprime) ** 2 / 4.0
-    n = np.arange(terms)
-    lf = log_factorial_array(2 * terms)[2 * n]
-    if zprime == 0:
-        series = 1.0
-    else:
-        series = math.fsum(
-            np.exp(
-                4 * n * math.log(abs(zprime) / 2.0) - lf - 0.5 * np.log(2 * n + 1)
-            ).tolist()
-        )
+    series = _re_zprime_series(zprime, terms, 0.5)
     return zd**0.5 * math.cosh(a4) + zd**1.5 * math.sinh(a4) + zd * zprime.real * series
 
 
 # --------------------------------------------------------------------------
-# the battery
+# the battery: one row per comparison, consumed by one loop in verify_all
 # --------------------------------------------------------------------------
 
-_CIRCLE_GRID = [
+PAIRS = (SectorPair.PP, SectorPair.PM, SectorPair.MM)
+
+
+@dataclass(frozen=True)
+class Points:
+    """Sample points of a row: parameter names, and one value tuple per
+    point in the order the row's callables take them."""
+
+    names: tuple[str, ...]
+    values: tuple[tuple, ...]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One comparison.  ``oracle``, ``corrected`` and ``printed`` are
+    callables ``f(terms, *point) -> float`` evaluated at every point; they
+    look package kernels up on their modules when called, so the kernels
+    stay patchable.  ``tol`` overrides the run tolerance."""
+
+    name: str
+    form: str
+    points: Points
+    oracle: Callable | None
+    corrected: Callable | None
+    printed: Callable | None
+    note: str
+    must_match: bool = True
+    tol: float | None = None
+
+
+def _per_pair(name, form, points, oracle, corrected, printed, notes, must_match=True):
+    """One row per pair of ``PAIRS``; the callables take the pair first."""
+    return tuple(
+        Check(
+            f"{name}-{p.value}", f"{form}:{p.value}", points,
+            *(None if fn is None else partial(fn, p) for fn in (oracle, corrected, printed)),
+            note, must_match,
+        )
+        for p, note in zip(PAIRS, notes)
+    )
+
+
+_CIRCLE = ("omega", "sigma", "delta", "rho")
+_CIRCLE_GRID = Points(_CIRCLE, tuple(
     (m, m, d, r)
     for m in (0.1, 0.5, 0.9)
     for d in (0.0, math.pi / 4.0, math.pi / 2.0)
     for r in (0.0, math.pi / 2.0, math.pi)
-] + [(0.3, 0.8, 1.1, 2.0), (0.9, 0.2, 0.4, 4.0)]
+) + ((0.3, 0.8, 1.1, 2.0), (0.9, 0.2, 0.4, 4.0)))
+_CIRCLE_LIMITS = {  # coincident (delta = 0) and orthogonal (delta = pi/2) points
+    delta: Points(_CIRCLE, tuple(
+        (w, s, delta, r)
+        for w, s in ((0.1, 0.1), (0.5, 0.5), (0.9, 0.2))
+        for r in (0.0, math.pi / 2.0, math.pi)
+    ))
+    for delta in (0.0, math.pi / 2.0)
+}
+_CIRCLE_DEGENERATE = Points(_CIRCLE, tuple(
+    (w, w, d, r) for w in (0.3, 0.7) for d in (0.0, 0.9) for r in (0.0, 2.0)
+))
 
 
 def _circle_params(w, s, d, r) -> CirclePairParams:
@@ -469,345 +487,213 @@ def _circle_params(w, s, d, r) -> CirclePairParams:
     )
 
 
+def _circle_series(pair, n, *pt) -> float:
+    return entangle_circle.probability_series(_circle_params(*pt), pair, n).value
+
+
+_CYLINDER = Points(("omega", "sigma", "l", "l_prime", "phi", "phi_prime", "rho"), (
+    (0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0),
+    (0.3, 0.8, 0.4, -0.2, 0.9, 0.7, 1.3),
+    (0.9, 0.6, 1.0, 0.5, 0.3, 0.0, 2.0),
+))
+# omega = sigma = 0.5, l = l' = 0, phi = 0.7 + delta, phi' = 0.7
+_CYLINDER_DEGENERATE = Points(
+    ("delta", "rho"), tuple((d, r) for d in (0.0, math.pi / 4.0) for r in (0.0, 1.0))
+)
+
+
+def _cylinder_params(w, s, l, lp, phi, phip, r) -> CylinderPairParams:
+    return CylinderPairParams(
+        Mp2Variable(w), Mp2Variable(s), CylinderLabel(l, phi), CylinderLabel(lp, phip), r
+    )
+
+
+def _pre_theta_sum(rho: float, terms: int) -> float:
+    """The exhibited even-even pre-theta sum at l + l' = 0, delta = 0:
+    (1 + cos rho) sum_k e^(-8 k^2)."""
+    return (1.0 + math.cos(rho)) * math.fsum(math.exp(-8.0 * k * k) for k in range(terms))
+
+
+_COSET = Points(
+    ("omega", "sigma", "rho"), ((0.5, 0.5, 0.0), (0.7, 0.3, 1.2), (0.9, 0.4, math.pi / 2.0))
+)
+
+
+def _coset_params(w, s, r) -> CosetPairParams:
+    return CosetPairParams(
+        Mp2Variable(w), Mp2Variable(s),
+        CosetLabel(0.4 + 0.8j, 0.9), CosetLabel(-0.2 + 1.3j, 0.1), r,
+    )
+
+
+def _coset_series(pair, n, *pt) -> float:
+    return entangle_coset.probability_series_coset(_coset_params(*pt), pair, n).value
+
+
+def _cat_completeness_deviation(alpha: float, terms: int) -> float:
+    """Largest |even + odd - full| coefficient of the cat projections onto
+    the circle state at phi = 0.7."""
+    label = CircleLabel(0.7)
+    merged = np.zeros(2 * terms, dtype=complex)
+    merged[0::2] = cat_projection(alpha, label, Parity.EVEN, terms).terms
+    merged[1::2] = cat_projection(alpha, label, Parity.ODD, terms).terms
+    ks = np.arange(2 * terms)
+    log_terms = ks * cmath.log(alpha * cmath.exp(1j * label.phi))
+    full = math.exp(-abs(alpha) ** 2 / 2.0) / (2.0 * math.pi) * np.exp(
+        log_terms - 0.5 * log_factorial_array(2 * terms - 1)[ks]
+    )
+    return float(np.max(np.abs(merged - full)))
+
+
+_ANTIPODAL = "cross terms flipped to the antipodal sign convention"
+_LIMIT_NOTE = "printed cross term enters with +, series demands -"
+_COINCIDENT_NOTE = "matches the (1 - cos rho) coincident factorization"
+
+BATTERY: tuple[Check, ...] = (
+    Check(
+        "theta-anchors", "theta-constants:nome-e^-8",
+        Points(("theta",), (("theta3",), ("theta2",))),
+        lambda n, f: {"theta3": THETA3_ANCHOR, "theta2": THETA2_ANCHOR}[f],
+        lambda n, f: getattr(numerics, f)(DEGENERATE_NOME, n).value,
+        None, "direct series against the quoted anchor values", tol=THETA_ANCHOR_TOL,
+    ),
+    *_per_pair(
+        "circle-closed-form", "closed-form:circle", _CIRCLE_GRID, _circle_series,
+        lambda p, n, *pt: entangle_circle.closed_form_P(_circle_params(*pt), p),
+        lambda p, n, *pt: appendix_closed_form_printed(_circle_params(*pt), p),
+        (
+            "first term cosh(beta)cosh(beta~) corrected to cosh(a)cosh(b); " + _ANTIPODAL,
+            _ANTIPODAL,
+            _ANTIPODAL + "; last printed factor sinh(g)sin(g~) read as sinh(g)cos(g~)",
+        ),
+    ),
+    *_per_pair(
+        "circle-coincident-limit", "limit:coincident", _CIRCLE_LIMITS[0.0],
+        _circle_series,
+        lambda p, n, w, s, d, r: entangle_circle.limit_coincident(p, w, s, r),
+        lambda p, n, w, s, d, r: coincident_limit_printed(p, w, s, r),
+        (
+            _COINCIDENT_NOTE, _COINCIDENT_NOTE,
+            "odd-odd printed weight Zw^(1/2) Zs^(3/2) corrected to (Zw Zs)^(3/2)",
+        ),
+    ),
+    *_per_pair(
+        "circle-orthogonal-limit", "limit:orthogonal", _CIRCLE_LIMITS[math.pi / 2.0],
+        _circle_series,
+        lambda p, n, w, s, d, r: entangle_circle.limit_orthogonal(p, w, s, r),
+        lambda p, n, w, s, d, r: orthogonal_limit_printed(p, w, s, r),
+        (_LIMIT_NOTE,) * 3,
+    ),
+    *_per_pair(
+        "circle-degenerate-limit", "limit:degenerate", _CIRCLE_DEGENERATE, _circle_series,
+        lambda p, n, w, s, d, r: entangle_circle.limit_degenerate(p, w, d, r),
+        lambda p, n, w, s, d, r: degenerate_limit_printed(p, w, d, r),
+        (_LIMIT_NOTE,) * 3,
+    ),
+    Check(
+        "circle-crossed-pm-closed-form", "closed-form:circle:crossed-pm-degenerate",
+        _CIRCLE_DEGENERATE,
+        partial(_circle_series, SectorPair.PM),
+        lambda n, w, s, d, r: entangle_circle.limit_degenerate(SectorPair.PM, w, d, r),
+        lambda n, w, s, d, r: crossed_pm_closed_form_printed(w, d, r),
+        "stray |sigma|^2 read as |omega|^2; cross sign flipped",
+    ),
+    Check(
+        "circle-total-closed-form", "closed-form:circle:total",
+        Points(_CIRCLE, ((0.5, 0.5, 0.0, 0.0), (0.3, 0.8, 1.1, 2.0), (0.9, 0.2, 0.4, 4.0))),
+        partial(_circle_series, SectorPair.TOTAL),
+        lambda n, *pt: entangle_circle.closed_form_total(_circle_params(*pt), n),
+        lambda n, *pt: total_closed_form_printed(_circle_params(*pt), n),
+        "printed cross block cos(rho + (phi'-phi)(n-m))(AB-CD) replaced "
+        "by the series-derived -2 Re[e^(i(rho+2 delta (n-m))) G_w G_s]",
+    ),
+    *_per_pair(
+        "cylinder-probability", "closed-form:cylinder", _CYLINDER,
+        lambda p, n, *pt: entangle_cylinder.probability_series_cyl(
+            _cylinder_params(*pt), p, n
+        ).value,
+        lambda p, n, *pt: cylinder_probability_corrected(_cylinder_params(*pt), p, n),
+        lambda p, n, *pt: cylinder_probability_printed(_cylinder_params(*pt), p, n),
+        (
+            "printed cosine argument 2d(m-n)+rho; series gives rho+2d(n-m)",
+            "printed argument 2(d(m-n)-(rho+1)/2) carries the suspect "
+            "'+1'; series gives rho + d(2(n-m)-1)",
+            "printed argument doubles rho; series gives rho+2d(n-m)",
+        ),
+    ),
+    *_per_pair(
+        "cylinder-degenerate", "limit:cylinder-degenerate", _CYLINDER_DEGENERATE,
+        lambda p, n, d, r: entangle_cylinder.probability_series_cyl(
+            _cylinder_params(0.5, 0.5, 0.0, 0.0, 0.7 + d, 0.7, r), p, n
+        ).value,
+        lambda p, n, d, r: entangle_cylinder.degenerate_limit_cyl(p, 0.0, 0.0, d, r, n),
+        lambda p, n, d, r: entangle_cylinder.degenerate_limit_cyl(p, 0.0, 0.0, d, r, n),
+        ("Kronecker-selected theta-function limit vs the honest omega -> sigma "
+         "oracle; carried as printed, not resolved",) * 3,
+        must_match=False,
+    ),
+    Check(
+        "cylinder-pre-theta-factor", "limit:cylinder-degenerate:pp:pre-theta-sum",
+        Points(("rho",), ((0.3,),)),
+        lambda n, r: entangle_cylinder.degenerate_limit_cyl(SectorPair.PP, 0.0, 0.0, 0.0, r),
+        lambda n, r: entangle_cylinder.degenerate_limit_cyl(SectorPair.PP, 0.0, 0.0, 0.0, r),
+        lambda n, r: _pre_theta_sum(r, n),
+        "the exhibited pre-theta sum equals (1+theta3)/2 per (1+cos rho), "
+        "half the displayed theta form; both carried as printed",
+        must_match=False,
+    ),
+    *(
+        Check(
+            f"coset-closed-form-{p.value}", f"closed-form:coset:{p.value}", _COSET,
+            partial(_coset_series, p),
+            lambda n, *pt, p=p: entangle_coset.closed_form_coset(_coset_params(*pt), p),
+            printed, note,
+        )
+        for p, printed, note in (
+            (SectorPair.PP, lambda n, *pt: coset_pp_runon_printed(_coset_params(*pt)),
+             "run-on reading leaves the cross block unscaled; the (Z1 Z2)^(1/2)/4 "
+             "factor multiplies it too"),
+            (SectorPair.PM, lambda n, *pt: entangle_coset.closed_form_coset(
+                _coset_params(*pt), SectorPair.PM), "printed form matches the series as written"),
+            (SectorPair.MM, lambda n, *pt: coset_mm_printed(_coset_params(*pt)),
+             "printed outer weight Z1 Z2^(3/2) corrected to (Z1 Z2)^(3/2)"),
+        )
+    ),
+    Check(
+        "coset-single-projection-norm", "closed-form:coset:single-projection-norm",
+        Points(("zprime_re", "zprime_im"), ((0.2, 0.0), (0.35, 0.2), (0.55, -0.3))),
+        lambda n, x, y: entangle_coset.single_projection_norm_sq(complex(x, y), n),
+        lambda n, x, y: coset_single_norm_corrected(complex(x, y), n),
+        lambda n, x, y: coset_single_norm_printed(complex(x, y), n),
+        "printed arguments |z'|^2/2 corrected to |z'|^2/4; Re z' series "
+        "weight and denominator corrected to Z and sqrt(2n+1)",
+    ),
+    Check(
+        "cat-completeness", "identity:cat:even-plus-odd",
+        Points(("alpha",), ((0.5,), (1.0,), (2.0,))),
+        lambda n, alpha: 0.0,
+        lambda n, alpha: _cat_completeness_deviation(alpha, n),
+        None,
+        "even + odd cat projections reproduce the full coherent-state "
+        "projection coefficient by coefficient",
+        tol=1e-12,
+    ),
+)
+
+
 def verify_all(tolerance: float = 1e-9, terms: int = DEFAULT_TERMS) -> VerificationReport:
-    """Run every declared oracle-vs-closed-form comparison."""
+    """Run every comparison of ``BATTERY``."""
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    comps: list[Comparison] = []
-
-    # theta anchors against the frozen reference values
-    t3 = theta3(DEGENERATE_NOME, terms)
-    t2 = theta2(DEGENERATE_NOME, terms)
-    comps.append(
-        _compare(
-            "theta-anchors",
-            "theta-constants:nome-e^-8",
-            [THETA3_ANCHOR, THETA2_ANCHOR],
-            [t3.value, t2.value],
-            None,
-            THETA_ANCHOR_TOL,
-            must_match=True,
-            note="direct series against the quoted anchor values",
+    comps = []
+    for row in BATTERY:
+        oracle, corrected, printed = (
+            None if fn is None else [fn(terms, *pt) for pt in row.points.values]
+            for fn in (row.oracle, row.corrected, row.printed)
         )
-    )
-
-    # circle sector closed forms over the sample grid
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w, s, d, r in _CIRCLE_GRID:
-            p = _circle_params(w, s, d, r)
-            oracle.append(entangle_circle.probability_series(p, pair, terms).value)
-            corrected.append(entangle_circle.closed_form_P(p, pair))
-            printed.append(appendix_closed_form_printed(p, pair))
-        notes = {
-            SectorPair.PP: (
-                "first term cosh(beta)cosh(beta~) corrected to cosh(a)cosh(b); "
-                "cross terms flipped to the antipodal sign convention"
-            ),
-            SectorPair.PM: "cross terms flipped to the antipodal sign convention",
-            SectorPair.MM: (
-                "cross terms flipped to the antipodal sign convention; last "
-                "printed factor sinh(g)sin(g~) read as sinh(g)cos(g~)"
-            ),
-        }
+        tol = tolerance if row.tol is None else row.tol
         comps.append(
-            _compare(
-                f"circle-closed-form-{pair.value}",
-                f"closed-form:circle:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note=notes[pair],
-            )
+            _compare(row.name, row.form, oracle, corrected, printed, tol,
+                     row.must_match, row.note)
         )
-
-    # coincident limits (delta -> 0)
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w, s in ((0.1, 0.1), (0.5, 0.5), (0.9, 0.2)):
-            for r in (0.0, math.pi / 2.0, math.pi):
-                p = _circle_params(w, s, 0.0, r)
-                oracle.append(entangle_circle.probability_series(p, pair, terms).value)
-                corrected.append(entangle_circle.limit_coincident(pair, w, s, r))
-                printed.append(coincident_limit_printed(pair, w, s, r))
-        comps.append(
-            _compare(
-                f"circle-coincident-limit-{pair.value}",
-                f"limit:coincident:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note="odd-odd printed weight Zw^(1/2) Zs^(3/2) corrected to (Zw Zs)^(3/2)"
-                if pair is SectorPair.MM
-                else "matches the (1 - cos rho) coincident factorization",
-            )
-        )
-
-    # orthogonal limits (delta -> pi/2)
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w, s in ((0.1, 0.1), (0.5, 0.5), (0.9, 0.2)):
-            for r in (0.0, math.pi / 2.0, math.pi):
-                p = _circle_params(w, s, math.pi / 2.0, r)
-                oracle.append(entangle_circle.probability_series(p, pair, terms).value)
-                corrected.append(entangle_circle.limit_orthogonal(pair, w, s, r))
-                printed.append(orthogonal_limit_printed(pair, w, s, r))
-        comps.append(
-            _compare(
-                f"circle-orthogonal-limit-{pair.value}",
-                f"limit:orthogonal:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note="printed cross term enters with +, series demands -",
-            )
-        )
-
-    # analytic degeneracy limits (sigma -> omega)
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w in (0.3, 0.7):
-            for d in (0.0, 0.9):
-                for r in (0.0, 2.0):
-                    p = _circle_params(w, w, d, r)
-                    oracle.append(entangle_circle.probability_series(p, pair, terms).value)
-                    corrected.append(entangle_circle.limit_degenerate(pair, w, d, r))
-                    printed.append(degenerate_limit_printed(pair, w, d, r))
-        comps.append(
-            _compare(
-                f"circle-degenerate-limit-{pair.value}",
-                f"limit:degenerate:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note="printed cross term enters with +, series demands -",
-            )
-        )
-
-    # degenerate crossed even-odd closed form
-    oracle, corrected, printed = [], [], []
-    for w in (0.3, 0.7):
-        for d in (0.0, 0.9):
-            for r in (0.0, 2.0):
-                p = _circle_params(w, w, d, r)
-                oracle.append(
-                    entangle_circle.probability_series(p, SectorPair.PM, terms).value
-                )
-                corrected.append(entangle_circle.limit_degenerate(SectorPair.PM, w, d, r))
-                printed.append(crossed_pm_closed_form_printed(w, d, r))
-    comps.append(
-        _compare(
-            "circle-crossed-pm-closed-form",
-            "closed-form:circle:crossed-pm-degenerate",
-            oracle,
-            corrected,
-            printed,
-            tolerance,
-            must_match=True,
-            note="stray |sigma|^2 read as |omega|^2; cross sign flipped",
-        )
-    )
-
-    # total probability, term-by-term
-    oracle, corrected, printed = [], [], []
-    for w, s, d, r in ((0.5, 0.5, 0.0, 0.0), (0.3, 0.8, 1.1, 2.0), (0.9, 0.2, 0.4, 4.0)):
-        p = _circle_params(w, s, d, r)
-        oracle.append(entangle_circle.probability_series(p, SectorPair.TOTAL, terms).value)
-        corrected.append(entangle_circle.closed_form_total(p, terms))
-        printed.append(total_closed_form_printed(p, terms))
-    comps.append(
-        _compare(
-            "circle-total-closed-form",
-            "closed-form:circle:total",
-            oracle,
-            corrected,
-            printed,
-            tolerance,
-            must_match=True,
-            note="printed cross block cos(rho + (phi'-phi)(n-m))(AB-CD) replaced "
-            "by the series-derived -2 Re[e^(i(rho+2 delta (n-m))) G_w G_s]",
-        )
-    )
-
-    # cylinder sector probability sums
-    cyl_points = [
-        (0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0),
-        (0.3, 0.8, 0.4, -0.2, 0.9, 0.7, 1.3),
-        (0.9, 0.6, 1.0, 0.5, 0.3, 0.0, 2.0),
-    ]
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w, s, l, lp, phi, phip, r in cyl_points:
-            p = CylinderPairParams(
-                Mp2Variable(w), Mp2Variable(s),
-                CylinderLabel(l, phi), CylinderLabel(lp, phip), r,
-            )
-            oracle.append(entangle_cylinder.probability_series_cyl(p, pair, terms).value)
-            corrected.append(cylinder_probability_corrected(p, pair, terms))
-            printed.append(cylinder_probability_printed(p, pair, terms))
-        notes = {
-            SectorPair.PP: "printed cosine argument 2d(m-n)+rho; series gives rho+2d(n-m)",
-            SectorPair.PM: "printed argument 2(d(m-n)-(rho+1)/2) carries the suspect "
-            "'+1'; series gives rho + d(2(n-m)-1)",
-            SectorPair.MM: "printed argument doubles rho; series gives rho+2d(n-m)",
-        }
-        comps.append(
-            _compare(
-                f"cylinder-probability-{pair.value}",
-                f"closed-form:cylinder:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note=notes[pair],
-            )
-        )
-
-    # cylinder degeneracy limits: Kronecker-selected theta forms vs the
-    # honest oracle at omega = sigma (documented discrepancy, informational)
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, printed = [], []
-        for d in (0.0, math.pi / 4.0):
-            for r in (0.0, 1.0):
-                p = CylinderPairParams(
-                    Mp2Variable(0.5), Mp2Variable(0.5),
-                    CylinderLabel(0.0, 0.7 + d), CylinderLabel(0.0, 0.7), r,
-                )
-                oracle.append(entangle_cylinder.probability_series_cyl(p, pair, terms).value)
-                printed.append(
-                    entangle_cylinder.degenerate_limit_cyl(pair, 0.0, 0.0, d, r, terms)
-                )
-        comps.append(
-            _compare(
-                f"cylinder-degenerate-{pair.value}",
-                f"limit:cylinder-degenerate:{pair.value}",
-                oracle,
-                printed,
-                printed,
-                tolerance,
-                must_match=False,
-                note="Kronecker-selected theta-function limit vs the honest "
-                "omega -> sigma oracle; carried as printed, not resolved",
-            )
-        )
-
-    # even-even pre-theta sum vs its theta closed form at l + l' = 0
-    rho0 = 0.3
-    pre_theta = (1.0 + math.cos(rho0)) * math.fsum(
-        math.exp(-8.0 * k * k) for k in range(terms)
-    )
-    theta_form = entangle_cylinder.degenerate_limit_cyl(SectorPair.PP, 0.0, 0.0, 0.0, rho0)
-    comps.append(
-        _compare(
-            "cylinder-pre-theta-factor",
-            "limit:cylinder-degenerate:pp:pre-theta-sum",
-            [theta_form],
-            [theta_form],
-            [pre_theta],
-            tolerance,
-            must_match=False,
-            note="the exhibited pre-theta sum equals (1+theta3)/2 per (1+cos rho), "
-            "half the displayed theta form; both carried as printed",
-        )
-    )
-
-    # coset closed forms
-    lab1 = CosetLabel(0.4 + 0.8j, 0.9)
-    lab2 = CosetLabel(-0.2 + 1.3j, 0.1)
-    coset_points = [
-        (0.5, 0.5, 0.0),
-        (0.7, 0.3, 1.2),
-        (0.9, 0.4, math.pi / 2.0),
-    ]
-    for pair in (SectorPair.PP, SectorPair.PM, SectorPair.MM):
-        oracle, corrected, printed = [], [], []
-        for w, s, r in coset_points:
-            p = CosetPairParams(Mp2Variable(w), Mp2Variable(s), lab1, lab2, r)
-            oracle.append(entangle_coset.probability_series_coset(p, pair, terms).value)
-            corrected.append(entangle_coset.closed_form_coset(p, pair))
-            if pair is SectorPair.PP:
-                printed.append(coset_pp_runon_printed(p))
-            elif pair is SectorPair.MM:
-                printed.append(coset_mm_printed(p))
-            else:
-                printed.append(entangle_coset.closed_form_coset(p, pair))
-        notes = {
-            SectorPair.PP: "run-on reading leaves the cross block unscaled; the "
-            "(Z1 Z2)^(1/2)/4 factor multiplies it too",
-            SectorPair.PM: "printed form matches the series as written",
-            SectorPair.MM: "printed outer weight Z1 Z2^(3/2) corrected to (Z1 Z2)^(3/2)",
-        }
-        comps.append(
-            _compare(
-                f"coset-closed-form-{pair.value}",
-                f"closed-form:coset:{pair.value}",
-                oracle,
-                corrected,
-                printed,
-                tolerance,
-                must_match=True,
-                note=notes[pair],
-            )
-        )
-
-    # coset single-projection squared norm
-    zps = [0.2, 0.35 + 0.2j, 0.55 - 0.3j]
-    oracle = [entangle_coset.single_projection_norm_sq(zp, terms) for zp in zps]
-    corrected = [coset_single_norm_corrected(zp, terms) for zp in zps]
-    printed = [coset_single_norm_printed(zp, terms) for zp in zps]
-    comps.append(
-        _compare(
-            "coset-single-projection-norm",
-            "closed-form:coset:single-projection-norm",
-            oracle,
-            corrected,
-            printed,
-            tolerance,
-            must_match=True,
-            note="printed arguments |z'|^2/2 corrected to |z'|^2/4; Re z' series "
-            "weight and denominator corrected to Z and sqrt(2n+1)",
-        )
-    )
-
-    # cat completeness: even + odd projections sum to the full coherent one
-    devs = []
-    for alpha in (0.5, 1.0, 2.0):
-        label = CircleLabel(0.7)
-        even = cat_projection(alpha, label, Parity.EVEN, terms)
-        odd = cat_projection(alpha, label, Parity.ODD, terms)
-        merged = np.zeros(2 * terms, dtype=complex)
-        merged[0::2] = even.terms
-        merged[1::2] = odd.terms
-        atilde = alpha * cmath.exp(1j * label.phi)
-        ks = np.arange(2 * terms)
-        lf = log_factorial_array(2 * terms - 1)[ks]
-        full = (
-            math.exp(-abs(alpha) ** 2 / 2.0)
-            / (2.0 * math.pi)
-            * np.exp(ks * cmath.log(atilde) - 0.5 * lf)
-        )
-        devs.append(float(np.max(np.abs(merged - full))))
-    comps.append(
-        _compare(
-            "cat-completeness",
-            "identity:cat:even-plus-odd",
-            [0.0] * len(devs),
-            devs,
-            None,
-            1e-12,
-            must_match=True,
-            note="even + odd cat projections reproduce the full coherent-state "
-            "projection coefficient by coefficient",
-        )
-    )
-
     return VerificationReport(tolerance, terms, tuple(comps))
