@@ -130,10 +130,6 @@ def geometric_tail(first_omitted: float, ratio: float) -> float:
     return first_omitted / (1.0 - ratio)
 
 
-def stable_sum(values) -> float:
-    return math.fsum(values)
-
-
 def abs_sq(arr: np.ndarray) -> np.ndarray:
     arr = np.asarray(arr)
     return arr.real**2 + arr.imag**2

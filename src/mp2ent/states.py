@@ -365,16 +365,6 @@ def coset_normalization(label: CosetLabel) -> float:
     return fiducial_overlap_sq(label) / (TWO_PI * (1.0 - math.exp(-v)))
 
 
-def coset_normalization_factor(label: CosetLabel) -> complex:
-    """N = sqrt(1 - e^(-Im alpha)) e^(i arg S); the arg S phase cancels in
-    all probabilities but is carried so single-state amplitudes match the
-    normalized-state display."""
-    v = label.alpha.imag
-    if v < MIN_COSET_IM_ALPHA:
-        raise ValueError(f"requires Im(alpha) >= {MIN_COSET_IM_ALPHA}")
-    return math.sqrt(1.0 - math.exp(-v)) * cmath.exp(1j * cmath.phase(fiducial_overlap(label)))
-
-
 def cat_projection(
     alpha: complex,
     label: CircleLabel,

@@ -195,16 +195,25 @@ class TestCli:
             (["circle", "--set", "rho=inf"], "rho=inf"),
             (["circle", "--trunc", "0"], "truncation"),
             (["circle", "--axis1", "omega:0:inf:3"], "axis omega"),
+            (["verify", "--tol", "nan"], "tolerance"),
+            (["verify", "--tol", "inf"], "tolerance"),
+            (["verify", "--tol", "-1"], "tolerance"),
+            (["verify", "--trunc", "0"], "truncation"),
         ],
-        ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf"],
+        ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
+             "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
     ):
         out = tmp_path / "x.csv"
+        if argv[0] == "verify":
+            argv = argv + ["--report", str(out)]
+        else:
+            argv = argv + ["--axis2", "sigma:0:0.9:3", "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main(argv + ["--axis2", "sigma:0:0.9:3", "--out", str(out)])
+            rc = main(argv)
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not out.exists()

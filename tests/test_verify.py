@@ -1,0 +1,129 @@
+"""The verify battery as a table: every status pinned, honest rows, named
+worst points, and a CLI that exits 0, 2 or 3 on any tolerance/truncation."""
+
+import math
+import os
+from functools import partial
+from itertools import combinations
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mp2ent.cli import main
+from mp2ent.verify import BATTERY, verify_all
+
+CFM = "corrected-form-match"
+MISMATCH = "paper-form-mismatch"
+
+# name -> (status, must_match) of the default run (tolerance 1e-9, 40 terms)
+EXPECTED = {
+    "theta-anchors": ("match", True),
+    "circle-closed-form-pp": (CFM, True),
+    "circle-closed-form-pm": (CFM, True),
+    "circle-closed-form-mm": (CFM, True),
+    "circle-coincident-limit-pp": ("match", True),
+    "circle-coincident-limit-pm": ("match", True),
+    "circle-coincident-limit-mm": (CFM, True),
+    "circle-orthogonal-limit-pp": (CFM, True),
+    "circle-orthogonal-limit-pm": (CFM, True),
+    "circle-orthogonal-limit-mm": (CFM, True),
+    "circle-degenerate-limit-pp": (CFM, True),
+    "circle-degenerate-limit-pm": (CFM, True),
+    "circle-degenerate-limit-mm": (CFM, True),
+    "circle-crossed-pm-closed-form": (CFM, True),
+    "circle-total-closed-form": (CFM, True),
+    "cylinder-probability-pp": (CFM, True),
+    "cylinder-probability-pm": (CFM, True),
+    "cylinder-probability-mm": (CFM, True),
+    "cylinder-degenerate-pp": (MISMATCH, False),
+    "cylinder-degenerate-pm": (MISMATCH, False),
+    "cylinder-degenerate-mm": (MISMATCH, False),
+    "cylinder-pre-theta-factor": ("informational", False),
+    "coset-closed-form-pp": (CFM, True),
+    "coset-closed-form-pm": ("match", True),
+    "coset-closed-form-mm": (CFM, True),
+    "coset-single-projection-norm": (CFM, True),
+    "cat-completeness": ("match", True),
+}
+
+
+@pytest.fixture(scope="module")
+def report():
+    return verify_all()
+
+
+def test_every_status_is_pinned(report):
+    got = {c.name: (c.status, c.must_match) for c in report.comparisons}
+    assert got == EXPECTED
+    assert [c.name for c in report.comparisons] == list(EXPECTED)
+    assert report.passed
+
+
+def _computation(fn):
+    """What a row callable computes: its code and everything it closes over,
+    so two separately written copies of one lambda compare equal."""
+    if isinstance(fn, partial):
+        return (_computation(fn.func), fn.args)
+    code = fn.__code__
+    cells = tuple(c.cell_contents for c in fn.__closure__ or ())
+    return (code.co_code, code.co_consts, code.co_names, cells, fn.__defaults__)
+
+
+@pytest.mark.parametrize("row", BATTERY, ids=[row.name for row in BATTERY])
+def test_no_row_compares_a_form_with_itself(row):
+    forms = [fn for fn in (row.oracle, row.corrected, row.printed) if fn is not None]
+    assert len(forms) >= 2
+    for a, b in combinations(forms, 2):
+        assert a is not b
+        assert _computation(a) != _computation(b)
+    if row.oracle is None:
+        assert row.corrected is not None and row.printed is not None
+        assert not row.must_match
+
+
+def test_rows_declare_named_points():
+    assert len({row.name for row in BATTERY}) == len(BATTERY)
+    for row in BATTERY:
+        assert row.points.values
+        assert all(len(pt) == len(row.points.names) for pt in row.points.values)
+
+
+def test_samples_name_the_worst_point(report):
+    rows = {row.name: row for row in BATTERY}
+    for comp in report.comparisons:
+        if comp.status == "match":
+            assert comp.sample is None
+            continue
+        point = comp.sample["point"]
+        names = rows[comp.name].points.names
+        assert tuple(point) == names
+        assert tuple(point[n] for n in names) in rows[comp.name].points.values
+    by_name = {c.name: c for c in report.comparisons}
+    pre_theta = by_name["cylinder-pre-theta-factor"]
+    assert pre_theta.sample["point"] == {"rho": 0.3}
+    assert "oracle" not in pre_theta.sample
+    assert pre_theta.printed_deviation is None
+    assert pre_theta.max_deviation == pytest.approx(1.956, abs=1e-3)
+    assert pre_theta.max_deviation == pre_theta.sample["corrected"] - pre_theta.sample["printed"]
+    degenerate = by_name["cylinder-degenerate-pm"]
+    assert set(degenerate.sample) == {"oracle", "printed", "point"}
+    assert degenerate.max_deviation == degenerate.printed_deviation
+    assert by_name["coset-closed-form-pm"].printed_deviation is None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tol=st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e-9, 1e-30]),
+        st.floats(),
+    ),
+    trunc=st.integers(-2, 6),
+)
+@example(tol=math.nan, trunc=4)
+@example(tol=math.inf, trunc=4)
+def test_verify_argv_exits_0_2_or_3(tol, trunc):
+    rc = main(["verify", f"--tol={tol!r}", f"--trunc={trunc}", "--report", os.devnull])
+    assert rc in (0, 2, 3)
+    if not (math.isfinite(tol) and tol > 0) or trunc < 1:
+        assert rc == 2
