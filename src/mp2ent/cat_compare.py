@@ -14,7 +14,6 @@ purity checks stay honest.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,6 @@ from .entangle_circle import (
     SectorPair,
     check_convention,
     entangled_pair,
-    grouped_slot,
 )
 from .numerics import DEFAULT_TERMS, SeriesValue, power_terms, stable_norm_sq
 from .states import CircleLabel, CoefficientSequence, Parity, cat_projection
@@ -73,17 +71,9 @@ def cat_coefficient_matrix(
             "odd-sector cat projections need nonzero displacements "
             "(the odd cat component is null at alpha = 0)"
         )
-
-    def slot(alpha: complex, label: CircleLabel, parity: Parity | None):
-        seq = cat_projection(alpha, label, parity or Parity.EVEN, terms, prefactor=full)
-        if parity is not None:
-            return seq
-        # grouped even+odd cat projection: odd/even term ratio atilde/sqrt(2n+1)
-        atilde = complex(alpha) * cmath.exp(1j * label.phi)
-        return grouped_slot(seq, atilde / np.sqrt(2 * np.arange(terms) + 1), abs(atilde))
-
     return entangled_pair(
-        slot, params.alpha, params.beta, params.phi, params.phi_prime, pair,
+        lambda alpha, label, parity: cat_projection(alpha, label, parity, terms, full),
+        params.alpha, params.beta, params.phi, params.phi_prime, pair,
         params.rho, swap_sign=-1.0, amp_prefactor=0.5,
     )
 

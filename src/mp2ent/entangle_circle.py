@@ -35,8 +35,8 @@ from .states import (
     CoefficientSequence,
     Mp2Variable,
     Parity,
-    _disk_sequence,
     as_mp2,
+    mp2_circle_projection,
 )
 
 CONVENTIONS = ("stripped", "full")
@@ -170,36 +170,6 @@ def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
     return n1 * t2 + t1 * n2 + t1 * t2
 
 
-def grouped_slot(
-    even: CoefficientSequence, ratio: np.ndarray, ratio_bound: float
-) -> CoefficientSequence:
-    """Grouped (2n, 2n+1) total-projection slot of one state,
-
-        t_n = even_n (1 + ratio_n),   ratio_n = odd_n / even_n,
-
-    with tail bound  even.tail (1 + r)^2  for any r >= sup_n |ratio_n|.  The
-    even/odd interference inside each bracket is retained, matching the total
-    projected state written as a single even-indexed sum.
-    """
-    tail = even.tail_bound * (1.0 + ratio_bound) ** 2
-    return CoefficientSequence(Parity.EVEN, even.terms * (1.0 + ratio), tail)
-
-
-def disk_slot(
-    z: complex, modulus: float, parity: Parity | None, terms: int, prefactor: bool
-) -> CoefficientSequence:
-    """Sector series of a disk state at ``z`` (see ``states._disk_sequence``);
-    ``parity=None`` gives the grouped total slot, whose bracket ratio is
-
-        w^(1/2) (z/2) / sqrt(2n+1),   w = 1 - modulus^2.
-    """
-    seq = _disk_sequence(z, parity or Parity.EVEN, terms, prefactor)
-    if parity is not None:
-        return seq
-    ratio = math.sqrt(1.0 - modulus**2) * (z / 2.0) / np.sqrt(2 * np.arange(terms) + 1)
-    return grouped_slot(seq, ratio, abs(z) / 2.0)
-
-
 def entangled_pair(
     slot, first, second, label, label_prime, pair: SectorPair,
     rho: float, swap_sign: float, amp_prefactor: float, conjugate: bool = True,
@@ -207,7 +177,8 @@ def entangled_pair(
     """The one pair builder every family goes through.
 
     ``slot(var, label, parity)`` returns one state's sector sequence, or the
-    grouped total slot for ``parity=None``.  The four slots are
+    grouped total slot (even + odd, see ``states.fock_series``) for
+    ``parity=None``.  The four slots are
 
         u1 = (first, label),  u2 = (second, label'),
         v1 = (first, label'), v2 = (second, label),
@@ -230,15 +201,11 @@ def coefficient_matrix(
     convention: str = "stripped",
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
-    TOTAL uses the grouped both-bracket form."""
+    TOTAL uses the grouped total slots."""
     full = check_convention(convention)
-
-    def slot(var: Mp2Variable, label: CircleLabel, parity: Parity | None):
-        z = var.omega * cmath.exp(1j * label.phi)
-        return disk_slot(z, var.modulus, parity, terms, full)
-
     return entangled_pair(
-        slot, params.omega, params.sigma, params.phi, params.phi_prime, pair,
+        lambda var, label, parity: mp2_circle_projection(var, label, parity, terms, full),
+        params.omega, params.sigma, params.phi, params.phi_prime, pair,
         params.rho, swap_sign=-1.0, amp_prefactor=0.5,
     )
 

@@ -23,7 +23,6 @@ from .entangle_circle import (
     CoefficientMatrix,
     SectorPair,
     check_convention,
-    disk_slot,
     entangled_pair,
 )
 from .numerics import DEFAULT_TERMS, SeriesValue
@@ -32,7 +31,9 @@ from .states import (
     CosetLabel,
     Mp2Variable,
     Parity,
+    _disk_sequence,
     as_mp2,
+    coset_projection,
     coset_variable,
 )
 
@@ -103,13 +104,9 @@ def coefficient_matrix_coset(
     convention: str = "stripped",
 ) -> CoefficientMatrix:
     full = check_convention(convention)
-
-    def slot(var: Mp2Variable, label: CosetLabel, parity: Parity | None):
-        z = coset_variable(var, label)
-        return disk_slot(z, abs(z), parity, terms, full)
-
     return entangled_pair(
-        slot, params.omega, params.sigma, params.label, params.label_prime, pair,
+        lambda var, label, parity: coset_projection(var, label, parity, terms, full),
+        params.omega, params.sigma, params.label, params.label_prime, pair,
         params.rho, swap_sign=+1.0, amp_prefactor=0.5,
     )
 
@@ -167,12 +164,8 @@ def closed_form_coset(
 
 
 def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> float:
-    """Squared norm of the grouped total projection at disk variable z':
-    the l^2 sum of the bracketed series, used for the classicalization-tail
-    checks.  The decreasing cross-term tail involves
-
-        sum_n |z'/2|^(4n) / ((2n)! (2n+1)) * Re z' terms
-
-    whose terms strictly decrease for n >= 1 whenever |z'| < 1."""
+    """Squared norm of the grouped total projection (even + odd slot, no
+    prefactor) at disk variable z', used for the classicalization-tail
+    checks."""
     z = Mp2Variable(zprime).omega
-    return disk_slot(z, abs(z), None, terms, prefactor=False).norm_sq()
+    return _disk_sequence(z, None, terms, prefactor=False).norm_sq()

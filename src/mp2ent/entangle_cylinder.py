@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair, grouped_slot
+from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair
 from .numerics import DEFAULT_TERMS, SeriesValue, theta2, theta3
 from .states import (
     CylinderLabel,
     Mp2Variable,
-    Parity,
     _cylinder_sequence,
     as_mp2,
 )
@@ -81,24 +80,12 @@ def coefficient_matrix_cyl(
     if weights not in WEIGHT_CONVENTIONS:
         raise ValueError(f"weights must be one of {WEIGHT_CONVENTIONS}")
     squared = weights == "displayed"
-    ns = np.arange(terms)
-
-    def slot(var: Mp2Variable, label: CylinderLabel, parity: Parity | None):
-        seq = _cylinder_sequence(var, label, parity or Parity.EVEN, terms, squared)
-        if parity is not None:
-            return seq
-        # grouped slot: odd/even term ratio w^(1/2) (z/2) e^(-(2n+1/2)) / sqrt(2n+1)
-        # with z = omega e^(l - i phi)
-        z = var.omega * np.exp(complex(label.l, -label.phi))
-        w = 1.0 - var.modulus**2
-        ratio = math.sqrt(w) * (z / 2.0) * np.exp(-(2 * ns + 0.5)) / np.sqrt(2 * ns + 1)
-        return grouped_slot(seq, ratio, abs(z) / 2.0 * math.exp(-0.5))
-
     # Pair summands conjugate the disk variable but keep the label phase
     # e^(l - i phi), so build the slots on conj(omega)/conj(sigma) directly
     # instead of conjugating whole sequences.
     return entangled_pair(
-        slot, Mp2Variable(params.omega.omega.conjugate()),
+        lambda var, label, parity: _cylinder_sequence(var, label, parity, terms, squared),
+        Mp2Variable(params.omega.omega.conjugate()),
         Mp2Variable(params.sigma.omega.conjugate()), params.label, params.label_prime,
         pair, params.rho, swap_sign=+1.0, amp_prefactor=1.0 / math.sqrt(2.0),
         conjugate=False,

@@ -137,8 +137,8 @@ class SweepSpec:
         for axis in (self.axis1, self.axis2):
             if axis.name not in catalog:
                 raise ValueError(f"{self.family} has no parameter {axis.name!r}")
-            for bound in (axis.start, axis.stop):
-                _check_domain(self.family, axis.name, bound)
+            for value in axis.values():
+                _check_domain(self.family, axis.name, value)
         for name, value in self.fixed:
             if name not in catalog:
                 raise ValueError(f"{self.family} has no parameter {name!r}")
@@ -263,9 +263,8 @@ def evaluate_point(
     provenance: str = "series",
 ):
     """One probability evaluation; returns (value, tail_bound).  Families
-    without a closed form evaluate the series for any provenance."""
-    for name, value in values.items():
-        _check_domain(family, name, value)
+    without a closed form evaluate the series for any provenance.  Domain
+    checks are the caller's (``SweepSpec`` checks every value it can emit)."""
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
     make_params, series, closed_form = _FAMILY_TABLE[family]
@@ -278,7 +277,8 @@ def evaluate_point(
 
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
-    across runs.  Per-point domain violations abort naming the point."""
+    across runs.  A point that fails (invalid input or an arithmetic
+    overflow) aborts naming the point."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
     if provenance in ("closed_form", "both") and spec.family not in _CLOSED_FORM_FAMILIES:
@@ -304,9 +304,7 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
                         spec.family, spec.pair, point, spec.truncation,
                         spec.convention, "closed_form"
                     )
-            except GridDomainError:
-                raise
-            except ValueError as exc:
+            except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(
                     f"point ({spec.axis1.name}={v1}, {spec.axis2.name}={v2}): {exc}"
                 ) from exc

@@ -39,7 +39,8 @@ class SeriesValue:
             raise ValueError("tail_bound must be non-negative")
 
 
-_LOG_FACTORIALS: list[float] = [0.0, 0.0]
+# ln(k!) for k = 0, 1, ...; read-only, replaced by a longer copy on demand
+_LOG_FACTORIALS = np.zeros(0)
 
 
 def log_factorial(n: int) -> float:
@@ -55,10 +56,14 @@ def log_factorial(n: int) -> float:
 
 
 def log_factorial_array(max_k: int) -> np.ndarray:
-    """[ln(0!), ln(1!), ..., ln(max_k!)] from a shared growing table."""
-    while len(_LOG_FACTORIALS) <= max_k:
-        _LOG_FACTORIALS.append(log_factorial(len(_LOG_FACTORIALS)))
-    return np.asarray(_LOG_FACTORIALS[: max_k + 1])
+    """[ln(0!), ln(1!), ..., ln(max_k!)]: a read-only view of one shared
+    table, regrown (at least doubling) when ``max_k`` passes its end."""
+    global _LOG_FACTORIALS
+    if len(_LOG_FACTORIALS) <= max_k:
+        size = max(max_k + 1, 2 * len(_LOG_FACTORIALS), 64)
+        _LOG_FACTORIALS = np.array([log_factorial(k) for k in range(size)])
+        _LOG_FACTORIALS.setflags(write=False)
+    return _LOG_FACTORIALS[: max_k + 1]
 
 
 def power_term(z: complex, k: int) -> complex:
@@ -121,13 +126,6 @@ def theta2(q: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
     total = math.fsum(2.0 * q ** ((n + 0.5) ** 2) for n in range(terms))
     tail = 2.0 * q ** ((terms + 0.5) ** 2) / (1.0 - q)
     return SeriesValue(total, terms, tail)
-
-
-def geometric_tail(first_omitted: float, ratio: float) -> float:
-    """Bound a dropped tail by first omitted term / (1 - ratio)."""
-    if not (0.0 <= ratio < 1.0):
-        raise ValueError(f"tail ratio must be in [0, 1), got {ratio}")
-    return first_omitted / (1.0 - ratio)
 
 
 def abs_sq(arr: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ states, coset coherent states on the circle, Schroedinger cat states, and the
 Mp(2) disk states themselves.  Each projection is returned as a
 :class:`CoefficientSequence`: the ordered complex coefficients c_n of the
 sector's own series (n indexes 2n for the even sector, 2n+1 for the odd one)
-together with a rigorous bound on the dropped l^2 tail.
+together with a rigorous bound on the dropped l^2 tail.  Every family's
+series is one Fock series with its own z, sector amplitudes and Gaussian
+log-weight, built by :func:`fock_series`; ``parity=None`` gives the grouped
+total slot, even + odd.
 
 Conventions
 -----------
@@ -22,18 +25,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_TERMS,
-    geometric_tail,
-    log_factorial_array,
-    power_terms,
-    stable_norm_sq,
-)
+from .numerics import DEFAULT_TERMS, log_factorial_array, stable_norm_sq
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
@@ -42,11 +41,12 @@ INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
 # digits to be trustworthy.
 MIN_COSET_IM_ALPHA = 1e-6
 
-# Largest log-magnitude a cylinder series term may reach.  A pair norm
-# squares the product of two slot terms, so 4x this must stay below
-# ln(DBL_MAX) ~ 709.78; the remaining ~30 covers the prefactors and the sum
-# over the retained (n, m) square.
+# Largest log-magnitude a series term may reach; only cylinder labels come
+# near it.  A pair norm squares the product of two slot terms, so 4x this
+# must stay below ln(DBL_MAX) ~ 709.78; the remaining ~30 covers the
+# prefactors and the sum over the retained (n, m) square.
 MAX_CYLINDER_LOG_MAG = 170.0
+LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 class Parity(Enum):
@@ -169,27 +169,67 @@ class CoefficientSequence:
         return stable_norm_sq(self.terms)
 
 
-def _sector_indices(parity: Parity, terms: int) -> np.ndarray:
+def fock_series(
+    z: complex,
+    amps: tuple[float, float],
+    parity: Parity | None,
+    terms: int,
+    log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> CoefficientSequence:
+    """The one slot builder: half of the Fock series of one state,
+
+        t_k = amps[k % 2] (z/2)^k / sqrt(k!) e^(g(k)),   g = ``log_weight``,
+
+    as c_n = t_(2n + offset) for a sector, or as the grouped total slot
+    c_n = t_(2n) + t_(2n+1) for ``parity=None``.  One log-magnitude pass over
+    k = 0..2N+3 serves both (N = ``terms``).
+
+    Tail bound.  A sector's log-magnitude  k ln|z/2| - ln(k!)/2 + g(k)  is
+    concave in n for every family (ln k! is convex and g is 0, -k^2/2, or
+    -k^2 + (k - 1/2) on odd k), so its squared term ratios never increase
+    and the tail is at most a/(1 - r): a is the first omitted squared term
+    and r the ratio of the second to it.  r >= 1 means the series is not
+    decaying yet and raises.  The total slot's tail is
+    (sqrt(tail_even) + sqrt(tail_odd))^2 by Minkowski.
+
+    Raises OverflowError when a retained term passes e^MAX_CYLINDER_LOG_MAG
+    (or e^(log_mag) itself would overflow).
+    """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    return 2 * np.arange(terms) + parity.fock_offset
-
-
-def _disk_tail(z_abs: float, parity: Parity, terms: int, weight_sq: float) -> float:
-    """l^2 tail of weight * (z/2)^k / sqrt(k!) summed over the sector."""
-    if z_abs / 2.0 == 0.0:
-        return 0.0
-    k_next = 2 * terms + parity.fock_offset
-    lf = float(log_factorial_array(k_next)[k_next])
-    first = weight_sq * math.exp(2.0 * k_next * math.log(z_abs / 2.0) - lf)
-    # |z| < 1 on the disk, so the squared step ratio is < 1/12 from k=1 on
-    ratio = (z_abs / 2.0) ** 4 / ((k_next + 1) * (k_next + 2))
-    return geometric_tail(first, ratio)
+    size = 2 * terms
+    if abs(z) / 2.0 == 0.0:
+        coeffs = np.zeros(terms, dtype=complex)
+        if parity is not Parity.ODD:
+            coeffs[0] = amps[0]
+        return CoefficientSequence(parity or Parity.EVEN, coeffs, 0.0)
+    ks = np.arange(size + 4)
+    log_mag = ks * math.log(abs(z) / 2.0) - 0.5 * log_factorial_array(size + 3)
+    if log_weight is not None:
+        log_mag = log_mag + log_weight(ks)
+    peak, amp = float(np.max(log_mag[1:size])), max(amps)
+    if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
+        raise OverflowError(f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}")
+    phase = cmath.phase(z)
+    parts, tails = [], []
+    for o in (0, 1) if parity is None else (parity.fock_offset,):
+        first, second = float(log_mag[size + o]), float(log_mag[size + 2 + o])
+        if second >= first:
+            raise ValueError(
+                f"increase terms: the series is not yet decaying at truncation {terms}"
+            )
+        ratio = math.exp(2.0 * (second - first))
+        tails.append(amps[o] ** 2 * math.exp(2.0 * first) / (1.0 - ratio))
+        parts.append(amps[o] * np.exp(log_mag[o:size:2] + 1j * ks[o:size:2] * phase))
+    if parity is not None:
+        return CoefficientSequence(parity, parts[0], tails[0])
+    tail = (math.sqrt(tails[0]) + math.sqrt(tails[1])) ** 2
+    return CoefficientSequence(Parity.EVEN, parts[0] + parts[1], tail)
 
 
 def _disk_sequence(
     zvar: complex,
-    parity: Parity,
+    parity: Parity | None,
     terms: int,
     prefactor: bool,
 ) -> CoefficientSequence:
@@ -198,20 +238,18 @@ def _disk_sequence(
         even: w^(1/4) (z/2)^(2n)   / sqrt((2n)!)
         odd:  w^(3/4) (z/2)^(2n+1) / sqrt((2n+1)!),   w = 1 - |z|^2
 
-    with an optional (2pi)^(-1/2) out front.
+    with an optional (2pi)^(-1/2) out front; ``parity=None`` is the grouped
+    total slot, even + odd.
     """
-    weight = (1.0 - abs(zvar) ** 2) ** parity.sector_index
+    w = 1.0 - abs(zvar) ** 2
     pref = INV_SQRT_2PI if prefactor else 1.0
-    ks = _sector_indices(parity, terms)
-    coeffs = pref * weight * power_terms(zvar, ks)
-    tail = _disk_tail(abs(zvar), parity, terms, (pref * weight) ** 2)
-    return CoefficientSequence(parity, coeffs, tail)
+    return fock_series(zvar, (pref * w**0.25, pref * w**0.75), parity, terms)
 
 
 def mp2_circle_projection(
     omega: Mp2Variable,
     label: CircleLabel,
-    parity: Parity,
+    parity: Parity | None,
     terms: int = DEFAULT_TERMS,
     prefactor: bool = True,
 ) -> CoefficientSequence:
@@ -223,14 +261,13 @@ def mp2_circle_projection(
     with z = omega e^(i phi).
     """
     z = omega.omega * cmath.exp(1j * label.phi)
-    # disk weight is at |omega| = |z| here, so _disk_sequence applies as is
     return _disk_sequence(z, parity, terms, prefactor)
 
 
 def mp2_cylinder_projection(
     omega: Mp2Variable,
     label: CylinderLabel,
-    parity: Parity,
+    parity: Parity | None,
     terms: int = DEFAULT_TERMS,
 ) -> CoefficientSequence:
     """Projection of an Mp(2) sector state onto a cylinder state.
@@ -241,63 +278,41 @@ def mp2_cylinder_projection(
     return _cylinder_sequence(omega, label, parity, terms, squared_weights=False)
 
 
+# g(k) of the two cylinder weight conventions: the single-state amplitudes
+# e^(-2n^2) / e^(-(2n+1)^2/2), and the squared-amplitude display
+# e^(-4n^2) / e^(-4n^2 - (2n+1/2)) of the entangled-pair coefficient matrices
+_CYLINDER_LOG_WEIGHTS = {
+    False: lambda k: -0.5 * k**2,
+    True: lambda k: (k % 2) * (k - 0.5) - k**2,
+}
+
+
 def _cylinder_sequence(
     omega: Mp2Variable,
     label: CylinderLabel,
-    parity: Parity,
+    parity: Parity | None,
     terms: int,
     squared_weights: bool,
 ) -> CoefficientSequence:
-    """Cylinder sector series, Gaussian weight fused into the log exponent.
+    """Cylinder sector series (``parity=None``: the grouped total slot), the
+    Gaussian weight fused into the log exponent; ``squared_weights=True``
+    selects the squared-amplitude display convention.
 
-    ``squared_weights=True`` selects the squared-amplitude display
-    convention e^(-4n^2) / e^(-4n^2 - (2n+1/2)) used by the entangled-pair
-    coefficient matrices.
+    A label whose e^l overflows (cmath raises OverflowError rather than
+    returning inf) or whose series passes the magnitude guard is rejected
+    as non-physical.
     """
-    weight = (1.0 - omega.modulus**2) ** parity.sector_index
-    z = omega.omega * cmath.exp(complex(label.l, -label.phi))
-    ks = _sector_indices(parity, terms)
-    ns = np.arange(terms)
-    if squared_weights:
-        gauss = -4.0 * ns**2 if parity is Parity.EVEN else -4.0 * ns**2 - (2 * ns + 0.5)
-    else:
-        gauss = -2.0 * ns**2 if parity is Parity.EVEN else -((2 * ns + 1) ** 2) / 2.0
-    if abs(z) / 2.0 == 0.0:
-        coeffs = np.zeros(terms, dtype=complex)
-        if parity is Parity.EVEN:
-            coeffs[0] = weight
-        return CoefficientSequence(parity, coeffs, 0.0)
-    log_z = math.log(abs(z) / 2.0)
-    lf = log_factorial_array(int(ks.max()))[ks]
-    log_mag = ks * log_z - 0.5 * lf + gauss
-    # n=1 (and beyond) magnitude guard against non-physical labels
-    if float(np.max(log_mag[1:] if terms > 1 else log_mag)) > MAX_CYLINDER_LOG_MAG:
+    w = 1.0 - omega.modulus**2
+    try:
+        z = omega.omega * cmath.exp(complex(label.l, -label.phi))
+        return fock_series(
+            z, (w**0.25, w**0.75), parity, terms, _CYLINDER_LOG_WEIGHTS[squared_weights]
+        )
+    except OverflowError:
         raise ValueError(
             f"cylinder label l={label.l} drives the series magnitude past the "
             "overflow threshold (non-physical label)"
-        )
-    coeffs = weight * np.exp(log_mag + 1j * ks * cmath.phase(z))
-    # first omitted squared term and a (decreasing-in-n) step-ratio bound
-    k_next = 2 * terms + parity.fock_offset
-    gauss_next = (
-        -2.0 * terms**2 if parity is Parity.EVEN else -((2 * terms + 1) ** 2) / 2.0
-    )
-    if squared_weights:
-        gauss_next = (
-            -4.0 * terms**2
-            if parity is Parity.EVEN
-            else -4.0 * terms**2 - (2 * terms + 0.5)
-        )
-    lf_next = float(log_factorial_array(k_next)[k_next])
-    first = weight**2 * math.exp(2.0 * (k_next * log_z - 0.5 * lf_next + gauss_next))
-    gauss_step = 2.0 if not squared_weights else 4.0
-    ratio = math.exp(2.0 * (2.0 * log_z - gauss_step * (2 * terms + 1))) / (
-        (k_next + 1) * (k_next + 2)
-    )
-    if ratio >= 1.0:
-        raise ValueError("increase terms: cylinder series not yet Gaussian-dominated")
-    tail = geometric_tail(first, ratio)
-    return CoefficientSequence(parity, coeffs, tail)
+        ) from None
 
 
 def coset_variable(omega: Mp2Variable, label: CosetLabel) -> complex:
@@ -312,7 +327,7 @@ def coset_variable(omega: Mp2Variable, label: CosetLabel) -> complex:
 def coset_projection(
     omega: Mp2Variable,
     label: CosetLabel,
-    parity: Parity,
+    parity: Parity | None,
     terms: int = DEFAULT_TERMS,
     prefactor: bool = True,
 ) -> CoefficientSequence:
@@ -368,7 +383,7 @@ def coset_normalization(label: CosetLabel) -> float:
 def cat_projection(
     alpha: complex,
     label: CircleLabel,
-    parity: Parity,
+    parity: Parity | None,
     terms: int = DEFAULT_TERMS,
     prefactor: bool = True,
 ) -> CoefficientSequence:
@@ -383,16 +398,5 @@ def cat_projection(
     alpha = complex(alpha)
     atilde = alpha * cmath.exp(1j * label.phi)
     pref = (1.0 / TWO_PI if prefactor else 1.0) * math.exp(-abs(alpha) ** 2 / 2.0)
-    ks = _sector_indices(parity, terms)
-    # power_terms computes (z/2)^k/sqrt(k!); feed 2*atilde to drop the /2
-    coeffs = pref * power_terms(2.0 * atilde, ks)
-    if alpha == 0:
-        return CoefficientSequence(parity, coeffs, 0.0)
-    k_next = 2 * terms + parity.fock_offset
-    lf_next = float(log_factorial_array(k_next)[k_next])
-    first = pref**2 * math.exp(2.0 * k_next * math.log(abs(atilde)) - lf_next)
-    ratio = abs(atilde) ** 4 / ((k_next + 1) * (k_next + 2))
-    if ratio >= 1.0:
-        raise ValueError("increase terms: cat series not yet in factorial decay")
-    tail = geometric_tail(first, ratio)
-    return CoefficientSequence(parity, coeffs, tail)
+    # fock_series takes (z/2)^k; feed z = 2 atilde to drop the /2
+    return fock_series(2.0 * atilde, (pref, pref), parity, terms)

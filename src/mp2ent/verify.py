@@ -715,10 +715,13 @@ def verify_all(tolerance: float = 1e-9, terms: int = DEFAULT_TERMS) -> Verificat
         raise ValueError(f"truncation must be >= 1, got {terms}")
     comps = []
     for row in BATTERY:
-        oracle, corrected, printed = (
-            None if fn is None else [fn(terms, *pt) for pt in row.points.values]
-            for fn in (row.oracle, row.corrected, row.printed)
-        )
+        try:
+            oracle, corrected, printed = (
+                None if fn is None else [fn(terms, *pt) for pt in row.points.values]
+                for fn in (row.oracle, row.corrected, row.printed)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{row.name}: {exc}") from exc
         tol = tolerance if row.tol is None else row.tol
         comps.append(_compare(row, tol, oracle, corrected, printed))
     return VerificationReport(tolerance, terms, tuple(comps))

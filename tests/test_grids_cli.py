@@ -7,11 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mp2ent
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import SectorPair
 from mp2ent.grids import (
+    FAMILIES,
+    PARAMETERS,
     AxisSpec,
     GridDomainError,
     SweepSpec,
@@ -114,6 +118,11 @@ class TestSweeps:
         with pytest.raises(GridDomainError):
             small_spec(fixed=(("sigma", 1.2),))
 
+    def test_every_axis_value_checked_at_construction(self):
+        # both bounds are inside the disk, but the last value rounds to 1.0
+        with pytest.raises(GridDomainError, match=r"omega=1\.0 outside"):
+            small_spec(axis1=AxisSpec("omega", 0.3, 0.9999999999999999, 2))
+
 
 class TestSerialization:
     def test_csv_round_trip_bit_exact(self, tmp_path):
@@ -199,9 +208,11 @@ class TestCli:
             (["verify", "--tol", "inf"], "tolerance"),
             (["verify", "--tol", "-1"], "tolerance"),
             (["verify", "--trunc", "0"], "truncation"),
+            (["verify", "--trunc", "1"], ("cat-completeness", "truncation 1")),
         ],
         ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
-             "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0"],
+             "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0",
+             "verify-trunc-1"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
@@ -215,7 +226,9 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             rc = main(argv)
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for text in named if isinstance(named, tuple) else (named,):
+            assert text in err
         assert not out.exists()
 
     @pytest.mark.parametrize(("label", "rc"), [(20, 0), (30, 2)], ids=["l20", "l30"])
@@ -235,6 +248,18 @@ class TestCli:
             assert np.all(np.isfinite(read_grid_csv(out.read_text())))
         else:
             assert "non-physical label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ["pp", "mm", "total"])
+    @pytest.mark.parametrize("family", ["circle", "cylinder", "coset"])
+    def test_one_term_sweeps_succeed(self, tmp_path, family, pair):
+        # one retained term per sector still decays on the disk
+        out = tmp_path / "one.csv"
+        rc = main([
+            family, "--pair", pair, "--trunc", "1", "--axis1", "omega:0:0.95:3",
+            "--axis2", "sigma:0:0.95:3", "--out", str(out),
+        ])
+        assert rc == 0
+        assert np.all(np.isfinite(read_grid_csv(out.read_text())))
 
     def test_verify_exit_zero_and_report(self, tmp_path):
         report_path = tmp_path / "report.json"
@@ -265,6 +290,42 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "circle_pp.csv").exists()
         os.remove(tmp_path / "circle_pp.csv")
+
+
+# finite values near every domain, anything at all, and the overflow probes
+WILD_FLOATS = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
+)
+
+
+@st.composite
+def sweep_argv(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    names = list(PARAMETERS[family])
+    axis = draw(st.sampled_from(names))
+    # the first two parameters are the two moduli, in domain on [0, 0.5]
+    second = names[1] if axis == names[0] else names[0]
+    lo, hi = draw(WILD_FLOATS), draw(WILD_FLOATS)
+    return [
+        family, "--pair", draw(st.sampled_from(["pp", "pm", "mm", "total"])),
+        "--set", f"{draw(st.sampled_from(names))}={draw(WILD_FLOATS)!r}",
+        "--axis1", f"{axis}:{lo!r}:{hi!r}:{draw(st.integers(2, 3))}",
+        "--axis2", f"{second}:0:0.5:2",
+        "--trunc", str(draw(st.integers(-1, 8))),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=sweep_argv())
+@example(argv=["cylinder", "--set", "l=800"])
+@example(argv=["cat", "--axis1", "alpha:0:1e300:2", "--axis2", "beta:0:0.5:2"])
+def test_sweep_argv_exits_0_or_2(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "argv.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) in (0, 2)
 
 
 def test_one_version_source():

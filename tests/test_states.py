@@ -12,6 +12,7 @@ from mp2ent.states import (
     CylinderLabel,
     Mp2Variable,
     Parity,
+    _cylinder_sequence,
     cat_projection,
     coset_normalization,
     coset_projection,
@@ -123,13 +124,16 @@ class TestCylinderProjection:
 
     def test_gaussian_attenuation_of_circle_terms(self):
         # at l = 0 the cylinder terms are the circle ones (prefactor-free)
-        # damped by exactly e^(-2n^2) / e^(-(2n+1)^2/2)
+        # damped by exactly e^(-2n^2) / e^(-(2n+1)^2/2), or in the display
+        # convention by e^(-4n^2) / e^(-4n^2 - (2n+1/2))
         var = Mp2Variable(0.7)
-        for parity, gauss in (
-            (Parity.EVEN, lambda n: math.exp(-2.0 * n * n)),
-            (Parity.ODD, lambda n: math.exp(-((2 * n + 1) ** 2) / 2.0)),
+        for parity, squared, gauss in (
+            (Parity.EVEN, False, lambda n: math.exp(-2.0 * n * n)),
+            (Parity.ODD, False, lambda n: math.exp(-((2 * n + 1) ** 2) / 2.0)),
+            (Parity.EVEN, True, lambda n: math.exp(-4.0 * n * n)),
+            (Parity.ODD, True, lambda n: math.exp(-4.0 * n * n - (2 * n + 0.5))),
         ):
-            cyl = mp2_cylinder_projection(var, CylinderLabel(0.0, 0.9), parity, 12)
+            cyl = _cylinder_sequence(var, CylinderLabel(0.0, 0.9), parity, 12, squared)
             circ = mp2_circle_projection(var, CircleLabel(0.9), parity, 12, prefactor=False)
             for n in range(12):
                 if abs(circ.terms[n]) == 0.0:
@@ -262,3 +266,68 @@ class TestCatProjection:
         coarse = cat_projection(2.0, CircleLabel(0.0), Parity.EVEN, 15)
         fine = cat_projection(2.0, CircleLabel(0.0), Parity.EVEN, 60)
         assert abs(fine.norm_sq() - coarse.norm_sq()) <= coarse.tail_bound
+
+
+# Every slot is built by states.fock_series.  Each case is (slot(parity, N),
+# r) with r the bound on |odd_n / even_n| of the earlier per-family grouped
+# total slot, whose tail was even.tail (1 + r)^2.
+def _circle_case(w, phi):
+    var = Mp2Variable(w)
+    return (lambda p, n: mp2_circle_projection(var, CircleLabel(phi), p, n), abs(w) / 2.0)
+
+
+def _coset_case(w, alpha, phi):
+    var, label = Mp2Variable(w), CosetLabel(alpha, phi)
+    zp = coset_variable(var, label)
+    return (lambda p, n: coset_projection(var, label, p, n), abs(zp) / 2.0)
+
+
+def _cylinder_case(w, l, phi, squared):
+    var, label = Mp2Variable(w), CylinderLabel(l, phi)
+    r = abs(w) * math.exp(l) / 2.0 * math.exp(-0.5)
+    return (lambda p, n: _cylinder_sequence(var, label, p, n, squared), r)
+
+
+def _cat_case(alpha, phi):
+    return (lambda p, n: cat_projection(alpha, CircleLabel(phi), p, n), abs(alpha))
+
+
+SLOT_CASES = {
+    "circle-0.3": lambda: _circle_case(0.3 * cmath.exp(0.4j), 1.1),
+    "circle-0.95": lambda: _circle_case(0.95 * cmath.exp(-2.0j), 0.2),
+    "coset-0.5": lambda: _coset_case(0.5, 0.4 + 0.8j, 0.9),
+    "coset-0.9": lambda: _coset_case(0.9 * cmath.exp(1.0j), -0.2 + 0.5j, 2.0),
+    "cylinder-amplitude": lambda: _cylinder_case(0.7 * cmath.exp(0.3j), 1.0, 0.6, False),
+    "cylinder-amplitude-l2": lambda: _cylinder_case(0.9, 2.0, 2.5, False),
+    "cylinder-displayed": lambda: _cylinder_case(0.7 * cmath.exp(0.3j), 1.0, 0.6, True),
+    "cylinder-displayed-l2": lambda: _cylinder_case(0.9, 2.0, 2.5, True),
+    "cat-0.5": lambda: _cat_case(0.5 - 0.2j, 0.7),
+    "cat-1.95": lambda: _cat_case(1.95 * cmath.exp(2.0j), 4.0),
+}
+
+
+@pytest.mark.parametrize("case", SLOT_CASES)
+class TestFockSeries:
+    @pytest.mark.parametrize("terms", [2, 6])
+    def test_total_is_even_plus_odd(self, case, terms):
+        slot, _ = SLOT_CASES[case]()
+        total = slot(None, terms).terms
+        both = slot(Parity.EVEN, terms).terms + slot(Parity.ODD, terms).terms
+        np.testing.assert_array_max_ulp(total.real, both.real, maxulp=1)
+        np.testing.assert_array_max_ulp(total.imag, both.imag, maxulp=1)
+
+    @pytest.mark.parametrize(
+        "parity", [Parity.EVEN, Parity.ODD, None], ids=["even", "odd", "total"]
+    )
+    @pytest.mark.parametrize("terms", [3, 6])
+    def test_tail_bound_covers_refinement(self, case, parity, terms):
+        slot, _ = SLOT_CASES[case]()
+        coarse, fine = slot(parity, terms), slot(parity, 4 * terms).norm_sq()
+        # each exactly rounded norm is off by up to half an ulp
+        assert fine - coarse.norm_sq() <= coarse.tail_bound + math.ulp(fine)
+
+    @pytest.mark.parametrize("terms", [3, 6])
+    def test_total_tail_within_grouped_bound(self, case, terms):
+        slot, r = SLOT_CASES[case]()
+        even = slot(Parity.EVEN, terms)
+        assert slot(None, terms).tail_bound <= even.tail_bound * (1.0 + r) ** 2
