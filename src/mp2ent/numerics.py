@@ -3,9 +3,11 @@
 All the infinite series in this package reduce to factorial-weighted powers
 of a disk variable, optionally damped by Gaussian weights, plus the two
 Jacobi theta constants needed by the cylinder degeneracy limits.  The
-kernels here are pure, deterministic, and accumulate with ``math.fsum``
-(exactly rounded), so results are reproducible bit-for-bit across runs and
-platforms.
+kernels here are pure and deterministic.  Every sum, squared norm
+(``stable_norm_sq``) and inner product (``stable_inner``) is one exactly
+rounded ``math.fsum`` over per-element products, so it does not depend on
+summation order and reruns are bit-for-bit identical; the elementwise
+exp/log/lgamma come from the platform's math library.
 """
 
 from __future__ import annotations
@@ -136,3 +138,13 @@ def abs_sq(arr: np.ndarray) -> np.ndarray:
 def stable_norm_sq(arr: np.ndarray) -> float:
     """Sum of |entries|^2, exactly rounded."""
     return math.fsum(abs_sq(arr).ravel().tolist())
+
+
+def stable_inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """<x, y> = sum conj(x_n) y_n, real and imaginary parts each an exactly
+    rounded sum of per-element products.  The real part is formed exactly as
+    in :func:`abs_sq`, so stable_inner(x, x) == stable_norm_sq(x)."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return complex(
+        math.fsum((xr * yr + xi * yi).tolist()), math.fsum((xr * yi - xi * yr).tolist())
+    )

@@ -209,10 +209,12 @@ class TestCli:
             (["verify", "--tol", "-1"], "tolerance"),
             (["verify", "--trunc", "0"], "truncation"),
             (["verify", "--trunc", "1"], ("cat-completeness", "truncation 1")),
+            (["cat", "--axis1", "alpha:0:1e300:2", "--axis2", "beta:0:0.5:2"],
+             ("alpha=1e+300", "displacement", "e^(-|alpha|^2/2)")),
         ],
         ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
              "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0",
-             "verify-trunc-1"],
+             "verify-trunc-1", "cat-alpha-overflow"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
@@ -220,6 +222,8 @@ class TestCli:
         out = tmp_path / "x.csv"
         if argv[0] == "verify":
             argv = argv + ["--report", str(out)]
+        elif "--axis2" in argv:
+            argv = argv + ["--out", str(out)]
         else:
             argv = argv + ["--axis2", "sigma:0:0.9:3", "--out", str(out)]
         with warnings.catch_warnings():

@@ -25,6 +25,8 @@ from mp2ent.states import (
     CosetLabel,
     CylinderLabel,
     Mp2Variable,
+    Parity,
+    _cylinder_sequence,
 )
 
 mp.dps = 40
@@ -168,3 +170,26 @@ class TestTruncationContract:
         coarse = probability_series_cyl(cyl, SectorPair.PP, 4)
         fine = probability_series_cyl(cyl, SectorPair.PP, 16)
         assert abs(fine.value - coarse.value) <= coarse.tail_bound
+
+    @pytest.mark.parametrize("squared", [False, True], ids=["amplitude", "displayed"])
+    def test_gaussian_tail_bound_covers_true_tail(self, squared):
+        # The Gaussian weight makes the odd sector's term ratio r tiny here
+        # (2e-14 amplitude, 1e-26 displayed), so a/(1 - r) is within about
+        # a r^2 of the true tail and only the rounding margin keeps it above:
+        # without it the bound sat 1.7e-15 (relative) below the 50-digit sum
+        # in both weight conventions.
+        seq = _cylinder_sequence(
+            Mp2Variable(0.9), CylinderLabel(2.0, 2.5), Parity.ODD, 3, squared
+        )
+        with mp.workdps(50):
+            w, half_z = 1 - mp.mpf(0.9) ** 2, mp.mpf(0.9) * mp.exp(2) / 2
+
+            def g(k):  # the log-weight of Fock index k (odd here)
+                return k - mp.mpf(1) / 2 - k * k if squared else -mp.mpf(k * k) / 2
+
+            tail = mp.fsum(
+                w ** mp.mpf(1.5) * half_z ** (2 * k) / mp.factorial(k) * mp.exp(2 * g(k))
+                for k in range(7, 61, 2)
+            )
+            assert seq.tail_bound >= tail
+            assert seq.tail_bound <= tail * (1 + mp.mpf(10) ** -12)
