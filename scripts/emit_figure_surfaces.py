@@ -26,14 +26,11 @@ ORTHO = math.pi / 2.0
 
 
 def sweep(family, pair, axis_names, top, fixed, convention="stripped", steps=64):
-    # odd-sector cat projections are undefined at zero displacement, so
-    # those sweeps start one grid spacing in
-    lo = top / (steps - 1) if family == "cat" and pair is not SectorPair.PP else 0.0
     spec = SweepSpec(
         family=family,
         pair=pair,
-        axis1=AxisSpec(axis_names[0], lo, top, steps),
-        axis2=AxisSpec(axis_names[1], lo, top, steps),
+        axis1=AxisSpec(axis_names[0], 0.0, top, steps),
+        axis2=AxisSpec(axis_names[1], 0.0, top, steps),
         fixed=tuple(fixed.items()),
         truncation=40,
         convention=convention,

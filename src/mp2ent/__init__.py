@@ -38,7 +38,7 @@ from .entangle_cylinder import (
 )
 from .grids import AxisSpec, ProbabilityGrid, SweepSpec, run_sweep
 from .grids import TOOL_VERSION as __version__
-from .numerics import SeriesValue, log_factorial, power_term, theta2, theta3
+from .numerics import SeriesValue, log_factorial, theta2, theta3
 from .states import (
     CircleLabel,
     CoefficientSequence,
@@ -46,6 +46,7 @@ from .states import (
     CylinderLabel,
     Mp2Variable,
     Parity,
+    SlotMap,
     cat_projection,
     coset_normalization,
     coset_projection,

@@ -19,13 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangle_circle import (
-    CoefficientMatrix,
-    SectorPair,
-    check_convention,
-    entangled_pair,
-)
-from .numerics import DEFAULT_TERMS, SeriesValue, power_terms, stable_norm_sq
+from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair
+from .numerics import DEFAULT_TERMS, SeriesValue, stable_norm_sq
 from .states import CircleLabel, CoefficientSequence, Parity, cat_projection
 
 DEFAULT_FOCK_DIM = 32
@@ -63,18 +58,9 @@ def cat_coefficient_matrix(
     terms: int = DEFAULT_TERMS,
     convention: str = "stripped",
 ) -> CoefficientMatrix:
-    full = check_convention(convention)
-    if pair in (SectorPair.PM, SectorPair.MM) and (
-        params.alpha == 0 or params.beta == 0
-    ):
-        raise ValueError(
-            "odd-sector cat projections need nonzero displacements "
-            "(the odd cat component is null at alpha = 0)"
-        )
     return entangled_pair(
-        lambda alpha, label, parity: cat_projection(alpha, label, parity, terms, full),
-        params.alpha, params.beta, params.phi, params.phi_prime, pair,
-        params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+        cat_projection, params.alpha, params.beta, params.phi, params.phi_prime, pair,
+        terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5, convention=convention,
     )
 
 
@@ -117,10 +103,15 @@ class DensityMatrix:
 
 
 def coherent_fock_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Fock coefficients of |alpha>: e^(-|alpha|^2/2) alpha^k / sqrt(k!)."""
-    alpha = complex(alpha)
-    ks = np.arange(dim)
-    return math.exp(-abs(alpha) ** 2 / 2.0) * power_terms(2.0 * alpha, ks)
+    """Fock coefficients of |alpha>: e^(-|alpha|^2/2) alpha^k / sqrt(k!),
+    the even and odd cat projections onto phi = 0 interleaved.  Raises
+    "increase terms" where the series is not yet decaying at ``dim``."""
+    terms = (dim + 1) // 2
+    vec = np.empty(2 * terms, dtype=complex)
+    for parity in Parity:
+        seq = cat_projection(alpha, CircleLabel(0.0), parity, terms, prefactor=False)
+        vec[parity.fock_offset::2] = seq.terms
+    return vec[:dim]
 
 
 def _renormalized(matrix: np.ndarray, basis_tag: str) -> DensityMatrix:

@@ -65,6 +65,7 @@ from .states import (
     CoefficientSequence,
     Mp2Variable,
     Parity,
+    SlotMap,
     as_mp2,
     mp2_circle_projection,
 )
@@ -229,14 +230,16 @@ def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
 
 
 def entangled_pair(
-    slot, first, second, label, label_prime, pair: SectorPair,
-    rho: float, swap_sign: float, amp_prefactor: float, conjugate: bool = True,
+    slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
+    terms: int, rho: float, swap_sign: float, amp_prefactor: float,
+    conjugate: bool = True, convention: str = "stripped",
 ) -> CoefficientMatrix:
     """The one pair builder every family goes through.
 
-    ``slot(var, label, parity)`` returns one state's sector sequence, or the
-    grouped total slot (even + odd, see ``states.fock_series``) for
-    ``parity=None``.  The four slots are
+    ``slots`` is the family's :class:`~mp2ent.states.SlotMap`; it gives one
+    state's sector sequence, or the grouped total slot (even + odd) for the
+    TOTAL pair, with its prefactor under ``convention="full"``.  The four
+    slots are
 
         u1 = (first, label),  u2 = (second, label'),
         v1 = (first, label'), v2 = (second, label),
@@ -244,10 +247,11 @@ def entangled_pair(
     projected onto the pair's sectors (p1 for ``first``, p2 for ``second``),
     and combine as  p (u1 u2 + s e^(i rho) v1 v2)  in :func:`pair_matrix`.
     """
+    full = check_convention(convention)
     p1, p2 = (None, None) if pair is SectorPair.TOTAL else pair.parities
     return pair_matrix(
-        slot(first, label, p1), slot(second, label_prime, p2),
-        slot(first, label_prime, p1), slot(second, label, p2),
+        slots(first, label, p1, terms, full), slots(second, label_prime, p2, terms, full),
+        slots(first, label_prime, p1, terms, full), slots(second, label, p2, terms, full),
         rho, swap_sign, amp_prefactor, conjugate,
     )
 
@@ -260,11 +264,9 @@ def coefficient_matrix(
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
     TOTAL uses the grouped total slots."""
-    full = check_convention(convention)
     return entangled_pair(
-        lambda var, label, parity: mp2_circle_projection(var, label, parity, terms, full),
-        params.omega, params.sigma, params.phi, params.phi_prime, pair,
-        params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+        mp2_circle_projection, params.omega, params.sigma, params.phi, params.phi_prime,
+        pair, terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5, convention=convention,
     )
 
 

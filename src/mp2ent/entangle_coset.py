@@ -28,13 +28,14 @@ from .entangle_circle import (
 from .numerics import DEFAULT_TERMS, SeriesValue
 from .states import (
     MIN_COSET_IM_ALPHA,
+    CircleLabel,
     CosetLabel,
     Mp2Variable,
     Parity,
-    _disk_sequence,
     as_mp2,
     coset_projection,
     coset_variable,
+    mp2_circle_projection,
 )
 
 _IMAG_RESIDUE_TOL = 1e-12
@@ -103,11 +104,9 @@ def coefficient_matrix_coset(
     terms: int = DEFAULT_TERMS,
     convention: str = "stripped",
 ) -> CoefficientMatrix:
-    full = check_convention(convention)
     return entangled_pair(
-        lambda var, label, parity: coset_projection(var, label, parity, terms, full),
-        params.omega, params.sigma, params.label, params.label_prime, pair,
-        params.rho, swap_sign=+1.0, amp_prefactor=0.5,
+        coset_projection, params.omega, params.sigma, params.label, params.label_prime,
+        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=0.5, convention=convention,
     )
 
 
@@ -167,5 +166,6 @@ def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> fl
     """Squared norm of the grouped total projection (even + odd slot, no
     prefactor) at disk variable z', used for the classicalization-tail
     checks."""
-    z = Mp2Variable(zprime).omega
-    return _disk_sequence(z, None, terms, prefactor=False).norm_sq()
+    return mp2_circle_projection(
+        Mp2Variable(zprime), CircleLabel(0.0), None, terms, prefactor=False
+    ).norm_sq()

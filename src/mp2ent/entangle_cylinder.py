@@ -32,8 +32,9 @@ from .numerics import DEFAULT_TERMS, SeriesValue, theta2, theta3
 from .states import (
     CylinderLabel,
     Mp2Variable,
-    _cylinder_sequence,
     as_mp2,
+    mp2_cylinder_display_projection,
+    mp2_cylinder_projection,
 )
 
 DEGENERATE_NOME = math.exp(-8.0)
@@ -79,15 +80,14 @@ def coefficient_matrix_cyl(
     """
     if weights not in WEIGHT_CONVENTIONS:
         raise ValueError(f"weights must be one of {WEIGHT_CONVENTIONS}")
-    squared = weights == "displayed"
     # Pair summands conjugate the disk variable but keep the label phase
     # e^(l - i phi), so build the slots on conj(omega)/conj(sigma) directly
     # instead of conjugating whole sequences.
     return entangled_pair(
-        lambda var, label, parity: _cylinder_sequence(var, label, parity, terms, squared),
+        mp2_cylinder_display_projection if weights == "displayed" else mp2_cylinder_projection,
         Mp2Variable(params.omega.omega.conjugate()),
         Mp2Variable(params.sigma.omega.conjugate()), params.label, params.label_prime,
-        pair, params.rho, swap_sign=+1.0, amp_prefactor=1.0 / math.sqrt(2.0),
+        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=1.0 / math.sqrt(2.0),
         conjugate=False,
     )
 

@@ -12,7 +12,6 @@ exp/log/lgamma come from the platform's math library.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,34 +65,6 @@ def log_factorial_array(max_k: int) -> np.ndarray:
         _LOG_FACTORIALS = np.array([log_factorial(k) for k in range(size)])
         _LOG_FACTORIALS.setflags(write=False)
     return _LOG_FACTORIALS[: max_k + 1]
-
-
-def power_term(z: complex, k: int) -> complex:
-    """(z/2)^k / sqrt(k!) in log-magnitude/phase form.
-
-    The fused exponent avoids overflow of z^k and underflow of 1/sqrt(k!)
-    separately; good to >= 12 significant digits for |z| <= 4, k <= 200.
-    """
-    if k < 0:
-        raise ValueError("k must be a non-negative integer")
-    z = complex(z)
-    # abs(z)/2 can underflow to zero for subnormal z; same zero branch
-    if abs(z) / 2.0 == 0.0:
-        return complex(1.0) if k == 0 else complex(0.0)
-    log_mag = k * math.log(abs(z) / 2.0) - 0.5 * log_factorial(k)
-    return cmath.exp(complex(log_mag, k * cmath.phase(z)))
-
-
-def power_terms(z: complex, ks: np.ndarray) -> np.ndarray:
-    """Vector form of :func:`power_term` over integer exponents ``ks``."""
-    z = complex(z)
-    if abs(z) / 2.0 == 0.0:
-        out = np.zeros(len(ks), dtype=complex)
-        out[np.asarray(ks) == 0] = 1.0
-        return out
-    ks = np.asarray(ks)
-    log_mag = ks * math.log(abs(z) / 2.0) - 0.5 * log_factorial_array(int(ks.max()))[ks]
-    return np.exp(log_mag + 1j * ks * cmath.phase(z))
 
 
 def _check_nome(q: float) -> float:

@@ -6,9 +6,10 @@ Mp(2) disk states themselves.  Each projection is returned as a
 :class:`CoefficientSequence`: the ordered complex coefficients c_n of the
 sector's own series (n indexes 2n for the even sector, 2n+1 for the odd one)
 together with a rigorous bound on the dropped l^2 tail.  Every family's
-series is one Fock series with its own z, sector amplitudes and Gaussian
-log-weight, built by :func:`fock_series`; ``parity=None`` gives the grouped
-total slot, even + odd.
+series is one Fock series, built by :func:`fock_series`; what differs - z,
+the two sector amplitudes, the Gaussian log-weight - is data, one
+:class:`SlotMap` record per family.  ``parity=None`` gives the grouped total
+slot, even + odd.
 
 Conventions
 -----------
@@ -28,8 +29,9 @@ import functools
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Any
 
 import numpy as np
 
@@ -262,92 +264,84 @@ def fock_series(
     return CoefficientSequence(Parity.EVEN, parts[0] + parts[1], tail)
 
 
-def _disk_sequence(
-    zvar: complex,
-    parity: Parity | None,
-    terms: int,
-    prefactor: bool,
-) -> CoefficientSequence:
-    """Sector series of an Mp(2) state in the disk variable ``zvar``:
+@dataclass(frozen=True)
+class SlotMap:
+    """One family's single-state projection, as data.
 
-        even: w^(1/4) (z/2)^(2n)   / sqrt((2n)!)
-        odd:  w^(3/4) (z/2)^(2n+1) / sqrt((2n+1)!),   w = 1 - |z|^2
+    The slot of the state ``var`` at ``label`` is the Fock series of
+    :func:`fock_series` with
 
-    with an optional (2pi)^(-1/2) out front; ``parity=None`` is the grouped
-    total slot, even + odd.
+        z = z(var, label),   sector amplitudes  p * amps(var, z),   g,
+
+    where p is ``prefactor`` if the call asks for it (the default, and
+    ``convention="full"`` in the pair builders) and 1 otherwise.
+    ``overflow(var, label)`` words the ValueError that replaces an
+    OverflowError met on the way; without it the OverflowError passes.
+
+    Calling a record, ``record(var, label, parity, terms, prefactor)``, is
+    the only place where a (variable, label) pair becomes a fock_series
+    call; ``parity=None`` gives the grouped total slot.
     """
-    w = 1.0 - abs(zvar) ** 2
-    pref = INV_SQRT_2PI if prefactor else 1.0
-    return fock_series(zvar, (pref * w**0.25, pref * w**0.75), parity, terms)
+
+    z: Callable[[Any, Any], complex]
+    amps: Callable[[Any, complex], tuple[float, float]]
+    prefactor: float = 1.0
+    g: Callable[[np.ndarray], np.ndarray] | None = None
+    overflow: Callable[[Any, Any], str] | None = None
+
+    def __call__(
+        self, var, label, parity: Parity | None, terms: int = DEFAULT_TERMS,
+        prefactor: bool = True,
+    ) -> CoefficientSequence:
+        try:
+            z = self.z(var, label)
+            even, odd = self.amps(var, z)
+            p = self.prefactor if prefactor else 1.0
+            return fock_series(z, (p * even, p * odd), parity, terms, self.g)
+        except OverflowError:
+            if self.overflow is None:
+                raise
+            raise ValueError(self.overflow(var, label)) from None
 
 
-def mp2_circle_projection(
-    omega: Mp2Variable,
-    label: CircleLabel,
-    parity: Parity | None,
-    terms: int = DEFAULT_TERMS,
-    prefactor: bool = True,
-) -> CoefficientSequence:
-    """Projection of an Mp(2) sector state onto a circle (phase) state.
-
-    Even: c_n = (2pi)^(-1/2) (1-|omega|^2)^(1/4) (z/2)^(2n)   / sqrt((2n)!)
-    Odd:  c_n = (2pi)^(-1/2) (1-|omega|^2)^(3/4) (z/2)^(2n+1) / sqrt((2n+1)!)
-
-    with z = omega e^(i phi).
-    """
-    z = omega.omega * cmath.exp(1j * label.phi)
-    return _disk_sequence(z, parity, terms, prefactor)
+def _disk_weights(modulus: float) -> tuple[float, float]:
+    """The sector amplitudes w^(1/4), w^(3/4) of the disk, w = 1 - modulus^2."""
+    w = 1.0 - modulus**2
+    return w**0.25, w**0.75
 
 
-def mp2_cylinder_projection(
-    omega: Mp2Variable,
-    label: CylinderLabel,
-    parity: Parity | None,
-    terms: int = DEFAULT_TERMS,
-) -> CoefficientSequence:
-    """Projection of an Mp(2) sector state onto a cylinder state.
-
-    Even: c_n = (1-|omega|^2)^(1/4) (omega e^(l-i phi)/2)^(2n)  /sqrt((2n)!)  e^(-2n^2)
-    Odd:  c_n = (1-|omega|^2)^(3/4) (omega e^(l-i phi)/2)^(2n+1)/sqrt((2n+1)!) e^(-(2n+1)^2/2)
-    """
-    return _cylinder_sequence(omega, label, parity, terms, squared_weights=False)
+# Projection of an Mp(2) sector state onto a circle (phase) state:
+#     even: c_n = (2pi)^(-1/2) (1-|omega|^2)^(1/4) (z/2)^(2n)   / sqrt((2n)!)
+#     odd:  c_n = (2pi)^(-1/2) (1-|omega|^2)^(3/4) (z/2)^(2n+1) / sqrt((2n+1)!)
+# with z = omega e^(i phi), the disk weight taken at z itself.
+mp2_circle_projection = SlotMap(
+    z=lambda omega, label: omega.omega * cmath.exp(1j * label.phi),
+    amps=lambda omega, z: _disk_weights(abs(z)),
+    prefactor=INV_SQRT_2PI,
+)
 
 
-# g(k) of the two cylinder weight conventions: the single-state amplitudes
-# e^(-2n^2) / e^(-(2n+1)^2/2), and the squared-amplitude display
-# e^(-4n^2) / e^(-4n^2 - (2n+1/2)) of the entangled-pair coefficient matrices
-_CYLINDER_LOG_WEIGHTS = {
-    False: lambda k: -0.5 * k**2,
-    True: lambda k: (k % 2) * (k - 0.5) - k**2,
-}
+# Projection of an Mp(2) sector state onto a cylinder state (no 2pi factor):
+#     even: c_n = (1-|omega|^2)^(1/4) (z/2)^(2n)  /sqrt((2n)!)   e^(-2n^2)
+#     odd:  c_n = (1-|omega|^2)^(3/4) (z/2)^(2n+1)/sqrt((2n+1)!) e^(-(2n+1)^2/2)
+# with z = omega e^(l - i phi), i.e. g(k) = -k^2/2.  A label whose e^l
+# overflows (cmath raises rather than returning inf) or whose series passes
+# the magnitude guard is rejected as non-physical.
+mp2_cylinder_projection = SlotMap(
+    z=lambda omega, label: omega.omega * cmath.exp(complex(label.l, -label.phi)),
+    amps=lambda omega, z: _disk_weights(omega.modulus),
+    g=lambda k: -0.5 * k**2,
+    overflow=lambda omega, label: (
+        f"cylinder label l={label.l} drives the series magnitude past the "
+        "overflow threshold (non-physical label)"
+    ),
+)
 
-
-def _cylinder_sequence(
-    omega: Mp2Variable,
-    label: CylinderLabel,
-    parity: Parity | None,
-    terms: int,
-    squared_weights: bool,
-) -> CoefficientSequence:
-    """Cylinder sector series (``parity=None``: the grouped total slot), the
-    Gaussian weight fused into the log exponent; ``squared_weights=True``
-    selects the squared-amplitude display convention.
-
-    A label whose e^l overflows (cmath raises OverflowError rather than
-    returning inf) or whose series passes the magnitude guard is rejected
-    as non-physical.
-    """
-    w = 1.0 - omega.modulus**2
-    try:
-        z = omega.omega * cmath.exp(complex(label.l, -label.phi))
-        return fock_series(
-            z, (w**0.25, w**0.75), parity, terms, _CYLINDER_LOG_WEIGHTS[squared_weights]
-        )
-    except OverflowError:
-        raise ValueError(
-            f"cylinder label l={label.l} drives the series magnitude past the "
-            "overflow threshold (non-physical label)"
-        ) from None
+# The squared-amplitude display convention of the entangled-pair coefficient
+# matrices: e^(-4n^2) (even) and e^(-4n^2 - (2n+1/2)) (odd).
+mp2_cylinder_display_projection = replace(
+    mp2_cylinder_projection, g=lambda k: (k % 2) * (k - 0.5) - k**2
+)
 
 
 def coset_variable(omega: Mp2Variable, label: CosetLabel) -> complex:
@@ -359,21 +353,10 @@ def coset_variable(omega: Mp2Variable, label: CosetLabel) -> complex:
     return omega.omega * cmath.exp(1j * (label.phi - label.alpha.conjugate() / 2.0))
 
 
-def coset_projection(
-    omega: Mp2Variable,
-    label: CosetLabel,
-    parity: Parity | None,
-    terms: int = DEFAULT_TERMS,
-    prefactor: bool = True,
-) -> CoefficientSequence:
-    """Projection of an Mp(2) sector state onto a coset coherent state.
-
-    Same series shape as the circle projection with z' in place of z, and
-    the disk weight evaluated at |z'| (the coset action modifies both the
-    phase of omega and the ratio of the disk).
-    """
-    zp = coset_variable(omega, label)
-    return _disk_sequence(zp, parity, terms, prefactor)
+# Projection of an Mp(2) sector state onto a coset coherent state: the circle
+# series with z' in place of z, and the disk weight evaluated at |z'| (the
+# coset action modifies both the phase of omega and the ratio of the disk).
+coset_projection = replace(mp2_circle_projection, z=coset_variable)
 
 
 def fiducial_overlap(label: CosetLabel) -> complex:
@@ -415,30 +398,23 @@ def coset_normalization(label: CosetLabel) -> float:
     return fiducial_overlap_sq(label) / (TWO_PI * (1.0 - math.exp(-v)))
 
 
-def cat_projection(
-    alpha: complex,
-    label: CircleLabel,
-    parity: Parity | None,
-    terms: int = DEFAULT_TERMS,
-    prefactor: bool = True,
-) -> CoefficientSequence:
-    """Projection of an even/odd Schroedinger cat state onto a circle state.
+def _cat_amps(alpha, z: complex) -> tuple[float, float]:
+    weight = math.exp(-abs(complex(alpha)) ** 2 / 2.0)
+    return weight, weight
 
-    Even: c_n = (2pi)^(-1) e^(-|alpha|^2/2) atilde^(2n)  / sqrt((2n)!)
-    Odd:  c_n = (2pi)^(-1) e^(-|alpha|^2/2) atilde^(2n+1)/ sqrt((2n+1)!)
 
-    with atilde = alpha e^(i phi).  Unnormalized cat convention (the
-    Gaussian weight, not the 1/sqrt(2 +- 2e^(-2|alpha|^2)) normalization).
-    """
-    alpha = complex(alpha)
-    atilde = alpha * cmath.exp(1j * label.phi)
-    try:
-        weight = math.exp(-abs(alpha) ** 2 / 2.0)
-    except OverflowError:
-        raise ValueError(
-            f"cat displacement |alpha| = {abs(alpha):g} overflows |alpha|^2 in the "
-            "weight e^(-|alpha|^2/2)"
-        ) from None
-    pref = (1.0 / TWO_PI if prefactor else 1.0) * weight
-    # fock_series takes (z/2)^k; feed z = 2 atilde to drop the /2
-    return fock_series(2.0 * atilde, (pref, pref), parity, terms)
+# Projection of an even/odd Schroedinger cat state onto a circle state:
+#     even: c_n = (2pi)^(-1) e^(-|alpha|^2/2) atilde^(2n)  / sqrt((2n)!)
+#     odd:  c_n = (2pi)^(-1) e^(-|alpha|^2/2) atilde^(2n+1)/ sqrt((2n+1)!)
+# with atilde = alpha e^(i phi), fed to fock_series as z = 2 atilde to drop
+# its /2.  Unnormalized cat convention (the Gaussian weight, not the
+# 1/sqrt(2 +- 2e^(-2|alpha|^2)) normalization).
+cat_projection = SlotMap(
+    z=lambda alpha, label: 2.0 * (complex(alpha) * cmath.exp(1j * label.phi)),
+    amps=_cat_amps,
+    prefactor=1.0 / TWO_PI,
+    overflow=lambda alpha, label: (
+        f"cat displacement |alpha| = {abs(complex(alpha)):g} overflows |alpha|^2 in "
+        "the weight e^(-|alpha|^2/2) or a series term alpha^k / sqrt(k!)"
+    ),
+)

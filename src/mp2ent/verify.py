@@ -279,20 +279,6 @@ def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TER
     )
 
 
-def crossed_pm_closed_form_printed(omega, delta: float, rho: float) -> float:
-    """The degenerate crossed even-odd closed form as printed (with the
-    stray |sigma|^2 read as |omega|^2)."""
-    w = as_mp2(omega)
-    a = w.modulus**2 / 4.0
-    z = 1.0 - w.modulus**2
-    bb, bt = a * math.cos(delta), a * math.sin(delta)
-    return 0.5 * z**2 * (
-        math.cosh(a) * math.sinh(a)
-        + math.cosh(bb) * math.sinh(bb) * math.cos(rho)
-        + math.cos(bt) * math.sin(bt) * math.sin(rho)
-    )
-
-
 # --------------------------------------------------------------------------
 # cylinder: printed and corrected probability sums
 # --------------------------------------------------------------------------
@@ -616,14 +602,6 @@ BATTERY: tuple[Check, ...] = (
         lambda p, n, w, s, d, r: entangle_circle.limit_degenerate(p, w, d, r),
         lambda p, n, w, s, d, r: degenerate_limit_printed(p, w, d, r),
         (_LIMIT_NOTE,) * 3,
-    ),
-    Check(
-        "circle-crossed-pm-closed-form", "closed-form:circle:crossed-pm-degenerate",
-        _CIRCLE_DEGENERATE,
-        partial(_circle_series, SectorPair.PM),
-        lambda n, w, s, d, r: entangle_circle.limit_degenerate(SectorPair.PM, w, d, r),
-        lambda n, w, s, d, r: crossed_pm_closed_form_printed(w, d, r),
-        "stray |sigma|^2 read as |omega|^2; cross sign flipped",
     ),
     Check(
         "circle-total-closed-form", "closed-form:circle:total",

@@ -34,11 +34,19 @@ class TestCatProbability:
         anti = cat_entangled_probability(params(0.0, 0.0, 0.0, math.pi), SectorPair.PP, 10)
         assert anti.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_null_odd_displacement(self):
-        with pytest.raises(ValueError):
-            cat_entangled_probability(params(0.0, 1.0, 0.0, 0.0), SectorPair.PM, 10)
-        with pytest.raises(ValueError):
-            cat_entangled_probability(params(1.0, 0.0, 0.0, 0.0), SectorPair.MM, 10)
+    def test_null_odd_displacement_values(self):
+        # an odd slot at zero displacement is exactly zero in the
+        # unnormalized convention, so these pairs vanish exactly
+        for alpha, beta, pair in (
+            (0.0, 1.0, SectorPair.MM), (1.0, 0.0, SectorPair.MM),
+            (0.0, 0.0, SectorPair.MM), (1.0, 0.0, SectorPair.PM),
+        ):
+            value = cat_entangled_probability(params(alpha, beta, ORTHO, 0.3), pair, 10).value
+            assert value == 0.0
+        # pm at alpha = 0: u1 = v1 = |0>, so P = |u2 - e^(i rho) v2|^2 / 4 with
+        # |u2|^2 = |v2|^2 = e^(-1) sinh 1 and <u2, v2> imaginary at delta = pi/2
+        pm = cat_entangled_probability(params(0.0, 1.0, ORTHO, 0.0), SectorPair.PM, 40)
+        assert pm.value == pytest.approx((1.0 - math.exp(-2.0)) / 4.0, rel=1e-14)
 
     def test_coincident_separability(self):
         for pair in (SectorPair.PP, SectorPair.PM):
@@ -91,6 +99,11 @@ class TestCatCompleteness:
 
 
 class TestDensityMatrices:
+    def test_coherent_vector_must_be_decaying(self):
+        # 5^k / sqrt(k!) still grows at k = 16
+        with pytest.raises(ValueError, match="increase terms"):
+            coherent_fock_vector(5.0, 16)
+
     def test_vacuum_even_cat_is_fock_vacuum(self):
         rho = density_matrix_cat(0.0, Parity.EVEN, 16)
         expect = np.zeros((16, 16))

@@ -265,6 +265,16 @@ class TestCli:
         assert rc == 0
         assert np.all(np.isfinite(read_grid_csv(out.read_text())))
 
+    @pytest.mark.parametrize("pair", ["pm", "mm"])
+    def test_default_cat_odd_sweeps_exit_0(self, tmp_path, pair):
+        # the default axes start at alpha = beta = 0, where an odd cat slot
+        # is exactly zero
+        out = tmp_path / "cat.csv"
+        assert main(["cat", "--pair", pair, "--out", str(out)]) == 0
+        values = read_grid_csv(out.read_text())[:, 2].reshape(64, 64)
+        assert np.all(values[:, 0] == 0.0)
+        assert np.all(values[0, :] == 0.0) == (pair == "mm")
+
     def test_verify_exit_zero_and_report(self, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main(["verify", "--trunc", "25", "--report", str(report_path)])
@@ -330,6 +340,45 @@ def test_sweep_argv_exits_0_or_2(tmp_path_factory, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(argv + ["--out", str(out)]) in (0, 2)
+
+
+# family -> the series and pair-matrix kernels a sweep reaches once per point
+KERNELS = {
+    "circle": (("entangle_circle", "probability_series"),
+               ("entangle_circle", "coefficient_matrix")),
+    "cylinder": (("entangle_cylinder", "probability_series_cyl"),
+                 ("entangle_cylinder", "coefficient_matrix_cyl")),
+    "coset": (("entangle_coset", "probability_series_coset"),
+              ("entangle_coset", "coefficient_matrix_coset")),
+    "cat": (("cat_compare", "cat_entangled_probability"),
+            ("cat_compare", "cat_coefficient_matrix")),
+}
+
+
+def _counting(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
+    # a wrapper installed on a module attribute must see every sweep point
+    # (the benchmark's tracer counts calls this way)
+    targets = KERNELS[family] + (("entangle_circle", "pair_matrix"),)
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
+        owner = importlib.import_module(f"mp2ent.{module}")
+        monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+    names = list(PARAMETERS[family])[:2]
+    spec = SweepSpec(
+        family=family, pair=SectorPair.PM, axis1=AxisSpec(names[0], 0.1, 0.5, 2),
+        axis2=AxisSpec(names[1], 0.1, 0.5, 2), truncation=8,
+    )
+    run_sweep(spec)
+    assert counts == dict.fromkeys(counts, 4)
 
 
 def test_one_version_source():

@@ -11,7 +11,7 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 from mpmath import mp, mpc  # noqa: E402
 
-from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
+from mp2ent.cat_compare import CatPairParams, cat_entangled_probability, coherent_fock_vector
 from mp2ent.entangle_circle import (
     CirclePairParams,
     SectorPair,
@@ -19,14 +19,14 @@ from mp2ent.entangle_circle import (
 )
 from mp2ent.entangle_coset import CosetPairParams, probability_series_coset
 from mp2ent.entangle_cylinder import CylinderPairParams, probability_series_cyl
-from mp2ent.numerics import power_term
 from mp2ent.states import (
     CircleLabel,
     CosetLabel,
     CylinderLabel,
     Mp2Variable,
     Parity,
-    _cylinder_sequence,
+    mp2_cylinder_display_projection,
+    mp2_cylinder_projection,
 )
 
 mp.dps = 40
@@ -128,10 +128,13 @@ FAMILIES = {
 
 
 class TestAgainstMpmath:
-    def test_power_term(self):
-        for z, k in ((1.3 - 0.4j, 17), (3.9 + 0.1j, 120), (0.02, 5)):
-            ref = complex(mp_term(mpc(z), k))
-            assert power_term(z, k) == pytest.approx(ref, rel=1e-12)
+    def test_coherent_fock_vector(self):
+        for alpha, dim in ((0.65 - 0.2j, 18), (1.95 + 0.05j, 121), (0.01, 6)):
+            vec = coherent_fock_vector(alpha, dim)
+            weight = mp.exp(-abs(mpc(alpha)) ** 2 / 2)
+            for k in range(dim):
+                ref = complex(weight * mp_term(2 * mpc(alpha), k))
+                assert vec[k] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
     @pytest.mark.parametrize("family", list(FAMILIES))
@@ -178,9 +181,8 @@ class TestTruncationContract:
         # a r^2 of the true tail and only the rounding margin keeps it above:
         # without it the bound sat 1.7e-15 (relative) below the 50-digit sum
         # in both weight conventions.
-        seq = _cylinder_sequence(
-            Mp2Variable(0.9), CylinderLabel(2.0, 2.5), Parity.ODD, 3, squared
-        )
+        record = mp2_cylinder_display_projection if squared else mp2_cylinder_projection
+        seq = record(Mp2Variable(0.9), CylinderLabel(2.0, 2.5), Parity.ODD, 3)
         with mp.workdps(50):
             w, half_z = 1 - mp.mpf(0.9) ** 2, mp.mpf(0.9) * mp.exp(2) / 2
 

@@ -1,18 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mp2ent.numerics import (
-    SeriesValue,
-    log_factorial,
-    power_term,
-    power_terms,
-    theta2,
-    theta3,
-)
+from mp2ent.cat_compare import coherent_fock_vector
+from mp2ent.numerics import SeriesValue, log_factorial, theta2, theta3
+from mp2ent.states import Parity, fock_series
 
 
 class TestLogFactorial:
@@ -39,7 +33,17 @@ class TestLogFactorial:
             log_factorial(-1)
 
 
+def power_term(z, k):
+    """(z/2)^k / sqrt(k!): Fock term k of the one series builder at unit
+    sector amplitudes and no weight, truncated just past k."""
+    parity = Parity.ODD if k % 2 else Parity.EVEN
+    return fock_series(complex(z), (1.0, 1.0), parity, k // 2 + 2).terms[k // 2]
+
+
 class TestPowerTerm:
+    """The factorial-weighted powers (z/2)^k / sqrt(k!) every slot is made
+    of, read off states.fock_series, whose ln(k!) comes from this module."""
+
     def test_k_zero_is_one(self):
         assert power_term(3.7 - 2.1j, 0) == 1.0
         assert power_term(0.0, 0) == 1.0
@@ -69,11 +73,11 @@ class TestPowerTerm:
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-300)
 
     def test_vector_matches_scalar(self):
-        z = 0.8 + 0.3j
-        ks = np.arange(0, 50)
-        vec = power_terms(z, ks)
-        for k in ks:
-            assert vec[k] == pytest.approx(power_term(z, int(k)), rel=1e-13)
+        # the coherent-state vector interleaves the same terms at z = 2 alpha
+        alpha = 0.4 + 0.15j
+        vec = coherent_fock_vector(alpha, 50) * math.exp(abs(alpha) ** 2 / 2.0)
+        for k in range(50):
+            assert vec[k] == pytest.approx(power_term(2.0 * alpha, k), rel=1e-13)
 
 
 class TestTheta:

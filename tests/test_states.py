@@ -12,7 +12,6 @@ from mp2ent.states import (
     CylinderLabel,
     Mp2Variable,
     Parity,
-    _cylinder_sequence,
     cat_projection,
     coset_normalization,
     coset_projection,
@@ -20,6 +19,7 @@ from mp2ent.states import (
     fiducial_overlap,
     fiducial_overlap_sq,
     mp2_circle_projection,
+    mp2_cylinder_display_projection,
     mp2_cylinder_projection,
 )
 
@@ -127,13 +127,14 @@ class TestCylinderProjection:
         # damped by exactly e^(-2n^2) / e^(-(2n+1)^2/2), or in the display
         # convention by e^(-4n^2) / e^(-4n^2 - (2n+1/2))
         var = Mp2Variable(0.7)
-        for parity, squared, gauss in (
-            (Parity.EVEN, False, lambda n: math.exp(-2.0 * n * n)),
-            (Parity.ODD, False, lambda n: math.exp(-((2 * n + 1) ** 2) / 2.0)),
-            (Parity.EVEN, True, lambda n: math.exp(-4.0 * n * n)),
-            (Parity.ODD, True, lambda n: math.exp(-4.0 * n * n - (2 * n + 0.5))),
+        amplitude, display = mp2_cylinder_projection, mp2_cylinder_display_projection
+        for parity, record, gauss in (
+            (Parity.EVEN, amplitude, lambda n: math.exp(-2.0 * n * n)),
+            (Parity.ODD, amplitude, lambda n: math.exp(-((2 * n + 1) ** 2) / 2.0)),
+            (Parity.EVEN, display, lambda n: math.exp(-4.0 * n * n)),
+            (Parity.ODD, display, lambda n: math.exp(-4.0 * n * n - (2 * n + 0.5))),
         ):
-            cyl = _cylinder_sequence(var, CylinderLabel(0.0, 0.9), parity, 12, squared)
+            cyl = record(var, CylinderLabel(0.0, 0.9), parity, 12)
             circ = mp2_circle_projection(var, CircleLabel(0.9), parity, 12, prefactor=False)
             for n in range(12):
                 if abs(circ.terms[n]) == 0.0:
@@ -284,8 +285,9 @@ def _coset_case(w, alpha, phi):
 
 def _cylinder_case(w, l, phi, squared):
     var, label = Mp2Variable(w), CylinderLabel(l, phi)
+    record = mp2_cylinder_display_projection if squared else mp2_cylinder_projection
     r = abs(w) * math.exp(l) / 2.0 * math.exp(-0.5)
-    return (lambda p, n: _cylinder_sequence(var, label, p, n, squared), r)
+    return (lambda p, n: record(var, label, p, n), r)
 
 
 def _cat_case(alpha, phi):

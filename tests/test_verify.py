@@ -31,7 +31,6 @@ EXPECTED = {
     "circle-degenerate-limit-pp": (CFM, True),
     "circle-degenerate-limit-pm": (CFM, True),
     "circle-degenerate-limit-mm": (CFM, True),
-    "circle-crossed-pm-closed-form": (CFM, True),
     "circle-total-closed-form": (CFM, True),
     "cylinder-probability-pp": (CFM, True),
     "cylinder-probability-pm": (CFM, True),
