@@ -19,8 +19,8 @@ import argparse
 import math
 import os
 
-from mp2ent.entangle_circle import CONVENTIONS, SectorPair
-from mp2ent.grids import AxisSpec, SweepSpec, run_sweep, write_grid
+from mp2ent.entangle_circle import SectorPair
+from mp2ent.grids import CONVENTIONS, AxisSpec, SweepSpec, run_sweep, write_grid
 
 ORTHO = math.pi / 2.0
 

@@ -56,11 +56,10 @@ def cat_coefficient_matrix(
     params: CatPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> CoefficientMatrix:
     return entangled_pair(
         cat_projection, params.alpha, params.beta, params.phi, params.phi_prime, pair,
-        terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5, convention=convention,
+        terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
     )
 
 
@@ -68,10 +67,9 @@ def cat_entangled_probability(
     params: CatPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> SeriesValue:
     """P = sum |c_nm|^2 with cat coefficient families in the slots."""
-    return cat_coefficient_matrix(params, pair, terms, convention).series_value()
+    return cat_coefficient_matrix(params, pair, terms).series_value()
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,9 @@ import math
 import os
 import sys
 
-from .entangle_circle import CONVENTIONS, SectorPair
+from .entangle_circle import SectorPair
 from .grids import (
+    CONVENTIONS,
     DEFAULT_AXES,
     FAMILIES,
     PARAMETERS,
@@ -109,7 +110,7 @@ def _default_out(family: str, pair: SectorPair, fmt: str) -> str:
     return os.path.join(base, name) if base else name
 
 
-def _run_family(args: argparse.Namespace) -> int:
+def _run_family(args: argparse.Namespace, argv: list[str]) -> int:
     family = args.command
     pair = SectorPair.parse(args.pair)
     ax1_default, ax2_default = DEFAULT_AXES[family]
@@ -126,7 +127,7 @@ def _run_family(args: argparse.Namespace) -> int:
     )
     grid = run_sweep(spec)
     out = args.out or _default_out(family, pair, args.format)
-    write_grid(grid, out, args.format, command=" ".join(sys.argv[1:]))
+    write_grid(grid, out, args.format, command=" ".join(argv))
     print(f"wrote {out} ({axis1.steps}x{axis2.steps}, provenance={grid.provenance})")
     return EXIT_OK
 
@@ -147,12 +148,16 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]`` and is what a
+    sweep's sidecar records as its ``command``."""
+    if argv is None:
+        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
             return _run_verify(args)
-        return _run_family(args)
+        return _run_family(args, argv)
     except (ValueError, GridDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

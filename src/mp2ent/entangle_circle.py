@@ -38,9 +38,9 @@ probability factorizes as (1 - cos rho); the closed forms below are the
 series-validated ("corrected") ones in the same convention.  The verbatim
 printed variants live in :mod:`mp2ent.verify` for reconciliation.
 
-Probabilities default to the prefactor-stripped convention (no 2pi factors,
-matching the closed forms); ``convention="full"`` restores (2pi)^(-1/2) per
-projection, i.e. (2pi)^(-2) on probabilities.
+Every probability here is in the prefactor-stripped convention (no 2pi
+factors); :mod:`mp2ent.grids` applies a family's prefactor^4 under
+``convention="full"``.
 """
 
 from __future__ import annotations
@@ -69,8 +69,6 @@ from .states import (
     as_mp2,
     mp2_circle_projection,
 )
-
-CONVENTIONS = ("stripped", "full")
 
 
 class SectorPair(Enum):
@@ -102,16 +100,12 @@ _SECTOR_PARITIES = {
 }
 
 
+# cosh for the even sector, sinh for the odd one, by Parity.fock_offset
+_SECTOR_FUNCS = (cmath.cosh, cmath.sinh)
+
+
 def _as_label(value) -> CircleLabel:
     return value if isinstance(value, CircleLabel) else CircleLabel(float(value))
-
-
-def check_convention(convention: str) -> bool:
-    """Validate a prefactor convention (one of ``CONVENTIONS``); True for
-    ``"full"``."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return convention == "full"
 
 
 @dataclass(frozen=True)
@@ -232,14 +226,13 @@ def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
 def entangled_pair(
     slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
     terms: int, rho: float, swap_sign: float, amp_prefactor: float,
-    conjugate: bool = True, convention: str = "stripped",
+    conjugate: bool = True,
 ) -> CoefficientMatrix:
     """The one pair builder every family goes through.
 
     ``slots`` is the family's :class:`~mp2ent.states.SlotMap`; it gives one
     state's sector sequence, or the grouped total slot (even + odd) for the
-    TOTAL pair, with its prefactor under ``convention="full"``.  The four
-    slots are
+    TOTAL pair, without its prefactor.  The four slots are
 
         u1 = (first, label),  u2 = (second, label'),
         v1 = (first, label'), v2 = (second, label),
@@ -247,26 +240,66 @@ def entangled_pair(
     projected onto the pair's sectors (p1 for ``first``, p2 for ``second``),
     and combine as  p (u1 u2 + s e^(i rho) v1 v2)  in :func:`pair_matrix`.
     """
-    full = check_convention(convention)
     p1, p2 = (None, None) if pair is SectorPair.TOTAL else pair.parities
     return pair_matrix(
-        slots(first, label, p1, terms, full), slots(second, label_prime, p2, terms, full),
-        slots(first, label_prime, p1, terms, full), slots(second, label, p2, terms, full),
+        slots(first, label, p1, terms, False), slots(second, label_prime, p2, terms, False),
+        slots(first, label_prime, p1, terms, False), slots(second, label, p2, terms, False),
         rho, swap_sign, amp_prefactor, conjugate,
     )
+
+
+def pair_closed_form(
+    slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
+    rho: float, swap_sign: float, amp_prefactor: float,
+) -> float:
+    """Closed-form twin of :func:`entangled_pair` (conjugated slots) for a
+    sector pair of a record without a log-weight g.
+
+    There the sector inner product of two slots a, b is one hyperbolic
+    function,
+
+        G(a, b) = <a, b> = A_a A_b f(conj(z_a) z_b / 4),   f = cosh or sinh,
+
+    (cosh for the even sector) with z_a from ``slots.z`` and A_a the sector's
+    entry of ``slots.amps``, so the norm of  p (u1 u2 + s e^(i rho) v1 v2)
+    is the Gram form
+
+        P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
+                  + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
+
+    N(a) = Re G(a, a).  Each N is evaluated by the same expression as G, so
+    at coincident labels (v1 = u1, v2 = u2) the terms cancel bit for bit.
+    """
+    if slots.g is not None:
+        raise ValueError("pair_closed_form needs a record without a log-weight")
+    p1, p2 = pair.parities
+    o1, o2 = p1.fock_offset, p2.fock_offset
+    f, g = _SECTOR_FUNCS[o1], _SECTOR_FUNCS[o2]
+    z, amps = slots.z, slots.amps
+    zu1, zv1 = z(first, label), z(first, label_prime)
+    zu2, zv2 = z(second, label_prime), z(second, label)
+    au1, av1 = amps(first, zu1)[o1], amps(first, zv1)[o1]
+    au2, av2 = amps(second, zu2)[o2], amps(second, zv2)[o2]
+    # conj(z_a)/4, the bra side of every G(a, b) below
+    cu1, cv1 = zu1.conjugate() * 0.25, zv1.conjugate() * 0.25
+    cu2, cv2 = zu2.conjugate() * 0.25, zv2.conjugate() * 0.25
+    n_u1, n_v1 = (au1 * au1 * f(cu1 * zu1)).real, (av1 * av1 * f(cv1 * zv1)).real
+    n_u2, n_v2 = (au2 * au2 * g(cu2 * zu2)).real, (av2 * av2 * g(cv2 * zv2)).real
+    gram = au1 * av1 * f(cu1 * zv1) * (au2 * av2 * g(cu2 * zv2))
+    cross = (swap_sign * cmath.exp(1j * rho) * gram.conjugate()).real
+    return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
 def coefficient_matrix(
     params: CirclePairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
     TOTAL uses the grouped total slots."""
     return entangled_pair(
         mp2_circle_projection, params.omega, params.sigma, params.phi, params.phi_prime,
-        pair, terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5, convention=convention,
+        pair, terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
     )
 
 
@@ -274,16 +307,9 @@ def probability_series(
     params: CirclePairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> SeriesValue:
     """Ground-truth oracle: P = sum_nm |c_nm|^2 with a rigorous tail bound."""
-    return coefficient_matrix(params, pair, terms, convention).series_value()
-
-
-_SECTOR_FUNCS = {
-    Parity.EVEN: cmath.cosh,
-    Parity.ODD: cmath.sinh,
-}
+    return coefficient_matrix(params, pair, terms).series_value()
 
 
 def _sector_weight_exponent(parity: Parity) -> float:
@@ -291,50 +317,26 @@ def _sector_weight_exponent(parity: Parity) -> float:
     return 2.0 * parity.sector_index
 
 
-def closed_form_P(
-    params: CirclePairParams,
-    pair: SectorPair,
-    convention: str = "stripped",
-) -> float:
+def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
     """Series-validated closed form of the sector-pair probability:
 
         P = 1/2 Zw^e1 Zs^e2 { f(a) g(b) - Re[e^(-i rho) f(a e^(-i D)) g(b e^(i D))] }
 
     a = |omega|^2/4, b = |sigma|^2/4, D = phi - phi', f/g = cosh (even) or
-    sinh (odd).  Expanding the complex cosh/sinh reproduces the hyperbolic/
+    sinh (odd); it is the Gram form of :func:`pair_closed_form` on the circle
+    record.  Expanding the complex cosh/sinh reproduces the hyperbolic/
     trigonometric bracket structure of the printed closed forms with the
     cross-term corrections recorded in the reconciliation report.
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("use closed_form_total for the total pair")
-    full = check_convention(convention)
-    p1, p2 = pair.parities
-    a = params.omega.modulus**2 / 4.0
-    b = params.sigma.modulus**2 / 4.0
-    zw = 1.0 - params.omega.modulus**2
-    zs = 1.0 - params.sigma.modulus**2
-    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
-    delta = params.delta
-    diag = (f(a) * g(b)).real
-    cross = (
-        cmath.exp(-1j * params.rho)
-        * f(a * cmath.exp(-1j * delta))
-        * g(b * cmath.exp(1j * delta))
-    ).real
-    value = (
-        0.5
-        * zw ** _sector_weight_exponent(p1)
-        * zs ** _sector_weight_exponent(p2)
-        * (diag - cross)
+    return pair_closed_form(
+        mp2_circle_projection, params.omega, params.sigma, params.phi, params.phi_prime,
+        pair, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
     )
-    return value / (2.0 * math.pi) ** 2 if full else value
 
 
-def closed_form_total(
-    params: CirclePairParams,
-    terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
-) -> float:
+def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
     """Total-pair probability evaluated term-by-term over (n, m) in the polar
     decomposition omega = |omega| e^(i theta1), sigma = |sigma| e^(i theta2).
 
@@ -346,7 +348,6 @@ def closed_form_total(
     where Q is the squared single-slot bracket and G the interference-pair
     product; it agrees with probability_series(TOTAL) to machine precision.
     """
-    full = check_convention(convention)
     n = np.arange(terms)
     aw = params.omega.modulus**2 / 4.0
     asg = params.sigma.modulus**2 / 4.0
@@ -386,10 +387,9 @@ def closed_form_total(
         * np.outer(g_w * phase_n, g_s * np.conj(phase_n))
     ).real
     bracket = np.outer(q_w, q_s_p) + np.outer(q_w_p, q_s) - 2.0 * cross
-    total = 0.25 * math.sqrt(zw * zs) * math.fsum(
+    return 0.25 * math.sqrt(zw * zs) * math.fsum(
         (np.outer(wn, wm) * bracket).ravel().tolist()
     )
-    return total / (2.0 * math.pi) ** 2 if full else total
 
 
 def _delta_weights(terms: int) -> np.ndarray:
@@ -409,7 +409,7 @@ def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:
         raise ValueError("total pair not supported in the sector limits")
     p1, p2 = pair.parities
     w, s = as_mp2(omega), as_mp2(sigma)
-    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
+    f, g = _SECTOR_FUNCS[p1.fock_offset], _SECTOR_FUNCS[p2.fock_offset]
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
     return (
         0.5

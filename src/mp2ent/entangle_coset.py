@@ -7,23 +7,22 @@ the contracted disk variables
     z2  = sigma e^(i(phi  - conj(alpha )/2)),   z2' = sigma e^(i(phi' - conj(alpha')/2)),
 
 with Z_i = 1 - |z_i|^2 in (0, 1].  The pair combination keeps the printed
-+e^(i rho) on the swapped term (fully coincident pairs cancel at rho = pi),
-and the closed forms are the hyperbolic displays with complex arguments
-evaluated exactly; the conjugate e^(-i rho)/e^(+i rho) blocks combine to a
-real value whose imaginary residue is checked and discarded.
++e^(i rho) on the swapped term (fully coincident pairs cancel at rho = pi).
+Coset slots are circle slots at z', so the series and the closed forms are
+the circle pipeline's (:func:`~mp2ent.entangle_circle.entangled_pair`,
+:func:`~mp2ent.entangle_circle.pair_closed_form`) on the coset record with
+the opposite swap sign.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from .entangle_circle import (
     CoefficientMatrix,
     SectorPair,
-    check_convention,
     entangled_pair,
+    pair_closed_form,
 )
 from .numerics import DEFAULT_TERMS, SeriesValue
 from .states import (
@@ -31,14 +30,11 @@ from .states import (
     CircleLabel,
     CosetLabel,
     Mp2Variable,
-    Parity,
     as_mp2,
     coset_projection,
     coset_variable,
     mp2_circle_projection,
 )
-
-_IMAG_RESIDUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,10 @@ def coefficient_matrix_coset(
     params: CosetPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> CoefficientMatrix:
     return entangled_pair(
         coset_projection, params.omega, params.sigma, params.label, params.label_prime,
-        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=0.5, convention=convention,
+        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=0.5,
     )
 
 
@@ -114,17 +109,12 @@ def probability_series_coset(
     params: CosetPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
 ) -> SeriesValue:
     """Series oracle over the coset coefficient matrix."""
-    return coefficient_matrix_coset(params, pair, terms, convention).series_value()
+    return coefficient_matrix_coset(params, pair, terms).series_value()
 
 
-def closed_form_coset(
-    params: CosetPairParams,
-    pair: SectorPair,
-    convention: str = "stripped",
-) -> float:
+def closed_form_coset(params: CosetPairParams, pair: SectorPair) -> float:
     """Hyperbolic closed forms of the coset sector probabilities:
 
         P = 1/4 [ Z1^e1 Z2p^e2 f(|z1|^2/4)  g(|z2p|^2/4)
@@ -132,34 +122,16 @@ def closed_form_coset(
                 + (Z1 Z1p)^(e1/2) (Z2 Z2p)^(e2/2)
                   { e^(-i rho) f(z1* z1p/4) g(z2p* z2/4) + c.c. } ]
 
-    with e = 1/2 (even slot) or 3/2 (odd slot), f/g = cosh or sinh.
+    with e = 1/2 (even slot) or 3/2 (odd slot), f/g = cosh or sinh: the
+    Gram form of :func:`~mp2ent.entangle_circle.pair_closed_form` on the
+    coset record.
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("closed forms cover pp, pm, mm only")
-    full = check_convention(convention)
-    p1, p2 = pair.parities
-    e1, e2 = 2.0 * p1.sector_index, 2.0 * p2.sector_index
-    f = cmath.cosh if p1 is Parity.EVEN else cmath.sinh
-    g = cmath.cosh if p2 is Parity.EVEN else cmath.sinh
-    zf = z_factors(params)
-    a1, a1p = abs(zf.z1) ** 2 / 4.0, abs(zf.z1p) ** 2 / 4.0
-    a2, a2p = abs(zf.z2) ** 2 / 4.0, abs(zf.z2p) ** 2 / 4.0
-    direct = zf.Z1**e1 * zf.Z2p**e2 * (f(a1) * g(a2p)).real + zf.Z1p**e1 * zf.Z2**e2 * (
-        f(a1p) * g(a2)
-    ).real
-    cross_amp = (
-        (zf.Z1 * zf.Z1p) ** (e1 / 2.0)
-        * (zf.Z2 * zf.Z2p) ** (e2 / 2.0)
-        * f(zf.z1.conjugate() * zf.z1p / 4.0)
-        * g(zf.z2p.conjugate() * zf.z2 / 4.0)
+    return pair_closed_form(
+        coset_projection, params.omega, params.sigma, params.label, params.label_prime,
+        pair, params.rho, swap_sign=+1.0, amp_prefactor=0.5,
     )
-    cross = cmath.exp(-1j * params.rho) * cross_amp + cmath.exp(1j * params.rho) * cross_amp.conjugate()
-    if abs(cross.imag) > _IMAG_RESIDUE_TOL * max(1.0, abs(cross.real)):
-        raise ArithmeticError(
-            f"conjugate-pair combination left imaginary residue {cross.imag}"
-        )
-    value = 0.25 * (direct + cross.real)
-    return value / (2.0 * math.pi) ** 2 if full else value
 
 
 def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> float:

@@ -3,8 +3,13 @@
 A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  Grids are evaluated point by
 point in a fixed row-major order, so output files are byte-identical across
-runs; all floats are serialized with 17 significant digits, which
-round-trips exactly.
+runs.  CSV floats are written with 17 significant digits and JSON floats in
+Python's shortest round-trip repr; both read back exactly.
+
+The kernels compute the prefactor-stripped convention; under
+``convention="full"`` :func:`evaluate_point` multiplies each value and tail
+by the family record's prefactor^4, since a probability is quartic in the
+slot amplitudes.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
-from .entangle_circle import CirclePairParams, SectorPair, check_convention
+from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, states
+from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams
 from .entangle_cylinder import CylinderPairParams
 from .numerics import DEFAULT_TERMS
@@ -26,6 +31,7 @@ TOOL_VERSION = "0.1.0"
 
 FAMILIES = ("circle", "cylinder", "coset", "cat")
 PROVENANCES = ("series", "closed_form", "both")
+CONVENTIONS = ("stripped", "full")
 
 # Per-family parameter names, defaults, and validity domains (lo, hi, open
 # upper end).  Disk moduli live in [0, 1); Im(alpha) must stay positive.
@@ -98,6 +104,14 @@ class GridDomainError(ValueError):
     """A grid point left a parameter's validity domain."""
 
 
+def check_convention(convention: str) -> bool:
+    """Validate a prefactor convention (one of ``CONVENTIONS``); True for
+    ``"full"``."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    return convention == "full"
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     name: str
@@ -145,6 +159,11 @@ class SweepSpec:
             _check_domain(self.family, name, value)
         if self.axis1.name == self.axis2.name:
             raise ValueError("the two axes must name different parameters")
+        for name, _ in self.fixed:
+            if name in (self.axis1.name, self.axis2.name):
+                raise ValueError(
+                    f"{self.family} parameter {name} is swept by an axis and cannot be fixed"
+                )
 
     def resolved(self, v1: float, v2: float) -> dict[str, float]:
         values = {name: default for name, (default, _) in PARAMETERS[self.family].items()}
@@ -199,16 +218,17 @@ def _polar(v: dict[str, float], name: str) -> complex:
     return v[name] * np.exp(1j * v["arg_" + name])
 
 
-def _circle_closed_form(params, pair, terms, convention) -> float:
+def _circle_closed_form(params, pair, terms) -> float:
     if pair is SectorPair.TOTAL:
-        return entangle_circle.closed_form_total(params, terms, convention)
-    return entangle_circle.closed_form_P(params, pair, convention)
+        return entangle_circle.closed_form_total(params, terms)
+    return entangle_circle.closed_form_P(params, pair)
 
 
-# family -> (resolved point -> pair params, series, closed form or None); the
-# series and the closed form take (params, pair, terms, convention).  The
-# kernels are looked up on their modules at call time, so a wrapper installed
-# on a module attribute sees every sweep.
+# family -> (resolved point -> pair params, series, closed form or None,
+# slot record); the series and the closed form take (params, pair, terms)
+# and are looked up on their modules at call time, so a wrapper installed on
+# a module attribute sees every sweep.  The record's prefactor sets the
+# "full" convention.
 _FAMILY_TABLE = {
     "circle": (
         lambda v: CirclePairParams(
@@ -217,16 +237,16 @@ _FAMILY_TABLE = {
         ),
         lambda *args: entangle_circle.probability_series(*args),
         _circle_closed_form,
+        states.mp2_circle_projection,
     ),
     "cylinder": (
         lambda v: CylinderPairParams(
             _polar(v, "omega"), _polar(v, "sigma"), CylinderLabel(v["l"], v["phi"]),
             CylinderLabel(v["l_prime"], v["phi_prime"]), v["rho"],
         ),
-        lambda params, pair, terms, _: entangle_cylinder.probability_series_cyl(
-            params, pair, terms
-        ),
+        lambda *args: entangle_cylinder.probability_series_cyl(*args),
         None,
+        states.mp2_cylinder_projection,
     ),
     "coset": (
         lambda v: CosetPairParams(
@@ -238,9 +258,8 @@ _FAMILY_TABLE = {
             v["rho"],
         ),
         lambda *args: entangle_coset.probability_series_coset(*args),
-        lambda params, pair, _, convention: entangle_coset.closed_form_coset(
-            params, pair, convention
-        ),
+        lambda params, pair, _: entangle_coset.closed_form_coset(params, pair),
+        states.coset_projection,
     ),
     "cat": (
         lambda v: cat_compare.CatPairParams(
@@ -249,6 +268,7 @@ _FAMILY_TABLE = {
         ),
         lambda *args: cat_compare.cat_entangled_probability(*args),
         None,
+        states.cat_projection,
     ),
 }
 _CLOSED_FORM_FAMILIES = tuple(f for f, entry in _FAMILY_TABLE.items() if entry[2])
@@ -267,12 +287,13 @@ def evaluate_point(
     checks are the caller's (``SweepSpec`` checks every value it can emit)."""
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
-    make_params, series, closed_form = _FAMILY_TABLE[family]
+    make_params, series, closed_form, record = _FAMILY_TABLE[family]
+    scale = record.prefactor**4 if check_convention(convention) else 1.0
     params = make_params(values)
     if provenance == "closed_form" and closed_form is not None:
-        return closed_form(params, pair, terms, convention), 0.0
-    sv = series(params, pair, terms, convention)
-    return float(sv.value), sv.tail_bound
+        return scale * closed_form(params, pair, terms), 0.0
+    sv = series(params, pair, terms)
+    return scale * float(sv.value), scale * sv.tail_bound
 
 
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
@@ -348,8 +369,8 @@ def grid_to_csv(grid: ProbabilityGrid) -> str:
 def grid_to_json(grid: ProbabilityGrid) -> str:
     payload = {
         "spec": grid.spec.to_json_dict(),
-        "values": [[float(_fmt(v)) for v in row] for row in grid.values],
-        "tail_bound_max": float(_fmt(grid.tail_bound_max)),
+        "values": grid.values.tolist(),
+        "tail_bound_max": float(grid.tail_bound_max),
         "provenance": grid.provenance,
         "tool_version": TOOL_VERSION,
     }

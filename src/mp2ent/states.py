@@ -273,8 +273,9 @@ class SlotMap:
 
         z = z(var, label),   sector amplitudes  p * amps(var, z),   g,
 
-    where p is ``prefactor`` if the call asks for it (the default, and
-    ``convention="full"`` in the pair builders) and 1 otherwise.
+    where p is ``prefactor`` if the call asks for it (the default) and 1
+    otherwise.  The pair builders ask for p = 1; under ``convention="full"``
+    the grids scale each pair probability by ``prefactor**4`` instead.
     ``overflow(var, label)`` words the ValueError that replaces an
     OverflowError met on the way; without it the OverflowError passes.
 

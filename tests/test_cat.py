@@ -77,12 +77,6 @@ class TestCatProbability:
             ppi = cat_entangled_probability(params(alpha, beta, ORTHO, math.pi), SectorPair.PP).value
             assert abs(p0 - ppi) > 1e-11 * 10.0
 
-    def test_full_convention_scaling(self):
-        p = params(1.0, 0.8, 1.0, 0.9)
-        stripped = cat_entangled_probability(p, SectorPair.PP, 30).value
-        full = cat_entangled_probability(p, SectorPair.PP, 30, convention="full").value
-        assert full == pytest.approx(stripped / (2.0 * math.pi) ** 4, rel=1e-12)
-
 
 class TestCatCompleteness:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

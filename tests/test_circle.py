@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
 from mp2ent.entangle_circle import (
     CirclePairParams,
     SectorPair,
@@ -14,9 +15,16 @@ from mp2ent.entangle_circle import (
     limit_coincident,
     limit_degenerate,
     limit_orthogonal,
+    pair_closed_form,
     probability_series,
 )
-from mp2ent.states import CircleLabel, Mp2Variable
+from mp2ent.states import (
+    CircleLabel,
+    CylinderLabel,
+    Mp2Variable,
+    cat_projection,
+    mp2_cylinder_projection,
+)
 
 SECTORS = (SectorPair.PP, SectorPair.PM, SectorPair.MM)
 
@@ -105,6 +113,20 @@ class TestCoincidentBehaviour:
     def test_vacuum_antipodal_value(self):
         value = probability_series(params(0.0, 0.0, 0.0, math.pi), SectorPair.PP, 10).value
         assert value == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("pair", SECTORS)
+    def test_closed_form_is_exactly_zero_at_rho_zero(self, pair):
+        # the Gram form evaluates N(a) by the same expression as G(a, b), so
+        # coincident labels cancel bit for bit on every moduli pair
+        moduli = np.linspace(0.0, 0.95, 12)
+        for phi in (0.0, 1.3, 4.4):
+            for w in moduli:
+                for s in moduli:
+                    p = CirclePairParams(
+                        Mp2Variable(w * np.exp(0.4j)), Mp2Variable(s * np.exp(-2.1j)),
+                        CircleLabel(phi), CircleLabel(phi), 0.0,
+                    )
+                    assert closed_form_P(p, pair) == 0.0
 
 
 class TestSymmetries:
@@ -253,22 +275,28 @@ class TestLimits:
 
 
 class TestConventions:
-    def test_full_convention_scales_by_two_pi_squared(self):
-        p = params(0.5, 0.7, 1.0, 0.8)
-        for pair in SECTORS:
-            stripped = probability_series(p, pair, 30).value
-            full = probability_series(p, pair, 30, convention="full").value
-            assert full == pytest.approx(stripped / (2.0 * math.pi) ** 2, rel=1e-12)
-            assert closed_form_P(p, pair, convention="full") == pytest.approx(
-                full, abs=1e-12
-            )
-
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            probability_series(params(0.5, 0.5, 0.0, 0.0), SectorPair.PP, 10, "bare")
-
     def test_total_rejected_by_sector_forms(self):
         with pytest.raises(ValueError):
             closed_form_P(params(0.1, 0.1, 0.0, 0.0), SectorPair.TOTAL)
         with pytest.raises(ValueError):
             limit_coincident(SectorPair.TOTAL, 0.1, 0.1, 0.0)
+
+
+class TestPairClosedForm:
+    def test_rejects_a_record_with_a_log_weight(self):
+        with pytest.raises(ValueError, match="log-weight"):
+            pair_closed_form(
+                mp2_cylinder_projection, Mp2Variable(0.5), Mp2Variable(0.5),
+                CylinderLabel(0.0, 0.0), CylinderLabel(0.0, 1.0), SectorPair.PP,
+                0.0, 1.0, 0.5,
+            )
+
+    @pytest.mark.parametrize("pair", SECTORS)
+    def test_fits_the_cat_record(self, pair):
+        # the Gram form uses nothing circle-specific: on the cat record it
+        # reproduces the cat series
+        p = CatPairParams(0.8 + 0.3j, 1.1 - 0.2j, CircleLabel(1.0), CircleLabel(0.3), 0.9)
+        value = pair_closed_form(
+            cat_projection, p.alpha, p.beta, p.phi, p.phi_prime, pair, p.rho, -1.0, 0.5
+        )
+        assert value == pytest.approx(cat_entangled_probability(p, pair, 40).value, rel=1e-12)

@@ -74,6 +74,16 @@ class TestProbability:
                 series.value, abs=1e-9 + series.tail_bound
             )
 
+    @pytest.mark.parametrize("pair", SECTORS)
+    def test_closed_form_is_exactly_zero_at_rho_pi(self, pair):
+        # coincident labels cancel bit for bit in the Gram form
+        moduli = np.linspace(0.0, 0.95, 12)
+        for label in (LAB1, LAB2, CosetLabel(-1.1 + 0.3j, 4.4, 0.6, -0.8)):
+            for w in moduli:
+                for s in moduli:
+                    p = params(w * np.exp(0.4j), s * np.exp(-2.1j), math.pi, label, label)
+                    assert closed_form_coset(p, pair) == 0.0
+
     def test_mm_vanishes_at_zero_omega(self):
         assert closed_form_coset(params(0.0, 0.5, 0.9), SectorPair.MM) == pytest.approx(
             0.0, abs=1e-300
@@ -105,12 +115,6 @@ class TestProbability:
         assert closed_form_coset(params(w, s, rho), SectorPair.PP) == pytest.approx(
             total, abs=1e-10
         )
-
-    def test_full_convention(self):
-        p = params(0.5, 0.7, 0.8)
-        stripped = probability_series_coset(p, SectorPair.PM, 30).value
-        full = probability_series_coset(p, SectorPair.PM, 30, convention="full").value
-        assert full == pytest.approx(stripped / (2.0 * math.pi) ** 2, rel=1e-12)
 
     def test_rejects_tiny_im_alpha(self):
         with pytest.raises(ValueError):

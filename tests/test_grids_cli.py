@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,11 +15,15 @@ import mp2ent
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import SectorPair
 from mp2ent.grids import (
+    CONVENTIONS,
+    DEFAULT_AXES,
     FAMILIES,
     PARAMETERS,
     AxisSpec,
     GridDomainError,
     SweepSpec,
+    check_convention,
+    evaluate_point,
     grid_to_csv,
     grid_to_json,
     read_grid_csv,
@@ -125,13 +130,18 @@ class TestSweeps:
 
 
 class TestSerialization:
-    def test_csv_round_trip_bit_exact(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_csv_round_trip_bit_exact(self, fmt):
         grid = run_sweep(small_spec(fixed=(("phi", 1.0), ("phi_prime", 0.2), ("rho", 2.0))))
-        text = grid_to_csv(grid)
-        rows = read_grid_csv(text)
-        assert rows.shape == (7 * 5, 3)
-        flat = grid.values.reshape(-1)
-        assert np.array_equal(rows[:, 2], flat)
+        if fmt == "csv":
+            rows = read_grid_csv(grid_to_csv(grid))
+            assert rows.shape == (7 * 5, 3)
+            values = rows[:, 2]
+        else:
+            payload = json.loads(grid_to_json(grid))
+            values = np.array(payload["values"]).reshape(-1)
+            assert payload["tail_bound_max"] == grid.tail_bound_max
+        assert np.array_equal(values, grid.values.reshape(-1))
 
     def test_csv_header_and_order(self):
         grid = run_sweep(small_spec())
@@ -156,6 +166,19 @@ class TestSerialization:
         assert set(payload) == {"spec", "values", "tail_bound_max", "provenance", "tool_version"}
         assert payload["spec"]["family"] == "circle"
         assert len(payload["values"]) == 7 and len(payload["values"][0]) == 5
+
+    def test_sidecar_records_the_argv_that_ran(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["mp2ent", "cat", "--pair", "mm"])
+        argv = ["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2",
+                "--trunc", "5", "--out", str(tmp_path / "a.csv")]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "a.csv.meta.json").read_text())
+        assert meta["command"] == " ".join(argv)
+        # without an argv, main runs and records the process's own
+        monkeypatch.setattr(sys, "argv", ["mp2ent"] + argv[:-1] + [str(tmp_path / "b.csv")])
+        assert main() == 0
+        meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
+        assert meta["command"] == " ".join(sys.argv[1:])
 
     def test_sidecar_metadata_holds_timestamp(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -211,10 +234,12 @@ class TestCli:
             (["verify", "--trunc", "1"], ("cat-completeness", "truncation 1")),
             (["cat", "--axis1", "alpha:0:1e300:2", "--axis2", "beta:0:0.5:2"],
              ("alpha=1e+300", "displacement", "e^(-|alpha|^2/2)")),
+            (["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2",
+              "--set", "omega=0.9"], "parameter omega is swept"),
         ],
         ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
              "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0",
-             "verify-trunc-1", "cat-alpha-overflow"],
+             "verify-trunc-1", "cat-alpha-overflow", "set-swept"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
@@ -328,18 +353,35 @@ def sweep_argv(draw):
         "--axis1", f"{axis}:{lo!r}:{hi!r}:{draw(st.integers(2, 3))}",
         "--axis2", f"{second}:0:0.5:2",
         "--trunc", str(draw(st.integers(-1, 8))),
+        "--convention", draw(st.sampled_from(CONVENTIONS)),
     ]
+
+
+def _swept_and_set(argv):
+    """The two axis names of a sweep argv and the names it fixes with --set."""
+    axes = [name for name, *_ in DEFAULT_AXES[argv[0]]]
+    for k, flag in enumerate(("--axis1", "--axis2")):
+        if flag in argv:
+            axes[k] = argv[argv.index(flag) + 1].split(":")[0]
+    fixed = [argv[i + 1].split("=")[0] for i, arg in enumerate(argv) if arg == "--set"]
+    return axes, fixed
 
 
 @settings(max_examples=40, deadline=None)
 @given(argv=sweep_argv())
 @example(argv=["cylinder", "--set", "l=800"])
 @example(argv=["cat", "--axis1", "alpha:0:1e300:2", "--axis2", "beta:0:0.5:2"])
+@example(argv=["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2",
+               "--set", "omega=0.9", "--convention", "full"])
 def test_sweep_argv_exits_0_or_2(tmp_path_factory, argv):
     out = tmp_path_factory.getbasetemp() / "argv.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(argv + ["--out", str(out)]) in (0, 2)
+        rc = main(argv + ["--out", str(out)])
+    assert rc in (0, 2)
+    axes, fixed = _swept_and_set(argv)
+    if set(axes) & set(fixed):
+        assert rc == 2
 
 
 # family -> the series and pair-matrix kernels a sweep reaches once per point
@@ -379,6 +421,72 @@ def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
     )
     run_sweep(spec)
     assert counts == dict.fromkeys(counts, 4)
+
+
+@pytest.mark.parametrize(
+    ("family", "pair", "kernel"),
+    [("circle", SectorPair.PM, "closed_form_P"), ("circle", SectorPair.TOTAL, "closed_form_total"),
+     ("coset", SectorPair.MM, "closed_form_coset")],
+)
+def test_closed_form_sweep_calls_its_kernel_once_per_point(monkeypatch, family, pair, kernel):
+    owner = importlib.import_module(f"mp2ent.entangle_{family}")
+    counts = {kernel: 0}
+    monkeypatch.setattr(owner, kernel, _counting(counts, kernel, getattr(owner, kernel)))
+    spec = SweepSpec(
+        family=family, pair=pair, axis1=AxisSpec("omega", 0.1, 0.5, 3),
+        axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
+    )
+    run_sweep(spec, provenance="closed_form")
+    assert counts[kernel] == 6
+
+
+# the full convention is the stripped value times the record's prefactor^4:
+# (2pi)^(-1/2) per circle and coset slot, (2pi)^(-1) per cat slot, 1 for the
+# cylinder
+FULL_SCALE = {
+    "circle": (2.0 * math.pi) ** -2,
+    "coset": (2.0 * math.pi) ** -2,
+    "cat": (2.0 * math.pi) ** -4,
+    "cylinder": 1.0,
+}
+
+
+class TestConventions:
+    @pytest.mark.parametrize(
+        ("family", "provenance"),
+        [(family, "series") for family in FAMILIES]
+        + [(family, prov) for family in ("circle", "coset") for prov in ("closed_form", "both")],
+    )
+    @pytest.mark.parametrize("pair", [SectorPair.PP, SectorPair.PM, SectorPair.MM])
+    def test_full_scales_the_stripped_grid(self, family, provenance, pair):
+        names = list(PARAMETERS[family])[:2]
+
+        def grid(convention):
+            spec = SweepSpec(
+                family=family, pair=pair, axis1=AxisSpec(names[0], 0.1, 0.8, 3),
+                axis2=AxisSpec(names[1], 0.2, 0.7, 4), truncation=30,
+                fixed=(("phi", 1.0), ("phi_prime", 0.2), ("rho", 0.8)),
+                convention=convention,
+            )
+            return run_sweep(spec, provenance)
+
+        stripped, full = grid("stripped"), grid("full")
+        if family == "cylinder":
+            assert np.array_equal(full.values, stripped.values)
+            assert full.tail_bound_max == stripped.tail_bound_max
+            return
+        scale = FULL_SCALE[family]
+        assert full.values == pytest.approx(stripped.values * scale, rel=1e-12)
+        assert full.tail_bound_max == pytest.approx(stripped.tail_bound_max * scale, rel=1e-12)
+        assert full.spec.convention == "full"
+
+    def test_rejects_unknown_convention(self):
+        with pytest.raises(ValueError, match="convention"):
+            small_spec(convention="bare")
+        with pytest.raises(ValueError, match="convention"):
+            evaluate_point("circle", SectorPair.PP, small_spec().resolved(0.5, 0.5),
+                           10, "bare")
+        assert check_convention("full") and not check_convention("stripped")
 
 
 def test_one_version_source():
