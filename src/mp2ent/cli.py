@@ -7,7 +7,8 @@ closed-form reconciliation battery and writes its JSON report.
 Angles accept multiples of pi with a ``pi`` suffix (``0.5pi``, ``-pi``) to
 avoid decimal drift in the usual delta = pi/2, rho = pi settings.
 
-Exit codes: 0 success, 2 invalid parameters, 3 verification failure.
+Exit codes: 0 success, 2 invalid parameters or an unwritable output path,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -51,12 +52,25 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
+def _parsed(parse, text: str, where: str):
+    """``parse(text)``; a failure names ``where`` (flag, parameter, field)."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def parse_axis(text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"axis must be name:min:max:steps, got {text!r}")
     name, lo, hi, steps = parts
-    return AxisSpec(name, parse_number(lo), parse_number(hi), int(steps))
+    return AxisSpec(
+        name,
+        _parsed(parse_number, lo, f"axis {name} min"),
+        _parsed(parse_number, hi, f"axis {name} max"),
+        _parsed(int, steps, f"axis {name} steps"),
+    )
 
 
 def parse_set(items: list[str]) -> dict[str, float]:
@@ -64,8 +78,8 @@ def parse_set(items: list[str]) -> dict[str, float]:
     for item in items:
         if "=" not in item:
             raise ValueError(f"--set expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        fixed[name.strip()] = parse_number(value)
+        name, value = (part.strip() for part in item.split("=", 1))
+        fixed[name] = _parsed(parse_number, value, f"--set {name}")
     return fixed
 
 
@@ -160,6 +174,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run_family(args, argv)
     except (ValueError, GridDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        where = exc.filename or "the output"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INVALID
 
 

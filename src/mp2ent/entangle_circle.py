@@ -348,15 +348,44 @@ def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> f
     where Q is the squared single-slot bracket and G the interference-pair
     product; it agrees with probability_series(TOTAL) to machine precision.
     """
+    phi, phi_p = params.phi.phi, params.phi_prime.phi
+
+    def cross(n: np.ndarray, sq: np.ndarray, zw: float, zs: float) -> np.ndarray:
+        def g_factor(var: Mp2Variable, zdisk: float, phi: float, phi_p: float) -> np.ndarray:
+            z = var.omega * cmath.exp(1j * phi)
+            zp = var.omega * cmath.exp(1j * phi_p)
+            root = math.sqrt(zdisk)
+            return (1.0 + root * (z / 2.0) / sq) * (1.0 + root * (zp.conjugate() / 2.0) / sq)
+
+        g_w = g_factor(params.omega, zw, phi, phi_p)
+        g_s = g_factor(params.sigma, zs, phi_p, phi)
+        phase_n = np.exp(2j * params.delta * n)
+        return -2.0 * (
+            cmath.exp(1j * params.rho) * np.outer(g_w * phase_n, g_s * np.conj(phase_n))
+        ).real
+
+    return _total_sum(params, terms, cross)
+
+
+def _total_sum(params: CirclePairParams, terms: int, cross_block) -> float:
+    """The total-pair sum shared by the corrected and the printed forms,
+
+        1/4 sqrt(Zw Zs) sum_nm w_n w_m [Q_w(n, phi) Q_s(m, phi')
+                                        + Q_w(n, phi') Q_s(m, phi) + X_nm],
+
+    with Gaussian weights w_n = (|omega|^2/4)^(2n)/(2n)! (delta_n0 at a zero
+    modulus).  Only the cross block X = cross_block(n, sqrt(2n + 1), Zw, Zs)
+    differs between the two forms.
+    """
     n = np.arange(terms)
-    aw = params.omega.modulus**2 / 4.0
-    asg = params.sigma.modulus**2 / 4.0
     zw = 1.0 - params.omega.modulus**2
     zs = 1.0 - params.sigma.modulus**2
     lf = log_factorial_array(2 * terms - 2 if terms > 1 else 0)[2 * n]
-    wn = np.exp(2 * n * math.log(aw) - lf) if aw > 0 else _delta_weights(terms)
-    wm = np.exp(2 * n * math.log(asg) - lf) if asg > 0 else _delta_weights(terms)
     sq = np.sqrt(2 * n + 1)
+
+    def weights(mod: float) -> np.ndarray:
+        a = mod**2 / 4.0
+        return np.exp(2 * n * math.log(a) - lf) if a > 0 else (n == 0).astype(float)
 
     def q_factor(mod: float, zdisk: float, theta: float, phi: float) -> np.ndarray:
         # |1 + Z^(1/2) (z/2)/sqrt(2k+1)|^2 with z = mod e^(i(theta+phi))
@@ -366,36 +395,17 @@ def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> f
             + zdisk * mod**2 / (4.0 * (2 * n + 1))
         )
 
-    def g_factor(var: Mp2Variable, zdisk: float, phi: float, phi_p: float) -> np.ndarray:
-        z = var.omega * cmath.exp(1j * phi)
-        zp = var.omega * cmath.exp(1j * phi_p)
-        root = math.sqrt(zdisk)
-        return (1.0 + root * (z / 2.0) / sq) * (1.0 + root * (zp.conjugate() / 2.0) / sq)
-
+    mw, ms = params.omega.modulus, params.sigma.modulus
+    t1, t2 = params.theta1, params.theta2
     phi, phi_p = params.phi.phi, params.phi_prime.phi
-    q_w = q_factor(params.omega.modulus, zw, params.theta1, phi)
-    q_w_p = q_factor(params.omega.modulus, zw, params.theta1, phi_p)
-    q_s = q_factor(params.sigma.modulus, zs, params.theta2, phi)
-    q_s_p = q_factor(params.sigma.modulus, zs, params.theta2, phi_p)
-    g_w = g_factor(params.omega, zw, phi, phi_p)
-    g_s = g_factor(params.sigma, zs, phi_p, phi)
-
-    delta = params.delta
-    phase_n = np.exp(2j * delta * n)
-    cross = (
-        cmath.exp(1j * params.rho)
-        * np.outer(g_w * phase_n, g_s * np.conj(phase_n))
-    ).real
-    bracket = np.outer(q_w, q_s_p) + np.outer(q_w_p, q_s) - 2.0 * cross
-    return 0.25 * math.sqrt(zw * zs) * math.fsum(
-        (np.outer(wn, wm) * bracket).ravel().tolist()
+    bracket = (
+        np.outer(q_factor(mw, zw, t1, phi), q_factor(ms, zs, t2, phi_p))
+        + np.outer(q_factor(mw, zw, t1, phi_p), q_factor(ms, zs, t2, phi))
+        + cross_block(n, sq, zw, zs)
     )
-
-
-def _delta_weights(terms: int) -> np.ndarray:
-    w = np.zeros(terms)
-    w[0] = 1.0
-    return w
+    return 0.25 * math.sqrt(zw * zs) * math.fsum(
+        (np.outer(weights(mw), weights(ms)) * bracket).ravel().tolist()
+    )
 
 
 def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:

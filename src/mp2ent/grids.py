@@ -7,9 +7,9 @@ runs.  CSV floats are written with 17 significant digits and JSON floats in
 Python's shortest round-trip repr; both read back exactly.
 
 The kernels compute the prefactor-stripped convention; under
-``convention="full"`` :func:`evaluate_point` multiplies each value and tail
-by the family record's prefactor^4, since a probability is quartic in the
-slot amplitudes.
+``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
+family record's prefactor^4, since a probability is quartic in the slot
+amplitudes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams
 from .entangle_cylinder import CylinderPairParams
 from .numerics import DEFAULT_TERMS
-from .states import CircleLabel, CosetLabel, CylinderLabel
+from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel
 
 TOOL_VERSION = "0.1.0"
 
@@ -38,7 +38,7 @@ CONVENTIONS = ("stripped", "full")
 _DISK = (0.0, 1.0, True)
 _ANGLE = (-math.inf, math.inf, False)
 _REAL = (-math.inf, math.inf, False)
-_POS_IM = (1e-6, math.inf, False)
+_POS_IM = (MIN_COSET_IM_ALPHA, math.inf, False)
 _CAT_MOD = (0.0, math.inf, False)
 
 PARAMETERS: dict[str, dict[str, tuple[float, tuple[float, float, bool]]]] = {
@@ -104,14 +104,6 @@ class GridDomainError(ValueError):
     """A grid point left a parameter's validity domain."""
 
 
-def check_convention(convention: str) -> bool:
-    """Validate a prefactor convention (one of ``CONVENTIONS``); True for
-    ``"full"``."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
-    return convention == "full"
-
-
 @dataclass(frozen=True)
 class AxisSpec:
     name: str
@@ -143,7 +135,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
-        check_convention(self.convention)
+        if self.convention not in CONVENTIONS:
+            raise ValueError(
+                f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
+            )
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
@@ -274,72 +269,47 @@ _FAMILY_TABLE = {
 _CLOSED_FORM_FAMILIES = tuple(f for f, entry in _FAMILY_TABLE.items() if entry[2])
 
 
-def evaluate_point(
-    family: str,
-    pair: SectorPair,
-    values: dict[str, float],
-    terms: int = DEFAULT_TERMS,
-    convention: str = "stripped",
-    provenance: str = "series",
-):
-    """One probability evaluation; returns (value, tail_bound).  Families
-    without a closed form evaluate the series for any provenance.  Domain
-    checks are the caller's (``SweepSpec`` checks every value it can emit)."""
-    if family not in _FAMILY_TABLE:
-        raise ValueError(f"unknown family {family!r}")
-    make_params, series, closed_form, record = _FAMILY_TABLE[family]
-    scale = record.prefactor**4 if check_convention(convention) else 1.0
-    params = make_params(values)
-    if provenance == "closed_form" and closed_form is not None:
-        return scale * closed_form(params, pair, terms), 0.0
-    sv = series(params, pair, terms)
-    return scale * float(sv.value), scale * sv.tail_bound
-
-
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
-    across runs.  A point that fails (invalid input or an arithmetic
-    overflow) aborts naming the point."""
+    across runs.  The family's kernels and the convention's scale are read
+    once; each point's params are built once and feed the series, the closed
+    form or both (which must then agree within 1e-9 plus the tail bound).  A
+    point that fails (invalid input or an arithmetic overflow) aborts naming
+    the point; domain checks are ``SweepSpec``'s, which checks every value it
+    can emit."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
-    if provenance in ("closed_form", "both") and spec.family not in _CLOSED_FORM_FAMILIES:
+    make_params, series, closed_form, record = _FAMILY_TABLE[spec.family]
+    if provenance != "series" and closed_form is None:
         raise ValueError(
             "closed-form provenance is available for "
             f"{' and '.join(_CLOSED_FORM_FAMILIES)} only"
         )
+    scale = record.prefactor**4 if spec.convention == "full" else 1.0
+    pair, terms = spec.pair, spec.truncation
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
     values = np.empty((spec.axis1.steps, spec.axis2.steps))
     tail_max = 0.0
     for i, v1 in enumerate(ax1):
         for j, v2 in enumerate(ax2):
-            point = spec.resolved(v1, v2)
             try:
-                p_series, tail = (
-                    evaluate_point(spec.family, spec.pair, point, spec.truncation,
-                                   spec.convention, "series")
-                    if provenance != "closed_form"
-                    else (None, 0.0)
-                )
+                params = make_params(spec.resolved(v1, v2))
+                if provenance != "closed_form":
+                    sv = series(params, pair, terms)
+                    value, tail = scale * float(sv.value), scale * sv.tail_bound
                 if provenance != "series":
-                    p_closed, _ = evaluate_point(
-                        spec.family, spec.pair, point, spec.truncation,
-                        spec.convention, "closed_form"
-                    )
+                    closed = scale * closed_form(params, pair, terms)
             except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(
                     f"point ({spec.axis1.name}={v1}, {spec.axis2.name}={v2}): {exc}"
                 ) from exc
-            if provenance == "series":
-                values[i, j] = p_series
-            elif provenance == "closed_form":
-                values[i, j] = _clamp_residue(p_closed)
-            else:
-                if abs(p_series - p_closed) > 1e-9 + tail:
-                    raise GridDomainError(
-                        f"series/closed-form disagreement at ({v1}, {v2}): "
-                        f"{p_series} vs {p_closed}"
-                    )
-                values[i, j] = p_series
+            if provenance == "closed_form":
+                value, tail = _clamp_residue(closed), 0.0
+            elif provenance == "both" and abs(value - closed) > 1e-9 + tail:
+                raise GridDomainError(
+                    f"series/closed-form disagreement at ({v1}, {v2}): {value} vs {closed}"
+                )
+            values[i, j] = value
             tail_max = max(tail_max, tail)
     return ProbabilityGrid(spec, values, tail_max, provenance)
 

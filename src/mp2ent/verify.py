@@ -225,58 +225,41 @@ def degenerate_limit_printed(pair: SectorPair, omega, delta: float, rho: float) 
 def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
     """Total probability as printed: squared-bracket products plus the
     cos(rho + (phi'-phi)(n-m)) (AB - CD) cross block."""
-    n = np.arange(terms)
-    aw = params.omega.modulus**2 / 4.0
-    asg = params.sigma.modulus**2 / 4.0
-    zw, zs = 1.0 - params.omega.modulus**2, 1.0 - params.sigma.modulus**2
-    lf = log_factorial_array(2 * (terms - 1) if terms > 1 else 0)[2 * n]
-    wn = np.exp(2 * n * np.log(aw) - lf) if aw > 0 else np.eye(1, terms)[0]
-    wm = np.exp(2 * n * np.log(asg) - lf) if asg > 0 else np.eye(1, terms)[0]
-    sq = np.sqrt(2 * n + 1)
     mw, ms = params.omega.modulus, params.sigma.modulus
     t1, t2 = params.theta1, params.theta2
     phi, phi_p = params.phi.phi, params.phi_prime.phi
 
-    def q(mod, zd, theta, ang):
-        return 1.0 + math.sqrt(zd) * mod * np.cos(theta + ang) / sq + zd * mod**2 / (
-            4.0 * (2 * n + 1)
+    def cross(n, sq, zw, zs):
+        rw, rs = math.sqrt(zw), math.sqrt(zs)
+        inv_n = 1.0 / sq
+        inv_m = inv_n
+        pair_term = (rw * rs * mw * ms / 2.0) * np.outer(inv_n, inv_m)
+        a_mat = 0.5 * (
+            2.0
+            + rw * math.cos(t1 + phi) * mw * inv_n[:, None]
+            + rs * math.cos(t2 + phi) * ms * inv_m[None, :]
+            + pair_term * math.cos(t1 - t2)
         )
+        b_mat = 0.5 * (
+            2.0
+            - rw * math.cos(t1 + phi_p) * mw * inv_n[:, None]
+            + rs * math.cos(t2 + phi_p) * ms * inv_m[None, :]
+            + pair_term * math.cos(t2 - t1)
+        )
+        c_mat = 0.5 * (
+            rw * math.sin(t1 + phi) * mw * inv_n[:, None]
+            - rs * math.sin(t2 + phi) * ms * inv_m[None, :]
+            + pair_term * math.sin(t1 - t2)
+        )
+        d_mat = 0.5 * (
+            -rw * math.sin(t1 + phi_p) * mw * inv_n[:, None]
+            + rs * math.sin(t2 + phi_p) * ms * inv_m[None, :]
+            + pair_term * math.sin(t2 - t1)
+        )
+        cosblock = np.cos(params.rho + (phi_p - phi) * np.subtract.outer(n, n))
+        return cosblock * (a_mat * b_mat - c_mat * d_mat)
 
-    rw, rs = math.sqrt(zw), math.sqrt(zs)
-    inv_n = 1.0 / sq
-    inv_m = inv_n
-    pair_term = (rw * rs * mw * ms / 2.0) * np.outer(inv_n, inv_m)
-    a_mat = 0.5 * (
-        2.0
-        + rw * math.cos(t1 + phi) * mw * inv_n[:, None]
-        + rs * math.cos(t2 + phi) * ms * inv_m[None, :]
-        + pair_term * math.cos(t1 - t2)
-    )
-    b_mat = 0.5 * (
-        2.0
-        - rw * math.cos(t1 + phi_p) * mw * inv_n[:, None]
-        + rs * math.cos(t2 + phi_p) * ms * inv_m[None, :]
-        + pair_term * math.cos(t2 - t1)
-    )
-    c_mat = 0.5 * (
-        rw * math.sin(t1 + phi) * mw * inv_n[:, None]
-        - rs * math.sin(t2 + phi) * ms * inv_m[None, :]
-        + pair_term * math.sin(t1 - t2)
-    )
-    d_mat = 0.5 * (
-        -rw * math.sin(t1 + phi_p) * mw * inv_n[:, None]
-        + rs * math.sin(t2 + phi_p) * ms * inv_m[None, :]
-        + pair_term * math.sin(t2 - t1)
-    )
-    cosblock = np.cos(params.rho + (phi_p - phi) * np.subtract.outer(n, n))
-    bracket = (
-        np.outer(q(mw, zw, t1, phi), q(ms, zs, t2, phi_p))
-        + np.outer(q(mw, zw, t1, phi_p), q(ms, zs, t2, phi))
-        + cosblock * (a_mat * b_mat - c_mat * d_mat)
-    )
-    return 0.25 * math.sqrt(zw * zs) * math.fsum(
-        (np.outer(wn, wm) * bracket).ravel().tolist()
-    )
+    return entangle_circle._total_sum(params, terms, cross)
 
 
 # --------------------------------------------------------------------------

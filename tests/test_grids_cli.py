@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp2ent
+from mp2ent import grids
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import SectorPair
 from mp2ent.grids import (
@@ -19,11 +20,10 @@ from mp2ent.grids import (
     DEFAULT_AXES,
     FAMILIES,
     PARAMETERS,
+    PROVENANCES,
     AxisSpec,
     GridDomainError,
     SweepSpec,
-    check_convention,
-    evaluate_point,
     grid_to_csv,
     grid_to_json,
     read_grid_csv,
@@ -236,10 +236,13 @@ class TestCli:
              ("alpha=1e+300", "displacement", "e^(-|alpha|^2/2)")),
             (["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2",
               "--set", "omega=0.9"], "parameter omega is swept"),
+            (["circle", "--set", "rho=abc"], "--set rho"),
+            (["circle", "--axis1", "omega:0:0.5:2x"], "axis omega steps"),
         ],
         ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
              "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0",
-             "verify-trunc-1", "cat-alpha-overflow", "set-swept"],
+             "verify-trunc-1", "cat-alpha-overflow", "set-swept", "set-unparseable",
+             "axis-steps-unparseable"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
@@ -319,6 +322,19 @@ class TestCli:
         rc = main(["verify", "--tol", "1e-30", "--trunc", "20",
                    "--report", str(tmp_path / "r.json")])
         assert rc == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2", "--out"],
+         ["verify", "--trunc", "12", "--report"]],
+        ids=["sweep", "verify"],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.csv"
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}: " in err
+        assert "Traceback" not in err
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MP2E_OUT_DIR", str(tmp_path))
@@ -423,12 +439,15 @@ def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
     assert counts == dict.fromkeys(counts, 4)
 
 
+@pytest.mark.parametrize("provenance", ["closed_form", "both"])
 @pytest.mark.parametrize(
     ("family", "pair", "kernel"),
     [("circle", SectorPair.PM, "closed_form_P"), ("circle", SectorPair.TOTAL, "closed_form_total"),
      ("coset", SectorPair.MM, "closed_form_coset")],
 )
-def test_closed_form_sweep_calls_its_kernel_once_per_point(monkeypatch, family, pair, kernel):
+def test_closed_form_sweep_calls_its_kernel_once_per_point(
+    monkeypatch, family, pair, kernel, provenance
+):
     owner = importlib.import_module(f"mp2ent.entangle_{family}")
     counts = {kernel: 0}
     monkeypatch.setattr(owner, kernel, _counting(counts, kernel, getattr(owner, kernel)))
@@ -436,8 +455,25 @@ def test_closed_form_sweep_calls_its_kernel_once_per_point(monkeypatch, family, 
         family=family, pair=pair, axis1=AxisSpec("omega", 0.1, 0.5, 3),
         axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
     )
-    run_sweep(spec, provenance="closed_form")
+    run_sweep(spec, provenance=provenance)
     assert counts[kernel] == 6
+
+
+@pytest.mark.parametrize("provenance", PROVENANCES)
+@pytest.mark.parametrize("family", ["circle", "coset"])
+def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
+    make_params, *rest = grids._FAMILY_TABLE[family]
+    counts = {"make_params": 0}
+    monkeypatch.setitem(
+        grids._FAMILY_TABLE, family,
+        (_counting(counts, "make_params", make_params), *rest),
+    )
+    spec = SweepSpec(
+        family=family, pair=SectorPair.PM, axis1=AxisSpec("omega", 0.1, 0.5, 3),
+        axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
+    )
+    run_sweep(spec, provenance=provenance)
+    assert counts["make_params"] == 6
 
 
 # the full convention is the stripped value times the record's prefactor^4:
@@ -483,10 +519,6 @@ class TestConventions:
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError, match="convention"):
             small_spec(convention="bare")
-        with pytest.raises(ValueError, match="convention"):
-            evaluate_point("circle", SectorPair.PP, small_spec().resolved(0.5, 0.5),
-                           10, "bare")
-        assert check_convention("full") and not check_convention("stripped")
 
 
 def test_one_version_source():
