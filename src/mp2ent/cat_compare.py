@@ -108,7 +108,7 @@ def coherent_fock_vector(alpha: complex, dim: int) -> np.ndarray:
     vec = np.empty(2 * terms, dtype=complex)
     for parity in Parity:
         seq = cat_projection(alpha, CircleLabel(0.0), parity, terms, prefactor=False)
-        vec[parity.fock_offset::2] = seq.terms
+        vec[parity::2] = seq.terms
     return vec[:dim]
 
 
@@ -129,26 +129,31 @@ def density_matrix_cat(
 
     with + for the even cat and - for the odd one (undefined at alpha = 0).
     """
-    alpha = complex(alpha)
     if dim < 4:
         raise ValueError("dim must be >= 4")
-    sign = 1.0 if parity is Parity.EVEN else -1.0
-    if parity is Parity.ODD and alpha == 0:
-        raise ValueError("odd cat state is undefined at alpha = 0")
-    vp = coherent_fock_vector(alpha, dim)
-    vm = coherent_fock_vector(-alpha, dim)
+    vp, vm, sign, norm = _cat_kets(alpha, parity, dim)
     block = (
         np.outer(vp, vp.conj())
         + np.outer(vm, vm.conj())
         + sign * (np.outer(vm, vp.conj()) + np.outer(vp, vm.conj()))
     )
-    matrix = block / (2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2)))
-    return _renormalized(matrix, "fock")
+    return _renormalized(block / norm, "fock")
+
+
+def _cat_kets(alpha: complex, parity: Parity, dim: int):
+    """(|a>, |-a>, sign = (-1)^parity, norm = 2 (1 + sign e^(-2|a|^2))) of the
+    cat of ``parity`` over ``dim`` Fock states; undefined if odd at alpha = 0."""
+    alpha = complex(alpha)
+    if parity is Parity.ODD and alpha == 0:
+        raise ValueError("odd cat state is undefined at alpha = 0")
+    sign = (-1.0) ** parity
+    norm = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
+    return coherent_fock_vector(alpha, dim), coherent_fock_vector(-alpha, dim), sign, norm
 
 
 def _embedded_unit_vector(seq: CoefficientSequence, dim: int) -> np.ndarray:
     vec = np.zeros(dim, dtype=complex)
-    ks = 2 * np.arange(len(seq)) + seq.parity.fock_offset
+    ks = 2 * np.arange(len(seq)) + seq.parity
     keep = ks < dim
     vec[ks[keep]] = seq.terms[keep]
     norm = math.sqrt(stable_norm_sq(vec))
@@ -215,13 +220,6 @@ def cat_overlap_block_norm(alpha: complex, parity: Parity, dim: int = DEFAULT_FO
     cat matrices it is nonzero whenever alpha != 0, which is the structural
     sense in which the cat representation is not minimal.
     """
-    alpha = complex(alpha)
-    sign = 1.0 if parity is Parity.EVEN else -1.0
-    if parity is Parity.ODD and alpha == 0:
-        raise ValueError("odd cat state is undefined at alpha = 0")
-    vp = coherent_fock_vector(alpha, dim)
-    vm = coherent_fock_vector(-alpha, dim)
-    block = (np.outer(vm, vp.conj()) + np.outer(vp, vm.conj())) / (
-        2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    )
+    vp, vm, _, norm = _cat_kets(alpha, parity, dim)
+    block = (np.outer(vm, vp.conj()) + np.outer(vp, vm.conj())) / norm
     return float(np.sqrt(stable_norm_sq(block)))

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 invalid parameters or an unwritable output path,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -139,8 +140,12 @@ def _run_family(args: argparse.Namespace, argv: list[str]) -> int:
         truncation=args.trunc,
         convention=args.convention,
     )
-    grid = run_sweep(spec)
     out = args.out or _default_out(family, pair, args.format)
+    directory = os.path.dirname(out) or os.curdir
+    if not os.access(directory, os.W_OK):  # before the sweep; creates nothing
+        code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), out)
+    grid = run_sweep(spec)
     write_grid(grid, out, args.format, command=" ".join(argv))
     print(f"wrote {out} ({axis1.steps}x{axis2.steps}, provenance={grid.provenance})")
     return EXIT_OK

@@ -100,7 +100,7 @@ _SECTOR_PARITIES = {
 }
 
 
-# cosh for the even sector, sinh for the odd one, by Parity.fock_offset
+# cosh for the even sector, sinh for the odd one, indexed by the Parity
 _SECTOR_FUNCS = (cmath.cosh, cmath.sinh)
 
 
@@ -273,13 +273,12 @@ def pair_closed_form(
     if slots.g is not None:
         raise ValueError("pair_closed_form needs a record without a log-weight")
     p1, p2 = pair.parities
-    o1, o2 = p1.fock_offset, p2.fock_offset
-    f, g = _SECTOR_FUNCS[o1], _SECTOR_FUNCS[o2]
+    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
     z, amps = slots.z, slots.amps
     zu1, zv1 = z(first, label), z(first, label_prime)
     zu2, zv2 = z(second, label_prime), z(second, label)
-    au1, av1 = amps(first, zu1)[o1], amps(first, zv1)[o1]
-    au2, av2 = amps(second, zu2)[o2], amps(second, zv2)[o2]
+    au1, av1 = amps(first, zu1)[p1], amps(first, zv1)[p1]
+    au2, av2 = amps(second, zu2)[p2], amps(second, zv2)[p2]
     # conj(z_a)/4, the bra side of every G(a, b) below
     cu1, cv1 = zu1.conjugate() * 0.25, zv1.conjugate() * 0.25
     cu2, cv2 = zu2.conjugate() * 0.25, zv2.conjugate() * 0.25
@@ -312,9 +311,12 @@ def probability_series(
     return coefficient_matrix(params, pair, terms).series_value()
 
 
-def _sector_weight_exponent(parity: Parity) -> float:
-    # (1-|omega|^2)^(1/2) per even slot, ^(3/2) per odd slot in probabilities
-    return 2.0 * parity.sector_index
+def sector_weight(pair: SectorPair, omega, sigma) -> float:
+    """The weight 1/2 Zw^(2 s1) Zs^(2 s2) of a sector-pair probability, s the
+    sector index of each half: Z^(1/2) per even slot, Z^(3/2) per odd one."""
+    (p1, p2), w, s = pair.parities, as_mp2(omega), as_mp2(sigma)
+    z1, z2 = 1.0 - w.modulus**2, 1.0 - s.modulus**2
+    return 0.5 * z1 ** (2 * p1.sector_index) * z2 ** (2 * p2.sector_index)
 
 
 def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
@@ -415,19 +417,11 @@ def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:
 
     separable in rho; all three sector pairs vanish at rho = 0.
     """
-    if pair is SectorPair.TOTAL:
-        raise ValueError("total pair not supported in the sector limits")
     p1, p2 = pair.parities
     w, s = as_mp2(omega), as_mp2(sigma)
-    f, g = _SECTOR_FUNCS[p1.fock_offset], _SECTOR_FUNCS[p2.fock_offset]
+    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
-    return (
-        0.5
-        * (1.0 - w.modulus**2) ** _sector_weight_exponent(p1)
-        * (1.0 - s.modulus**2) ** _sector_weight_exponent(p2)
-        * (f(a) * g(b)).real
-        * (1.0 - math.cos(rho))
-    )
+    return sector_weight(pair, w, s) * (f(a) * g(b)).real * (1.0 - math.cos(rho))
 
 
 def limit_orthogonal(pair: SectorPair, omega, sigma, rho: float) -> float:
@@ -436,22 +430,16 @@ def limit_orthogonal(pair: SectorPair, omega, sigma, rho: float) -> float:
         PP: 1/2 (Zw Zs)^(1/2)  { cosh a cosh b - cos a cos b cos rho }
         PM: 1/2 Zw^(1/2) Zs^(3/2) { cosh a sinh b - cos a sin b sin rho }
         MM: 1/2 (Zw Zs)^(3/2)  { sinh a sinh b - sin a sin b cos rho }
+
+    in the Fock offsets o1, o2: cosh/cos for an even half, sinh/sin for an
+    odd one, and cos rho where the offsets agree, sin rho where they differ.
     """
-    if pair is SectorPair.TOTAL:
-        raise ValueError("total pair not supported in the sector limits")
-    p1, p2 = pair.parities
+    o1, o2 = pair.parities
     w, s = as_mp2(omega), as_mp2(sigma)
     a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
-    weight = (
-        0.5
-        * (1.0 - w.modulus**2) ** _sector_weight_exponent(p1)
-        * (1.0 - s.modulus**2) ** _sector_weight_exponent(p2)
-    )
-    if pair is SectorPair.PP:
-        return weight * (math.cosh(a) * math.cosh(b) - math.cos(a) * math.cos(b) * math.cos(rho))
-    if pair is SectorPair.PM:
-        return weight * (math.cosh(a) * math.sinh(b) - math.cos(a) * math.sin(b) * math.sin(rho))
-    return weight * (math.sinh(a) * math.sinh(b) - math.sin(a) * math.sin(b) * math.cos(rho))
+    hyp, trig = (math.cosh, math.sinh), (math.cos, math.sin)
+    cross = trig[o1](a) * trig[o2](b) * trig[o1 ^ o2](rho)
+    return sector_weight(pair, w, s) * (hyp[o1](a) * hyp[o2](b) - cross)
 
 
 def limit_degenerate(pair: SectorPair, omega, delta: float, rho: float) -> float:

@@ -160,13 +160,6 @@ class SweepSpec:
                     f"{self.family} parameter {name} is swept by an axis and cannot be fixed"
                 )
 
-    def resolved(self, v1: float, v2: float) -> dict[str, float]:
-        values = {name: default for name, (default, _) in PARAMETERS[self.family].items()}
-        values.update(dict(self.fixed))
-        values[self.axis1.name] = v1
-        values[self.axis2.name] = v2
-        return values
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,
@@ -219,7 +212,7 @@ def _circle_closed_form(params, pair, terms) -> float:
     return entangle_circle.closed_form_P(params, pair)
 
 
-# family -> (resolved point -> pair params, series, closed form or None,
+# family -> (point values -> pair params, series, closed form or None,
 # slot record); the series and the closed form take (params, pair, terms)
 # and are looked up on their modules at call time, so a wrapper installed on
 # a module attribute sees every sweep.  The record's prefactor sets the
@@ -266,7 +259,8 @@ _FAMILY_TABLE = {
         states.cat_projection,
     ),
 }
-_CLOSED_FORM_FAMILIES = tuple(f for f, entry in _FAMILY_TABLE.items() if entry[2])
+# the pairs each family's closed form covers: circle all four, coset pp/pm/mm
+_CLOSED_FORM_PAIRS = {"circle": tuple(SectorPair), "coset": tuple(SectorPair)[:3]}
 
 
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
@@ -280,20 +274,25 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
     make_params, series, closed_form, record = _FAMILY_TABLE[spec.family]
-    if provenance != "series" and closed_form is None:
+    pair, terms = spec.pair, spec.truncation
+    covered = _CLOSED_FORM_PAIRS.get(spec.family, ())
+    if provenance != "series" and pair not in covered:
         raise ValueError(
-            "closed-form provenance is available for "
-            f"{' and '.join(_CLOSED_FORM_FAMILIES)} only"
+            f"the {spec.family} closed form covers "
+            f"{', '.join(p.value for p in covered)} only, not {pair.value}" if covered
+            else f"closed-form provenance is available for {' and '.join(_CLOSED_FORM_PAIRS)} only"
         )
     scale = record.prefactor**4 if spec.convention == "full" else 1.0
-    pair, terms = spec.pair, spec.truncation
+    fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
+    fixed.update(spec.fixed)
+    name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
     values = np.empty((spec.axis1.steps, spec.axis2.steps))
     tail_max = 0.0
     for i, v1 in enumerate(ax1):
         for j, v2 in enumerate(ax2):
             try:
-                params = make_params(spec.resolved(v1, v2))
+                params = make_params({**fixed, name1: v1, name2: v2})
                 if provenance != "closed_form":
                     sv = series(params, pair, terms)
                     value, tail = scale * float(sv.value), scale * sv.tail_bound

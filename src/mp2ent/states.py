@@ -4,12 +4,12 @@ Five families are covered: London (circle) states, Barut-Girardello cylinder
 states, coset coherent states on the circle, Schroedinger cat states, and the
 Mp(2) disk states themselves.  Each projection is returned as a
 :class:`CoefficientSequence`: the ordered complex coefficients c_n of the
-sector's own series (n indexes 2n for the even sector, 2n+1 for the odd one)
-together with a rigorous bound on the dropped l^2 tail.  Every family's
-series is one Fock series, built by :func:`fock_series`; what differs - z,
-the two sector amplitudes, the Gaussian log-weight - is data, one
-:class:`SlotMap` record per family.  ``parity=None`` gives the grouped total
-slot, even + odd.
+sector's own series (of the Fock states 2n + parity, a :class:`Parity` being
+its Fock offset) together with a rigorous bound on the dropped l^2 tail.
+Every family's series is one Fock series, built by :func:`fock_series`; what
+differs - z, the two sector amplitudes, the Gaussian log-weight - is data,
+one :class:`SlotMap` record per family.  ``parity=None`` gives the grouped
+total slot, even + odd, whose sequence carries parity None (no sector).
 
 Conventions
 -----------
@@ -30,7 +30,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Any
 
 import numpy as np
@@ -65,22 +65,22 @@ EPS = sys.float_info.epsilon
 TAIL_MARGIN_ULPS = 4.0
 
 
-class Parity(Enum):
-    """The two Mp(2) irreducible sectors."""
+class Parity(IntEnum):
+    """The two Mp(2) irreducible sectors, valued by their Fock offset: the
+    n-th state of a sector is the Fock state 2n + parity."""
 
-    EVEN = "even"
-    ODD = "odd"
+    EVEN = 0
+    ODD = 1
+
+    # str() and format() name the member (Parity.EVEN), not its offset
+    __str__ = Enum.__str__
 
     @property
     def sector_index(self) -> float:
-        """s = 1/4 for the even sector, 3/4 for the odd one; doubles as the
-        exponent of the (1 - |omega|^2) disk weight."""
-        return 0.25 if self is Parity.EVEN else 0.75
-
-    @property
-    def fock_offset(self) -> int:
-        """Fock index of the n-th sector state is 2n + offset."""
-        return 0 if self is Parity.EVEN else 1
+        """s = 1/4 + parity/2: 1/4 for the even sector, 3/4 for the odd one;
+        2s is the exponent of the (1 - |omega|^2) disk weight of a slot in a
+        probability."""
+        return 0.25 + 0.5 * self
 
 
 def _wrap_angle(phi: float) -> float:
@@ -164,10 +164,10 @@ def as_mp2(value) -> Mp2Variable:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
-    """Dense coefficients c_0..c_{N-1} of one sector series, plus a bound on
-    the l^2 tail  sum_{n>=N} |c_n|^2."""
+    """Dense coefficients c_0..c_{N-1} of one sector series (``parity`` None
+    for the total slot), plus a bound on the l^2 tail  sum_{n>=N} |c_n|^2."""
 
-    parity: Parity
+    parity: Parity | None
     terms: np.ndarray = field(repr=False)
     tail_bound: float
 
@@ -201,7 +201,7 @@ def fock_series(
 
         t_k = amps[k % 2] (z/2)^k / sqrt(k!) e^(g(k)),   g = ``log_weight``,
 
-    as c_n = t_(2n + offset) for a sector, or as the grouped total slot
+    as c_n = t_(2n + parity) for a sector, or as the grouped total slot
     c_n = t_(2n) + t_(2n+1) for ``parity=None``.  One log-magnitude pass over
     k = 0..2N+3 serves both (N = ``terms``).
 
@@ -235,7 +235,7 @@ def fock_series(
         coeffs = np.zeros(terms, dtype=complex)
         if parity is not Parity.ODD:
             coeffs[0] = amps[0]
-        return CoefficientSequence(parity or Parity.EVEN, coeffs, 0.0)
+        return CoefficientSequence(parity, coeffs, 0.0)
     ks = np.arange(size + 4)
     pieces = [ks * math.log(abs(z) / 2.0), -0.5 * log_factorial_array(size + 3)]
     if log_weight is not None:
@@ -246,9 +246,10 @@ def fock_series(
     peak, amp = float(np.max(log_mag[1:size])), max(amps)
     if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
         raise OverflowError(f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}")
-    phase = cmath.phase(z)
+    # not cmath.phase, which raises OverflowError where the angle underflows
+    phase = math.atan2(z.imag, z.real)
     parts, tails = [], []
-    for o in (0, 1) if parity is None else (parity.fock_offset,):
+    for o in Parity if parity is None else (parity,):
         first, second = float(log_mag[size + o]), float(log_mag[size + 2 + o])
         if second >= first:
             raise ValueError(
@@ -261,7 +262,7 @@ def fock_series(
     if parity is not None:
         return CoefficientSequence(parity, parts[0], tails[0])
     tail = (math.sqrt(tails[0]) + math.sqrt(tails[1])) ** 2
-    return CoefficientSequence(Parity.EVEN, parts[0] + parts[1], tail)
+    return CoefficientSequence(None, parts[0] + parts[1], tail)
 
 
 @dataclass(frozen=True)

@@ -136,19 +136,12 @@ def _angles(params: CirclePairParams):
     return a, b, a * math.cos(d), a * math.sin(d), b * math.cos(d), b * math.sin(d)
 
 
-def _circle_weights(params: CirclePairParams, pair: SectorPair) -> float:
-    p1, p2 = pair.parities
-    zw = 1.0 - params.omega.modulus**2
-    zs = 1.0 - params.sigma.modulus**2
-    return 0.5 * zw ** (2.0 * p1.sector_index) * zs ** (2.0 * p2.sector_index)
-
-
 def appendix_closed_form_printed(params: CirclePairParams, pair: SectorPair) -> float:
     """Sector closed forms exactly as printed (including the even-even
     first-term slip cosh(beta) cosh(beta~) and the cross-term signs)."""
     a, b, bb, bt, gg, gt = _angles(params)
     r = params.rho
-    w = _circle_weights(params, pair)
+    w = entangle_circle.sector_weight(pair, params.omega, params.sigma)
     ch, sh, c, s = math.cosh, math.sinh, math.cos, math.sin
     if pair is SectorPair.PP:
         return w * (
@@ -266,65 +259,51 @@ def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TER
 # cylinder: printed and corrected probability sums
 # --------------------------------------------------------------------------
 
-def _cylinder_sum(params: CylinderPairParams, pair: SectorPair, terms: int,
-                  printed: bool) -> float:
-    """The displayed sector-probability sums; ``printed`` keeps the cosine
-    arguments verbatim, otherwise the series-derived ones are used."""
-    aw = params.omega.modulus**2 / 4.0
-    asg = params.sigma.modulus**2 / 4.0
-    zw, zs = 1.0 - params.omega.modulus**2, 1.0 - params.sigma.modulus**2
+# The printed cosine arguments of the cylinder sector sums, verbatim, in
+# d = delta, r = rho and k = n - m.
+_CYLINDER_PRINTED_ARGS = {
+    SectorPair.PP: lambda d, r, k: 2.0 * d * (-k) + r,
+    SectorPair.PM: lambda d, r, k: 2.0 * (d * (-k) - (r + 1.0) / 2.0),
+    SectorPair.MM: lambda d, r, k: 2.0 * (d * (-k) + r),
+}
+
+
+def _cylinder_sum(params: CylinderPairParams, pair: SectorPair,
+                  terms: int = DEFAULT_TERMS, printed: bool = False) -> float:
+    """The displayed sector-probability sums of every pair, in the sectors'
+    Fock offsets o1, o2 and the half Fock indices x = n + o1/2, y = m + o2/2:
+
+        1/2 Zw^(1/2+o1) Zs^(1/2+o2) sum_nm w_n w_m e^(-4(x^2 + y^2))
+            [e^(4(l x + l' y)) + e^(4(l' x + l y)) + 2 e^(2(l+l')(x+y)) cos A]
+
+    with w_n = (|omega|^2/4)^(2n+o1) / (2n+o1)! (w_m in sigma, o2) and the
+    series' A = rho + 2 delta (x - y), or the printed A if ``printed``."""
+    o1, o2 = pair.parities
     l, lp = params.label.l, params.label_prime.l
     d, r = params.delta, params.rho
     n = np.arange(terms)
-    m = np.arange(terms)
+    x, y = n + o1 / 2, n + o2 / 2
     lf = log_factorial_array(2 * terms)
 
     def dl(a: float, ks: np.ndarray) -> np.ndarray:
-        if a > 0:
-            return np.exp(ks * math.log(a) - lf[ks])
-        out = np.zeros(terms)
-        if ks[0] == 0:
-            out[0] = 1.0
-        return out
+        return np.exp(ks * math.log(a) - lf[ks]) if a > 0 else (ks == 0).astype(float)
 
-    nm_minus = np.subtract.outer(n, m)
-    if pair is SectorPair.PP:
-        wn, wm = dl(aw, 2 * n), dl(asg, 2 * m)
-        gauss = np.exp(-4.0 * np.add.outer(n**2, m**2))
-        e1 = np.exp(4.0 * (l * n[:, None] + lp * m[None, :]))
-        e2 = np.exp(4.0 * (lp * n[:, None] + l * m[None, :]))
-        arg = (2.0 * d * (-nm_minus) + r) if printed else (r + 2.0 * d * nm_minus)
-        cross = 2.0 * np.exp(2.0 * (l + lp) * np.add.outer(n, m)) * np.cos(arg)
-        pref = 0.5 * zw**0.5 * zs**0.5
-    elif pair is SectorPair.PM:
-        wn, wm = dl(aw, 2 * n), dl(asg, 2 * m + 1)
-        gauss = np.exp(-4.0 * np.add.outer(n**2, m**2) - (4 * m[None, :] + 1))
-        e1 = np.exp(4.0 * (l * n[:, None] + lp * (m[None, :] + 0.5)))
-        e2 = np.exp(4.0 * (lp * n[:, None] + l * (m[None, :] + 0.5)))
-        arg = (
-            2.0 * (d * (-nm_minus) - (r + 1.0) / 2.0)
-            if printed
-            else (r + d * (2.0 * nm_minus - 1.0))
-        )
-        cross = 2.0 * np.exp(2.0 * (l + lp) * (np.add.outer(n, m) + 0.5)) * np.cos(arg)
-        pref = 0.5 * zw**0.5 * zs**1.5
+    wn = dl(params.omega.modulus**2 / 4.0, 2 * n + o1)
+    wm = dl(params.sigma.modulus**2 / 4.0, 2 * n + o2)
+    gauss = np.exp(-4.0 * np.add.outer(x**2, y**2))
+    e1 = np.exp(4.0 * (l * x[:, None] + lp * y[None, :]))
+    e2 = np.exp(4.0 * (lp * x[:, None] + l * y[None, :]))
+    if printed:
+        arg = _CYLINDER_PRINTED_ARGS[pair](d, r, np.subtract.outer(n, n))
     else:
-        wn, wm = dl(aw, 2 * n + 1), dl(asg, 2 * m + 1)
-        gauss = np.exp(-4.0 * np.add.outer(n**2, m**2) - 4.0 * (np.add.outer(n, m) + 0.5))
-        e1 = np.exp(4.0 * (l * (n[:, None] + 0.5) + lp * (m[None, :] + 0.5)))
-        e2 = np.exp(4.0 * (lp * (n[:, None] + 0.5) + l * (m[None, :] + 0.5)))
-        arg = 2.0 * (d * (-nm_minus) + r) if printed else (r + 2.0 * d * nm_minus)
-        cross = 2.0 * np.exp(2.0 * (l + lp) * (np.add.outer(n, m) + 1.0)) * np.cos(arg)
-        pref = 0.5 * zw**1.5 * zs**1.5
+        arg = r + 2.0 * d * np.subtract.outer(x, y)
+    cross = 2.0 * np.exp(2.0 * (l + lp) * np.add.outer(x, y)) * np.cos(arg)
+    pref = entangle_circle.sector_weight(pair, params.omega, params.sigma)
     return pref * math.fsum((np.outer(wn, wm) * gauss * (e1 + e2 + cross)).ravel().tolist())
 
 
-def cylinder_probability_printed(params, pair, terms=DEFAULT_TERMS) -> float:
-    return _cylinder_sum(params, pair, terms, printed=True)
-
-
-def cylinder_probability_corrected(params, pair, terms=DEFAULT_TERMS) -> float:
-    return _cylinder_sum(params, pair, terms, printed=False)
+cylinder_probability_printed = partial(_cylinder_sum, printed=True)
+cylinder_probability_corrected = partial(_cylinder_sum, printed=False)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from mp2ent.cat_compare import (
     CatPairParams,
     cat_entangled_probability,
+    cat_overlap_block_norm,
     coherent_fock_vector,
     density_matrix_cat,
     density_matrix_mp2,
@@ -116,6 +117,21 @@ class TestDensityMatrices:
         assert purity(rho) == pytest.approx(1.0, abs=1e-8)
         assert abs(rho.trace_deficit) < 1e-8
 
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_cat_lives_on_the_fock_states_of_its_offset(self, parity):
+        rho = density_matrix_cat(1.0 + 0.5j, parity, 16)
+        other = np.arange(16) % 2 != parity
+        assert np.max(np.abs(rho.entries[other])) < 1e-12
+        assert np.max(np.abs(rho.entries[:, other])) < 1e-12
+
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_overlap_block_norm_closed_form(self, parity):
+        # |(|-a><a| + |a><-a|)|_F^2 = 2 + 2 e^(-4|a|^2), over 2(1 +- e^(-2|a|^2))
+        expected = math.sqrt(2.0 + 2.0 * math.exp(-4.0)) / (
+            2.0 * (1.0 + (-1) ** parity * math.exp(-2.0))
+        )
+        assert cat_overlap_block_norm(1.0, parity, 32) == pytest.approx(expected, rel=1e-10)
+
     def test_even_cat_00_entry(self):
         # (0,0) entry from the two-coherent-state overlap structure
         alpha = 1.0
@@ -157,6 +173,14 @@ class TestDensityMatrices:
         assert sector_off_diagonal_norm(rho) > 0.1
         assert purity(rho) == pytest.approx(1.0, abs=1e-10)
         assert abs(np.trace(rho.entries).real - 1.0) <= 1e-10
+
+    def test_total_slot_is_not_an_even_state(self):
+        # the grouped even + odd slot carries no parity, so it cannot stand
+        # in for the even sector state
+        total = _mp2_ket(Mp2Variable(0.6), None)
+        assert total.parity is None
+        with pytest.raises(ValueError, match="matching parities"):
+            density_matrix_mp2(1.0, 1.0, total, _mp2_ket(Mp2Variable(0.6), Parity.ODD))
 
     def test_minus_branch_degenerate_normalization_rejected(self):
         seq_even = _mp2_ket(Mp2Variable(0.6), Parity.EVEN)

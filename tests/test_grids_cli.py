@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp2ent
-from mp2ent import grids
+from mp2ent import cli, grids
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import SectorPair
 from mp2ent.grids import (
@@ -336,6 +336,15 @@ class TestCli:
         assert f"error: cannot write {path}: " in err
         assert "Traceback" not in err
 
+    def test_unwritable_output_is_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        calls = {"run_sweep": 0}
+        monkeypatch.setattr(cli, "run_sweep", _counting(calls, "run_sweep", cli.run_sweep))
+        path = tmp_path / "missing" / "out.csv"
+        assert main(["circle", "--out", str(path)]) == 2
+        assert calls["run_sweep"] == 0
+        assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MP2E_OUT_DIR", str(tmp_path))
         rc = main([
@@ -474,6 +483,23 @@ def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
     )
     run_sweep(spec, provenance=provenance)
     assert counts["make_params"] == 6
+
+
+@pytest.mark.parametrize("provenance", ["closed_form", "both"])
+def test_unservable_closed_form_sweep_fails_before_any_point(monkeypatch, provenance):
+    # the coset closed form covers pp/pm/mm only: the total pair is refused
+    # up front, naming the family and the pair rather than a grid point
+    owner = importlib.import_module("mp2ent.entangle_coset")
+    counts = {"closed_form_coset": 0, "probability_series_coset": 0}
+    for name in counts:
+        monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+    spec = small_spec(family="coset", pair=SectorPair.TOTAL, fixed=())
+    with pytest.raises(ValueError) as info:
+        run_sweep(spec, provenance=provenance)
+    message = str(info.value)
+    assert "coset" in message and "total" in message
+    assert "point (" not in message
+    assert counts == {"closed_form_coset": 0, "probability_series_coset": 0}
 
 
 # the full convention is the stripped value times the record's prefactor^4:

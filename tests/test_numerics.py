@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mp2ent.cat_compare import coherent_fock_vector
@@ -67,6 +67,7 @@ class TestPowerTerm:
         st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
         st.integers(min_value=0, max_value=199),
     )
+    @example(z=complex(2.0, 5e-324), k=0)  # an angle that underflows
     def test_recurrence(self, z, k):
         lhs = power_term(z, k + 1)
         rhs = power_term(z, k) * (z / 2.0) / math.sqrt(k + 1)

@@ -59,6 +59,11 @@ class TestDomainTypes:
         assert Parity.EVEN.sector_index == 0.25
         assert Parity.ODD.sector_index == 0.75
 
+    def test_parity_is_its_fock_offset(self):
+        assert (Parity.EVEN, Parity.ODD) == (0, 1)
+        assert "ab"[Parity.ODD] == "b"
+        assert [str(p) for p in Parity] == ["Parity.EVEN", "Parity.ODD"]
+
 
 class TestCircleProjection:
     def test_vacuum_even(self):

@@ -11,7 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mp2ent.cli import main
-from mp2ent.verify import BATTERY, verify_all
+from mp2ent.entangle_circle import SectorPair
+from mp2ent.entangle_cylinder import CylinderPairParams
+from mp2ent.states import CylinderLabel, Mp2Variable
+from mp2ent.verify import (
+    BATTERY,
+    cylinder_probability_corrected,
+    cylinder_probability_printed,
+    verify_all,
+)
 
 CFM = "corrected-form-match"
 MISMATCH = "paper-form-mismatch"
@@ -79,6 +87,45 @@ def test_no_row_compares_a_form_with_itself(row):
     if row.oracle is None:
         assert row.corrected is not None and row.printed is not None
         assert not row.must_match
+
+
+# (omega, sigma, l, l', phi, phi', rho) -> pair -> (printed, corrected) at 40
+# terms; a slip in one printed or series cosine argument moves these values
+# while the row statuses above stay the same
+CYLINDER_SUMS = {
+    (0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0): {
+        "pp": (1.155309382112453, 1.155309382112453),
+        "pm": (0.007551397474698058, 0.01992184965482923),
+        "mm": (0.00013021430233667818, 0.00034352711041256727),
+    },
+    (0.3, 0.8, 0.4, -0.2, 0.9, 0.7, 1.3): {
+        "pp": (0.7258163882725764, 0.7259636438467413),
+        "pm": (0.007691146654430052, 0.02428055134329278),
+        "mm": (1.9504122164565002e-05, 0.0001727414416735516),
+    },
+    (0.9, 0.6, 1.0, 0.5, 0.3, 0.0, 2.0): {
+        "pp": (0.20846105456158665, 0.2062936969952493),
+        "pm": (0.004616009335574671, 0.03319162828691509),
+        "mm": (0.0007276711647670801, 0.0012265947826105455),
+    },
+}
+
+
+@pytest.mark.parametrize("point", CYLINDER_SUMS)
+@pytest.mark.parametrize("pair", ["pp", "pm", "mm"])
+def test_cylinder_sums_are_pinned(point, pair):
+    w, s, l, lp, phi, phip, rho = point
+    params = CylinderPairParams(
+        Mp2Variable(w), Mp2Variable(s), CylinderLabel(l, phi), CylinderLabel(lp, phip), rho
+    )
+    printed, corrected = CYLINDER_SUMS[point][pair]
+    sector_pair = SectorPair.parse(pair)
+    assert cylinder_probability_printed(params, sector_pair, 40) == pytest.approx(
+        printed, rel=1e-13
+    )
+    assert cylinder_probability_corrected(params, sector_pair, 40) == pytest.approx(
+        corrected, rel=1e-13
+    )
 
 
 def test_rows_declare_named_points():
