@@ -46,6 +46,8 @@ class CatPairParams:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "rho", float(self.rho))
+        if not math.isfinite(self.rho):
+            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
 
     @property
     def delta(self) -> float:

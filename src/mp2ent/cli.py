@@ -141,8 +141,11 @@ def _run_family(args: argparse.Namespace, argv: list[str]) -> int:
         convention=args.convention,
     )
     out = args.out or _default_out(family, pair, args.format)
+    # refused before the sweep with the error opening it would raise; creates nothing
+    if os.path.isdir(out):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     directory = os.path.dirname(out) or os.curdir
-    if not os.access(directory, os.W_OK):  # before the sweep; creates nothing
+    if not os.access(directory, os.W_OK):
         code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
         raise OSError(code, os.strerror(code), out)
     grid = run_sweep(spec)

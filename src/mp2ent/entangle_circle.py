@@ -127,6 +127,8 @@ class CirclePairParams:
         object.__setattr__(self, "phi", _as_label(self.phi))
         object.__setattr__(self, "phi_prime", _as_label(self.phi_prime))
         object.__setattr__(self, "rho", float(self.rho))
+        if not math.isfinite(self.rho):
+            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
 
     @property
     def delta(self) -> float:
@@ -415,13 +417,10 @@ def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:
 
         P -> 1/2 Zw^e1 Zs^e2 f(|omega|^2/4) g(|sigma|^2/4) (1 - cos rho),
 
-    separable in rho; all three sector pairs vanish at rho = 0.
+    separable in rho; all three sector pairs vanish at rho = 0.  It is
+    :func:`closed_form_P` at D = 0, where the bracket is (1 - cos rho) f(a) g(b).
     """
-    p1, p2 = pair.parities
-    w, s = as_mp2(omega), as_mp2(sigma)
-    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
-    a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
-    return sector_weight(pair, w, s) * (f(a) * g(b)).real * (1.0 - math.cos(rho))
+    return closed_form_P(CirclePairParams(omega, sigma, 0.0, 0.0, rho), pair)
 
 
 def limit_orthogonal(pair: SectorPair, omega, sigma, rho: float) -> float:
@@ -433,13 +432,10 @@ def limit_orthogonal(pair: SectorPair, omega, sigma, rho: float) -> float:
 
     in the Fock offsets o1, o2: cosh/cos for an even half, sinh/sin for an
     odd one, and cos rho where the offsets agree, sin rho where they differ.
+    It is :func:`closed_form_P` at D = pi/2, where cosh(-i a) = cos a and
+    sinh(-i a) = -i sin a.
     """
-    o1, o2 = pair.parities
-    w, s = as_mp2(omega), as_mp2(sigma)
-    a, b = w.modulus**2 / 4.0, s.modulus**2 / 4.0
-    hyp, trig = (math.cosh, math.sinh), (math.cos, math.sin)
-    cross = trig[o1](a) * trig[o2](b) * trig[o1 ^ o2](rho)
-    return sector_weight(pair, w, s) * (hyp[o1](a) * hyp[o2](b) - cross)
+    return closed_form_P(CirclePairParams(omega, sigma, math.pi / 2.0, 0.0, rho), pair)
 
 
 def limit_degenerate(pair: SectorPair, omega, delta: float, rho: float) -> float:
@@ -449,28 +445,11 @@ def limit_degenerate(pair: SectorPair, omega, delta: float, rho: float) -> float
         PM: 1/2 Z^2 { cosh a sinh a - cos rho cosh B sinh B - sin rho cos Bt sin Bt }
         MM: 1/2 Z^3 { sinh^2 a - cos rho [sinh^2 B + sin^2 Bt] }
 
-    with a = |omega|^2/4, B = a cos delta, Bt = a sin delta.  Consistent with
-    limit_coincident at delta = 0 by construction.
+    with a = |omega|^2/4, B = a cos delta, Bt = a sin delta.  It is
+    :func:`closed_form_P` at sigma = omega and D = delta: with c = B + i Bt,
+    cosh(conj c) cosh(c) = cosh^2 B - sin^2 Bt, sinh(conj c) sinh(c) =
+    sinh^2 B + sin^2 Bt and cosh(conj c) sinh(c) = cosh B sinh B + i cos Bt
+    sin Bt.  At delta = 0 it is limit_coincident at sigma = omega by
+    construction: both evaluate the same call.
     """
-    if pair is SectorPair.TOTAL:
-        raise ValueError("total pair not supported in the sector limits")
-    w = as_mp2(omega)
-    a = w.modulus**2 / 4.0
-    z = 1.0 - w.modulus**2
-    bb = a * math.cos(delta)
-    bt = a * math.sin(delta)
-    if pair is SectorPair.PP:
-        return 0.5 * z * (
-            math.cosh(a) ** 2
-            - math.cos(rho) * (math.cosh(bb) ** 2 - math.sin(bt) ** 2)
-        )
-    if pair is SectorPair.PM:
-        return 0.5 * z**2 * (
-            math.cosh(a) * math.sinh(a)
-            - math.cos(rho) * math.cosh(bb) * math.sinh(bb)
-            - math.sin(rho) * math.cos(bt) * math.sin(bt)
-        )
-    return 0.5 * z**3 * (
-        math.sinh(a) ** 2
-        - math.cos(rho) * (math.sinh(bb) ** 2 + math.sin(bt) ** 2)
-    )
+    return closed_form_P(CirclePairParams(omega, omega, delta, 0.0, rho), pair)

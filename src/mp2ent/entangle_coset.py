@@ -16,6 +16,7 @@ the opposite swap sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .entangle_circle import (
@@ -51,6 +52,8 @@ class CosetPairParams:
         object.__setattr__(self, "omega", as_mp2(self.omega))
         object.__setattr__(self, "sigma", as_mp2(self.sigma))
         object.__setattr__(self, "rho", float(self.rho))
+        if not math.isfinite(self.rho):
+            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
         for lab in (self.label, self.label_prime):
             if lab.alpha.imag < MIN_COSET_IM_ALPHA:
                 raise ValueError(

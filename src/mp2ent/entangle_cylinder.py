@@ -60,6 +60,8 @@ class CylinderPairParams:
         object.__setattr__(self, "omega", as_mp2(self.omega))
         object.__setattr__(self, "sigma", as_mp2(self.sigma))
         object.__setattr__(self, "rho", float(self.rho))
+        if not math.isfinite(self.rho):
+            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
 
     @property
     def delta(self) -> float:

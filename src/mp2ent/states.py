@@ -84,7 +84,10 @@ class Parity(IntEnum):
 
 
 def _wrap_angle(phi: float) -> float:
-    phi = math.fmod(float(phi), TWO_PI)
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"label angle phi must be finite, got {phi}")
+    phi = math.fmod(phi, TWO_PI)
     return phi + TWO_PI if phi < 0.0 else phi
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from mp2ent.entangle_circle import (
     limit_orthogonal,
     pair_closed_form,
     probability_series,
+    sector_weight,
 )
 from mp2ent.states import (
     CircleLabel,
@@ -272,6 +274,60 @@ class TestLimits:
                 assert limit_degenerate(pair, w, 0.0, r) == pytest.approx(
                     limit_coincident(pair, w, w, r), rel=1e-12, abs=1e-300
                 )
+
+
+# The circle limits written out by hand in the Fock offsets o1, o2 (cosh/cos
+# for an even half, sinh/sin for an odd one): the test-side reference for the
+# limits, which evaluate closed_form_P at their labels.
+HYP, TRIG = (math.cosh, math.sinh), (math.cos, math.sin)
+
+
+def reference_coincident(pair, omega, sigma, rho):
+    (o1, o2), a, b = pair.parities, abs(omega) ** 2 / 4.0, abs(sigma) ** 2 / 4.0
+    return sector_weight(pair, omega, sigma) * HYP[o1](a) * HYP[o2](b) * (1.0 - math.cos(rho))
+
+
+def reference_orthogonal(pair, omega, sigma, rho):
+    (o1, o2), a, b = pair.parities, abs(omega) ** 2 / 4.0, abs(sigma) ** 2 / 4.0
+    cross = TRIG[o1](a) * TRIG[o2](b) * TRIG[o1 ^ o2](rho)
+    return sector_weight(pair, omega, sigma) * (HYP[o1](a) * HYP[o2](b) - cross)
+
+
+def reference_degenerate(pair, omega, delta, rho):
+    a = abs(omega) ** 2 / 4.0
+    z = 1.0 - abs(omega) ** 2
+    bb, bt = a * math.cos(delta), a * math.sin(delta)
+    if pair is SectorPair.PP:
+        return 0.5 * z * (
+            math.cosh(a) ** 2 - math.cos(rho) * (math.cosh(bb) ** 2 - math.sin(bt) ** 2)
+        )
+    if pair is SectorPair.PM:
+        return 0.5 * z**2 * (
+            math.cosh(a) * math.sinh(a)
+            - math.cos(rho) * math.cosh(bb) * math.sinh(bb)
+            - math.sin(rho) * math.cos(bt) * math.sin(bt)
+        )
+    return 0.5 * z**3 * (
+        math.sinh(a) ** 2 - math.cos(rho) * (math.sinh(bb) ** 2 + math.sin(bt) ** 2)
+    )
+
+
+@pytest.mark.parametrize("pair", SECTORS)
+def test_limits_match_the_hand_expanded_references(pair):
+    rng = np.random.default_rng(1018)
+    for _ in range(256):
+        omega = rng.uniform(0.0, 0.999) * cmath.exp(1j * rng.uniform(0.1, 6.2))
+        sigma = rng.uniform(0.0, 0.999) * cmath.exp(1j * rng.uniform(0.1, 6.2))
+        delta, rho = rng.uniform(-7.0, 7.0, 2)
+        assert limit_coincident(pair, omega, sigma, rho) == pytest.approx(
+            reference_coincident(pair, omega, sigma, rho), rel=0, abs=2e-15
+        )
+        assert limit_orthogonal(pair, omega, sigma, rho) == pytest.approx(
+            reference_orthogonal(pair, omega, sigma, rho), rel=0, abs=2e-15
+        )
+        assert limit_degenerate(pair, omega, delta, rho) == pytest.approx(
+            reference_degenerate(pair, omega, delta, rho), rel=0, abs=2e-15
+        )
 
 
 class TestConventions:

@@ -339,11 +339,15 @@ class TestCli:
     def test_unwritable_output_is_refused_before_the_sweep(self, tmp_path, capsys, monkeypatch):
         calls = {"run_sweep": 0}
         monkeypatch.setattr(cli, "run_sweep", _counting(calls, "run_sweep", cli.run_sweep))
-        path = tmp_path / "missing" / "out.csv"
-        assert main(["circle", "--out", str(path)]) == 2
-        assert calls["run_sweep"] == 0
-        assert f"error: cannot write {path}: No such file or directory" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        # a missing directory, and an existing directory as the output itself
+        for path, reason in (
+            (tmp_path / "missing" / "out.csv", "No such file or directory"),
+            (tmp_path, "Is a directory"),
+        ):
+            assert main(["circle", "--out", str(path)]) == 2
+            assert calls["run_sweep"] == 0
+            assert f"error: cannot write {path}: {reason}" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_out_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MP2E_OUT_DIR", str(tmp_path))

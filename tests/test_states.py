@@ -6,6 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mp2ent.cat_compare import CatPairParams
+from mp2ent.entangle_circle import CirclePairParams
+from mp2ent.entangle_coset import CosetPairParams
+from mp2ent.entangle_cylinder import CylinderPairParams
 from mp2ent.states import (
     CircleLabel,
     CosetLabel,
@@ -54,6 +58,30 @@ class TestDomainTypes:
     def test_coset_label_rejects_null_fiducial(self):
         with pytest.raises(ValueError):
             CosetLabel(1j, 0.0, x=0.0, y=0.0)
+
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda: CirclePairParams(0.5, 0.5, 0.0, 0.0, math.nan), "rho"),
+            (lambda: CirclePairParams(0.5, 0.5, math.nan, 0.0, 0.0), "phi"),
+            (lambda: CirclePairParams(0.5, 0.5, 0.0, math.inf, 0.0), "phi"),
+            (lambda: CircleLabel(-math.inf), "phi"),
+            (lambda: CylinderLabel(0.0, math.nan), "phi"),
+            (lambda: CosetLabel(1j, math.inf), "phi"),
+            (lambda: CylinderPairParams(
+                0.5, 0.5, CylinderLabel(0.0, 0.0), CylinderLabel(0.0, 1.0), math.inf), "rho"),
+            (lambda: CosetPairParams(
+                0.5, 0.5, CosetLabel(1j, 0.0), CosetLabel(1j, 1.0), -math.inf), "rho"),
+            (lambda: CatPairParams(
+                0.5, 0.5, CircleLabel(0.0), CircleLabel(1.0), math.nan), "rho"),
+        ],
+        ids=["circle-rho-nan", "circle-phi-nan", "circle-phi-prime-inf", "circle-label-inf",
+             "cylinder-label-nan", "coset-label-inf", "cylinder-rho-inf", "coset-rho-inf",
+             "cat-rho-nan"],
+    )
+    def test_non_finite_angles_are_refused_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+            build()
 
     def test_parity_sector_indices(self):
         assert Parity.EVEN.sector_index == 0.25
