@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair
+from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
 from .numerics import DEFAULT_TERMS, SeriesValue, stable_norm_sq
-from .states import CircleLabel, CoefficientSequence, Parity, cat_projection
+from .states import CircleLabel, CoefficientSequence, Parity, as_circle_label, cat_projection
 
 DEFAULT_FOCK_DIM = 32
 
@@ -40,11 +40,10 @@ class CatPairParams:
     rho: float
 
     def __post_init__(self) -> None:
-        alpha, beta = complex(self.alpha), complex(self.beta)
-        if not (math.isfinite(abs(alpha)) and math.isfinite(abs(beta))):
-            raise ValueError("cat displacements must be finite")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", cat_displacement(self.alpha))
+        object.__setattr__(self, "beta", cat_displacement(self.beta))
+        object.__setattr__(self, "phi", as_circle_label(self.phi))
+        object.__setattr__(self, "phi_prime", as_circle_label(self.phi_prime))
         object.__setattr__(self, "rho", float(self.rho))
         if not math.isfinite(self.rho):
             raise ValueError(f"pair phase rho must be finite, got {self.rho}")
@@ -54,14 +53,25 @@ class CatPairParams:
         return self.phi.phi - self.phi_prime.phi
 
 
+def cat_displacement(value) -> complex:
+    """``value`` as the complex displacement of a cat slot; it must be finite."""
+    value = complex(value)
+    if not math.isfinite(abs(value)):
+        raise ValueError("cat displacements must be finite")
+    return value
+
+
+# the cat pair: conjugated cat slots, the circle's -e^(i rho) on the swapped term
+CAT_PAIR = EntangledPair(cat_projection, swap_sign=-1.0, amp_prefactor=0.5)
+
+
 def cat_coefficient_matrix(
     params: CatPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
 ) -> CoefficientMatrix:
-    return entangled_pair(
-        cat_projection, params.alpha, params.beta, params.phi, params.phi_prime, pair,
-        terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+    return CAT_PAIR.matrix(
+        params.alpha, params.beta, params.phi, params.phi_prime, pair, terms, params.rho
     )
 
 

@@ -16,7 +16,9 @@ v1 = mu u1 + r with mu = <u1, v1>/|u1|^2 and r orthogonal to u1 gives
     P   = p^2 ( |u1|^2 |u2 + f mu v2|^2 + |f|^2 |r|^2 |v2|^2 ),
 
 two orthogonal terms, so no cancellation happens between them; each norm
-and inner product is an exactly rounded math.fsum of N products.  With
+and inner product is an exactly rounded math.fsum of N products
+(:func:`pair_norm_grid` evaluates the same expressions over a sweep grid,
+one row of points at a time).  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
 first-order rounding analysis (complex products to sqrt(2) gamma_2, the
 projection error |d mu| <= 8 u |v1|/|u1|, |d r| <= 13 u |v1|,
@@ -48,6 +50,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -56,6 +59,7 @@ import numpy as np
 from .numerics import (
     DEFAULT_TERMS,
     SeriesValue,
+    abs_sq,
     log_factorial_array,
     stable_inner,
     stable_norm_sq,
@@ -66,6 +70,7 @@ from .states import (
     Mp2Variable,
     Parity,
     SlotMap,
+    as_circle_label,
     as_mp2,
     mp2_circle_projection,
 )
@@ -104,10 +109,6 @@ _SECTOR_PARITIES = {
 _SECTOR_FUNCS = (cmath.cosh, cmath.sinh)
 
 
-def _as_label(value) -> CircleLabel:
-    return value if isinstance(value, CircleLabel) else CircleLabel(float(value))
-
-
 @dataclass(frozen=True)
 class CirclePairParams:
     """Full parameter bundle for an entangled pair of circle states.
@@ -124,8 +125,8 @@ class CirclePairParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega", as_mp2(self.omega))
         object.__setattr__(self, "sigma", as_mp2(self.sigma))
-        object.__setattr__(self, "phi", _as_label(self.phi))
-        object.__setattr__(self, "phi_prime", _as_label(self.phi_prime))
+        object.__setattr__(self, "phi", as_circle_label(self.phi))
+        object.__setattr__(self, "phi_prime", as_circle_label(self.phi_prime))
         object.__setattr__(self, "rho", float(self.rho))
         if not math.isfinite(self.rho):
             raise ValueError(f"pair phase rho must be finite, got {self.rho}")
@@ -179,14 +180,10 @@ class CoefficientMatrix:
         u1, u2, v1, v2 = self.slots
         # |conj(c)| = |c|: work on the unconjugated slots with conj(phase)
         phase = self.phase.conjugate() if self.conjugate else self.phase
-        uu = u1.norm_sq()
-        mu = stable_inner(u1.terms, v1.terms) / uu if uu > 0.0 else 0j
+        uu, mu, rr = _projection(u1, v1)
         w = u2.terms + (phase * mu) * v2.terms
-        r = v1.terms - mu * u1.terms
         p = self.amp_prefactor
-        return p * p * (
-            uu * stable_norm_sq(w) + abs(phase) ** 2 * stable_norm_sq(r) * v2.norm_sq()
-        )
+        return p * p * (uu * stable_norm_sq(w) + abs(phase) ** 2 * rr * v2.norm_sq())
 
     def series_value(self) -> SeriesValue:
         """P = sum |c_nm|^2 at this truncation, with the matrix's tail bound."""
@@ -225,36 +222,111 @@ def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
     return n1 * t2 + t1 * n2 + t1 * t2
 
 
-def entangled_pair(
-    slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
-    terms: int, rho: float, swap_sign: float, amp_prefactor: float,
-    conjugate: bool = True,
-) -> CoefficientMatrix:
-    """The one pair builder every family goes through.
+# The four slots of a pair as (variable, label) indices into (first, second,
+# label, label'): u1 = (first, label), u2 = (second, label'),
+# v1 = (first, label'), v2 = (second, label).  A slot of ``first`` takes the
+# pair's first sector, one of ``second`` its second.
+SLOT_ROLES = ((0, 2), (1, 3), (0, 3), (1, 2))
 
-    ``slots`` is the family's :class:`~mp2ent.states.SlotMap`; it gives one
-    state's sector sequence, or the grouped total slot (even + odd) for the
-    TOTAL pair, without its prefactor.  The four slots are
 
-        u1 = (first, label),  u2 = (second, label'),
-        v1 = (first, label'), v2 = (second, label),
+def slot_parities(pair: SectorPair) -> tuple[Parity | None, Parity | None]:
+    """The sectors (p1, p2) of the two halves; (None, None) selects the
+    grouped total slots of the TOTAL pair."""
+    return (None, None) if pair is SectorPair.TOTAL else pair.parities
 
-    projected onto the pair's sectors (p1 for ``first``, p2 for ``second``),
-    and combine as  p (u1 u2 + s e^(i rho) v1 v2)  in :func:`pair_matrix`.
+
+@dataclass(frozen=True)
+class EntangledPair:
+    """One family's entangled pair as data: the constants of
+
+        c_nm = p (u1_n u2_m + s e^(i rho) v1_n v2_m)
+
+    the family's slot ``record`` (a :class:`~mp2ent.states.SlotMap`, called
+    without its prefactor), the swap sign s, the amplitude prefactor p, and
+    whether the slot sequences enter conjugated (bra side).  Each family
+    declares its pair once; its ``coefficient_matrix*``, its closed form and
+    the grids all read that declaration.
     """
-    p1, p2 = (None, None) if pair is SectorPair.TOTAL else pair.parities
-    return pair_matrix(
-        slots(first, label, p1, terms, False), slots(second, label_prime, p2, terms, False),
-        slots(first, label_prime, p1, terms, False), slots(second, label, p2, terms, False),
-        rho, swap_sign, amp_prefactor, conjugate,
-    )
+
+    record: SlotMap
+    swap_sign: float
+    amp_prefactor: float
+    conjugate: bool = True
+
+    def matrix(
+        self, first, second, label, label_prime, pair: SectorPair, terms: int, rho: float
+    ) -> CoefficientMatrix:
+        """The one pair builder every family goes through: the four
+        :data:`SLOT_ROLES` slots, each one state's sector sequence (p1 for
+        ``first``, p2 for ``second``) or the grouped total slot (even + odd)
+        for the TOTAL pair, combined in :func:`pair_matrix`."""
+        parts, parities = (first, second, label, label_prime), slot_parities(pair)
+        return pair_matrix(
+            *(self.record(parts[var], parts[lab], parities[var], terms, False)
+              for var, lab in SLOT_ROLES),
+            rho, self.swap_sign, self.amp_prefactor, self.conjugate,
+        )
+
+    def closed_form(
+        self, first, second, label, label_prime, pair: SectorPair, rho: float
+    ) -> float:
+        """:func:`pair_closed_form` of this pair."""
+        return pair_closed_form(
+            self.record, first, second, label, label_prime, pair, rho,
+            self.swap_sign, self.amp_prefactor,
+        )
+
+
+def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float, complex, float]:
+    """|u1|^2, mu = <u1, v1>/|u1|^2 and |r|^2 = |v1 - mu u1|^2 of the module
+    docstring, each exactly rounded."""
+    uu = u1.norm_sq()
+    mu = stable_inner(u1.terms, v1.terms) / uu if uu > 0.0 else 0j
+    return uu, mu, stable_norm_sq(v1.terms - mu * u1.terms)
+
+
+def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[list[float], list[float]]]:
+    """:meth:`CoefficientMatrix.norm_sq` and the :func:`pair_matrix` tail
+    bound of ``form`` at every point of a grid, one row at a time.
+
+    ``rows`` yields, row by row, the lists (u1, u2, v1, v2, rho) of the
+    row's points; a slot met at several points is one shared object.
+    |u1|^2, mu and |r|^2 are taken once per distinct (u1, v1).  The row's
+    w = u2 + f mu v2 is one (n, N) array, and |w|^2 one fsum per point.
+    Every float expression is that of pair_matrix, norm_sq and
+    _product_tail, so each value and tail is the per-point one bit for bit.
+    Yields, row by row, the values and the tail bounds of the row's points.
+    """
+    p = form.amp_prefactor
+    tail_scale = 2.0 * p**2
+    projected: dict = {}
+    for u1s, u2s, v1s, v2s, rhos in rows:
+        fmu, parts, row_tails = [], [], []
+        for u1, u2, v1, v2, rho in zip(u1s, u2s, v1s, v2s, rhos):
+            phase = form.swap_sign * cmath.exp(1j * rho)
+            if form.conjugate:
+                phase = phase.conjugate()
+            stats = projected.get((u1, v1))
+            if stats is None:
+                stats = projected[u1, v1] = _projection(u1, v1)
+            uu, mu, rr = stats
+            fmu.append(phase * mu)
+            parts.append((uu, abs(phase) ** 2 * rr * v2.norm_sq()))
+            row_tails.append(tail_scale * (_product_tail(u1, u2) + _product_tail(v1, v2)))
+        u2_row = np.array([u2.terms for u2 in u2s])
+        v2_row = np.array([v2.terms for v2 in v2s])
+        w = u2_row + np.array(fmu)[:, None] * v2_row
+        yield [
+            p * p * (uu * math.fsum(ww) + rest)
+            for (uu, rest), ww in zip(parts, abs_sq(w).tolist())
+        ], row_tails
 
 
 def pair_closed_form(
     slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
     rho: float, swap_sign: float, amp_prefactor: float,
 ) -> float:
-    """Closed-form twin of :func:`entangled_pair` (conjugated slots) for a
+    """Closed-form twin of :meth:`EntangledPair.matrix` (conjugated slots) for a
     sector pair of a record without a log-weight g.
 
     There the sector inner product of two slots a, b is one hyperbolic
@@ -291,6 +363,10 @@ def pair_closed_form(
     return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
+# the circle pair: conjugated circle slots, -e^(i rho) on the swapped term
+CIRCLE_PAIR = EntangledPair(mp2_circle_projection, swap_sign=-1.0, amp_prefactor=0.5)
+
+
 def coefficient_matrix(
     params: CirclePairParams,
     pair: SectorPair,
@@ -298,9 +374,8 @@ def coefficient_matrix(
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
     TOTAL uses the grouped total slots."""
-    return entangled_pair(
-        mp2_circle_projection, params.omega, params.sigma, params.phi, params.phi_prime,
-        pair, terms, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+    return CIRCLE_PAIR.matrix(
+        params.omega, params.sigma, params.phi, params.phi_prime, pair, terms, params.rho
     )
 
 
@@ -334,9 +409,8 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("use closed_form_total for the total pair")
-    return pair_closed_form(
-        mp2_circle_projection, params.omega, params.sigma, params.phi, params.phi_prime,
-        pair, params.rho, swap_sign=-1.0, amp_prefactor=0.5,
+    return CIRCLE_PAIR.closed_form(
+        params.omega, params.sigma, params.phi, params.phi_prime, pair, params.rho
     )
 
 

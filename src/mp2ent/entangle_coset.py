@@ -9,9 +9,9 @@ the contracted disk variables
 with Z_i = 1 - |z_i|^2 in (0, 1].  The pair combination keeps the printed
 +e^(i rho) on the swapped term (fully coincident pairs cancel at rho = pi).
 Coset slots are circle slots at z', so the series and the closed forms are
-the circle pipeline's (:func:`~mp2ent.entangle_circle.entangled_pair`,
+the circle pipeline's (:meth:`~mp2ent.entangle_circle.EntangledPair.matrix`,
 :func:`~mp2ent.entangle_circle.pair_closed_form`) on the coset record with
-the opposite swap sign.
+the opposite swap sign: :data:`COSET_PAIR`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entangle_circle import (
-    CoefficientMatrix,
-    SectorPair,
-    entangled_pair,
-    pair_closed_form,
-)
+from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
 from .numerics import DEFAULT_TERMS, SeriesValue
 from .states import (
     MIN_COSET_IM_ALPHA,
@@ -97,14 +92,17 @@ def z_factors(params: CosetPairParams) -> ZFactors:
     )
 
 
+# the coset pair: conjugated coset slots, +e^(i rho) on the swapped term
+COSET_PAIR = EntangledPair(coset_projection, swap_sign=+1.0, amp_prefactor=0.5)
+
+
 def coefficient_matrix_coset(
     params: CosetPairParams,
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
 ) -> CoefficientMatrix:
-    return entangled_pair(
-        coset_projection, params.omega, params.sigma, params.label, params.label_prime,
-        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=0.5,
+    return COSET_PAIR.matrix(
+        params.omega, params.sigma, params.label, params.label_prime, pair, terms, params.rho
     )
 
 
@@ -131,9 +129,8 @@ def closed_form_coset(params: CosetPairParams, pair: SectorPair) -> float:
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("closed forms cover pp, pm, mm only")
-    return pair_closed_form(
-        coset_projection, params.omega, params.sigma, params.label, params.label_prime,
-        pair, params.rho, swap_sign=+1.0, amp_prefactor=0.5,
+    return COSET_PAIR.closed_form(
+        params.omega, params.sigma, params.label, params.label_prime, pair, params.rho
     )
 
 

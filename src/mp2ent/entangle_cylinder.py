@@ -23,15 +23,16 @@ argument) and reconciled against the honest oracle limit in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, SectorPair, entangled_pair
+from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
 from .numerics import DEFAULT_TERMS, SeriesValue, theta2, theta3
 from .states import (
     CylinderLabel,
     Mp2Variable,
+    SlotMap,
     as_mp2,
     mp2_cylinder_display_projection,
     mp2_cylinder_projection,
@@ -68,6 +69,27 @@ class CylinderPairParams:
         return self.label.phi - self.label_prime.phi
 
 
+def _on_conjugate_variable(record: SlotMap) -> SlotMap:
+    # Pair summands conjugate the disk variable but keep the label phase
+    # e^(l - i phi): a pair slot is the single-state slot at conj(omega),
+    # not the conjugate of a whole sequence.
+    return replace(
+        record, z=lambda omega, label: record.z(Mp2Variable(omega.omega.conjugate()), label)
+    )
+
+
+# the cylinder pair: slots at conj(omega), unconjugated, +e^(i rho) on the
+# swapped term and amplitude (u + e^(i rho) v)/sqrt(2); the probability
+# oracle's single-state weights, or the squared-amplitude display weights
+CYLINDER_PAIR = EntangledPair(
+    _on_conjugate_variable(mp2_cylinder_projection), swap_sign=+1.0,
+    amp_prefactor=1.0 / math.sqrt(2.0), conjugate=False,
+)
+CYLINDER_DISPLAY_PAIR = replace(
+    CYLINDER_PAIR, record=_on_conjugate_variable(mp2_cylinder_display_projection)
+)
+
+
 def coefficient_matrix_cyl(
     params: CylinderPairParams,
     pair: SectorPair,
@@ -82,15 +104,9 @@ def coefficient_matrix_cyl(
     """
     if weights not in WEIGHT_CONVENTIONS:
         raise ValueError(f"weights must be one of {WEIGHT_CONVENTIONS}")
-    # Pair summands conjugate the disk variable but keep the label phase
-    # e^(l - i phi), so build the slots on conj(omega)/conj(sigma) directly
-    # instead of conjugating whole sequences.
-    return entangled_pair(
-        mp2_cylinder_display_projection if weights == "displayed" else mp2_cylinder_projection,
-        Mp2Variable(params.omega.omega.conjugate()),
-        Mp2Variable(params.sigma.omega.conjugate()), params.label, params.label_prime,
-        pair, terms, params.rho, swap_sign=+1.0, amp_prefactor=1.0 / math.sqrt(2.0),
-        conjugate=False,
+    form = CYLINDER_DISPLAY_PAIR if weights == "displayed" else CYLINDER_PAIR
+    return form.matrix(
+        params.omega, params.sigma, params.label, params.label_prime, pair, terms, params.rho
     )
 
 

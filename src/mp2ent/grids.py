@@ -1,10 +1,15 @@
 """Parameter-sweep grids over the entanglement probabilities.
 
 A sweep is two named axes plus fixed values for the remaining parameters of
-one family (circle, cylinder, coset, cat).  Grids are evaluated point by
-point in a fixed row-major order, so output files are byte-identical across
-runs.  CSV floats are written with 17 significant digits and JSON floats in
-Python's shortest round-trip repr; both read back exactly.
+one family (circle, cylinder, coset, cat).  The series column is evaluated
+a row at a time: each slot of the pair is built once per distinct value of
+the swept axes it reads, and :func:`entangle_circle.pair_norm_grid` takes
+the pair norms of one axis1 row at once, equal bit for bit to the family's
+per-point ``probability_series*``.  Closed forms are evaluated point by
+point.  Everything runs in a fixed row-major order, so output files are
+byte-identical across runs.  CSV floats are written with 17 significant
+digits and JSON floats in Python's shortest round-trip repr; both read back
+exactly.
 
 The kernels compute the prefactor-stripped convention; under
 ``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
@@ -20,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, states
+from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
 from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams
-from .entangle_cylinder import CylinderPairParams
 from .numerics import DEFAULT_TERMS
-from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel
+from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
 
 TOOL_VERSION = "0.1.0"
 
@@ -201,9 +205,13 @@ class ProbabilityGrid:
             raise ValueError("grid values must be finite and non-negative")
 
 
-def _polar(v: dict[str, float], name: str) -> complex:
-    """The complex parameter of modulus ``name`` and argument ``arg_<name>``."""
-    return v[name] * np.exp(1j * v["arg_" + name])
+def _polar(modulus: float, arg: float) -> complex:
+    """The complex parameter of modulus ``modulus`` and argument ``arg``."""
+    return modulus * np.exp(1j * arg)
+
+
+def _disk_variable(modulus: float, arg: float) -> Mp2Variable:
+    return Mp2Variable(_polar(modulus, arg))
 
 
 def _circle_closed_form(params, pair, terms) -> float:
@@ -212,68 +220,87 @@ def _circle_closed_form(params, pair, terms) -> float:
     return entangle_circle.closed_form_P(params, pair)
 
 
-# family -> (point values -> pair params, series, closed form or None,
-# slot record); the series and the closed form take (params, pair, terms)
-# and are looked up on their modules at call time, so a wrapper installed on
-# a module attribute sees every sweep.  The record's prefactor sets the
-# "full" convention.
+# A pair component is the parameter names it reads and the builder that
+# takes their values, in that order.  The components of a family are its
+# pair's first variable, second variable, label and label'.
+_DISK_VARIABLES = (
+    (("omega", "arg_omega"), _disk_variable), (("sigma", "arg_sigma"), _disk_variable)
+)
+_CIRCLE_LABELS = ((("phi",), CircleLabel), (("phi_prime",), CircleLabel))
+
+# family -> (point values -> pair params or None, closed form or None,
+# entangled pair, its four components).  The series column builds each
+# slot from the components (see _series_rows); the closed form takes
+# (params, pair, terms).  Kernels are looked up on their modules at call
+# time, so a wrapper installed on a module attribute sees every sweep.  The
+# pair's record prefactor sets the "full" convention.
 _FAMILY_TABLE = {
     "circle": (
         lambda v: CirclePairParams(
-            _polar(v, "omega"), _polar(v, "sigma"),
+            _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
             CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
         ),
-        lambda *args: entangle_circle.probability_series(*args),
         _circle_closed_form,
-        states.mp2_circle_projection,
+        entangle_circle.CIRCLE_PAIR,
+        _DISK_VARIABLES + _CIRCLE_LABELS,
     ),
     "cylinder": (
-        lambda v: CylinderPairParams(
-            _polar(v, "omega"), _polar(v, "sigma"), CylinderLabel(v["l"], v["phi"]),
-            CylinderLabel(v["l_prime"], v["phi_prime"]), v["rho"],
-        ),
-        lambda *args: entangle_cylinder.probability_series_cyl(*args),
         None,
-        states.mp2_cylinder_projection,
+        None,
+        entangle_cylinder.CYLINDER_PAIR,
+        _DISK_VARIABLES
+        + ((("l", "phi"), CylinderLabel), (("l_prime", "phi_prime"), CylinderLabel)),
     ),
     "coset": (
         lambda v: CosetPairParams(
-            _polar(v, "omega"), _polar(v, "sigma"),
+            _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
             CosetLabel(complex(v["alpha_re"], v["alpha_im"]), v["phi"], v["x"], v["y"]),
             CosetLabel(
                 complex(v["alpha2_re"], v["alpha2_im"]), v["phi_prime"], v["x2"], v["y2"]
             ),
             v["rho"],
         ),
-        lambda *args: entangle_coset.probability_series_coset(*args),
         lambda params, pair, _: entangle_coset.closed_form_coset(params, pair),
-        states.coset_projection,
+        entangle_coset.COSET_PAIR,
+        _DISK_VARIABLES + (
+            (("alpha_re", "alpha_im", "phi", "x", "y"),
+             lambda re, im, phi, x, y: CosetLabel(complex(re, im), phi, x, y)),
+            (("alpha2_re", "alpha2_im", "phi_prime", "x2", "y2"),
+             lambda re, im, phi, x, y: CosetLabel(complex(re, im), phi, x, y)),
+        ),
     ),
     "cat": (
-        lambda v: cat_compare.CatPairParams(
-            _polar(v, "alpha"), _polar(v, "beta"),
-            CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
-        ),
-        lambda *args: cat_compare.cat_entangled_probability(*args),
         None,
-        states.cat_projection,
+        None,
+        cat_compare.CAT_PAIR,
+        (
+            (("alpha", "arg_alpha"), lambda m, a: cat_compare.cat_displacement(_polar(m, a))),
+            (("beta", "arg_beta"), lambda m, a: cat_compare.cat_displacement(_polar(m, a))),
+        ) + _CIRCLE_LABELS,
     ),
 }
 # the pairs each family's closed form covers: circle all four, coset pp/pm/mm
 _CLOSED_FORM_PAIRS = {"circle": tuple(SectorPair), "coset": tuple(SectorPair)[:3]}
 
+# The order a point's components and slots are first built in: the labels
+# before the variables, as a point's params dataclass builds them (so a
+# point with two faults names the same one), then u1, u2, v1, v2.
+_BUILD_ORDER = (2, 3, 0, 1, 4, 5, 6, 7)
+
 
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
     across runs.  The family's kernels and the convention's scale are read
-    once; each point's params are built once and feed the series, the closed
-    form or both (which must then agree within 1e-9 plus the tail bound).  A
-    point that fails (invalid input or an arithmetic overflow) aborts naming
-    the point; domain checks are ``SweepSpec``'s, which checks every value it
+    once.  The series column is one :func:`entangle_circle.pair_norm_grid`
+    call over the slots of :func:`_series_rows`; the closed form is
+    evaluated point by point on each point's params (under ``both`` the
+    two must then agree within 1e-9 plus the tail bound).  A point that
+    fails (invalid input or an arithmetic overflow) aborts naming the
+    point; domain checks are ``SweepSpec``'s, which checks every value it
     can emit."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
-    make_params, series, closed_form, record = _FAMILY_TABLE[spec.family]
+    make_params, closed_form, form, components = _FAMILY_TABLE[spec.family]
     pair, terms = spec.pair, spec.truncation
     covered = _CLOSED_FORM_PAIRS.get(spec.family, ())
     if provenance != "series" and pair not in covered:
@@ -282,35 +309,92 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
             f"{', '.join(p.value for p in covered)} only, not {pair.value}" if covered
             else f"closed-form provenance is available for {' and '.join(_CLOSED_FORM_PAIRS)} only"
         )
-    scale = record.prefactor**4 if spec.convention == "full" else 1.0
+    scale = form.record.prefactor**4 if spec.convention == "full" else 1.0
     fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
     fixed.update(spec.fixed)
+    values, tail_max = np.empty((spec.axis1.steps, spec.axis2.steps)), 0.0
+    if provenance != "closed_form":
+        tails = np.empty_like(values)
+        slots = _series_rows(spec, form.record, components, fixed)
+        rows = entangle_circle.pair_norm_grid(form, slots)
+        for i, (row_values, row_tails) in enumerate(rows):
+            values[i], tails[i] = row_values, row_tails
+        values *= scale
+        tails *= scale
+        tail_max = float(tails.max())
+        if provenance == "series":
+            return ProbabilityGrid(spec, values, tail_max, provenance)
     name1, name2 = spec.axis1.name, spec.axis2.name
-    ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    values = np.empty((spec.axis1.steps, spec.axis2.steps))
-    tail_max = 0.0
-    for i, v1 in enumerate(ax1):
-        for j, v2 in enumerate(ax2):
+    for i, v1 in enumerate(spec.axis1.values()):
+        for j, v2 in enumerate(spec.axis2.values()):
             try:
                 params = make_params({**fixed, name1: v1, name2: v2})
-                if provenance != "closed_form":
-                    sv = series(params, pair, terms)
-                    value, tail = scale * float(sv.value), scale * sv.tail_bound
-                if provenance != "series":
-                    closed = scale * closed_form(params, pair, terms)
+                closed = scale * closed_form(params, pair, terms)
             except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(
                     f"point ({spec.axis1.name}={v1}, {spec.axis2.name}={v2}): {exc}"
                 ) from exc
             if provenance == "closed_form":
-                value, tail = _clamp_residue(closed), 0.0
-            elif provenance == "both" and abs(value - closed) > 1e-9 + tail:
+                values[i, j] = _clamp_residue(closed)
+            elif abs(values[i, j] - closed) > 1e-9 + tails[i, j]:
                 raise GridDomainError(
-                    f"series/closed-form disagreement at ({v1}, {v2}): {value} vs {closed}"
+                    f"series/closed-form disagreement at ({v1}, {v2}): "
+                    f"{float(values[i, j])} vs {closed}"
                 )
-            values[i, j] = value
-            tail_max = max(tail_max, tail)
     return ProbabilityGrid(spec, values, tail_max, provenance)
+
+
+def _series_rows(spec: SweepSpec, record, components, fixed: dict[str, float]):
+    """Yield, row by row, the slot lists (u1, u2, v1, v2) and the phases rho
+    of the points of each axis1 row.
+
+    A component or slot reads some parameter names (a slot those of its
+    variable and its label); it is built once per distinct value of the
+    axes among them, through the record's memoized fock_series, and shared
+    wherever those axes repeat.  Building is lazy and follows the row-major
+    point order, each point's new items in _BUILD_ORDER, so the first point
+    that fails, and its message, are those of a point-by-point loop.
+    """
+    name1, name2 = spec.axis1.name, spec.axis2.name
+    ax1, ax2 = spec.axis1.values(), spec.axis2.values()
+    n2 = len(ax2)
+    terms = spec.truncation
+    parities = entangle_circle.slot_parities(spec.pair)
+    roles = entangle_circle.SLOT_ROLES
+    reads = [set(names) for names, _ in components]
+    reads += [reads[var] | reads[lab] for var, lab in roles]
+    on1 = [name1 in names for names in reads]
+    on2 = [name2 in names for names in reads]
+    items: list[list] = [[None] * n2 for _ in reads]
+
+    def build(k: int, i: int, j: int):
+        if k < len(components):
+            names, builder = components[k]
+            return builder(
+                *(ax1[i] if n == name1 else ax2[j] if n == name2 else fixed[n] for n in names)
+            )
+        var, lab = roles[k - len(components)]
+        return record(items[var][j], items[lab][j], parities[var], terms, False)
+
+    for i, v1 in enumerate(ax1):
+        # the items whose axes take a new value in this row: built at its
+        # first point, and (those on axis2) again at every later point
+        fresh = [k for k in _BUILD_ORDER if i == 0 or on1[k]]
+        along = [k for k in fresh if on2[k]]
+        for k in along:
+            items[k] = [None] * n2
+        for j in range(n2 if along else 1):
+            try:
+                for k in fresh if j == 0 else along:
+                    item = build(k, i, j)
+                    if on2[k]:
+                        items[k][j] = item
+                    else:
+                        items[k] = [item] * n2
+            except (ValueError, ArithmeticError) as exc:
+                raise GridDomainError(f"point ({name1}={v1}, {name2}={ax2[j]}): {exc}") from exc
+        rho = ax1[i] if name1 == "rho" else fixed["rho"]
+        yield (*items[len(components):], ax2 if name2 == "rho" else [rho] * n2)
 
 
 def _clamp_residue(value: float) -> float:
@@ -326,12 +410,13 @@ def _fmt(x: float) -> str:
 
 
 def grid_to_csv(grid: ProbabilityGrid) -> str:
-    """Header ``axis1,axis2,value``; one row per point, row-major in axis1."""
-    ax1, ax2 = grid.spec.axis1.values(), grid.spec.axis2.values()
+    """Header ``axis1,axis2,value``; one row per point, row-major in axis1.
+    Each axis value is formatted once."""
+    ax1 = [_fmt(v) for v in grid.spec.axis1.values()]
+    ax2 = [_fmt(v) for v in grid.spec.axis2.values()]
     lines = ["axis1,axis2,value"]
-    for i, v1 in enumerate(ax1):
-        for j, v2 in enumerate(ax2):
-            lines.append(f"{_fmt(v1)},{_fmt(v2)},{_fmt(grid.values[i, j])}")
+    for v1, row in zip(ax1, grid.values.tolist()):
+        lines.extend(f"{v1},{v2},{_fmt(value)}" for v2, value in zip(ax2, row))
     return "\n".join(lines) + "\n"
 
 

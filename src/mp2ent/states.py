@@ -51,10 +51,11 @@ MIN_COSET_IM_ALPHA = 1e-6
 MAX_CYLINDER_LOG_MAG = 170.0
 LOG_DBL_MAX = math.log(sys.float_info.max)
 
-# Distinct slots kept by the fock_series memo.  A row-major sweep over the
-# default omega x sigma (or alpha x beta) axes needs 2 slots per column
-# (labels phi and phi') plus 2 per row, so 1024 keeps rows of a few hundred
-# columns warm; at N = 40 an entry holds about 1.1 kB (tracemalloc).
+# Distinct slots kept by the fock_series memo.  A sweep builds each of its
+# distinct slots once and holds them for the sweep; the memo serves reruns
+# and the per-point pair builders.  A 64 x 64 sweep on the default axes has
+# at most 256 distinct slots, so 1024 keeps a few such sweeps warm; at
+# N = 40 an entry holds about 1.1 kB (tracemalloc).
 SLOT_MEMO_SIZE = 1024
 
 # A sector tail bound a/(1 - r) is widened by TAIL_MARGIN_ULPS eps (1 + 2s),
@@ -120,7 +121,7 @@ class CosetLabel:
     fiducial coefficients (x, y).
 
     Im(alpha) > 0 is the normalizability condition; (x, y) = (0, 0) would
-    annihilate the fiducial vector.
+    annihilate the fiducial vector.  Every field must be finite.
     """
 
     alpha: complex
@@ -130,6 +131,9 @@ class CosetLabel:
 
     def __post_init__(self) -> None:
         alpha = complex(self.alpha)
+        for name, value in (("alpha", alpha), ("x", self.x), ("y", self.y)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"coset label {name} must be finite, got {value}")
         if not (alpha.imag > 0.0):
             raise ValueError("coset label requires Im(alpha) > 0 (normalizability)")
         if self.x == 0.0 and self.y == 0.0:
@@ -157,6 +161,12 @@ class Mp2Variable:
     @property
     def arg(self) -> float:
         return cmath.phase(self.omega)
+
+
+def as_circle_label(value) -> CircleLabel:
+    """``value`` if it already is a :class:`CircleLabel`, else the label at
+    the angle it holds (validated on the way)."""
+    return value if isinstance(value, CircleLabel) else CircleLabel(float(value))
 
 
 def as_mp2(value) -> Mp2Variable:
@@ -224,11 +234,11 @@ def fock_series(
     Raises OverflowError when a retained term passes e^MAX_CYLINDER_LOG_MAG
     (or e^(log_mag) itself would overflow).
 
-    Memoized (SLOT_MEMO_SIZE slots): a sweep meets the same slot at every
-    point of a row or column.  The returned sequence is shared and
-    read-only.  Keys that compare equal must give identical slots, so z is
-    stripped of signed zeros (+ 0j) before use: -1 - 0j == -1 + 0j, but
-    their phases are -pi and +pi.
+    Memoized (SLOT_MEMO_SIZE slots): per-point pair builders meet the same
+    slot at many points, and reruns meet it again.  The returned sequence
+    is shared and read-only.  Keys that compare equal must give identical
+    slots, so z is stripped of signed zeros (+ 0j) before use:
+    -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")

@@ -29,6 +29,15 @@ def params(alpha, beta, delta, rho):
 
 
 class TestCatProbability:
+    def test_float_labels_are_coerced_to_circle_labels(self):
+        p = CatPairParams(0.5, 0.5, 0.0, 1.0, 0.0)
+        assert (p.phi, p.phi_prime) == (CircleLabel(0.0), CircleLabel(1.0))
+        labelled = CatPairParams(0.5, 0.5, CircleLabel(0.0), CircleLabel(1.0), 0.0)
+        for pair in SectorPair:
+            assert cat_entangled_probability(p, pair, 20) == (
+                cat_entangled_probability(labelled, pair, 20)
+            )
+
     def test_same_cancellation_structure_as_sector_pairs(self):
         zero = cat_entangled_probability(params(0.0, 0.0, 0.0, 0.0), SectorPair.PP, 10)
         assert zero.value < 1e-30

@@ -1,0 +1,174 @@
+"""The whole-grid series column against the point-by-point reference.
+
+``run_sweep`` builds each distinct slot once and takes the pair norm one
+row at a time (``entangle_circle.pair_norm_grid``).  Here every value must
+equal the family's ``probability_series*`` at that point bit for bit,
+``tail_bound_max`` the largest per-point tail, and a failing sweep must name
+the first failing point with the per-point loop's message.
+"""
+
+import numpy as np
+import pytest
+
+from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
+from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
+from mp2ent.entangle_circle import CirclePairParams, SectorPair, probability_series
+from mp2ent.entangle_coset import CosetPairParams, probability_series_coset
+from mp2ent.entangle_cylinder import CylinderPairParams, probability_series_cyl
+from mp2ent.grids import (
+    DEFAULT_AXES,
+    PARAMETERS,
+    AxisSpec,
+    GridDomainError,
+    SweepSpec,
+    run_sweep,
+)
+from mp2ent.states import CircleLabel, CosetLabel, CylinderLabel
+
+SERIES = {
+    "circle": probability_series,
+    "cylinder": probability_series_cyl,
+    "coset": probability_series_coset,
+    "cat": cat_entangled_probability,
+}
+PAIR_OF = {
+    "circle": entangle_circle.CIRCLE_PAIR,
+    "cylinder": entangle_cylinder.CYLINDER_PAIR,
+    "coset": entangle_coset.COSET_PAIR,
+    "cat": cat_compare.CAT_PAIR,
+}
+CLOSED_FORM_PAIRS = {"circle": tuple(SectorPair), "coset": tuple(SectorPair)[:3]}
+
+
+def _params(family, v):
+    """One point's pair params, built from its parameter values."""
+
+    def polar(name):
+        return v[name] * np.exp(1j * v["arg_" + name])
+
+    if family == "circle":
+        return CirclePairParams(
+            polar("omega"), polar("sigma"), CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]),
+            v["rho"],
+        )
+    if family == "cylinder":
+        return CylinderPairParams(
+            polar("omega"), polar("sigma"), CylinderLabel(v["l"], v["phi"]),
+            CylinderLabel(v["l_prime"], v["phi_prime"]), v["rho"],
+        )
+    if family == "coset":
+        return CosetPairParams(
+            polar("omega"), polar("sigma"),
+            CosetLabel(complex(v["alpha_re"], v["alpha_im"]), v["phi"], v["x"], v["y"]),
+            CosetLabel(complex(v["alpha2_re"], v["alpha2_im"]), v["phi_prime"], v["x2"], v["y2"]),
+            v["rho"],
+        )
+    return CatPairParams(
+        polar("alpha"), polar("beta"), CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]),
+        v["rho"],
+    )
+
+
+def _point_by_point(spec):
+    """The series sweep one point at a time: (values, tail max), or the
+    GridDomainError of the first point that fails."""
+    fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
+    fixed.update(spec.fixed)
+    scale = PAIR_OF[spec.family].record.prefactor**4 if spec.convention == "full" else 1.0
+    name1, name2 = spec.axis1.name, spec.axis2.name
+    values = np.empty((spec.axis1.steps, spec.axis2.steps))
+    tails = []
+    for i, v1 in enumerate(spec.axis1.values()):
+        for j, v2 in enumerate(spec.axis2.values()):
+            try:
+                params = _params(spec.family, {**fixed, name1: v1, name2: v2})
+                sv = SERIES[spec.family](params, spec.pair, spec.truncation)
+            except (ValueError, ArithmeticError) as exc:
+                raise GridDomainError(f"point ({name1}={v1}, {name2}={v2}): {exc}") from exc
+            values[i, j] = scale * float(sv.value)
+            tails.append(scale * sv.tail_bound)
+    return values, max(tails)
+
+
+FIXED = {
+    "circle": {"arg_omega": 0.3, "arg_sigma": -0.8, "phi": 1.1, "phi_prime": 0.4, "rho": 0.7},
+    "cylinder": {"arg_omega": 0.3, "arg_sigma": -0.8, "l": 0.3, "l_prime": -0.5, "phi": 1.1,
+                 "phi_prime": 0.4, "rho": 0.7},
+    "coset": {"arg_omega": 0.3, "alpha_re": 0.2, "alpha_im": 0.9, "alpha2_im": 1.4, "x": 0.6,
+              "y": -0.3, "phi": 1.1, "phi_prime": 0.4, "rho": 0.7},
+    "cat": {"arg_alpha": 0.5, "arg_beta": -1.2, "phi": 1.1, "phi_prime": 0.4, "rho": 0.7},
+}
+RANGES = {
+    "omega": (0.0, 0.9), "sigma": (0.1, 0.9), "phi": (0.0, 6.0), "rho": (-1.0, 4.0),
+    "phi_prime": (0.0, 3.0), "l": (-1.5, 1.5), "l_prime": (-1.0, 2.0),
+    "alpha_im": (0.5, 2.0), "x": (-1.0, 1.0), "alpha": (0.0, 1.9), "arg_alpha": (0.0, 3.0),
+    "beta": (0.2, 1.9),
+}
+AXIS_PAIRS = {
+    "circle": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma")],
+    "cylinder": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("l", "l_prime")],
+    "coset": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("alpha_im", "x")],
+    "cat": [None, ("phi", "rho"), ("alpha", "arg_alpha"), ("rho", "beta")],
+}
+CASES = [(family, axes) for family, pairs in AXIS_PAIRS.items() for axes in pairs]
+
+
+def _spec(family, axes, pair, convention):
+    """A 4 x 3 sweep along ``axes`` (None: the default axes) at N = 12."""
+    if axes is None:
+        (name1, lo1, hi1, _), (name2, lo2, hi2, _) = DEFAULT_AXES[family]
+    else:
+        (name1, (lo1, hi1)), (name2, (lo2, hi2)) = ((name, RANGES[name]) for name in axes)
+    return SweepSpec(
+        family=family, pair=pair, axis1=AxisSpec(name1, lo1, hi1, 4),
+        axis2=AxisSpec(name2, lo2, hi2, 3),
+        fixed=tuple((k, v) for k, v in FIXED[family].items() if k not in (name1, name2)),
+        truncation=12, convention=convention,
+    )
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
+@pytest.mark.parametrize(
+    ("family", "axes"), CASES, ids=[f"{f}-{'x'.join(a) if a else 'default'}" for f, a in CASES]
+)
+def test_grid_equals_the_per_point_series_bit_for_bit(family, axes, pair):
+    for convention in ("stripped", "full"):
+        spec = _spec(family, axes, pair, convention)
+        values, tail_max = _point_by_point(spec)
+        provenances = ["series"] + (["both"] if pair in CLOSED_FORM_PAIRS.get(family, ()) else [])
+        for provenance in provenances:
+            grid = run_sweep(spec, provenance)
+            assert grid.values.tobytes() == values.tobytes()
+            assert grid.tail_bound_max == tail_max
+
+
+@pytest.mark.parametrize(
+    ("family", "axis1", "axis2", "pair", "truncation", "fixed"),
+    [
+        # not yet decaying at truncation 1 once |alpha| passes about 1.86
+        ("cat", ("alpha", 0.0, 1.95, 5), ("beta", 0.0, 1.95, 5), SectorPair.PM, 1, ()),
+        ("cat", ("rho", 0.0, 3.0, 3), ("beta", 0.5, 1.95, 5), SectorPair.TOTAL, 1, ()),
+        # a label past the cylinder's magnitude guard
+        ("cylinder", ("l", -1.0, 400.0, 5), ("l_prime", -1.0, 1.0, 5), SectorPair.PP, 12, ()),
+        # u1 (l) and v1 (l') both past it at the first point: u1's l is named
+        ("cylinder", ("l", 200.0, 400.0, 3), ("l_prime", 300.0, 400.0, 3), SectorPair.PP, 12,
+         (("sigma", 0.0),)),
+        # the fiducial (x, y) vanishes where x crosses 0 at y = 0
+        ("coset", ("alpha_im", 0.5, 2.0, 4), ("x", -1.0, 1.0, 5), SectorPair.MM, 12,
+         (("y", 0.0),)),
+    ],
+    ids=["cat-trunc-1", "cat-trunc-1-total", "cylinder-overflow", "cylinder-overflow-u1-first",
+         "coset-null-fiducial"],
+)
+def test_a_failing_sweep_names_the_per_point_first_failure(
+    family, axis1, axis2, pair, truncation, fixed
+):
+    spec = SweepSpec(
+        family=family, pair=pair, axis1=AxisSpec(*axis1), axis2=AxisSpec(*axis2), fixed=fixed,
+        truncation=truncation,
+    )
+    with pytest.raises(GridDomainError) as expected:
+        _point_by_point(spec)
+    with pytest.raises(GridDomainError) as got:
+        run_sweep(spec)
+    assert str(got.value) == str(expected.value)

@@ -436,9 +436,12 @@ def _counting(counts, name, fn):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
-    # a wrapper installed on a module attribute must see every sweep point
-    # (the benchmark's tracer counts calls this way)
-    targets = KERNELS[family] + (("entangle_circle", "pair_matrix"),)
+    # a wrapper installed on a module attribute must see every sweep (the
+    # benchmark's tracer counts calls this way): the series column is one
+    # grid-kernel call, with no per-point series, slot or pair-matrix call
+    targets = (("entangle_circle", "pair_norm_grid"),) + KERNELS[family] + (
+        ("entangle_circle", "pair_matrix"),
+    )
     counts = {name: 0 for _, name in targets}
     for module, name in targets:
         owner = importlib.import_module(f"mp2ent.{module}")
@@ -449,7 +452,7 @@ def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
         axis2=AxisSpec(names[1], 0.1, 0.5, 2), truncation=8,
     )
     run_sweep(spec)
-    assert counts == dict.fromkeys(counts, 4)
+    assert counts == {**dict.fromkeys(counts, 0), "pair_norm_grid": 1}
 
 
 @pytest.mark.parametrize("provenance", ["closed_form", "both"])
@@ -475,6 +478,8 @@ def test_closed_form_sweep_calls_its_kernel_once_per_point(
 @pytest.mark.parametrize("provenance", PROVENANCES)
 @pytest.mark.parametrize("family", ["circle", "coset"])
 def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
+    # the closed form takes each point's params; the series column builds
+    # its slots from the pair components and makes no params at all
     make_params, *rest = grids._FAMILY_TABLE[family]
     counts = {"make_params": 0}
     monkeypatch.setitem(
@@ -486,7 +491,7 @@ def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
         axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
     )
     run_sweep(spec, provenance=provenance)
-    assert counts["make_params"] == 6
+    assert counts["make_params"] == (0 if provenance == "series" else 6)
 
 
 @pytest.mark.parametrize("provenance", ["closed_form", "both"])

@@ -221,8 +221,10 @@ class TestSlotMemo:
         )
         states.fock_series.cache_clear()
         cold = grid_to_csv(run_sweep(spec))
-        assert states.fock_series.cache_info().hits > 0
+        # a sweep builds each distinct slot once, so the memo is hit on the
+        # warm rerun, not necessarily on the cold run
         warm = grid_to_csv(run_sweep(spec))
+        assert states.fock_series.cache_info().hits > 0
         monkeypatch.setattr(states, "fock_series", states.fock_series.__wrapped__)
         assert grid_to_csv(run_sweep(spec)) == cold == warm
 

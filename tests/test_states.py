@@ -83,6 +83,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
             build()
 
+    @pytest.mark.parametrize(
+        ("fields", "name"),
+        [
+            ({"alpha": complex(math.inf, 1.0)}, "alpha"),
+            ({"alpha": complex(1.0, math.inf)}, "alpha"),
+            ({"alpha": complex(math.nan, 1.0)}, "alpha"),
+            ({"x": math.nan}, "x"),
+            ({"y": -math.inf}, "y"),
+        ],
+        ids=["alpha-re-inf", "alpha-im-inf", "alpha-re-nan", "x-nan", "y-inf"],
+    )
+    def test_non_finite_coset_fields_are_refused_naming_the_field(self, fields, name):
+        with pytest.raises(ValueError, match=rf"coset label {name} must be finite"):
+            CosetLabel(**{"alpha": 1j, "phi": 0.0, **fields})
+
     def test_parity_sector_indices(self):
         assert Parity.EVEN.sector_index == 0.25
         assert Parity.ODD.sector_index == 0.75
