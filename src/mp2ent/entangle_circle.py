@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -322,6 +323,24 @@ def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[list[float], lis
         ], row_tails
 
 
+def gram_half(slots: SlotMap, var, label, label_prime, parity: Parity):
+    """One half of :func:`pair_closed_form`'s Gram form: (N(u), N(v), G(u, v))
+    of the sector slots u = (var, label) and v = (var, label')."""
+    if slots.g is not None:
+        raise ValueError("pair_closed_form needs a record without a log-weight")
+    f = _SECTOR_FUNCS[parity]
+    zu, zv = slots.z(var, label), slots.z(var, label_prime)
+    au, av = slots.amps(var, zu)[parity], slots.amps(var, zv)[parity]
+    # conj(z_a)/4, the bra side of every G(a, b) below
+    cu, cv = zu.conjugate() * 0.25, zv.conjugate() * 0.25
+    return (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real, au * av * f(cu * zv)
+
+
+# The two Gram halves as (variable, label, label') indices into (first,
+# second, label, label'): N(u1), N(v1), G(u1, v1) and N(u2), N(v2), G(u2, v2).
+GRAM_HALVES = ((0, 2, 3), (1, 3, 2))
+
+
 def pair_closed_form(
     slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
     rho: float, swap_sign: float, amp_prefactor: float,
@@ -341,26 +360,50 @@ def pair_closed_form(
         P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
                   + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
 
-    N(a) = Re G(a, a).  Each N is evaluated by the same expression as G, so
-    at coincident labels (v1 = u1, v2 = u2) the terms cancel bit for bit.
+    N(a) = Re G(a, a), one :func:`gram_half` per half.  Each N is evaluated
+    by the same expression as G, so at coincident labels (v1 = u1, v2 = u2)
+    the terms cancel bit for bit.
     """
-    if slots.g is not None:
-        raise ValueError("pair_closed_form needs a record without a log-weight")
     p1, p2 = pair.parities
-    f, g = _SECTOR_FUNCS[p1], _SECTOR_FUNCS[p2]
-    z, amps = slots.z, slots.amps
-    zu1, zv1 = z(first, label), z(first, label_prime)
-    zu2, zv2 = z(second, label_prime), z(second, label)
-    au1, av1 = amps(first, zu1)[p1], amps(first, zv1)[p1]
-    au2, av2 = amps(second, zu2)[p2], amps(second, zv2)[p2]
-    # conj(z_a)/4, the bra side of every G(a, b) below
-    cu1, cv1 = zu1.conjugate() * 0.25, zv1.conjugate() * 0.25
-    cu2, cv2 = zu2.conjugate() * 0.25, zv2.conjugate() * 0.25
-    n_u1, n_v1 = (au1 * au1 * f(cu1 * zu1)).real, (av1 * av1 * f(cv1 * zv1)).real
-    n_u2, n_v2 = (au2 * au2 * g(cu2 * zu2)).real, (av2 * av2 * g(cv2 * zv2)).real
-    gram = au1 * av1 * f(cu1 * zv1) * (au2 * av2 * g(cu2 * zv2))
-    cross = (swap_sign * cmath.exp(1j * rho) * gram.conjugate()).real
+    n_u1, n_v1, g1 = gram_half(slots, first, label, label_prime, p1)
+    n_u2, n_v2, g2 = gram_half(slots, second, label_prime, label, p2)
+    cross = (swap_sign * cmath.exp(1j * rho) * (g1 * g2).conjugate()).real
     return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
+
+
+def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[np.ndarray]:
+    """:func:`pair_closed_form` of ``form`` at every point of a grid, one
+    row at a time.
+
+    ``rows`` yields, row by row, the lists (half 1, half 2, rho) of the
+    row's points, the halves :func:`gram_half` tuples; a list yielded again
+    is converted to arrays once.  The complex products are written out in
+    real arithmetic in CPython's order (numpy's complex multiply can round
+    differently), so every value is the per-point one bit for bit.
+    """
+    p_sq, s = form.amp_prefactor**2, form.swap_sign
+
+    def halves(items):
+        # N(u), N(v), G(u, v) of each point, interleaved
+        a = np.fromiter(itertools.chain.from_iterable(items), complex, 3 * len(items))
+        return a[0::3].real, a[1::3].real, a[2::3]
+
+    def phases(rhos):
+        return np.array([s * cmath.exp(1j * rho) for rho in rhos])
+
+    convert = (halves, halves, phases)
+    seen: list = [None] * 3
+    arrays: list = [None] * 3
+    for row in rows:
+        for k, items in enumerate(row):
+            if items is not seen[k]:
+                seen[k], arrays[k] = items, convert[k](items)
+        (n_u1, n_v1, g1), (n_u2, n_v2, g2), phase = arrays
+        gram_re = g1.real * g2.real - g1.imag * g2.imag
+        gram_im = g1.real * g2.imag + g1.imag * g2.real
+        # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
+        cross = phase.real * gram_re + phase.imag * gram_im
+        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

@@ -1,15 +1,15 @@
 """Parameter-sweep grids over the entanglement probabilities.
 
 A sweep is two named axes plus fixed values for the remaining parameters of
-one family (circle, cylinder, coset, cat).  The series column is evaluated
-a row at a time: each slot of the pair is built once per distinct value of
-the swept axes it reads, and :func:`entangle_circle.pair_norm_grid` takes
-the pair norms of one axis1 row at once, equal bit for bit to the family's
-per-point ``probability_series*``.  Closed forms are evaluated point by
-point.  Everything runs in a fixed row-major order, so output files are
-byte-identical across runs.  CSV floats are written with 17 significant
-digits and JSON floats in Python's shortest round-trip repr; both read back
-exactly.
+one family (circle, cylinder, coset, cat).  Each slot of the pair (series)
+or Gram half (a sector pair's closed form) is built once per distinct value
+of the swept axes it reads; :func:`entangle_circle.pair_norm_grid` and
+:func:`entangle_circle.pair_closed_form_grid` then take one axis1 row at
+once, equal bit for bit to the per-point kernels.  Only the circle total's
+closed form is evaluated point by point.  Everything runs in a fixed
+row-major order, so output files are byte-identical across runs.  CSV
+floats are written with 17 significant digits and JSON floats in Python's
+shortest round-trip repr; both read back exactly.
 
 The kernels compute the prefactor-stripped convention; under
 ``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
@@ -27,7 +27,6 @@ import numpy as np
 
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
 from .entangle_circle import CirclePairParams, SectorPair
-from .entangle_coset import CosetPairParams
 from .numerics import DEFAULT_TERMS
 from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
 
@@ -214,12 +213,6 @@ def _disk_variable(modulus: float, arg: float) -> Mp2Variable:
     return Mp2Variable(_polar(modulus, arg))
 
 
-def _circle_closed_form(params, pair, terms) -> float:
-    if pair is SectorPair.TOTAL:
-        return entangle_circle.closed_form_total(params, terms)
-    return entangle_circle.closed_form_P(params, pair)
-
-
 # A pair component is the parameter names it reads and the builder that
 # takes their values, in that order.  The components of a family are its
 # pair's first variable, second variable, label and label'.
@@ -228,50 +221,31 @@ _DISK_VARIABLES = (
 )
 _CIRCLE_LABELS = ((("phi",), CircleLabel), (("phi_prime",), CircleLabel))
 
-# family -> (point values -> pair params or None, closed form or None,
-# entangled pair, its four components).  The series column builds each
-# slot from the components (see _series_rows); the closed form takes
-# (params, pair, terms).  Kernels are looked up on their modules at call
-# time, so a wrapper installed on a module attribute sees every sweep.  The
-# pair's record prefactor sets the "full" convention.
+
+def _coset_label(re: float, im: float, phi: float, x: float, y: float) -> CosetLabel:
+    return CosetLabel(complex(re, im), phi, x, y)
+
+
+# family -> (entangled pair, its four components).  Both columns build the
+# pair's slots or Gram halves from the components (see _grid_rows).
+# Kernels are looked up on their modules at call time, so a wrapper
+# installed on a module attribute sees every sweep.  The pair's record
+# prefactor sets the "full" convention.
 _FAMILY_TABLE = {
-    "circle": (
-        lambda v: CirclePairParams(
-            _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
-            CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
-        ),
-        _circle_closed_form,
-        entangle_circle.CIRCLE_PAIR,
-        _DISK_VARIABLES + _CIRCLE_LABELS,
-    ),
+    "circle": (entangle_circle.CIRCLE_PAIR, _DISK_VARIABLES + _CIRCLE_LABELS),
     "cylinder": (
-        None,
-        None,
         entangle_cylinder.CYLINDER_PAIR,
         _DISK_VARIABLES
         + ((("l", "phi"), CylinderLabel), (("l_prime", "phi_prime"), CylinderLabel)),
     ),
     "coset": (
-        lambda v: CosetPairParams(
-            _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
-            CosetLabel(complex(v["alpha_re"], v["alpha_im"]), v["phi"], v["x"], v["y"]),
-            CosetLabel(
-                complex(v["alpha2_re"], v["alpha2_im"]), v["phi_prime"], v["x2"], v["y2"]
-            ),
-            v["rho"],
-        ),
-        lambda params, pair, _: entangle_coset.closed_form_coset(params, pair),
         entangle_coset.COSET_PAIR,
         _DISK_VARIABLES + (
-            (("alpha_re", "alpha_im", "phi", "x", "y"),
-             lambda re, im, phi, x, y: CosetLabel(complex(re, im), phi, x, y)),
-            (("alpha2_re", "alpha2_im", "phi_prime", "x2", "y2"),
-             lambda re, im, phi, x, y: CosetLabel(complex(re, im), phi, x, y)),
+            (("alpha_re", "alpha_im", "phi", "x", "y"), _coset_label),
+            (("alpha2_re", "alpha2_im", "phi_prime", "x2", "y2"), _coset_label),
         ),
     ),
     "cat": (
-        None,
-        None,
         cat_compare.CAT_PAIR,
         (
             (("alpha", "arg_alpha"), lambda m, a: cat_compare.cat_displacement(_polar(m, a))),
@@ -282,26 +256,22 @@ _FAMILY_TABLE = {
 # the pairs each family's closed form covers: circle all four, coset pp/pm/mm
 _CLOSED_FORM_PAIRS = {"circle": tuple(SectorPair), "coset": tuple(SectorPair)[:3]}
 
-# The order a point's components and slots are first built in: the labels
-# before the variables, as a point's params dataclass builds them (so a
-# point with two faults names the same one), then u1, u2, v1, v2.
-_BUILD_ORDER = (2, 3, 0, 1, 4, 5, 6, 7)
-
 
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
     across runs.  The family's kernels and the convention's scale are read
     once.  The series column is one :func:`entangle_circle.pair_norm_grid`
-    call over the slots of :func:`_series_rows`; the closed form is
-    evaluated point by point on each point's params (under ``both`` the
-    two must then agree within 1e-9 plus the tail bound).  A point that
-    fails (invalid input or an arithmetic overflow) aborts naming the
-    point; domain checks are ``SweepSpec``'s, which checks every value it
-    can emit."""
+    call over the slots of :func:`_grid_rows`, a sector pair's closed form
+    one :func:`entangle_circle.pair_closed_form_grid` call over its Gram
+    halves (under ``both`` the two must agree within 1e-9 plus the tail
+    bound, or the first point that does not is named).  A point that fails
+    (invalid input or an arithmetic overflow) aborts naming the point;
+    domain checks are ``SweepSpec``'s, which checks every value it can
+    emit."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
-    make_params, closed_form, form, components = _FAMILY_TABLE[spec.family]
-    pair, terms = spec.pair, spec.truncation
+    form, components = _FAMILY_TABLE[spec.family]
+    pair = spec.pair
     covered = _CLOSED_FORM_PAIRS.get(spec.family, ())
     if provenance != "series" and pair not in covered:
         raise ValueError(
@@ -315,7 +285,7 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     values, tail_max = np.empty((spec.axis1.steps, spec.axis2.steps)), 0.0
     if provenance != "closed_form":
         tails = np.empty_like(values)
-        slots = _series_rows(spec, form.record, components, fixed)
+        slots = _grid_rows(spec, form.record, components, fixed)
         rows = entangle_circle.pair_norm_grid(form, slots)
         for i, (row_values, row_tails) in enumerate(rows):
             values[i], tails[i] = row_values, row_tails
@@ -324,48 +294,74 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
         tail_max = float(tails.max())
         if provenance == "series":
             return ProbabilityGrid(spec, values, tail_max, provenance)
-    name1, name2 = spec.axis1.name, spec.axis2.name
-    for i, v1 in enumerate(spec.axis1.values()):
-        for j, v2 in enumerate(spec.axis2.values()):
-            try:
-                params = make_params({**fixed, name1: v1, name2: v2})
-                closed = scale * closed_form(params, pair, terms)
-            except (ValueError, ArithmeticError) as exc:
-                raise GridDomainError(
-                    f"point ({spec.axis1.name}={v1}, {spec.axis2.name}={v2}): {exc}"
-                ) from exc
-            if provenance == "closed_form":
-                values[i, j] = _clamp_residue(closed)
-            elif abs(values[i, j] - closed) > 1e-9 + tails[i, j]:
-                raise GridDomainError(
-                    f"series/closed-form disagreement at ({v1}, {v2}): "
-                    f"{float(values[i, j])} vs {closed}"
-                )
+    if pair is SectorPair.TOTAL:
+        closed_rows = _total_rows(spec, fixed)
+    else:
+        halves = _grid_rows(spec, form.record, components, fixed, halves=True)
+        closed_rows = entangle_circle.pair_closed_form_grid(form, halves)
+    ax1, ax2 = spec.axis1.values(), spec.axis2.values()
+    for i, row in enumerate(closed_rows):
+        closed = scale * row
+        if provenance == "closed_form":
+            values[i] = _clamp_residue(closed)
+            continue
+        off = np.abs(values[i] - closed) > 1e-9 + tails[i]
+        if off.any():
+            j = int(off.argmax())
+            raise GridDomainError(
+                f"series/closed-form disagreement at ({ax1[i]}, {ax2[j]}): "
+                f"{float(values[i, j])} vs {float(closed[j])}"
+            )
     return ProbabilityGrid(spec, values, tail_max, provenance)
 
 
-def _series_rows(spec: SweepSpec, record, components, fixed: dict[str, float]):
-    """Yield, row by row, the slot lists (u1, u2, v1, v2) and the phases rho
-    of the points of each axis1 row.
+def _total_rows(spec: SweepSpec, fixed: dict[str, float]):
+    """Yield, row by row, the circle total closed form, point by point."""
+    name1, name2 = spec.axis1.name, spec.axis2.name
+    for v1 in spec.axis1.values():
+        row = []
+        for v2 in spec.axis2.values():
+            v = {**fixed, name1: v1, name2: v2}
+            try:
+                params = CirclePairParams(
+                    _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
+                    CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
+                )
+                row.append(entangle_circle.closed_form_total(params, spec.truncation))
+            except (ValueError, ArithmeticError) as exc:
+                raise GridDomainError(f"point ({name1}={v1}, {name2}={v2}): {exc}") from exc
+        yield np.array(row)
 
-    A component or slot reads some parameter names (a slot those of its
-    variable and its label); it is built once per distinct value of the
-    axes among them, through the record's memoized fock_series, and shared
+
+def _grid_rows(
+    spec: SweepSpec, record, components, fixed: dict[str, float], halves: bool = False
+):
+    """Yield, row by row, the lists of the slots (u1, u2, v1, v2) or, with
+    ``halves``, the two Gram halves of the points of each axis1 row, and
+    their phases rho.  A yielded list is never changed afterwards.
+
+    A component reads some parameter names, and a slot or half those of its
+    components; each is built once per distinct value of the axes among
+    them (slots through the record's memoized fock_series) and shared
     wherever those axes repeat.  Building is lazy and follows the row-major
-    point order, each point's new items in _BUILD_ORDER, so the first point
-    that fails, and its message, are those of a point-by-point loop.
+    point order, each point's new items in ``order``: the labels before
+    the variables, as a point's params dataclass builds them (so a point
+    with two faults names the same one), then the slots or halves.  So the
+    first point that fails, and its message, are those of a point-by-point
+    loop.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
     n2 = len(ax2)
     terms = spec.truncation
     parities = entangle_circle.slot_parities(spec.pair)
-    roles = entangle_circle.SLOT_ROLES
+    roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
     reads = [set(names) for names, _ in components]
-    reads += [reads[var] | reads[lab] for var, lab in roles]
+    reads += [set().union(*(reads[c] for c in role)) for role in roles]
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
     items: list[list] = [[None] * n2 for _ in reads]
+    order = (2, 3, 0, 1) + tuple(range(len(components), len(reads)))
 
     def build(k: int, i: int, j: int):
         if k < len(components):
@@ -373,13 +369,17 @@ def _series_rows(spec: SweepSpec, record, components, fixed: dict[str, float]):
             return builder(
                 *(ax1[i] if n == name1 else ax2[j] if n == name2 else fixed[n] for n in names)
             )
-        var, lab = roles[k - len(components)]
-        return record(items[var][j], items[lab][j], parities[var], terms, False)
+        role = roles[k - len(components)]
+        parts, parity = [items[c][j] for c in role], parities[role[0]]
+        if halves:
+            return entangle_circle.gram_half(record, *parts, parity)
+        return record(*parts, parity, terms, False)
 
+    rhos = ax2 if name2 == "rho" else [fixed["rho"]] * n2
     for i, v1 in enumerate(ax1):
         # the items whose axes take a new value in this row: built at its
         # first point, and (those on axis2) again at every later point
-        fresh = [k for k in _BUILD_ORDER if i == 0 or on1[k]]
+        fresh = [k for k in order if i == 0 or on1[k]]
         along = [k for k in fresh if on2[k]]
         for k in along:
             items[k] = [None] * n2
@@ -393,16 +393,13 @@ def _series_rows(spec: SweepSpec, record, components, fixed: dict[str, float]):
                         items[k] = [item] * n2
             except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(f"point ({name1}={v1}, {name2}={ax2[j]}): {exc}") from exc
-        rho = ax1[i] if name1 == "rho" else fixed["rho"]
-        yield (*items[len(components):], ax2 if name2 == "rho" else [rho] * n2)
+        yield (*items[len(components):], [v1] * n2 if name1 == "rho" else rhos)
 
 
-def _clamp_residue(value: float) -> float:
+def _clamp_residue(values: np.ndarray) -> np.ndarray:
     # exact-cancellation points can round to a tiny negative in the closed
     # forms; the series value is a sum of squares and never needs this
-    if -1e-12 < value < 0.0:
-        return 0.0
-    return value
+    return np.where((-1e-12 < values) & (values < 0.0), 0.0, values)
 
 
 def _fmt(x: float) -> str:
@@ -421,14 +418,26 @@ def grid_to_csv(grid: ProbabilityGrid) -> str:
 
 
 def grid_to_json(grid: ProbabilityGrid) -> str:
+    """Sorted-key JSON at indent 1; ``json.dumps`` writes all but the values."""
     payload = {
         "spec": grid.spec.to_json_dict(),
-        "values": grid.values.tolist(),
+        "values": [],
         "tail_bound_max": float(grid.tail_bound_max),
         "provenance": grid.provenance,
         "tool_version": TOOL_VERSION,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    head = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+    # "values" sorts last, so the header ends in '"values": []' and "}"
+    return head[: -len("[]\n}")] + _json_values(grid.values.tolist()) + "\n}\n"
+
+
+def _json_values(rows: list[list[float]]) -> str:
+    """Non-empty rows of finite floats as ``json.dumps`` writes them as a
+    member of an indent-1 object, without the pure-Python encoder that
+    ``indent`` selects: each float its repr, one per line."""
+    return "[\n" + ",\n".join(
+        "  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]" for row in rows
+    ) + "\n ]"
 
 
 def read_grid_csv(text: str) -> np.ndarray:

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp2ent
-from mp2ent import cli, grids
+from mp2ent import cli, entangle_circle, grids
 from mp2ent.cli import main, parse_axis, parse_number
-from mp2ent.entangle_circle import SectorPair
+from mp2ent.entangle_circle import CirclePairParams, SectorPair
+from mp2ent.entangle_coset import CosetPairParams
 from mp2ent.grids import (
     CONVENTIONS,
     DEFAULT_AXES,
@@ -166,6 +167,43 @@ class TestSerialization:
         assert set(payload) == {"spec", "values", "tail_bound_max", "provenance", "tool_version"}
         assert payload["spec"]["family"] == "circle"
         assert len(payload["values"]) == 7 and len(payload["values"][0]) == 5
+
+    @pytest.mark.parametrize(
+        ("spec", "provenance", "tail"),
+        [
+            (small_spec(axis1=AxisSpec("omega", 0.0, 0.9, 2), axis2=AxisSpec("sigma", 0.0, 0.9, 2)),
+             "series", 0.0),
+            (small_spec(axis1=AxisSpec("phi", 0.0, 6.0, 256), axis2=AxisSpec("rho", -1.0, 1.0, 3),
+                        fixed=()),
+             "closed_form", 1e-300),
+            (SweepSpec(family="coset", pair=SectorPair.MM, axis1=AxisSpec("x", -1.0, -0.5, 3),
+                       axis2=AxisSpec("alpha_im", 0.5, 2.0, 2),
+                       fixed=(("rho", 0.25), ("alpha2_re", -0.3), ("y", 0.5)),
+                       truncation=7, convention="full"),
+             "both", 1.5e-17),
+        ],
+        ids=["2x2", "256x3", "coset-full"],
+    )
+    def test_json_is_the_json_dumps_of_its_payload(self, spec, provenance, tail):
+        shape = (spec.axis1.steps, spec.axis2.steps)
+        specials = [0.0, 5e-324, 1e-300, 0.1]
+        values = np.resize(specials + np.random.default_rng(3).random(12).tolist(), shape)
+        grid = grids.ProbabilityGrid(spec, values, tail, provenance)
+        payload = {
+            "spec": spec.to_json_dict(),
+            "values": grid.values.tolist(),
+            "tail_bound_max": tail,
+            "provenance": provenance,
+            "tool_version": grids.TOOL_VERSION,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
+        assert grid_to_json(grid) == expected + "\n"
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (256, 3)])
+    def test_json_values_block_matches_json_dumps(self, shape):
+        rows = np.resize([0.0, 5e-324, 1e-300, 0.1, 0.5, 2.0 / 3.0], shape).tolist()
+        expected = json.dumps({"values": rows}, separators=(",", ": "), indent=1)
+        assert expected == '{\n "values": ' + grids._json_values(rows) + "\n}"
 
     def test_sidecar_records_the_argv_that_ran(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["mp2ent", "cat", "--pair", "mm"])
@@ -464,34 +502,51 @@ def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
 def test_closed_form_sweep_calls_its_kernel_once_per_point(
     monkeypatch, family, pair, kernel, provenance
 ):
+    # only the circle total's closed form still runs once per point (6 on a
+    # 3 x 2 grid); a sector pair's is one grid-kernel call, with no
+    # per-point closed_form_P or closed_form_coset.  Both kernels are looked
+    # up on their modules at call time.
     owner = importlib.import_module(f"mp2ent.entangle_{family}")
-    counts = {kernel: 0}
+    counts = {kernel: 0, "pair_closed_form_grid": 0}
     monkeypatch.setattr(owner, kernel, _counting(counts, kernel, getattr(owner, kernel)))
+    grid_kernel = entangle_circle.pair_closed_form_grid
+    monkeypatch.setattr(
+        entangle_circle, "pair_closed_form_grid",
+        _counting(counts, "pair_closed_form_grid", grid_kernel),
+    )
     spec = SweepSpec(
         family=family, pair=pair, axis1=AxisSpec("omega", 0.1, 0.5, 3),
         axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
     )
     run_sweep(spec, provenance=provenance)
-    assert counts[kernel] == 6
+    total = pair is SectorPair.TOTAL
+    assert counts == {kernel: 6 if total else 0, "pair_closed_form_grid": 0 if total else 1}
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)
 @pytest.mark.parametrize("family", ["circle", "coset"])
 def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
-    # the closed form takes each point's params; the series column builds
-    # its slots from the pair components and makes no params at all
-    make_params, *rest = grids._FAMILY_TABLE[family]
-    counts = {"make_params": 0}
-    monkeypatch.setitem(
-        grids._FAMILY_TABLE, family,
-        (_counting(counts, "make_params", make_params), *rest),
+    # a sector-pair sweep builds no params dataclass in either column: the
+    # series slots and the closed form's Gram halves are built from the pair
+    # components.  Only the circle total's closed form builds one params per
+    # point.
+    counts = {"params": 0}
+    for cls in (CirclePairParams, CosetPairParams):
+        monkeypatch.setattr(
+            cls, "__post_init__", _counting(counts, "params", cls.__post_init__)
+        )
+    axes = {"axis1": AxisSpec("omega", 0.1, 0.5, 3), "axis2": AxisSpec("sigma", 0.1, 0.5, 2)}
+    run_sweep(
+        SweepSpec(family=family, pair=SectorPair.PM, truncation=8, **axes),
+        provenance=provenance,
     )
-    spec = SweepSpec(
-        family=family, pair=SectorPair.PM, axis1=AxisSpec("omega", 0.1, 0.5, 3),
-        axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
-    )
-    run_sweep(spec, provenance=provenance)
-    assert counts["make_params"] == (0 if provenance == "series" else 6)
+    assert counts["params"] == 0
+    if family == "circle" and provenance != "series":
+        run_sweep(
+            SweepSpec(family=family, pair=SectorPair.TOTAL, truncation=8, **axes),
+            provenance=provenance,
+        )
+        assert counts["params"] == 6
 
 
 @pytest.mark.parametrize("provenance", ["closed_form", "both"])
