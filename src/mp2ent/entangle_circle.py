@@ -61,7 +61,6 @@ from .numerics import (
     DEFAULT_TERMS,
     SeriesValue,
     abs_sq,
-    log_factorial_array,
     stable_inner,
     stable_norm_sq,
 )
@@ -269,12 +268,13 @@ class EntangledPair:
         )
 
     def closed_form(
-        self, first, second, label, label_prime, pair: SectorPair, rho: float
+        self, first, second, label, label_prime, pair: SectorPair, rho: float,
+        terms: int = DEFAULT_TERMS,
     ) -> float:
         """:func:`pair_closed_form` of this pair."""
         return pair_closed_form(
             self.record, first, second, label, label_prime, pair, rho,
-            self.swap_sign, self.amp_prefactor,
+            self.swap_sign, self.amp_prefactor, terms,
         )
 
 
@@ -323,17 +323,52 @@ def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[list[float], lis
         ], row_tails
 
 
-def gram_half(slots: SlotMap, var, label, label_prime, parity: Parity):
-    """One half of :func:`pair_closed_form`'s Gram form: (N(u), N(v), G(u, v))
-    of the sector slots u = (var, label) and v = (var, label')."""
+def gram_half(
+    slots: SlotMap, var, label, label_prime, parity: Parity | None, terms: int = DEFAULT_TERMS
+):
+    """One half of :func:`pair_closed_form`'s Gram form for the slots
+    u = (var, label) and v = (var, label'): (N(u), N(v), G(u, v), T(u), T(v)),
+    T the bound on a slot's dropped l^2 tail.
+
+    A sector's G is its whole series, one hyperbolic function, so its T are
+    0.  The grouped total slots (``parity`` None) c_n = t_2n + t_(2n+1) give
+    the ``terms``-term sum, with A_e, A_o from ``slots.amps``,
+
+        G(a, b) = sum_(n<N) x^(2n)/(2n)! conj(b_n(a)) b_n(b),
+        x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)),
+
+    and their T are the grouped slots' fock_series tails.
+    """
     if slots.g is not None:
         raise ValueError("pair_closed_form needs a record without a log-weight")
-    f = _SECTOR_FUNCS[parity]
     zu, zv = slots.z(var, label), slots.z(var, label_prime)
+    if parity is None:
+        root = 2.0 * np.sqrt(2.0 * np.arange(terms) + 1.0)
+        k = 2.0 * np.arange(1, terms)
+
+        def b_n(z):  # (re, im)
+            even, odd = slots.amps(var, z)
+            return even + odd * z.real / root, odd * z.imag / root
+
+        def gram(za, zb, ba, bb):
+            # x^(2n)/(2n)! by its term ratios, in real arithmetic: at a = b,
+            # x and every product are real exactly, so G(a, a) is real
+            x = za.conjugate() * zb * 0.25
+            w = np.cumprod(np.concatenate(([1.0 + 0j], x * x / ((k - 1.0) * k))))
+            cr, ci = ba[0] * bb[0] + ba[1] * bb[1], ba[0] * bb[1] - ba[1] * bb[0]
+            return complex(np.sum(w.real * cr - w.imag * ci), np.sum(w.real * ci + w.imag * cr))
+
+        bu, bv = b_n(zu), b_n(zv)
+        return (
+            gram(zu, zu, bu, bu).real, gram(zv, zv, bv, bv).real, gram(zu, zv, bu, bv),
+            *(slots(var, lab, None, terms, False).tail_bound for lab in (label, label_prime)),
+        )
+    f = _SECTOR_FUNCS[parity]
     au, av = slots.amps(var, zu)[parity], slots.amps(var, zv)[parity]
     # conj(z_a)/4, the bra side of every G(a, b) below
     cu, cv = zu.conjugate() * 0.25, zv.conjugate() * 0.25
-    return (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real, au * av * f(cu * zv)
+    gu, gv = (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real
+    return gu, gv, au * av * f(cu * zv), 0.0, 0.0
 
 
 # The two Gram halves as (variable, label, label') indices into (first,
@@ -343,10 +378,10 @@ GRAM_HALVES = ((0, 2, 3), (1, 3, 2))
 
 def pair_closed_form(
     slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
-    rho: float, swap_sign: float, amp_prefactor: float,
+    rho: float, swap_sign: float, amp_prefactor: float, terms: int = DEFAULT_TERMS,
 ) -> float:
-    """Closed-form twin of :meth:`EntangledPair.matrix` (conjugated slots) for a
-    sector pair of a record without a log-weight g.
+    """Closed-form twin of :meth:`EntangledPair.matrix` (conjugated slots) for
+    any pair of a record without a log-weight g.
 
     There the sector inner product of two slots a, b is one hyperbolic
     function,
@@ -354,8 +389,9 @@ def pair_closed_form(
         G(a, b) = <a, b> = A_a A_b f(conj(z_a) z_b / 4),   f = cosh or sinh,
 
     (cosh for the even sector) with z_a from ``slots.z`` and A_a the sector's
-    entry of ``slots.amps``, so the norm of  p (u1 u2 + s e^(i rho) v1 v2)
-    is the Gram form
+    entry of ``slots.amps``, and that of two grouped total slots a
+    ``terms``-term sum (:func:`gram_half`), so the norm of
+    p (u1 u2 + s e^(i rho) v1 v2) is the Gram form
 
         P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
                   + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
@@ -364,29 +400,34 @@ def pair_closed_form(
     by the same expression as G, so at coincident labels (v1 = u1, v2 = u2)
     the terms cancel bit for bit.
     """
-    p1, p2 = pair.parities
-    n_u1, n_v1, g1 = gram_half(slots, first, label, label_prime, p1)
-    n_u2, n_v2, g2 = gram_half(slots, second, label_prime, label, p2)
+    p1, p2 = slot_parities(pair)
+    n_u1, n_v1, g1, *_ = gram_half(slots, first, label, label_prime, p1, terms)
+    n_u2, n_v2, g2, *_ = gram_half(slots, second, label_prime, label, p2, terms)
     cross = (swap_sign * cmath.exp(1j * rho) * (g1 * g2).conjugate()).real
     return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
-def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[np.ndarray]:
-    """:func:`pair_closed_form` of ``form`` at every point of a grid, one
-    row at a time.
+def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`pair_closed_form` of ``form`` and the :func:`pair_matrix` tail
+    bound of its truncated sums at every point of a grid, one row at a time.
 
     ``rows`` yields, row by row, the lists (half 1, half 2, rho) of the
     row's points, the halves :func:`gram_half` tuples; a list yielded again
     is converted to arrays once.  The complex products are written out in
     real arithmetic in CPython's order (numpy's complex multiply can round
-    differently), so every value is the per-point one bit for bit.
+    differently), so every value is the per-point one bit for bit.  The
+    tail is _product_tail's expression over the halves' N and T (0 for a
+    sector pair).  Yields, row by row, the values and the tail bounds.
     """
     p_sq, s = form.amp_prefactor**2, form.swap_sign
 
     def halves(items):
-        # N(u), N(v), G(u, v) of each point, interleaved
-        a = np.fromiter(itertools.chain.from_iterable(items), complex, 3 * len(items))
-        return a[0::3].real, a[1::3].real, a[2::3]
+        # N(u), N(v), G(u, v), T(u), T(v) of each point, interleaved; a half
+        # shared by the whole row is converted once and broadcast
+        if all(item is items[0] for item in items):
+            items = items[:1]
+        a = np.fromiter(itertools.chain.from_iterable(items), complex, 5 * len(items))
+        return a[0::5].real, a[1::5].real, a[2::5], a[3::5].real, a[4::5].real
 
     def phases(rhos):
         return np.array([s * cmath.exp(1j * rho) for rho in rhos])
@@ -398,12 +439,14 @@ def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[np.ndarray]:
         for k, items in enumerate(row):
             if items is not seen[k]:
                 seen[k], arrays[k] = items, convert[k](items)
-        (n_u1, n_v1, g1), (n_u2, n_v2, g2), phase = arrays
+        (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), phase = arrays
         gram_re = g1.real * g2.real - g1.imag * g2.imag
         gram_im = g1.real * g2.imag + g1.imag * g2.real
         # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
         cross = phase.real * gram_re + phase.imag * gram_im
-        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
+        tail = n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2
+        tail = tail + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
+        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), 2.0 * p_sq * tail
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term
@@ -458,74 +501,12 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
 
 
 def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
-    """Total-pair probability evaluated term-by-term over (n, m) in the polar
-    decomposition omega = |omega| e^(i theta1), sigma = |sigma| e^(i theta2).
-
-    Per grid point the bracket is
-
-        Q_w(n, phi) Q_s(m, phi') + Q_w(n, phi') Q_s(m, phi)
-            - 2 Re[ e^(i(rho + 2 D (n-m))) G_w(n) G_s(m) ]
-
-    where Q is the squared single-slot bracket and G the interference-pair
-    product; it agrees with probability_series(TOTAL) to machine precision.
-    """
-    phi, phi_p = params.phi.phi, params.phi_prime.phi
-
-    def cross(n: np.ndarray, sq: np.ndarray, zw: float, zs: float) -> np.ndarray:
-        def g_factor(var: Mp2Variable, zdisk: float, phi: float, phi_p: float) -> np.ndarray:
-            z = var.omega * cmath.exp(1j * phi)
-            zp = var.omega * cmath.exp(1j * phi_p)
-            root = math.sqrt(zdisk)
-            return (1.0 + root * (z / 2.0) / sq) * (1.0 + root * (zp.conjugate() / 2.0) / sq)
-
-        g_w = g_factor(params.omega, zw, phi, phi_p)
-        g_s = g_factor(params.sigma, zs, phi_p, phi)
-        phase_n = np.exp(2j * params.delta * n)
-        return -2.0 * (
-            cmath.exp(1j * params.rho) * np.outer(g_w * phase_n, g_s * np.conj(phase_n))
-        ).real
-
-    return _total_sum(params, terms, cross)
-
-
-def _total_sum(params: CirclePairParams, terms: int, cross_block) -> float:
-    """The total-pair sum shared by the corrected and the printed forms,
-
-        1/4 sqrt(Zw Zs) sum_nm w_n w_m [Q_w(n, phi) Q_s(m, phi')
-                                        + Q_w(n, phi') Q_s(m, phi) + X_nm],
-
-    with Gaussian weights w_n = (|omega|^2/4)^(2n)/(2n)! (delta_n0 at a zero
-    modulus).  Only the cross block X = cross_block(n, sqrt(2n + 1), Zw, Zs)
-    differs between the two forms.
-    """
-    n = np.arange(terms)
-    zw = 1.0 - params.omega.modulus**2
-    zs = 1.0 - params.sigma.modulus**2
-    lf = log_factorial_array(2 * terms - 2 if terms > 1 else 0)[2 * n]
-    sq = np.sqrt(2 * n + 1)
-
-    def weights(mod: float) -> np.ndarray:
-        a = mod**2 / 4.0
-        return np.exp(2 * n * math.log(a) - lf) if a > 0 else (n == 0).astype(float)
-
-    def q_factor(mod: float, zdisk: float, theta: float, phi: float) -> np.ndarray:
-        # |1 + Z^(1/2) (z/2)/sqrt(2k+1)|^2 with z = mod e^(i(theta+phi))
-        return (
-            1.0
-            + math.sqrt(zdisk) * mod * math.cos(theta + phi) / sq
-            + zdisk * mod**2 / (4.0 * (2 * n + 1))
-        )
-
-    mw, ms = params.omega.modulus, params.sigma.modulus
-    t1, t2 = params.theta1, params.theta2
-    phi, phi_p = params.phi.phi, params.phi_prime.phi
-    bracket = (
-        np.outer(q_factor(mw, zw, t1, phi), q_factor(ms, zs, t2, phi_p))
-        + np.outer(q_factor(mw, zw, t1, phi_p), q_factor(ms, zs, t2, phi))
-        + cross_block(n, sq, zw, zs)
-    )
-    return 0.25 * math.sqrt(zw * zs) * math.fsum(
-        (np.outer(weights(mw), weights(ms)) * bracket).ravel().tolist()
+    """Total-pair probability: :func:`pair_closed_form` on the grouped total
+    slots, each Gram entry the ``terms``-term sum of :func:`gram_half`; the
+    printed total (verify) with the series-derived cross block."""
+    return CIRCLE_PAIR.closed_form(
+        params.omega, params.sigma, params.phi, params.phi_prime, SectorPair.TOTAL,
+        params.rho, terms,
     )
 
 

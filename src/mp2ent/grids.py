@@ -2,12 +2,11 @@
 
 A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  Each slot of the pair (series)
-or Gram half (a sector pair's closed form) is built once per distinct value
-of the swept axes it reads; :func:`entangle_circle.pair_norm_grid` and
+or Gram half (closed form) is built once per distinct value of the swept
+axes it reads; :func:`entangle_circle.pair_norm_grid` and
 :func:`entangle_circle.pair_closed_form_grid` then take one axis1 row at
-once, equal bit for bit to the per-point kernels.  Only the circle total's
-closed form is evaluated point by point.  Everything runs in a fixed
-row-major order, so output files are byte-identical across runs.  CSV
+once, equal bit for bit to the per-point kernels.  Everything runs in a
+fixed row-major order, so output files are byte-identical across runs.  CSV
 floats are written with 17 significant digits and JSON floats in Python's
 shortest round-trip repr; both read back exactly.
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
-from .entangle_circle import CirclePairParams, SectorPair
+from .entangle_circle import SectorPair
 from .numerics import DEFAULT_TERMS
 from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
 
@@ -261,10 +260,12 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
     across runs.  The family's kernels and the convention's scale are read
     once.  The series column is one :func:`entangle_circle.pair_norm_grid`
-    call over the slots of :func:`_grid_rows`, a sector pair's closed form
-    one :func:`entangle_circle.pair_closed_form_grid` call over its Gram
-    halves (under ``both`` the two must agree within 1e-9 plus the tail
-    bound, or the first point that does not is named).  A point that fails
+    call over the slots of :func:`_grid_rows`, the closed form one
+    :func:`entangle_circle.pair_closed_form_grid` call over its Gram halves
+    (under ``both`` the two must agree within 1e-9 plus the series tail
+    bound, or the first point that does not is named; under ``closed_form``
+    the tail is that of the closed form's truncated sums, 0 for a sector
+    pair).  A point that fails
     (invalid input or an arithmetic overflow) aborts naming the point;
     domain checks are ``SweepSpec``'s, which checks every value it can
     emit."""
@@ -282,28 +283,23 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     scale = form.record.prefactor**4 if spec.convention == "full" else 1.0
     fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
     fixed.update(spec.fixed)
-    values, tail_max = np.empty((spec.axis1.steps, spec.axis2.steps)), 0.0
+    values = np.empty((spec.axis1.steps, spec.axis2.steps))
+    tails = np.empty_like(values)
     if provenance != "closed_form":
-        tails = np.empty_like(values)
         slots = _grid_rows(spec, form.record, components, fixed)
         rows = entangle_circle.pair_norm_grid(form, slots)
         for i, (row_values, row_tails) in enumerate(rows):
             values[i], tails[i] = row_values, row_tails
         values *= scale
         tails *= scale
-        tail_max = float(tails.max())
         if provenance == "series":
-            return ProbabilityGrid(spec, values, tail_max, provenance)
-    if pair is SectorPair.TOTAL:
-        closed_rows = _total_rows(spec, fixed)
-    else:
-        halves = _grid_rows(spec, form.record, components, fixed, halves=True)
-        closed_rows = entangle_circle.pair_closed_form_grid(form, halves)
+            return ProbabilityGrid(spec, values, float(tails.max()), provenance)
+    halves = _grid_rows(spec, form.record, components, fixed, halves=True)
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    for i, row in enumerate(closed_rows):
+    for i, (row, row_tails) in enumerate(entangle_circle.pair_closed_form_grid(form, halves)):
         closed = scale * row
         if provenance == "closed_form":
-            values[i] = _clamp_residue(closed)
+            values[i], tails[i] = _clamp_residue(closed), scale * row_tails
             continue
         off = np.abs(values[i] - closed) > 1e-9 + tails[i]
         if off.any():
@@ -312,25 +308,7 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
                 f"series/closed-form disagreement at ({ax1[i]}, {ax2[j]}): "
                 f"{float(values[i, j])} vs {float(closed[j])}"
             )
-    return ProbabilityGrid(spec, values, tail_max, provenance)
-
-
-def _total_rows(spec: SweepSpec, fixed: dict[str, float]):
-    """Yield, row by row, the circle total closed form, point by point."""
-    name1, name2 = spec.axis1.name, spec.axis2.name
-    for v1 in spec.axis1.values():
-        row = []
-        for v2 in spec.axis2.values():
-            v = {**fixed, name1: v1, name2: v2}
-            try:
-                params = CirclePairParams(
-                    _polar(v["omega"], v["arg_omega"]), _polar(v["sigma"], v["arg_sigma"]),
-                    CircleLabel(v["phi"]), CircleLabel(v["phi_prime"]), v["rho"],
-                )
-                row.append(entangle_circle.closed_form_total(params, spec.truncation))
-            except (ValueError, ArithmeticError) as exc:
-                raise GridDomainError(f"point ({name1}={v1}, {name2}={v2}): {exc}") from exc
-        yield np.array(row)
+    return ProbabilityGrid(spec, values, float(tails.max()), provenance)
 
 
 def _grid_rows(
@@ -372,7 +350,7 @@ def _grid_rows(
         role = roles[k - len(components)]
         parts, parity = [items[c][j] for c in role], parities[role[0]]
         if halves:
-            return entangle_circle.gram_half(record, *parts, parity)
+            return entangle_circle.gram_half(record, *parts, parity, terms)
         return record(*parts, parity, terms, False)
 
     rhos = ax2 if name2 == "rho" else [fixed["rho"]] * n2

@@ -252,7 +252,47 @@ def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TER
         cosblock = np.cos(params.rho + (phi_p - phi) * np.subtract.outer(n, n))
         return cosblock * (a_mat * b_mat - c_mat * d_mat)
 
-    return entangle_circle._total_sum(params, terms, cross)
+    return _total_sum(params, terms, cross)
+
+
+def _total_sum(params: CirclePairParams, terms: int, cross_block) -> float:
+    """The printed total-pair sum,
+
+        1/4 sqrt(Zw Zs) sum_nm w_n w_m [Q_w(n, phi) Q_s(m, phi')
+                                        + Q_w(n, phi') Q_s(m, phi) + X_nm],
+
+    with Gaussian weights w_n = (|omega|^2/4)^(2n)/(2n)! (delta_n0 at a zero
+    modulus) and the printed cross block X = cross_block(n, sqrt(2n + 1), Zw, Zs).
+    """
+    n = np.arange(terms)
+    zw = 1.0 - params.omega.modulus**2
+    zs = 1.0 - params.sigma.modulus**2
+    lf = log_factorial_array(2 * terms - 2 if terms > 1 else 0)[2 * n]
+    sq = np.sqrt(2 * n + 1)
+
+    def weights(mod: float) -> np.ndarray:
+        a = mod**2 / 4.0
+        return np.exp(2 * n * math.log(a) - lf) if a > 0 else (n == 0).astype(float)
+
+    def q_factor(mod: float, zdisk: float, theta: float, phi: float) -> np.ndarray:
+        # |1 + Z^(1/2) (z/2)/sqrt(2k+1)|^2 with z = mod e^(i(theta+phi))
+        return (
+            1.0
+            + math.sqrt(zdisk) * mod * math.cos(theta + phi) / sq
+            + zdisk * mod**2 / (4.0 * (2 * n + 1))
+        )
+
+    mw, ms = params.omega.modulus, params.sigma.modulus
+    t1, t2 = params.theta1, params.theta2
+    phi, phi_p = params.phi.phi, params.phi_prime.phi
+    bracket = (
+        np.outer(q_factor(mw, zw, t1, phi), q_factor(ms, zs, t2, phi_p))
+        + np.outer(q_factor(mw, zw, t1, phi_p), q_factor(ms, zs, t2, phi))
+        + cross_block(n, sq, zw, zs)
+    )
+    return 0.25 * math.sqrt(zw * zs) * math.fsum(
+        (np.outer(weights(mw), weights(ms)) * bracket).ravel().tolist()
+    )
 
 
 # --------------------------------------------------------------------------

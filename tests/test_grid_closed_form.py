@@ -1,11 +1,13 @@
 """The whole-grid closed-form column against the point-by-point reference.
 
-A sector pair's closed form is one ``entangle_circle.pair_closed_form_grid``
-call over the pair's Gram halves, each built once per distinct value of
-the swept axes it reads.  Here every value must equal ``closed_form_P`` or
+Every closed form, the circle total's included, is one
+``entangle_circle.pair_closed_form_grid`` call over the pair's Gram halves,
+each built once per distinct value of the swept axes it reads.  Here every
+value must equal ``closed_form_P``, ``closed_form_total`` or
 ``closed_form_coset`` at that point bit for bit, coincident labels must give
-exactly 0, and a failing or disagreeing sweep must name the first point in
-row-major order, as the per-point loop did.
+exactly 0, the total's truncated sums must report the series tail bound,
+and a failing or disagreeing sweep must name the first point in row-major
+order, as the per-point loop did.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from mp2ent import entangle_circle, entangle_coset
-from mp2ent.entangle_circle import CirclePairParams, SectorPair, closed_form_P
+from mp2ent.entangle_circle import CirclePairParams, SectorPair, closed_form_P, closed_form_total
 from mp2ent.entangle_coset import CosetPairParams, closed_form_coset
 from mp2ent.grids import PARAMETERS, AxisSpec, GridDomainError, SweepSpec, run_sweep
 from mp2ent.states import CircleLabel, CosetLabel
@@ -45,6 +47,9 @@ def _point_by_point(spec):
     """The closed-form sweep one point at a time, with the residue clamp, or
     the GridDomainError of the first point that fails."""
     closed_form = closed_form_P if spec.family == "circle" else closed_form_coset
+    if spec.pair is SectorPair.TOTAL:
+        def closed_form(params, pair):
+            return closed_form_total(params, spec.truncation)
     fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
     fixed.update(spec.fixed)
     scale = SCALE[spec.family] if spec.convention == "full" else 1.0
@@ -90,7 +95,7 @@ AXIS_PAIRS = {
 CASES = [(family, axes) for family, pairs in AXIS_PAIRS.items() for axes in pairs]
 
 
-def _spec(family, axes, pair, convention, fixed=None):
+def _spec(family, axes, pair, convention, fixed=None, terms=12):
     """A 4 x 5 sweep along ``axes``; the other parameters at ``fixed``."""
     (name1, (lo1, hi1)), (name2, (lo2, hi2)) = ((name, RANGES[name]) for name in axes)
     fixed = FIXED[family] if fixed is None else fixed
@@ -98,7 +103,7 @@ def _spec(family, axes, pair, convention, fixed=None):
         family=family, pair=pair, axis1=AxisSpec(name1, lo1, hi1, 4),
         axis2=AxisSpec(name2, lo2, hi2, 5),
         fixed=tuple((k, v) for k, v in fixed.items() if k not in axes),
-        truncation=12, convention=convention,
+        truncation=terms, convention=convention,
     )
 
 
@@ -113,6 +118,34 @@ def test_grid_closed_form_equals_the_per_point_kernel_bit_for_bit(
     spec = _spec(family, axes, pair, convention)
     grid = run_sweep(spec, "closed_form")
     assert grid.values.tobytes() == _point_by_point(spec).tobytes()
+
+
+# the circle total along axes read by one half, both halves, or the phase
+TOTAL_AXES = [("omega", "sigma"), ("phi", "rho"), ("arg_omega", "phi_prime"), ("phi", "phi_prime")]
+
+
+@pytest.mark.parametrize("convention", ["stripped", "full"])
+@pytest.mark.parametrize("terms", [1, 6, 40])
+@pytest.mark.parametrize("axes", TOTAL_AXES, ids="x".join)
+def test_total_grid_closed_form_equals_closed_form_total_bit_for_bit(axes, terms, convention):
+    spec = _spec("circle", axes, SectorPair.TOTAL, convention, terms=terms)
+    grid = run_sweep(spec, "closed_form")
+    assert grid.values.tobytes() == _point_by_point(spec).tobytes()
+
+
+@pytest.mark.parametrize("convention", ["stripped", "full"])
+@pytest.mark.parametrize("terms", [1, 2, 6])
+@pytest.mark.parametrize("axes", TOTAL_AXES, ids="x".join)
+def test_total_closed_form_grid_reports_the_series_tail(axes, terms, convention):
+    # the total's Gram entries are truncated sums, so the grid reports the
+    # series pair tail; a sector pair's closed form is exact and reports 0
+    spec = _spec("circle", axes, SectorPair.TOTAL, convention, terms=terms)
+    closed = run_sweep(spec, "closed_form").tail_bound_max
+    assert closed > 0.0
+    assert closed == pytest.approx(run_sweep(spec, "series").tail_bound_max, rel=1e-12, abs=0.0)
+    for pair in SECTOR_PAIRS:
+        spec = _spec("circle", axes, pair, convention, terms=terms)
+        assert run_sweep(spec, "closed_form").tail_bound_max == 0.0
 
 
 # labels equal, and the phase at which the family's swapped term cancels
@@ -134,17 +167,27 @@ def test_coincident_labels_give_exactly_zero_on_the_grid(family, pair, axes):
         assert np.all(grid.values == 0.0)
 
 
+@pytest.mark.parametrize("terms", [1, 6, 40])
+@pytest.mark.parametrize("axes", [("omega", "sigma"), ("arg_omega", "arg_sigma")])
+def test_coincident_labels_give_exactly_zero_total_on_the_grid(axes, terms):
+    # the total's Gram form cancels bit for bit, as the sector pairs' does
+    fixed = {**FIXED["circle"], **COINCIDENT["circle"]}
+    for convention in ("stripped", "full"):
+        spec = _spec("circle", axes, SectorPair.TOTAL, convention, fixed, terms)
+        assert np.all(run_sweep(spec, "closed_form").values == 0.0)
+
+
 def _shifted(offsets):
     """A pair_closed_form_grid that adds ``offsets[(i, j)]`` to point (i, j)."""
     kernel = entangle_circle.pair_closed_form_grid
 
     def shifted(form, rows):
-        for i, row in enumerate(kernel(form, rows)):
+        for i, (row, tails) in enumerate(kernel(form, rows)):
             row = row.copy()
             for (oi, oj), offset in offsets.items():
                 if oi == i:
                     row[oj] += offset
-            yield row
+            yield row, tails
 
     return shifted
 

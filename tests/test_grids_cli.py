@@ -502,10 +502,10 @@ def test_sweep_looks_kernels_up_at_call_time(monkeypatch, family):
 def test_closed_form_sweep_calls_its_kernel_once_per_point(
     monkeypatch, family, pair, kernel, provenance
 ):
-    # only the circle total's closed form still runs once per point (6 on a
-    # 3 x 2 grid); a sector pair's is one grid-kernel call, with no
-    # per-point closed_form_P or closed_form_coset.  Both kernels are looked
-    # up on their modules at call time.
+    # every closed-form column, the circle total's included, is one
+    # grid-kernel call, with no per-point closed_form_P, closed_form_total
+    # or closed_form_coset.  Both kernels are looked up on their modules at
+    # call time.
     owner = importlib.import_module(f"mp2ent.entangle_{family}")
     counts = {kernel: 0, "pair_closed_form_grid": 0}
     monkeypatch.setattr(owner, kernel, _counting(counts, kernel, getattr(owner, kernel)))
@@ -519,17 +519,15 @@ def test_closed_form_sweep_calls_its_kernel_once_per_point(
         axis2=AxisSpec("sigma", 0.1, 0.5, 2), truncation=8,
     )
     run_sweep(spec, provenance=provenance)
-    total = pair is SectorPair.TOTAL
-    assert counts == {kernel: 6 if total else 0, "pair_closed_form_grid": 0 if total else 1}
+    assert counts == {kernel: 0, "pair_closed_form_grid": 1}
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)
 @pytest.mark.parametrize("family", ["circle", "coset"])
 def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
-    # a sector-pair sweep builds no params dataclass in either column: the
-    # series slots and the closed form's Gram halves are built from the pair
-    # components.  Only the circle total's closed form builds one params per
-    # point.
+    # a sweep builds no params dataclass in either column, for the circle
+    # total too: the series slots and the closed form's Gram halves are
+    # built from the pair components.
     counts = {"params": 0}
     for cls in (CirclePairParams, CosetPairParams):
         monkeypatch.setattr(
@@ -541,12 +539,12 @@ def test_sweep_builds_each_point_params_once(monkeypatch, family, provenance):
         provenance=provenance,
     )
     assert counts["params"] == 0
-    if family == "circle" and provenance != "series":
+    if family == "circle":
         run_sweep(
             SweepSpec(family=family, pair=SectorPair.TOTAL, truncation=8, **axes),
             provenance=provenance,
         )
-        assert counts["params"] == 6
+        assert counts["params"] == 0
 
 
 @pytest.mark.parametrize("provenance", ["closed_form", "both"])
