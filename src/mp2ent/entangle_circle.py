@@ -18,7 +18,8 @@ v1 = mu u1 + r with mu = <u1, v1>/|u1|^2 and r orthogonal to u1 gives
 two orthogonal terms, so no cancellation happens between them; each norm
 and inner product is an exactly rounded math.fsum of N products
 (:func:`pair_norm_grid` evaluates the same expressions over a sweep grid,
-one row of points at a time).  With
+one axis1 row of points at a time in numpy; a slot, phase or Gram half
+shared by the whole row comes as a one-element list and is broadcast).  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
 first-order rounding analysis (complex products to sqrt(2) gamma_2, the
 projection error |d mu| <= 8 u |v1|/|u1|, |d r| <= 13 u |v1|,
@@ -286,41 +287,77 @@ def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float
     return uu, mu, stable_norm_sq(v1.terms - mu * u1.terms)
 
 
-def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[list[float], list[float]]]:
+def _converted(rows, converters):
+    """Yield, row by row, each converter's arrays over its lists of the row.
+
+    ``converters`` holds (function, index, ...) entries, the indices those
+    of the row lists the function reads.  A list stays the same object for
+    as long as its items do not change (:func:`mp2ent.grids._grid_rows`), so
+    a function is called again only when one of its lists is new.
+    """
+    seen: list = [None] * len(converters)
+    arrays: list = [None] * len(converters)
+    for row in rows:
+        for k, (convert, *indices) in enumerate(converters):
+            lists = [row[i] for i in indices]
+            if seen[k] is None or any(new is not old for new, old in zip(lists, seen[k])):
+                seen[k], arrays[k] = lists, convert(*lists)
+        yield tuple(arrays)
+
+
+def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:meth:`CoefficientMatrix.norm_sq` and the :func:`pair_matrix` tail
     bound of ``form`` at every point of a grid, one row at a time.
 
     ``rows`` yields, row by row, the lists (u1, u2, v1, v2, rho) of the
-    row's points; a slot met at several points is one shared object.
-    |u1|^2, mu and |r|^2 are taken once per distinct (u1, v1).  The row's
-    w = u2 + f mu v2 is one (n, N) array, and |w|^2 one fsum per point.
-    Every float expression is that of pair_matrix, norm_sq and
+    row's points, one entry per point or one that the whole row shares; a
+    list is converted to arrays once (:func:`_converted`), and a slot met at
+    several points is one shared object.  |u1|^2, mu and |r|^2 are taken
+    once per distinct (u1, v1).  The row's w = u2 + f mu v2 is one (n, N)
+    array, f mu in real arithmetic in CPython's order, and |w|^2 one fsum
+    per point.  Every float expression is that of pair_matrix, norm_sq and
     _product_tail, so each value and tail is the per-point one bit for bit.
     Yields, row by row, the values and the tail bounds of the row's points.
     """
     p = form.amp_prefactor
     tail_scale = 2.0 * p**2
     projected: dict = {}
-    for u1s, u2s, v1s, v2s, rhos in rows:
-        fmu, parts, row_tails = [], [], []
-        for u1, u2, v1, v2, rho in zip(u1s, u2s, v1s, v2s, rhos):
-            phase = form.swap_sign * cmath.exp(1j * rho)
-            if form.conjugate:
-                phase = phase.conjugate()
-            stats = projected.get((u1, v1))
-            if stats is None:
-                stats = projected[u1, v1] = _projection(u1, v1)
-            uu, mu, rr = stats
-            fmu.append(phase * mu)
-            parts.append((uu, abs(phase) ** 2 * rr * v2.norm_sq()))
-            row_tails.append(tail_scale * (_product_tail(u1, u2) + _product_tail(v1, v2)))
-        u2_row = np.array([u2.terms for u2 in u2s])
-        v2_row = np.array([v2.terms for v2 in v2s])
-        w = u2_row + np.array(fmu)[:, None] * v2_row
-        yield [
-            p * p * (uu * math.fsum(ww) + rest)
-            for (uu, rest), ww in zip(parts, abs_sq(w).tolist())
-        ], row_tails
+
+    def slots(items):
+        # |s|^2, the tail bound and the terms of each slot
+        stats = ((slot.norm_sq(), slot.tail_bound, slot.terms) for slot in items)
+        return [np.array(column) for column in zip(*stats)]
+
+    def phases(rhos):
+        # f = s e^(i rho), conjugated on the bra side, and |f|^2
+        f = [form.swap_sign * cmath.exp(1j * rho) for rho in rhos]
+        f = np.array([phase.conjugate() for phase in f] if form.conjugate else f)
+        return f.real, f.imag, np.array([abs(phase) ** 2 for phase in f.tolist()])
+
+    def projections(u1s, v1s):
+        # |u1|^2, mu, |r|^2, T(u1), |v1|^2 and T(v1) of each point, once
+        # per distinct (u1, v1)
+        n = max(len(u1s), len(v1s))
+        stats = []
+        for u1, v1 in zip(u1s * (n // len(u1s)), v1s * (n // len(v1s))):
+            if (u1, v1) not in projected:
+                projected[u1, v1] = (
+                    *_projection(u1, v1), u1.tail_bound, v1.norm_sq(), v1.tail_bound
+                )
+            stats.append(projected[u1, v1])
+        return [np.array(column) for column in zip(*stats)]
+
+    converted = _converted(rows, ((projections, 0, 2), (slots, 1), (slots, 3), (phases, 4)))
+    for (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), f in converted:
+        f_re, f_im, f_sq = f
+        fmu = np.empty(np.broadcast(f_re, mu).shape, complex)
+        fmu.real = f_re * mu.real - f_im * mu.imag
+        fmu.imag = f_re * mu.imag + f_im * mu.real
+        w = u2 + fmu[:, None] * v2
+        w_sq = np.fromiter(map(math.fsum, abs_sq(w).tolist()), float, len(w))
+        # _product_tail(u1, u2) + _product_tail(v1, v2), |u1|^2 = uu
+        tails = uu * t_u2 + t_u1 * n_u2 + t_u1 * t_u2 + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
+        yield p * p * (uu * w_sq + f_sq * rr * n_v2), tail_scale * tails
 
 
 def gram_half(
@@ -412,41 +449,37 @@ def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarra
     bound of its truncated sums at every point of a grid, one row at a time.
 
     ``rows`` yields, row by row, the lists (half 1, half 2, rho) of the
-    row's points, the halves :func:`gram_half` tuples; a list yielded again
-    is converted to arrays once.  The complex products are written out in
-    real arithmetic in CPython's order (numpy's complex multiply can round
+    row's points, the halves :func:`gram_half` tuples, as for
+    :func:`pair_norm_grid`.  The complex products are written out in real
+    arithmetic in CPython's order (numpy's complex multiply can round
     differently), so every value is the per-point one bit for bit.  The
-    tail is _product_tail's expression over the halves' N and T (0 for a
-    sector pair).  Yields, row by row, the values and the tail bounds.
+    tail is _product_tail's expression over the halves' N and T, and 0.0
+    without arithmetic where every T is 0 (a sector pair).  Yields, row by
+    row, the values and the tail bounds.
     """
     p_sq, s = form.amp_prefactor**2, form.swap_sign
 
     def halves(items):
-        # N(u), N(v), G(u, v), T(u), T(v) of each point, interleaved; a half
-        # shared by the whole row is converted once and broadcast
-        if all(item is items[0] for item in items):
-            items = items[:1]
+        # N(u), N(v), G(u, v), T(u), T(v) of each point, interleaved, and
+        # whether any T is nonzero (a sector's never is)
         a = np.fromiter(itertools.chain.from_iterable(items), complex, 5 * len(items))
-        return a[0::5].real, a[1::5].real, a[2::5], a[3::5].real, a[4::5].real
+        t_u, t_v = a[3::5].real, a[4::5].real
+        return a[0::5].real, a[1::5].real, a[2::5], t_u, t_v, bool(t_u.any() or t_v.any())
 
     def phases(rhos):
         return np.array([s * cmath.exp(1j * rho) for rho in rhos])
 
-    convert = (halves, halves, phases)
-    seen: list = [None] * 3
-    arrays: list = [None] * 3
-    for row in rows:
-        for k, items in enumerate(row):
-            if items is not seen[k]:
-                seen[k], arrays[k] = items, convert[k](items)
-        (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), phase = arrays
+    for half1, half2, phase in _converted(rows, ((halves, 0), (halves, 1), (phases, 2))):
+        (n_u1, n_v1, g1, t_u1, t_v1, tailed1), (n_u2, n_v2, g2, t_u2, t_v2, tailed2) = half1, half2
         gram_re = g1.real * g2.real - g1.imag * g2.imag
         gram_im = g1.real * g2.imag + g1.imag * g2.real
         # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
         cross = phase.real * gram_re + phase.imag * gram_im
-        tail = n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2
-        tail = tail + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
-        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), 2.0 * p_sq * tail
+        tail = 0.0
+        if tailed1 or tailed2:
+            tail = n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2
+            tail = 2.0 * p_sq * (tail + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2))
+        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), tail
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

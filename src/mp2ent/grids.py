@@ -316,7 +316,10 @@ def _grid_rows(
 ):
     """Yield, row by row, the lists of the slots (u1, u2, v1, v2) or, with
     ``halves``, the two Gram halves of the points of each axis1 row, and
-    their phases rho.  A yielded list is never changed afterwards.
+    their phases rho.  A list holds one item per axis2 value, or a single
+    item where it does not vary along axis2; such a one-element list stays
+    the same object for as long as its item does, so a kernel converts it
+    once and broadcasts it.  A yielded list is never changed afterwards.
 
     A component reads some parameter names, and a slot or half those of its
     components; each is built once per distinct value of the axes among
@@ -338,7 +341,7 @@ def _grid_rows(
     reads += [set().union(*(reads[c] for c in role)) for role in roles]
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
-    items: list[list] = [[None] * n2 for _ in reads]
+    items: list[list] = [[] for _ in reads]
     order = (2, 3, 0, 1) + tuple(range(len(components), len(reads)))
 
     def build(k: int, i: int, j: int):
@@ -348,12 +351,13 @@ def _grid_rows(
                 *(ax1[i] if n == name1 else ax2[j] if n == name2 else fixed[n] for n in names)
             )
         role = roles[k - len(components)]
-        parts, parity = [items[c][j] for c in role], parities[role[0]]
+        parts = [items[c][j if on2[c] else 0] for c in role]
+        parity = parities[role[0]]
         if halves:
             return entangle_circle.gram_half(record, *parts, parity, terms)
         return record(*parts, parity, terms, False)
 
-    rhos = ax2 if name2 == "rho" else [fixed["rho"]] * n2
+    rhos = ax2 if name2 == "rho" else [fixed["rho"]]
     for i, v1 in enumerate(ax1):
         # the items whose axes take a new value in this row: built at its
         # first point, and (those on axis2) again at every later point
@@ -368,10 +372,10 @@ def _grid_rows(
                     if on2[k]:
                         items[k][j] = item
                     else:
-                        items[k] = [item] * n2
+                        items[k] = [item]
             except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(f"point ({name1}={v1}, {name2}={ax2[j]}): {exc}") from exc
-        yield (*items[len(components):], [v1] * n2 if name1 == "rho" else rhos)
+        yield (*items[len(components):], [v1] if name1 == "rho" else rhos)
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:
@@ -386,13 +390,15 @@ def _fmt(x: float) -> str:
 
 def grid_to_csv(grid: ProbabilityGrid) -> str:
     """Header ``axis1,axis2,value``; one row per point, row-major in axis1.
-    Each axis value is formatted once."""
-    ax1 = [_fmt(v) for v in grid.spec.axis1.values()]
-    ax2 = [_fmt(v) for v in grid.spec.axis2.values()]
-    lines = ["axis1,axis2,value"]
-    for v1, row in zip(ax1, grid.values.tolist()):
-        lines.extend(f"{v1},{v2},{_fmt(value)}" for v2, value in zip(ax2, row))
-    return "\n".join(lines) + "\n"
+    Each axis value is formatted once, and each axis1 row is one ``%`` of
+    its template ``{a1},{a2},%.17g`` per line (``'%.17g' % x`` is
+    ``format(x, '.17g')``) over the row's values."""
+    ax2 = [f",{_fmt(v)},%.17g\n" for v in grid.spec.axis2.values()]
+    rows = ["axis1,axis2,value\n"]
+    for v1, row in zip(grid.spec.axis1.values(), grid.values.tolist()):
+        a1 = _fmt(v1)
+        rows.append((a1 + a1.join(ax2)) % tuple(row))
+    return "".join(rows)
 
 
 def grid_to_json(grid: ProbabilityGrid) -> str:

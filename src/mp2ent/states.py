@@ -55,7 +55,10 @@ LOG_DBL_MAX = math.log(sys.float_info.max)
 # distinct slots once and holds them for the sweep; the memo serves reruns
 # and the per-point pair builders.  A 64 x 64 sweep on the default axes has
 # at most 256 distinct slots, so 1024 keeps a few such sweeps warm; at
-# N = 40 an entry holds about 1.1 kB (tracemalloc).
+# N = 40 an entry holds about 1.1 kB (tracemalloc).  A cycle of 16 default
+# sweeps (4 families x 4 pairs, as in perfbench) meets about 4096 distinct
+# slots at 64 x 64 and 6144 at 96 x 96, so a rerun of the cycle misses the
+# memo on every slot; its only hits are slots shared within one sweep.
 SLOT_MEMO_SIZE = 1024
 
 # A sector tail bound a/(1 - r) is widened by TAIL_MARGIN_ULPS eps (1 + 2s),

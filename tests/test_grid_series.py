@@ -7,6 +7,8 @@ equal the family's ``probability_series*`` at that point bit for bit,
 the first failing point with the per-point loop's message.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,19 +104,27 @@ RANGES = {
     "omega": (0.0, 0.9), "sigma": (0.1, 0.9), "phi": (0.0, 6.0), "rho": (-1.0, 4.0),
     "phi_prime": (0.0, 3.0), "l": (-1.5, 1.5), "l_prime": (-1.0, 2.0),
     "alpha_im": (0.5, 2.0), "x": (-1.0, 1.0), "alpha": (0.0, 1.9), "arg_alpha": (0.0, 3.0),
-    "beta": (0.2, 1.9),
+    "beta": (0.2, 1.9), "arg_omega": (-1.0, 2.0), "arg_sigma": (0.5, 3.0),
+    "arg_beta": (-2.0, 1.0),
 }
+# the last three of each family's pairs: u1 and v1 vary along axis2 only
+# (the reversed variables, phi' x phi), and only the arguments are swept
 AXIS_PAIRS = {
-    "circle": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma")],
-    "cylinder": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("l", "l_prime")],
-    "coset": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("alpha_im", "x")],
-    "cat": [None, ("phi", "rho"), ("alpha", "arg_alpha"), ("rho", "beta")],
+    "circle": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"),
+               ("sigma", "omega"), ("phi_prime", "phi"), ("arg_omega", "arg_sigma")],
+    "cylinder": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("l", "l_prime"),
+                 ("sigma", "omega"), ("phi_prime", "phi"), ("arg_omega", "arg_sigma")],
+    "coset": [None, ("phi", "rho"), ("omega", "phi_prime"), ("rho", "sigma"), ("alpha_im", "x"),
+              ("sigma", "omega"), ("phi_prime", "phi"), ("arg_omega", "arg_sigma")],
+    "cat": [None, ("phi", "rho"), ("alpha", "arg_alpha"), ("rho", "beta"),
+            ("beta", "alpha"), ("phi_prime", "phi"), ("arg_alpha", "arg_beta")],
 }
 CASES = [(family, axes) for family, pairs in AXIS_PAIRS.items() for axes in pairs]
 
 
-def _spec(family, axes, pair, convention):
-    """A 4 x 3 sweep along ``axes`` (None: the default axes) at N = 12."""
+def _spec(family, axes, pair, convention, truncation=12):
+    """A 4 x 3 sweep along ``axes`` (None: the default axes), N = 12 unless
+    ``truncation`` is given."""
     if axes is None:
         (name1, lo1, hi1, _), (name2, lo2, hi2, _) = DEFAULT_AXES[family]
     else:
@@ -123,8 +133,18 @@ def _spec(family, axes, pair, convention):
         family=family, pair=pair, axis1=AxisSpec(name1, lo1, hi1, 4),
         axis2=AxisSpec(name2, lo2, hi2, 3),
         fixed=tuple((k, v) for k, v in FIXED[family].items() if k not in (name1, name2)),
-        truncation=12, convention=convention,
+        truncation=truncation, convention=convention,
     )
+
+
+def _assert_equals_point_by_point(spec, values, tail_max):
+    """run_sweep(spec), and under ``both`` where the family's closed form
+    covers the pair, equals the point-by-point values and tail bit for bit."""
+    covered = CLOSED_FORM_PAIRS.get(spec.family, ())
+    for provenance in ["series"] + (["both"] if spec.pair in covered else []):
+        grid = run_sweep(spec, provenance)
+        assert grid.values.tobytes() == values.tobytes()
+        assert grid.tail_bound_max == tail_max
 
 
 @pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
@@ -134,12 +154,36 @@ def _spec(family, axes, pair, convention):
 def test_grid_equals_the_per_point_series_bit_for_bit(family, axes, pair):
     for convention in ("stripped", "full"):
         spec = _spec(family, axes, pair, convention)
-        values, tail_max = _point_by_point(spec)
-        provenances = ["series"] + (["both"] if pair in CLOSED_FORM_PAIRS.get(family, ()) else [])
-        for provenance in provenances:
-            grid = run_sweep(spec, provenance)
-            assert grid.values.tobytes() == values.tobytes()
-            assert grid.tail_bound_max == tail_max
+        _assert_equals_point_by_point(spec, *_point_by_point(spec))
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
+@pytest.mark.parametrize("truncation", [1, 40])
+@pytest.mark.parametrize("family", list(FIXED))
+def test_grid_equals_the_per_point_series_at_truncation_1_and_40(family, truncation, pair):
+    for convention in ("stripped", "full"):
+        spec = _spec(family, None, pair, convention, truncation)
+        try:
+            values, tail_max = _point_by_point(spec)
+        except GridDomainError as expected:
+            # cat at truncation 1: an even sector is not yet decaying once
+            # |alpha| passes about 1.86
+            assert (family, truncation) == ("cat", 1)
+            with pytest.raises(GridDomainError) as got:
+                run_sweep(spec)
+            assert str(got.value) == str(expected)
+            continue
+        _assert_equals_point_by_point(spec, values, tail_max)
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
+@pytest.mark.parametrize("family", list(FIXED))
+def test_grid_equals_the_per_point_series_where_the_phase_modulus_is_not_1(family, pair):
+    # |s e^(i rho)|^2 rounds to 1 - 2^-53 at this rho, so the order of the
+    # products |f|^2 |r|^2 N(v2) shows in the last bit
+    spec = _spec(family, None, pair, "stripped")
+    spec = dataclasses.replace(spec, fixed=(*spec.fixed, ("rho", -0.9174587293646823)))
+    _assert_equals_point_by_point(spec, *_point_by_point(spec))
 
 
 @pytest.mark.parametrize(

@@ -152,6 +152,27 @@ class TestSerialization:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == 0.0
 
+    def test_csv_matches_the_per_value_writer(self):
+        # each row is one '%.17g' template; the reference formats each value
+        # with format(x, '.17g'), edge values and random bit patterns included
+        edges = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1e17, sys.float_info.max, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 0x7FF0000000000000, size=40 * 50 - len(edges), dtype=np.uint64)
+        values = np.concatenate([edges, bits.view(float)]).reshape(40, 50)
+        spec = small_spec(
+            axis1=AxisSpec("omega", 0.0, 0.9, 40), axis2=AxisSpec("sigma", 0.1, 0.7, 50)
+        )
+        grid = grids.ProbabilityGrid(spec, values, 0.0, "series")
+
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        lines = ["axis1,axis2,value"]
+        for v1, row in zip(grid.spec.axis1.values(), grid.values):
+            for v2, value in zip(grid.spec.axis2.values(), row):
+                lines.append(f"{fmt(v1)},{fmt(v2)},{fmt(value)}")
+        assert grid_to_csv(grid) == "\n".join(lines) + "\n"
+
     def test_write_is_deterministic(self, tmp_path):
         spec = small_spec(fixed=(("phi", 1.0), ("phi_prime", 0.2), ("rho", 2.0)))
         paths = []
@@ -520,6 +541,66 @@ def test_closed_form_sweep_calls_its_kernel_once_per_point(
     )
     run_sweep(spec, provenance=provenance)
     assert counts == {kernel: 0, "pair_closed_form_grid": 1}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(("reverse", "expected"), [(False, 8), (True, 5)],
+                         ids=["default-axes", "reversed-axes"])
+def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, reverse, expected):
+    # |u1|^2, mu and |r|^2 depend on (u1, v1) only.  On the default axes
+    # both read axis1 (8 distinct pairs on an 8 x 5 grid); reversed, both
+    # read axis2 (5), and the row kernel reuses them on every row.
+    counts = {"_projection": 0}
+    monkeypatch.setattr(
+        entangle_circle, "_projection",
+        _counting(counts, "_projection", entangle_circle._projection),
+    )
+    (name1, lo1, hi1, _), (name2, lo2, hi2, _) = DEFAULT_AXES[family]
+    axes = [AxisSpec(name1, lo1, hi1, 8), AxisSpec(name2, lo2, hi2, 5)]
+    if reverse:
+        axes = [AxisSpec(name2, lo2, hi2, 8), AxisSpec(name1, lo1, hi1, 5)]
+    run_sweep(SweepSpec(family, SectorPair.PP, *axes, truncation=8))
+    assert counts["_projection"] == expected
+
+
+# how each list of a row reads the axes: "fixed" one entry, one list for the
+# whole sweep; "axis1" one entry, a new list each row; "axis2" an entry per
+# axis2 value, one list for the sweep; "both" an entry per axis2 value, a new
+# list each row.  Series rows are (u1, u2, v1, v2, rho), closed-form rows
+# (half 1, half 2, rho); u1 = (omega, phi), u2 = (sigma, phi'),
+# v1 = (omega, phi'), v2 = (sigma, phi), half 1 = (omega, phi, phi'),
+# half 2 = (sigma, phi', phi).
+ROW_LISTS = [
+    ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2")),
+    ("omega", "rho", True, ("axis1", "fixed", "axis2")),
+    ("rho", "phi", False, ("axis2", "fixed", "fixed", "axis2", "axis1")),
+    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed")),
+    ("sigma", "phi", True, ("axis2", "both", "fixed")),
+]
+
+
+@pytest.mark.parametrize(
+    ("name1", "name2", "halves", "kinds"), ROW_LISTS,
+    ids=[f"{a}x{b}-{'halves' if h else 'slots'}" for a, b, h, _ in ROW_LISTS],
+)
+def test_grid_rows_yield_a_row_constant_item_once(name1, name2, halves, kinds):
+    # an item that does not vary along axis2 is a one-element list, and the
+    # same list object for as long as the item does not change
+    spec = SweepSpec(
+        "circle", SectorPair.PM, AxisSpec(name1, 0.1, 0.5, 4), AxisSpec(name2, 0.2, 0.6, 3),
+        truncation=6,
+    )
+    form, components = grids._FAMILY_TABLE["circle"]
+    fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
+    rows = list(grids._grid_rows(spec, form.record, components, fixed, halves))
+    assert len(rows) == 4
+    for k, kind in enumerate(kinds):
+        lists = [row[k] for row in rows]
+        assert [len(items) for items in lists] == [3 if kind in ("axis2", "both") else 1] * 4
+        shared = [items is lists[0] for items in lists]
+        assert shared == [True] * 4 if kind in ("fixed", "axis2") else [True, False, False, False]
+    if name1 == "rho":
+        assert [row[-1] for row in rows] == [[v] for v in spec.axis1.values()]
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)
