@@ -3,7 +3,8 @@
 A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  Each slot of the pair (series)
 or Gram half (closed form) is built once per distinct value of the swept
-axes it reads; :func:`entangle_circle.pair_norm_grid` and
+axes it reads, the slots in axis batches (``SlotMap.batch``);
+:func:`entangle_circle.pair_norm_grid` and
 :func:`entangle_circle.pair_closed_form_grid` then take one axis1 row at
 once, equal bit for bit to the per-point kernels.  Everything runs in a
 fixed row-major order, so output files are byte-identical across runs.  CSV
@@ -323,17 +324,20 @@ def _grid_rows(
 
     A component reads some parameter names, and a slot or half those of its
     components; each is built once per distinct value of the axes among
-    them (slots through the record's memoized fock_series) and shared
-    wherever those axes repeat.  Building is lazy and follows the row-major
-    point order, each point's new items in ``order``: the labels before
-    the variables, as a point's params dataclass builds them (so a point
-    with two faults names the same one), then the slots or halves.  So the
-    first point that fails, and its message, are those of a point-by-point
-    loop.
+    them and shared wherever those axes repeat.  Slots are built in axis
+    batches by ``record.batch``, which bypasses the fock_series memo: a slot
+    role that reads only axis1 is one batch over axis1, one that reads only
+    axis2 one batch over axis2, one that reads both one batch over axis2 per
+    row, and one that reads neither a batch of one.  Each point's item, or
+    the exception building it raised, is stored; a walk in row-major point
+    order, each point's new items in ``order`` (the labels before the
+    variables, as a point's params dataclass builds them, so a point with
+    two faults names the same one, then the slots or halves), raises the
+    first stored exception it meets.  So the first point that fails, and its
+    message, are those of a point-by-point loop.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    n2 = len(ax2)
     terms = spec.truncation
     parities = entangle_circle.slot_parities(spec.pair)
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
@@ -341,41 +345,80 @@ def _grid_rows(
     reads += [set().union(*(reads[c] for c in role)) for role in roles]
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
-    items: list[list] = [[] for _ in reads]
     order = (2, 3, 0, 1) + tuple(range(len(components), len(reads)))
+    # built[k]: item k (or its exception) at each axis1 value if it reads
+    # axis1 only, else at each axis2 value of the current row (one entry if
+    # it reads neither); a row-constant one-element list is kept as it is
+    built: list[list] = [[] for _ in reads]
 
-    def build(k: int, i: int, j: int):
+    def at(k: int, i: int, j: int):
+        return built[k][i] if on1[k] and not on2[k] else built[k][j if on2[k] else 0]
+
+    def build(k: int, points: list[tuple[int, int]]) -> list:
+        # item k at each (i, j) of points: the item or the exception
         if k < len(components):
             names, builder = components[k]
-            return builder(
-                *(ax1[i] if n == name1 else ax2[j] if n == name2 else fixed[n] for n in names)
-            )
+            return [
+                _attempt(builder, *(ax1[i] if n == name1 else ax2[j] if n == name2
+                                    else fixed[n] for n in names))
+                for i, j in points
+            ]
         role = roles[k - len(components)]
-        parts = [items[c][j if on2[c] else 0] for c in role]
+        parts = [[at(c, i, j) for c in role] for i, j in points]
+        # a point whose component failed is never read: the walk meets
+        # that component first
+        faults = [next((p for p in ps if isinstance(p, Exception)), None) for ps in parts]
         parity = parities[role[0]]
         if halves:
-            return entangle_circle.gram_half(record, *parts, parity, terms)
-        return record(*parts, parity, terms, False)
+            return [
+                _attempt(entangle_circle.gram_half, record, *ps, parity, terms)
+                if fault is None else fault
+                for fault, ps in zip(faults, parts)
+            ]
+        slots = iter(record.batch(
+            [ps for fault, ps in zip(faults, parts) if fault is None], parity, terms, False
+        ))
+        return [next(slots) if fault is None else fault for fault in faults]
 
+    def points(k: int, i: int) -> list[tuple[int, int]]:
+        # the points of item k's batch: all of axis1 for one that reads
+        # axis1 only, else axis2 along row i (one point if it reads neither)
+        if on1[k] and not on2[k]:
+            return [(i1, 0) for i1 in range(len(ax1))]
+        return [(i, j) for j in range(len(ax2) if on2[k] else 1)]
+
+    for k in range(len(reads)):
+        built[k] = build(k, points(k, 0))
+    both = [k for k in range(len(reads)) if on1[k] and on2[k]]
     rhos = ax2 if name2 == "rho" else [fixed["rho"]]
     for i, v1 in enumerate(ax1):
-        # the items whose axes take a new value in this row: built at its
+        for k in both if i else ():
+            built[k] = build(k, points(k, i))
+        # the items whose axes take a new value in this row: met at its
         # first point, and (those on axis2) again at every later point
         fresh = [k for k in order if i == 0 or on1[k]]
         along = [k for k in fresh if on2[k]]
-        for k in along:
-            items[k] = [None] * n2
-        for j in range(n2 if along else 1):
-            try:
-                for k in fresh if j == 0 else along:
-                    item = build(k, i, j)
-                    if on2[k]:
-                        items[k][j] = item
-                    else:
-                        items[k] = [item]
-            except (ValueError, ArithmeticError) as exc:
-                raise GridDomainError(f"point ({name1}={v1}, {name2}={ax2[j]}): {exc}") from exc
-        yield (*items[len(components):], [v1] if name1 == "rho" else rhos)
+        for j in range(len(ax2) if along else 1):
+            for k in fresh if j == 0 else along:
+                item = at(k, i, j)
+                if isinstance(item, Exception):
+                    raise GridDomainError(
+                        f"point ({name1}={v1}, {name2}={ax2[j]}): {item}"
+                    ) from item
+        # the walk has met every item of the row: none is an exception
+        yield (
+            *([built[k][i]] if on1[k] and not on2[k] else built[k]
+              for k in range(len(components), len(reads))),
+            [v1] if name1 == "rho" else rhos,
+        )
+
+
+def _attempt(build, *args):
+    """build(*args), or the ValueError or ArithmeticError it raised."""
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:

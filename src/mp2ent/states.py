@@ -6,10 +6,13 @@ Mp(2) disk states themselves.  Each projection is returned as a
 :class:`CoefficientSequence`: the ordered complex coefficients c_n of the
 sector's own series (of the Fock states 2n + parity, a :class:`Parity` being
 its Fock offset) together with a rigorous bound on the dropped l^2 tail.
-Every family's series is one Fock series, built by :func:`fock_series`; what
-differs - z, the two sector amplitudes, the Gaussian log-weight - is data,
-one :class:`SlotMap` record per family.  ``parity=None`` gives the grouped
-total slot, even + odd, whose sequence carries parity None (no sector).
+Every family's series is one Fock series; what differs - z, the two sector
+amplitudes, the Gaussian log-weight - is data, one :class:`SlotMap` record
+per family.  One body, :func:`fock_series_batch`, builds every slot: a batch
+of G slots in one numpy log-magnitude pass.  The per-point paths call the
+memoized :func:`fock_series`, its batch of one, and the grid sweeps call
+``SlotMap.batch`` over an axis.  ``parity=None`` gives the grouped total
+slot, even + odd, whose sequence carries parity None (no sector).
 
 Conventions
 -----------
@@ -51,14 +54,11 @@ MIN_COSET_IM_ALPHA = 1e-6
 MAX_CYLINDER_LOG_MAG = 170.0
 LOG_DBL_MAX = math.log(sys.float_info.max)
 
-# Distinct slots kept by the fock_series memo.  A sweep builds each of its
-# distinct slots once and holds them for the sweep; the memo serves reruns
-# and the per-point pair builders.  A 64 x 64 sweep on the default axes has
-# at most 256 distinct slots, so 1024 keeps a few such sweeps warm; at
-# N = 40 an entry holds about 1.1 kB (tracemalloc).  A cycle of 16 default
-# sweeps (4 families x 4 pairs, as in perfbench) meets about 4096 distinct
-# slots at 64 x 64 and 6144 at 96 x 96, so a rerun of the cycle misses the
-# memo on every slot; its only hits are slots shared within one sweep.
+# Distinct slots kept by the fock_series memo.  It serves the per-point
+# pair builders and verify, which meet the same slot at many points, and
+# their reruns; at N = 40 an entry holds about 1.1 kB (tracemalloc).  Grid
+# sweeps build their slots in axis batches (SlotMap.batch) and neither read
+# nor fill it, so a sweep does not evict verify's slots.
 SLOT_MEMO_SIZE = 1024
 
 # A sector tail bound a/(1 - r) is widened by TAIL_MARGIN_ULPS eps (1 + 2s),
@@ -205,6 +205,102 @@ class CoefficientSequence:
         return self._norm_sq
 
 
+def fock_series_batch(
+    zs, amps, parity: Parity | None, terms: int,
+    log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> list[CoefficientSequence | ValueError | ArithmeticError]:
+    """The one slot body: the :func:`fock_series` slot of each z in ``zs``
+    with its pair of sector amplitudes in ``amps``, all at one parity,
+    truncation and log-weight g.  One numpy log-magnitude pass of shape
+    (G, 2N + 4) serves the G slots, and one complex exp pass per sector
+    builds their terms; ln|z/2|, the phase and the tail bounds stay libm
+    ``math`` calls per element, and a z whose |z|/2 is 0 takes its constant
+    slot without the pass.  Every float expression is the one a single slot
+    would evaluate, so each slot is the same bit for bit whatever batch it
+    is built in.
+
+    Returns, per element, its slot, or the ValueError or ArithmeticError
+    that building it alone raises (the same type and text).
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    size = 2 * terms
+    out: list = []
+    live, logs = [], []  # (index, z, amps) and ln|z/2| of each series to build
+    for z, pair in zip(zs, amps):
+        try:
+            z = complex(z) + 0j
+            if abs(z) / 2.0 == 0.0:
+                coeffs = np.zeros(terms, dtype=complex)
+                if parity is not Parity.ODD:
+                    coeffs[0] = pair[0]
+                out.append(CoefficientSequence(parity, coeffs, 0.0))
+                continue
+            logs.append(math.log(abs(z) / 2.0))
+        except (ValueError, ArithmeticError) as exc:
+            out.append(exc)
+            continue
+        live.append((len(out), z, pair))
+        out.append(None)
+    if not live:
+        return out
+    ks = np.arange(size + 4)
+    pieces = [ks * np.array(logs)[:, None], -0.5 * log_factorial_array(size + 3)]
+    if log_weight is not None:
+        pieces.append(log_weight(ks))
+    log_mag = sum(pieces[1:], pieces[0])
+    # log_mag[k] is rounded on the scale of its pieces, not of its value
+    scales = sum(np.abs(piece[..., size : size + 2]) for piece in pieces).tolist()
+    peaks = np.max(log_mag[:, 1:size], axis=1).tolist()
+    ends = log_mag[:, size : size + 4].tolist()
+    sectors = tuple(Parity) if parity is None else (parity,)
+    rows, phases, tails = [], [], []
+    for row, (k, z, pair) in enumerate(live):
+        peak, amp = peaks[row], max(pair)
+        try:
+            if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
+                raise OverflowError(
+                    f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}"
+                )
+            sector_tails = []
+            for o in sectors:
+                first, second = ends[row][o], ends[row][o + 2]
+                if second >= first:
+                    raise ValueError(
+                        f"increase terms: the series is not yet decaying at truncation {terms}"
+                    )
+                ratio = math.exp(2.0 * (second - first))
+                margin = 1.0 + TAIL_MARGIN_ULPS * EPS * (1.0 + 2.0 * scales[row][o])
+                sector_tails.append(pair[o] ** 2 * math.exp(2.0 * first) / (1.0 - ratio) * margin)
+            tail = sector_tails[0]
+            if parity is None:
+                tail = (math.sqrt(sector_tails[0]) + math.sqrt(sector_tails[1])) ** 2
+        except (ValueError, ArithmeticError) as exc:
+            out[k] = exc
+            continue
+        rows.append(row)
+        tails.append(tail)
+        # not cmath.phase, which raises OverflowError where the angle underflows
+        phases.append(math.atan2(z.imag, z.real))
+    if not rows:
+        return out
+    phase = np.array(phases)[:, None]
+    amp_rows = np.array([live[row][2] for row in rows])
+    if len(rows) < len(live):
+        log_mag = log_mag[rows]
+    parts = [
+        amp_rows[:, o, None] * np.exp(log_mag[:, o:size:2] + 1j * ks[o:size:2] * phase)
+        for o in sectors
+    ]
+    coefficients = parts[0] if parity is not None else parts[0] + parts[1]
+    for row, coeffs, tail in zip(rows, coefficients, tails):
+        try:
+            out[live[row][0]] = CoefficientSequence(parity, coeffs, tail)
+        except (ValueError, ArithmeticError) as exc:
+            out[live[row][0]] = exc
+    return out
+
+
 @functools.lru_cache(maxsize=SLOT_MEMO_SIZE)
 def fock_series(
     z: complex,
@@ -213,12 +309,14 @@ def fock_series(
     terms: int,
     log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CoefficientSequence:
-    """The one slot builder: half of the Fock series of one state,
+    """The slot builder of the per-point paths: half of the Fock series of
+    one state,
 
         t_k = amps[k % 2] (z/2)^k / sqrt(k!) e^(g(k)),   g = ``log_weight``,
 
     as c_n = t_(2n + parity) for a sector, or as the grouped total slot
-    c_n = t_(2n) + t_(2n+1) for ``parity=None``.  One log-magnitude pass over
+    c_n = t_(2n) + t_(2n+1) for ``parity=None``; the batch of one of
+    :func:`fock_series_batch`, which builds it.  One log-magnitude pass over
     k = 0..2N+3 serves both (N = ``terms``).
 
     Tail bound.  A sector's log-magnitude  k ln|z/2| - ln(k!)/2 + g(k)  is
@@ -237,48 +335,17 @@ def fock_series(
     Raises OverflowError when a retained term passes e^MAX_CYLINDER_LOG_MAG
     (or e^(log_mag) itself would overflow).
 
-    Memoized (SLOT_MEMO_SIZE slots): per-point pair builders meet the same
-    slot at many points, and reruns meet it again.  The returned sequence
-    is shared and read-only.  Keys that compare equal must give identical
-    slots, so z is stripped of signed zeros (+ 0j) before use:
-    -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
+    Memoized (SLOT_MEMO_SIZE slots): the per-point pair builders and verify
+    meet the same slot at many points, and reruns meet it again.  Grid
+    sweeps build their slots in batches and neither read nor fill the memo.
+    The returned sequence is shared and read-only.  Keys that compare equal
+    must give identical slots, so z is stripped of signed zeros (+ 0j)
+    before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    z = complex(z) + 0j
-    size = 2 * terms
-    if abs(z) / 2.0 == 0.0:
-        coeffs = np.zeros(terms, dtype=complex)
-        if parity is not Parity.ODD:
-            coeffs[0] = amps[0]
-        return CoefficientSequence(parity, coeffs, 0.0)
-    ks = np.arange(size + 4)
-    pieces = [ks * math.log(abs(z) / 2.0), -0.5 * log_factorial_array(size + 3)]
-    if log_weight is not None:
-        pieces.append(log_weight(ks))
-    log_mag = sum(pieces[1:], pieces[0])
-    # log_mag[k] is rounded on the scale of its pieces, not of its value
-    scale = sum(np.abs(piece) for piece in pieces)
-    peak, amp = float(np.max(log_mag[1:size])), max(amps)
-    if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
-        raise OverflowError(f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}")
-    # not cmath.phase, which raises OverflowError where the angle underflows
-    phase = math.atan2(z.imag, z.real)
-    parts, tails = [], []
-    for o in Parity if parity is None else (parity,):
-        first, second = float(log_mag[size + o]), float(log_mag[size + 2 + o])
-        if second >= first:
-            raise ValueError(
-                f"increase terms: the series is not yet decaying at truncation {terms}"
-            )
-        ratio = math.exp(2.0 * (second - first))
-        margin = 1.0 + TAIL_MARGIN_ULPS * EPS * (1.0 + 2.0 * float(scale[size + o]))
-        tails.append(amps[o] ** 2 * math.exp(2.0 * first) / (1.0 - ratio) * margin)
-        parts.append(amps[o] * np.exp(log_mag[o:size:2] + 1j * ks[o:size:2] * phase))
-    if parity is not None:
-        return CoefficientSequence(parity, parts[0], tails[0])
-    tail = (math.sqrt(tails[0]) + math.sqrt(tails[1])) ** 2
-    return CoefficientSequence(None, parts[0] + parts[1], tail)
+    (slot,) = fock_series_batch([z], [amps], parity, terms, log_weight)
+    if isinstance(slot, Exception):
+        raise slot
+    return slot
 
 
 @dataclass(frozen=True)
@@ -297,8 +364,10 @@ class SlotMap:
     OverflowError met on the way; without it the OverflowError passes.
 
     Calling a record, ``record(var, label, parity, terms, prefactor)``, is
-    the only place where a (variable, label) pair becomes a fock_series
-    call; ``parity=None`` gives the grouped total slot.
+    the only place where a (variable, label) pair becomes a memoized
+    fock_series call, and ``record.batch`` the only place where many become
+    one fock_series_batch call; ``parity=None`` gives the grouped total
+    slot.
     """
 
     z: Callable[[Any, Any], complex]
@@ -312,14 +381,44 @@ class SlotMap:
         prefactor: bool = True,
     ) -> CoefficientSequence:
         try:
-            z = self.z(var, label)
-            even, odd = self.amps(var, z)
-            p = self.prefactor if prefactor else 1.0
-            return fock_series(z, (p * even, p * odd), parity, terms, self.g)
+            return fock_series(*self._inputs(var, label, prefactor), parity, terms, self.g)
         except OverflowError:
             if self.overflow is None:
                 raise
             raise ValueError(self.overflow(var, label)) from None
+
+    def batch(
+        self, points, parity: Parity | None, terms: int = DEFAULT_TERMS, prefactor: bool = True,
+    ) -> list[CoefficientSequence | ValueError | ArithmeticError]:
+        """The slots ``self(var, label, parity, terms, prefactor)`` of the
+        (var, label) ``points``, built by one :func:`fock_series_batch` call
+        without the memo.  Per point, its slot or the ValueError or
+        ArithmeticError that the call raises, with the same type and text."""
+        points = list(points)
+        built: list = []
+        for var, label in points:
+            try:
+                built.append(self._inputs(var, label, prefactor))
+            except (ValueError, ArithmeticError) as exc:
+                built.append(exc)
+        live = [k for k, item in enumerate(built) if isinstance(item, tuple)]
+        slots = fock_series_batch(
+            [built[k][0] for k in live], [built[k][1] for k in live], parity, terms, self.g
+        )
+        for k, slot in zip(live, slots):
+            built[k] = slot
+        if self.overflow is not None:
+            for k, (var, label) in enumerate(points):
+                if isinstance(built[k], OverflowError):
+                    built[k] = ValueError(self.overflow(var, label))
+        return built
+
+    def _inputs(self, var, label, prefactor: bool) -> tuple[complex, tuple[float, float]]:
+        # z and the sector amplitudes of the slot of var at label
+        z = self.z(var, label)
+        even, odd = self.amps(var, z)
+        p = self.prefactor if prefactor else 1.0
+        return z, (p * even, p * odd)
 
 
 def _disk_weights(modulus: float) -> tuple[float, float]:

@@ -216,3 +216,39 @@ def test_a_failing_sweep_names_the_per_point_first_failure(
     with pytest.raises(GridDomainError) as got:
         run_sweep(spec)
     assert str(got.value) == str(expected.value)
+
+
+# (axis1, axis2, fixed, the point (i, j) named, what fails there).  Slots
+# are built in axis batches before the walk over the points, so a slot
+# that fails at a later row must not be raised before an earlier point's
+# fault.  Cylinder u1 reads l (axis1) only and u2 reads l' (axis2) only;
+# at l = 100 and beyond a slot passes the magnitude guard.
+ORDER_CASES = [
+    (("l", 0.0, 300.0, 4), ("l_prime", -1.0, 300.0, 4), (), (0, 1), "cylinder label"),
+    (("l", 0.0, 300.0, 4), ("l_prime", -1.0, 1.0, 4), (), (1, 0), "cylinder label"),
+    # omega = 1 - 2^-53 at this argument rounds to |omega| = 1: the variable
+    # fails at the point where u1 also overflows, and is named
+    (("l", 400.0, 500.0, 2), ("omega", 0.9999999999999999, 0.5, 2),
+     (("arg_omega", 3.0245729463650424),), (0, 0), "|omega| must be < 1"),
+    (("l", 400.0, 500.0, 2), ("omega", 0.9999999999999999, 0.5, 2), (), (0, 0),
+     "cylinder label"),
+]
+
+
+@pytest.mark.parametrize(
+    ("axis1", "axis2", "fixed", "named", "fault"), ORDER_CASES,
+    ids=["axis2-slot-at-row-0", "axis1-slot-at-row-1", "component-beats-slot", "slot-alone"],
+)
+def test_batched_slot_faults_are_raised_in_point_order(axis1, axis2, fixed, named, fault):
+    spec = SweepSpec(
+        family="cylinder", pair=SectorPair.PP, axis1=AxisSpec(*axis1), axis2=AxisSpec(*axis2),
+        fixed=fixed, truncation=12,
+    )
+    with pytest.raises(GridDomainError) as expected:
+        _point_by_point(spec)
+    with pytest.raises(GridDomainError) as got:
+        run_sweep(spec)
+    assert str(got.value) == str(expected.value)
+    i, j = named
+    point = f"point ({axis1[0]}={spec.axis1.values()[i]}, {axis2[0]}={spec.axis2.values()[j]}): "
+    assert str(got.value).startswith(point + fault)

@@ -22,6 +22,8 @@ from mp2ent.states import (
     coset_variable,
     fiducial_overlap,
     fiducial_overlap_sq,
+    fock_series,
+    fock_series_batch,
     mp2_circle_projection,
     mp2_cylinder_display_projection,
     mp2_cylinder_projection,
@@ -381,3 +383,99 @@ class TestFockSeries:
         slot, r = SLOT_CASES[case]()
         even = slot(Parity.EVEN, terms)
         assert slot(None, terms).tail_bound <= even.tail_bound * (1.0 + r) ** 2
+
+
+# A batch builds each slot bit for bit as its batch of one, and a failing
+# element gives the exception of the scalar call, leaving the others alone.
+PARITIES = [Parity.EVEN, Parity.ODD, None]
+BATCH_TERMS = [1, 2, 6, 40]
+signs = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def batch_zs(draw):
+    """0, a real z with a +-0.0 imaginary part, or a z of modulus 2 e^x
+    with x up to past the overflow guard of every log-weight."""
+    kind = draw(st.sampled_from(["zero", "real", "polar"]))
+    if kind == "zero":
+        return complex(draw(signs) * 0.0, draw(signs) * 0.0)
+    if kind == "real":
+        return complex(draw(st.floats(-50.0, 50.0)), draw(signs) * 0.0)
+    return 2.0 * cmath.exp(complex(draw(st.floats(-30.0, 40.0)), draw(angles)))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return
+    assert got.parity is expected.parity
+    assert got.terms.tobytes() == expected.terms.tobytes()
+    assert got.tail_bound.hex() == expected.tail_bound.hex()
+    assert got.norm_sq().hex() == expected.norm_sq().hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    zs=st.lists(batch_zs(), min_size=1, max_size=6),
+    amps=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    weight=st.sampled_from([None, mp2_cylinder_projection.g, mp2_cylinder_display_projection.g]),
+    parity=st.sampled_from(PARITIES),
+    terms=st.sampled_from(BATCH_TERMS),
+)
+def test_fock_series_batch_is_its_batch_of_one(zs, amps, weight, parity, terms):
+    batch = fock_series_batch(zs, [amps] * len(zs), parity, terms, weight)
+    assert len(batch) == len(zs)
+    for z, got in zip(zs, batch):
+        expected = _outcome(lambda: fock_series.__wrapped__(z, amps, parity, terms, weight))
+        _assert_same(got, expected)
+
+
+def _disk(modulus, arg):
+    return Mp2Variable(cmath.rect(modulus, arg))
+
+
+# record -> strategy of one (variable, label) point; the cylinder's l and
+# the cat's |alpha| reach past the magnitude guard and past e^l or
+# |alpha|^2 overflowing
+RECORD_POINTS = {
+    "circle": (mp2_circle_projection, st.tuples(
+        st.builds(_disk, disk_moduli, angles), st.builds(CircleLabel, angles))),
+    "cylinder": (mp2_cylinder_projection, st.tuples(
+        st.builds(_disk, disk_moduli, angles),
+        st.builds(CylinderLabel, st.one_of(st.floats(-5.0, 40.0), st.floats(700.0, 800.0)),
+                  angles))),
+    "cylinder-display": (mp2_cylinder_display_projection, st.tuples(
+        st.builds(_disk, disk_moduli, angles),
+        st.builds(CylinderLabel, st.floats(-5.0, 40.0), angles))),
+    "coset": (coset_projection, st.tuples(
+        st.builds(_disk, disk_moduli, angles),
+        st.builds(CosetLabel, st.builds(complex, st.floats(-3.0, 3.0), st.floats(1e-6, 5.0)),
+                  angles))),
+    "cat": (cat_projection, st.tuples(
+        st.builds(cmath.rect, st.one_of(st.floats(0.0, 12.0), st.sampled_from([1e154, 1e300])),
+                  angles),
+        st.builds(CircleLabel, angles))),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_POINTS)
+@pytest.mark.parametrize("parity", PARITIES, ids=["even", "odd", "total"])
+@pytest.mark.parametrize("terms", BATCH_TERMS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_record_batch_is_its_batch_of_one(record, parity, terms, data):
+    slots, point = RECORD_POINTS[record]
+    points = data.draw(st.lists(point, min_size=1, max_size=5))
+    prefactor = data.draw(st.booleans())
+    batch = slots.batch(points, parity, terms, prefactor)
+    assert len(batch) == len(points)
+    for (var, label), got in zip(points, batch):
+        _assert_same(got, _outcome(lambda: slots(var, label, parity, terms, prefactor)))
