@@ -16,10 +16,12 @@ v1 = mu u1 + r with mu = <u1, v1>/|u1|^2 and r orthogonal to u1 gives
     P   = p^2 ( |u1|^2 |u2 + f mu v2|^2 + |f|^2 |r|^2 |v2|^2 ),
 
 two orthogonal terms, so no cancellation happens between them; each norm
-and inner product is an exactly rounded math.fsum of N products
-(:func:`pair_norm_grid` evaluates the same expressions over a sweep grid,
-one axis1 row of points at a time in numpy; a slot, phase or Gram half
-shared by the whole row comes as a one-element list and is broadcast).  With
+and inner product is an exactly rounded math.fsum of N products.
+:func:`pair_norm_grid` evaluates the same expressions over a sweep grid, a
+block of axis1 rows at a time in numpy (a slot, phase or Gram half shared
+by a whole row comes as a one-element list and is broadcast); its |w|^2 sums
+are :func:`~mp2ent.numerics.block_fsum`'s, certified equal to fsum's bit
+for bit, with fsum itself at any point the certificate does not cover.  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
 first-order rounding analysis (complex products to sqrt(2) gamma_2, the
 projection error |d mu| <= 8 u |v1|/|u1|, |d r| <= 13 u |v1|,
@@ -62,6 +64,7 @@ from .numerics import (
     DEFAULT_TERMS,
     SeriesValue,
     abs_sq,
+    block_fsum,
     stable_inner,
     stable_norm_sq,
 )
@@ -307,15 +310,24 @@ def _converted(rows, converters):
 
 def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:meth:`CoefficientMatrix.norm_sq` and the :func:`pair_matrix` tail
-    bound of ``form`` at every point of a grid, one row at a time.
+    bound of ``form`` at every point of a grid, a block of rows at a time.
 
     ``rows`` yields, row by row, the lists (u1, u2, v1, v2, rho) of the
     row's points, one entry per point or one that the whole row shares; a
     list is converted to arrays once (:func:`_converted`), and a slot met at
     several points is one shared object.  |u1|^2, mu and |r|^2 are taken
-    once per distinct (u1, v1).  The row's w = u2 + f mu v2 is one (n, N)
-    array, f mu in real arithmetic in CPython's order, and |w|^2 one fsum
-    per point.  Every float expression is that of pair_matrix, norm_sq and
+    once per distinct (u1, v1).  A block (:func:`_blocks`) is a run of
+    rows whose u2 and v2 are each one list shared by every row, or a
+    one-point list in every row; on any sweep whose u2 and v2 read at most
+    one axis it is the whole grid.  The per-point scalars of the block's
+    rows, and their one-point u2 and v2, are stacked.  w = u2 + f mu v2 is
+    formed a slice of terms at a time over the whole block, f mu in real
+    arithmetic in CPython's order, and |w|^2 summed by
+    :func:`~mp2ent.numerics.block_fsum`, which is fsum's result bit for bit
+    (a point its certificate does not cover is one fsum of that point's
+    terms).  A slice holds about _SLICE_POINTS values, or one term of
+    every point of a larger block, so no array of the block's size times N
+    is formed.  Every float expression is that of pair_matrix, norm_sq and
     _product_tail, so each value and tail is the per-point one bit for bit.
     Yields, row by row, the values and the tail bounds of the row's points.
     """
@@ -348,33 +360,127 @@ def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.n
         return [np.array(column) for column in zip(*stats)]
 
     converted = _converted(rows, ((projections, 0, 2), (slots, 1), (slots, 3), (phases, 4)))
-    for (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), f in converted:
-        f_re, f_im, f_sq = f
-        fmu = np.empty(np.broadcast(f_re, mu).shape, complex)
+    for block in _blocks(converted):
+        # each array with a leading row axis, of length 1 where the rows share it
+        (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f_re, f_im, f_sq) = (
+            _stacked(block, k) for k in range(4)
+        )
+        fmu = np.empty(np.broadcast_shapes((len(block), 1), f_re.shape, mu.shape), complex)
         fmu.real = f_re * mu.real - f_im * mu.imag
         fmu.imag = f_re * mu.imag + f_im * mu.real
-        w = u2 + fmu[:, None] * v2
-        w_sq = np.fromiter(map(math.fsum, abs_sq(w).tolist()), float, len(w))
+        shape = np.broadcast_shapes(fmu.shape, u2.shape[:-1], v2.shape[:-1])
+        terms = u2.shape[-1]
+        lanes = min(terms, max(1, _SLICE_POINTS // math.prod(shape)))
+        # broadcast views, the terms first: u2[k] is term k at every point
+        fmu = np.broadcast_to(fmu, shape)
+        u2, v2 = (
+            np.broadcast_to(np.ascontiguousarray(np.moveaxis(a, -1, 0)), (terms, *shape))
+            for a in (u2, v2)
+        )
+
+        def point_terms(index):
+            at = (slice(None), *index)
+            return abs_sq(u2[at] + fmu[index] * v2[at]).tolist()
+
+        w_sq = block_fsum(
+            (abs_sq(u2[k : k + lanes] + fmu * v2[k : k + lanes])
+             for k in range(0, terms, lanes)),
+            point_terms,
+        )
         # _product_tail(u1, u2) + _product_tail(v1, v2), |u1|^2 = uu
         tails = uu * t_u2 + t_u1 * n_u2 + t_u1 * t_u2 + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
-        yield p * p * (uu * w_sq + f_sq * rr * n_v2), tail_scale * tails
+        values = p * p * (uu * w_sq + f_sq * rr * n_v2)
+        yield from zip(*np.broadcast_arrays(values, tail_scale * tails))
 
 
-def gram_half(
+# Values per slice of :func:`pair_norm_grid`: a block of fewer points takes
+# several terms per slice, so that a small block, a single row say, is a
+# few numpy calls on arrays of about this size and not one per term.
+_SLICE_POINTS = 4096
+
+
+def _blocks(rows):
+    """Runs of ``rows`` (converted: projections, u2, v2, phases) in which
+    u2 and v2 are each the first row's, or a one-point slot in every row.
+
+    Where ``rows`` raises, the rows before are yielded as a last block
+    first, so a fault of an earlier row (an fsum that overflows) is still
+    raised before it, as a row-by-row loop would.
+    """
+    block: list = []
+    try:
+        for row in rows:
+            if block and not all(
+                row[k] is block[0][k] or len(row[k][0]) == len(block[0][k][0]) == 1
+                for k in (1, 2)
+            ):
+                yield block
+                block = []
+            block.append(row)
+    except Exception:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
+def _stacked(block, k: int) -> list[np.ndarray]:
+    """The arrays of item ``k`` of a block's rows, each with a leading row
+    axis: of length 1 where every row has the same item, else one per row."""
+    first = block[0][k]
+    if all(row[k] is first for row in block):
+        return [a[None] for a in first]
+    return [np.stack(column) for column in zip(*(row[k] for row in block))]
+
+
+def gram_halves(
+    slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
+) -> list[tuple | ValueError | ArithmeticError]:
+    """One half of :func:`pair_closed_form`'s Gram form, with the tail bounds
+    the grid reports, at each (var, label, label') of ``points``: for the
+    slots u = (var, label) and v = (var, label'), (N(u), N(v), G(u, v),
+    T(u), T(v)) (:func:`gram_entries`), T the bound on a slot's dropped l^2
+    tail; or the ValueError or ArithmeticError its :func:`gram_entries` or
+    its slots raise, those of gram_entries first.
+
+    A sector's G is its whole series, so its T are 0.  The grouped total
+    slots' T are their fock_series tails, kept in ``tails`` by (var, label)
+    for the whole sweep: the slots it lacks are built by one
+    ``slots.batch`` call, which neither reads nor fills the memo that
+    serves verify.
+    """
+    halves: list = []
+    for point in points:
+        try:
+            halves.append(gram_entries(slots, *point, parity, terms))
+        except (ValueError, ArithmeticError) as exc:
+            halves.append(exc)
+    if parity is not None:
+        return [h if isinstance(h, Exception) else (*h, 0.0, 0.0) for h in halves]
+    new = list(dict.fromkeys(
+        (var, lab) for var, *labels in points for lab in labels if (var, lab) not in tails
+    ))
+    tails.update(zip(new, slots.batch(new, None, terms, False)))
+    for k, (var, *labels) in enumerate(points):
+        slot_u, slot_v = (tails[var, lab] for lab in labels)
+        fault = next((x for x in (halves[k], slot_u, slot_v) if isinstance(x, Exception)), None)
+        halves[k] = fault or (*halves[k], slot_u.tail_bound, slot_v.tail_bound)
+    return halves
+
+
+def gram_entries(
     slots: SlotMap, var, label, label_prime, parity: Parity | None, terms: int = DEFAULT_TERMS
-):
-    """One half of :func:`pair_closed_form`'s Gram form for the slots
-    u = (var, label) and v = (var, label'): (N(u), N(v), G(u, v), T(u), T(v)),
-    T the bound on a slot's dropped l^2 tail.
+) -> tuple[float, float, complex]:
+    """N(u), N(v) and G(u, v) of the slots u = (var, label) and
+    v = (var, label').
 
-    A sector's G is its whole series, one hyperbolic function, so its T are
-    0.  The grouped total slots (``parity`` None) c_n = t_2n + t_(2n+1) give
-    the ``terms``-term sum, with A_e, A_o from ``slots.amps``,
+    A sector's G is its whole series, one hyperbolic function.  The grouped
+    total slots (``parity`` None) c_n = t_2n + t_(2n+1) give the
+    ``terms``-term sum, with A_e, A_o from ``slots.amps``,
 
         G(a, b) = sum_(n<N) x^(2n)/(2n)! conj(b_n(a)) b_n(b),
-        x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)),
-
-    and their T are the grouped slots' fock_series tails.
+        x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)).
     """
     if slots.g is not None:
         raise ValueError("pair_closed_form needs a record without a log-weight")
@@ -396,16 +502,13 @@ def gram_half(
             return complex(np.sum(w.real * cr - w.imag * ci), np.sum(w.real * ci + w.imag * cr))
 
         bu, bv = b_n(zu), b_n(zv)
-        return (
-            gram(zu, zu, bu, bu).real, gram(zv, zv, bv, bv).real, gram(zu, zv, bu, bv),
-            *(slots(var, lab, None, terms, False).tail_bound for lab in (label, label_prime)),
-        )
+        return gram(zu, zu, bu, bu).real, gram(zv, zv, bv, bv).real, gram(zu, zv, bu, bv)
     f = _SECTOR_FUNCS[parity]
     au, av = slots.amps(var, zu)[parity], slots.amps(var, zv)[parity]
     # conj(z_a)/4, the bra side of every G(a, b) below
     cu, cv = zu.conjugate() * 0.25, zv.conjugate() * 0.25
     gu, gv = (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real
-    return gu, gv, au * av * f(cu * zv), 0.0, 0.0
+    return gu, gv, au * av * f(cu * zv)
 
 
 # The two Gram halves as (variable, label, label') indices into (first,
@@ -427,19 +530,19 @@ def pair_closed_form(
 
     (cosh for the even sector) with z_a from ``slots.z`` and A_a the sector's
     entry of ``slots.amps``, and that of two grouped total slots a
-    ``terms``-term sum (:func:`gram_half`), so the norm of
+    ``terms``-term sum (:func:`gram_entries`), so the norm of
     p (u1 u2 + s e^(i rho) v1 v2) is the Gram form
 
         P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
                   + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
 
-    N(a) = Re G(a, a), one :func:`gram_half` per half.  Each N is evaluated
-    by the same expression as G, so at coincident labels (v1 = u1, v2 = u2)
-    the terms cancel bit for bit.
+    N(a) = Re G(a, a), one :func:`gram_entries` call per half.  Each N is
+    evaluated by the same expression as G, so at coincident labels
+    (v1 = u1, v2 = u2) the terms cancel bit for bit.
     """
     p1, p2 = slot_parities(pair)
-    n_u1, n_v1, g1, *_ = gram_half(slots, first, label, label_prime, p1, terms)
-    n_u2, n_v2, g2, *_ = gram_half(slots, second, label_prime, label, p2, terms)
+    n_u1, n_v1, g1 = gram_entries(slots, first, label, label_prime, p1, terms)
+    n_u2, n_v2, g2 = gram_entries(slots, second, label_prime, label, p2, terms)
     cross = (swap_sign * cmath.exp(1j * rho) * (g1 * g2).conjugate()).real
     return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
@@ -449,7 +552,7 @@ def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarra
     bound of its truncated sums at every point of a grid, one row at a time.
 
     ``rows`` yields, row by row, the lists (half 1, half 2, rho) of the
-    row's points, the halves :func:`gram_half` tuples, as for
+    row's points, the halves :func:`gram_halves` tuples, as for
     :func:`pair_norm_grid`.  The complex products are written out in real
     arithmetic in CPython's order (numpy's complex multiply can round
     differently), so every value is the per-point one bit for bit.  The
@@ -535,7 +638,7 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
 
 def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
     """Total-pair probability: :func:`pair_closed_form` on the grouped total
-    slots, each Gram entry the ``terms``-term sum of :func:`gram_half`; the
+    slots, each Gram entry the ``terms``-term sum of :func:`gram_entries`; the
     printed total (verify) with the series-derived cross block."""
     return CIRCLE_PAIR.closed_form(
         params.omega, params.sigma, params.phi, params.phi_prime, SectorPair.TOTAL,

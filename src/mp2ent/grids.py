@@ -325,10 +325,12 @@ def _grid_rows(
     A component reads some parameter names, and a slot or half those of its
     components; each is built once per distinct value of the axes among
     them and shared wherever those axes repeat.  Slots are built in axis
-    batches by ``record.batch``, which bypasses the fock_series memo: a slot
-    role that reads only axis1 is one batch over axis1, one that reads only
-    axis2 one batch over axis2, one that reads both one batch over axis2 per
-    row, and one that reads neither a batch of one.  Each point's item, or
+    batches by ``record.batch`` and halves by ``entangle_circle.gram_halves``
+    (whose total tails are built once a sweep), neither of which reads or
+    fills the fock_series memo: a role that reads only axis1 is one batch
+    over axis1, one that reads only axis2 one batch over axis2, one that
+    reads both one batch over axis2 per row, and one that reads neither a
+    batch of one.  Each point's item, or
     the exception building it raised, is stored; a walk in row-major point
     order, each point's new items in ``order`` (the labels before the
     variables, as a point's params dataclass builds them, so a point with
@@ -350,6 +352,8 @@ def _grid_rows(
     # axis1 only, else at each axis2 value of the current row (one entry if
     # it reads neither); a row-constant one-element list is kept as it is
     built: list[list] = [[] for _ in reads]
+    # the grouped total slots' tails of the Gram halves, built once a sweep
+    tails: dict = {}
 
     def at(k: int, i: int, j: int):
         return built[k][i] if on1[k] and not on2[k] else built[k][j if on2[k] else 0]
@@ -369,16 +373,12 @@ def _grid_rows(
         # that component first
         faults = [next((p for p in ps if isinstance(p, Exception)), None) for ps in parts]
         parity = parities[role[0]]
-        if halves:
-            return [
-                _attempt(entangle_circle.gram_half, record, *ps, parity, terms)
-                if fault is None else fault
-                for fault, ps in zip(faults, parts)
-            ]
-        slots = iter(record.batch(
-            [ps for fault, ps in zip(faults, parts) if fault is None], parity, terms, False
-        ))
-        return [next(slots) if fault is None else fault for fault in faults]
+        live = [ps for fault, ps in zip(faults, parts) if fault is None]
+        items = iter(
+            entangle_circle.gram_halves(record, live, parity, terms, tails) if halves
+            else record.batch(live, parity, terms, False)
+        )
+        return [next(items) if fault is None else fault for fault in faults]
 
     def points(k: int, i: int) -> list[tuple[int, int]]:
         # the points of item k's batch: all of axis1 for one that reads

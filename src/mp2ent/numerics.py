@@ -4,9 +4,12 @@ All the infinite series in this package reduce to factorial-weighted powers
 of a disk variable, optionally damped by Gaussian weights, plus the two
 Jacobi theta constants needed by the cylinder degeneracy limits.  The
 kernels here are pure and deterministic.  Every sum, squared norm
-(``stable_norm_sq``) and inner product (``stable_inner``) is one exactly
-rounded ``math.fsum`` over per-element products, so it does not depend on
-summation order and reruns are bit-for-bit identical; the elementwise
+(``stable_norm_sq``) and inner product (``stable_inner``) is exactly
+rounded, so it does not depend on summation order and reruns are bit-for-bit
+identical: one ``math.fsum`` over per-element products, or, for the
+non-negative terms of a block of points (``block_fsum``), a vectorized
+error-free cascade whose result is certified equal to fsum's, with fsum
+itself at any point the certificate does not cover.  The elementwise
 exp/log/lgamma come from the platform's math library.
 """
 
@@ -109,6 +112,84 @@ def abs_sq(arr: np.ndarray) -> np.ndarray:
 def stable_norm_sq(arr: np.ndarray) -> float:
     """Sum of |entries|^2, exactly rounded."""
     return math.fsum(abs_sq(arr).ravel().tolist())
+
+
+def block_fsum(slices, point_terms) -> np.ndarray:
+    """``math.fsum`` of the non-negative terms (none of them -0.0) of every
+    point of a block, bit for bit, in numpy with no Python call per point.
+
+    ``slices`` yields the terms in order as arrays of shape (L, *shape): the
+    next L terms of every point of ``shape``, one lane per term (a later
+    slice may have fewer lanes).  Each lane runs the TwoSum cascade of
+    Ogita, Rump and Oishi ("Sum2", SIAM J. Sci. Comput. 26(6), 2005) over
+    its slices, the lanes are then joined pairwise by TwoSum, and the
+    result (s, c) by one more: r, f = TwoSum(s, c).
+
+    Certificate.  TwoSum is error-free, so the exact sum is S = s + sum(q)
+    over the errors q of the N - 1 TwoSums of partial sums (cascade steps
+    and joins), and c is their float sum.  With
+    u = 2^-53 and non-negative terms, every float partial sum is at most
+    (1 + u)^N S, so sum|q| <= (N - 1) u (1 + u)^N S; each q passes through
+    at most 2N float additions on its way into c, so c is within
+    gamma_2N sum|q| of sum(q) (Higham's gamma_k = k u/(1 - k u)).  As
+    r + f = s + c exactly and |f| <= u r,
+
+        |S - (r + f)| <= 2.3 N^2 u^2 S < B = 4 N^2 u^2 r
+
+    for any N u <= 2^-5.  B is taken in floats: 4 N^2 u^2 is exact, and the
+    product rounds down by at most a factor 1 - u, or below 2^-1074, where
+    the error S - (r + f), a multiple of 2^-1074 smaller than B, is 0.  Let
+    g be the gap from r to its lower neighbour, for r >= 0 the smaller of
+    its two gaps.  Where 2 (|f| + B) < g, |S - r| < g/2 on either side of
+    r, so r is S correctly rounded and not a tie: fsum's result.  The test
+    is written in that form because g/2 rounds to 0 at g = 2^-1074, where
+    an exact zero (f = B = 0) must still pass.
+
+    Fallback.  Every other point, ties and non-finite sums (whose f is NaN)
+    among them, is ``math.fsum(point_terms(index))`` over the terms of the
+    point at ``index`` of ``shape``, and raises where fsum raises.
+    """
+    # an overflowing or non-finite sum gets a NaN f, which the certificate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, f, terms = _sum2(iter(slices))
+    for index in zip(*np.nonzero(~_certified(r, f, terms))):
+        r[index] = math.fsum(point_terms(index))
+    return r
+
+
+def _sum2(slices) -> tuple[np.ndarray, np.ndarray, int]:
+    """r, f and N of :func:`block_fsum`: the lanes' cascades over
+    ``slices``, their pairwise joins and the final TwoSum(s, c)."""
+    s = np.array(next(slices), dtype=float)
+    c = np.zeros_like(s)
+    terms = len(s)
+    for t in slices:
+        lanes = len(t)
+        a = s[:lanes]
+        x = a + t
+        z = x - a
+        c[:lanes] += (a - (x - z)) + (t - z)
+        s[:lanes] = x
+        terms += lanes
+    width = len(s)
+    while width > 1:
+        half = (width + 1) // 2
+        a, b = s[: width - half], s[half:width]
+        x = a + b
+        z = x - a
+        c[: width - half] += c[half:width] + ((a - (x - z)) + (b - z))
+        s[: width - half] = x
+        width = half
+    s, c = s[0], c[0]
+    r = s + c
+    z = r - s
+    return r, (s - (r - z)) + (c - z), terms
+
+
+def _certified(r: np.ndarray, f: np.ndarray, terms: int) -> np.ndarray:
+    """Where r is fsum's result (see :func:`block_fsum`): 2 (|f| + B) < g."""
+    bound = (4.0 * terms * terms * 2.0**-106) * r
+    return 2.0 * (np.abs(f) + bound) < r - np.nextafter(r, -np.inf)
 
 
 def stable_inner(x: np.ndarray, y: np.ndarray) -> complex:

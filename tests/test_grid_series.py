@@ -1,18 +1,19 @@
 """The whole-grid series column against the point-by-point reference.
 
-``run_sweep`` builds each distinct slot once and takes the pair norm one
-row at a time (``entangle_circle.pair_norm_grid``).  Here every value must
+``run_sweep`` builds each distinct slot once and takes the pair norm a
+block of rows at a time (``entangle_circle.pair_norm_grid``).  Here every value must
 equal the family's ``probability_series*`` at that point bit for bit,
 ``tail_bound_max`` the largest per-point tail, and a failing sweep must name
 the first failing point with the per-point loop's message.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
+from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, numerics
 from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
 from mp2ent.entangle_circle import CirclePairParams, SectorPair, probability_series
 from mp2ent.entangle_coset import CosetPairParams, probability_series_coset
@@ -23,9 +24,10 @@ from mp2ent.grids import (
     AxisSpec,
     GridDomainError,
     SweepSpec,
+    grid_to_csv,
     run_sweep,
 )
-from mp2ent.states import CircleLabel, CosetLabel, CylinderLabel
+from mp2ent.states import CircleLabel, CoefficientSequence, CosetLabel, CylinderLabel
 
 SERIES = {
     "circle": probability_series,
@@ -252,3 +254,82 @@ def test_batched_slot_faults_are_raised_in_point_order(axis1, axis2, fixed, name
     i, j = named
     point = f"point ({axis1[0]}={spec.axis1.values()[i]}, {axis2[0]}={spec.axis2.values()[j]}): "
     assert str(got.value).startswith(point + fault)
+
+
+# (family, axes, pair, steps): blocks of one slice per term (64 x 64), of
+# several terms per slice with a narrower last one (24 x 24: 7 of N = 40),
+# and of one row each, where u2 or v2 reads both axes (sigma x phi, beta x
+# phi'), each at N = 40
+BLOCK_CASES = [
+    ("circle", None, SectorPair.MM, 64),
+    ("circle", None, SectorPair.TOTAL, 24),
+    ("circle", ("phi", "rho"), SectorPair.PP, 24),
+    ("circle", ("sigma", "phi"), SectorPair.PP, 24),
+    ("cylinder", ("l", "l_prime"), SectorPair.PM, 24),
+    ("cat", ("beta", "phi_prime"), SectorPair.TOTAL, 24),
+]
+
+
+@pytest.mark.parametrize(
+    ("family", "axes", "pair", "steps"), BLOCK_CASES,
+    ids=[f"{f}-{'x'.join(a) if a else 'default'}-{p.value}-{n}" for f, a, p, n in BLOCK_CASES],
+)
+def test_grid_blocks_equal_the_per_point_series_bit_for_bit(family, axes, pair, steps):
+    spec = _spec(family, axes, pair, "stripped", 40)
+    spec = dataclasses.replace(
+        spec, axis1=dataclasses.replace(spec.axis1, steps=steps),
+        axis2=dataclasses.replace(spec.axis2, steps=steps),
+    )
+    _assert_equals_point_by_point(spec, *_point_by_point(spec))
+
+
+@pytest.mark.parametrize("family", list(FIXED))
+def test_sweeps_write_identical_bytes_when_no_sum_is_certified(family, monkeypatch):
+    # every point's |w|^2 then falls back to math.fsum of its terms
+    spec = SweepSpec(family, SectorPair.MM, *(AxisSpec(*axis) for axis in DEFAULT_AXES[family]))
+    certified = grid_to_csv(run_sweep(spec))
+    rejected = []
+
+    def reject(r, f, terms):
+        rejected.append(r.size)
+        return np.zeros(r.shape, bool)
+
+    monkeypatch.setattr(numerics, "_certified", reject)
+    assert grid_to_csv(run_sweep(spec)) == certified
+    assert sum(rejected) == 64 * 64
+
+
+@pytest.mark.parametrize(
+    "axes", [DEFAULT_AXES["circle"], (("sigma", 0.0, 0.9, 0), ("phi", 0.0, 3.0, 0))],
+    ids=["default", "sigma-x-phi"],
+)
+def test_a_sweep_forms_no_array_of_the_grid_times_n(axes):
+    # one complex array of 96 x 96 x 40 would be 5.9 MB on its own; on
+    # sigma x phi, v2 reads both axes, so every row is a block of its own
+    axes = (AxisSpec(*axis[:3], 96) for axis in axes)
+    spec = SweepSpec("circle", SectorPair.PP, *axes, truncation=40)
+    run_sweep(spec)
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault():
+    # mu = <u1, v1>/|u1|^2 = 1e154, so |w_k|^2 is about 1e308 and the sum of
+    # two overflows in fsum; the rows iterator fails only at row 1, and a
+    # row-by-row loop meets the overflow first
+    def slot(*terms):
+        return CoefficientSequence(None, np.array(terms, dtype=complex), 0.0)
+
+    u1, u2, v1, v2 = slot(1e-154, 0.0), slot(0.0, 0.0), slot(1.0, 0.0), slot(1.0, 1.0)
+
+    def rows():
+        yield [u1], [u2], [v1], [v2], [0.0]
+        raise GridDomainError("row 1")
+
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        list(entangle_circle.pair_norm_grid(entangle_circle.CIRCLE_PAIR, rows()))

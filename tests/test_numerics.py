@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mp2ent.cat_compare import coherent_fock_vector
-from mp2ent.numerics import SeriesValue, log_factorial, theta2, theta3
+from mp2ent.numerics import SeriesValue, block_fsum, log_factorial, theta2, theta3
 from mp2ent.states import Parity, fock_series
 
 
@@ -145,3 +146,109 @@ class TestSeriesValue:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             SeriesValue(1.0, 0, 0.0)
+
+
+def _outcome(call):
+    """call()'s result, or the type and text of the exception it raised."""
+    try:
+        return call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _block_fsum(points, lanes, column=False):
+    """block_fsum over ``points`` (each a list of its terms), fed ``lanes``
+    terms per slice, the points laid out as (G,) or, with ``column``,
+    (G, 1); and the points where it fell back to fsum."""
+    terms = np.array(points, dtype=float).T
+    if column:
+        terms = terms[:, :, None]
+    fallbacks = []
+
+    def point_terms(index):
+        fallbacks.append(index)
+        return terms[(slice(None), *index)].tolist()
+
+    slices = (terms[k : k + lanes] for k in range(0, len(terms), lanes))
+    return _outcome(lambda: block_fsum(slices, point_terms).ravel().tolist()), fallbacks
+
+
+def _fsum_each(points):
+    """math.fsum of each point, or the first point's fsum exception."""
+    sums = [_outcome(lambda: math.fsum(terms)) for terms in points]
+    return next((s for s in sums if isinstance(s, tuple)), sums)
+
+
+def _same(got, expected):
+    if isinstance(expected, tuple):
+        return got == expected
+    return np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+# non-negative terms: zeros, subnormals, every binary exponent, inf
+TERM = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=2.0**-1022),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1023)),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+@st.composite
+def _point(draw, n):
+    """n terms: arbitrary, or (n >= 3) an exact tie x + ulp(x)/2, or a tie
+    pushed just above by one tiny term, in any order among zeros."""
+    if n < 3 or draw(st.booleans()):
+        return draw(st.lists(TERM, min_size=n, max_size=n))
+    x = draw(st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                       st.integers(-1000, 1000)))
+    tie = [x, math.ulp(x) / 2.0, math.ulp(x) * 2.0**-70 if draw(st.booleans()) else 0.0]
+    return draw(st.permutations(tie + [0.0] * (n - 3)))
+
+
+class TestBlockFsum:
+    """numerics.block_fsum must be math.fsum of each point bit for bit,
+    whatever the lanes per slice: its certificate where it holds, else
+    fsum itself, raising as fsum raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_fsum_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 45), label="N")
+        points = data.draw(st.lists(_point(n), min_size=1, max_size=6), label="points")
+        lanes = data.draw(st.integers(1, n + 2), label="lanes")
+        got, _ = _block_fsum(points, lanes, data.draw(st.booleans(), label="column"))
+        assert _same(got, _fsum_each(points))
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 64])
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0], [5e-324], [1.0], [math.inf]],  # N = 1
+            [[0.0] * 40, [0.0] * 40],  # all-zero points
+            [[5e-324] * 3, [2.0**-1022 - 5e-324, 5e-324, 0.0], [2.0**-1060] * 3],
+            [[2.0**600, 2.0**-600, 1.0, 0.0], [2.0**-300, 1.0, 2.0**200, 2.0**-900]],
+            [[math.inf, 1.0, 2.0], [1.0, 2.0, math.inf]],
+            [[1.0, 2.0**-53, 0.0], [1.5, 2.0**-53, 0.0], [2.0**-53, 0.0, 1.0]],  # exact ties
+            [[1.0, 2.0**-53, 2.0**-200], [2.0**-200, 2.0**-53, 1.0]],  # just above a tie
+            [[1.0, 2.0], [1.7e308, 1.7e308]],  # fsum overflows: raised as fsum raises
+        ],
+        ids=["N=1", "zeros", "subnormals", "spread", "inf", "ties", "above-tie", "overflow"],
+    )
+    def test_edge_cases_equal_fsum(self, points, lanes):
+        got, _ = _block_fsum(points, lanes)
+        assert _same(got, _fsum_each(points))
+
+    @pytest.mark.parametrize("lanes", [1, 4, 40])
+    def test_exact_zeros_and_plain_sums_need_no_fallback(self, lanes):
+        # 2 (|f| + B) < g passes an exact zero, where |f| + B < g/2 cannot
+        # (g/2 = 2^-1075 rounds to 0)
+        points = [[0.0] * 40, [1.0 + k for k in range(40)], [2.0**-k for k in range(40)]]
+        got, fallbacks = _block_fsum(points, lanes)
+        assert fallbacks == []
+        assert _same(got, _fsum_each(points))
+
+    def test_ties_fall_back(self):
+        got, fallbacks = _block_fsum([[1.0, 2.0**-53], [1.0, 2.0**-52]], 1)
+        assert fallbacks == [(0,)]
+        assert got == [1.0, 1.0 + 2.0**-52]

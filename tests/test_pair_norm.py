@@ -18,7 +18,7 @@ from mp2ent.cat_compare import CatPairParams, cat_coefficient_matrix
 from mp2ent.entangle_circle import CirclePairParams, SectorPair, coefficient_matrix
 from mp2ent.entangle_coset import CosetPairParams, coefficient_matrix_coset
 from mp2ent.entangle_cylinder import CylinderPairParams, coefficient_matrix_cyl
-from mp2ent.grids import FAMILIES, AxisSpec, SweepSpec, grid_to_csv, run_sweep
+from mp2ent.grids import FAMILIES, AxisSpec, SweepSpec, grid_to_csv, grid_to_json, run_sweep
 from mp2ent.numerics import stable_norm_sq
 from mp2ent.states import (
     CircleLabel,
@@ -228,6 +228,25 @@ class TestSlotMemo:
         assert states.fock_series.cache_info() == before
         monkeypatch.setattr(states, "fock_series", states.fock_series.__wrapped__)
         assert grid_to_csv(run_sweep(spec)) == cold == warm
+
+    def test_total_closed_form_sweep_leaves_the_memo_unchanged(self, monkeypatch):
+        # each grouped Gram half takes its two slot tails from one unmemoized
+        # batch; through the memo, as the per-point record call, the bytes
+        # are the same
+        spec = SweepSpec(
+            family="circle", pair=SectorPair.TOTAL, axis1=AxisSpec("phi", 0.0, 3.0, 8),
+            axis2=AxisSpec("phi_prime", -1.0, 2.0, 8), truncation=12,
+        )
+        states.fock_series.cache_clear()
+        before = states.fock_series.cache_info()
+        grid = grid_to_json(run_sweep(spec, "closed_form"))
+        assert states.fock_series.cache_info() == before
+        monkeypatch.setattr(
+            states.SlotMap, "batch",
+            lambda record, points, *args: [record(var, label, *args) for var, label in points],
+        )
+        assert grid_to_json(run_sweep(spec, "closed_form")) == grid
+        assert states.fock_series.cache_info().misses > 0
 
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD, None],
                              ids=["even", "odd", "total"])
