@@ -25,6 +25,7 @@ from .grids import (
     CONVENTIONS,
     DEFAULT_AXES,
     FAMILIES,
+    FORMATS,
     PARAMETERS,
     AxisSpec,
     GridDomainError,
@@ -99,7 +100,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, family: str) -> None:
     )
     sub.add_argument("--trunc", type=int, default=DEFAULT_TERMS, help="series truncation")
     sub.add_argument("--convention", choices=CONVENTIONS, default="stripped")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=FORMATS, default="csv")
     sub.add_argument("--out", help="output path (default derived, under MP2E_OUT_DIR)")
 
 

@@ -18,8 +18,9 @@ v1 = mu u1 + r with mu = <u1, v1>/|u1|^2 and r orthogonal to u1 gives
 two orthogonal terms, so no cancellation happens between them; each norm
 and inner product is an exactly rounded math.fsum of N products.
 :func:`pair_norm_grid` evaluates the same expressions over a sweep grid, a
-block of axis1 rows at a time in numpy (a slot, phase or Gram half shared
-by a whole row comes as a one-element list and is broadcast); its |w|^2 sums
+block of axis1 rows at a time in numpy, each item an array of length 1
+along an axis it does not read (:func:`mp2ent.grids.run_sweep` builds and
+shapes them), broadcast; its |w|^2 sums
 are :func:`~mp2ent.numerics.block_fsum`'s, certified equal to fsum's bit
 for bit, with fsum itself at any point the certificate does not cover.  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -290,84 +290,40 @@ def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float
     return uu, mu, stable_norm_sq(v1.terms - mu * u1.terms)
 
 
-def _converted(rows, converters):
-    """Yield, row by row, each converter's arrays over its lists of the row.
-
-    ``converters`` holds (function, index, ...) entries, the indices those
-    of the row lists the function reads.  A list stays the same object for
-    as long as its items do not change (:func:`mp2ent.grids._grid_rows`), so
-    a function is called again only when one of its lists is new.
-    """
-    seen: list = [None] * len(converters)
-    arrays: list = [None] * len(converters)
-    for row in rows:
-        for k, (convert, *indices) in enumerate(converters):
-            lists = [row[i] for i in indices]
-            if seen[k] is None or any(new is not old for new, old in zip(lists, seen[k])):
-                seen[k], arrays[k] = lists, convert(*lists)
-        yield tuple(arrays)
+def projections(pairs) -> list[tuple[float, complex, float, float, float, float]]:
+    """|u1|^2, mu, |r|^2 (:func:`_projection`), T(u1), N(v1) and T(v1) of
+    each (u1, v1) of ``pairs``: the projection item of :func:`pair_norm_grid`."""
+    return [(*_projection(u1, v1), u1.tail_bound, v1.norm_sq(), v1.tail_bound) for u1, v1 in pairs]
 
 
-def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:meth:`CoefficientMatrix.norm_sq` and the :func:`pair_matrix` tail
     bound of ``form`` at every point of a grid, a block of rows at a time.
 
-    ``rows`` yields, row by row, the lists (u1, u2, v1, v2, rho) of the
-    row's points, one entry per point or one that the whole row shares; a
-    list is converted to arrays once (:func:`_converted`), and a slot met at
-    several points is one shared object.  |u1|^2, mu and |r|^2 are taken
-    once per distinct (u1, v1).  A block (:func:`_blocks`) is a run of
-    rows whose u2 and v2 are each one list shared by every row, or a
-    one-point list in every row; on any sweep whose u2 and v2 read at most
-    one axis it is the whole grid.  The per-point scalars of the block's
-    rows, and their one-point u2 and v2, are stacked.  w = u2 + f mu v2 is
-    formed a slice of terms at a time over the whole block, f mu in real
-    arithmetic in CPython's order, and |w|^2 summed by
-    :func:`~mp2ent.numerics.block_fsum`, which is fsum's result bit for bit
-    (a point its certificate does not cover is one fsum of that point's
-    terms).  A slice holds about _SLICE_POINTS values, or one term of
-    every point of a larger block, so no array of the block's size times N
-    is formed.  Every float expression is that of pair_matrix, norm_sq and
+    ``blocks`` yields, block by block, the arrays of its points' items
+    (:func:`mp2ent.grids.run_sweep`): the projection as :func:`projections`
+    columns, u2 and v2 each as (N, T, terms), and the phase s e^(i rho) as a
+    1-tuple, each of shape (rows or 1, columns or 1) (terms with a trailing
+    axis), 1 along an axis the item does not read; they broadcast to the
+    block.  w = u2 + f mu v2 is formed a slice of terms at a time over the
+    whole block, f mu in real arithmetic in CPython's order, and |w|^2
+    summed by :func:`~mp2ent.numerics.block_fsum`, which is fsum's result
+    bit for bit (a point its certificate does not cover is one fsum of that
+    point's terms).  A slice holds about _SLICE_POINTS values, or one term
+    of every point of a larger block, so no array of the block's size times
+    N is formed.  Every float expression is that of pair_matrix, norm_sq and
     _product_tail, so each value and tail is the per-point one bit for bit.
     Yields, row by row, the values and the tail bounds of the row's points.
     """
     p = form.amp_prefactor
     tail_scale = 2.0 * p**2
-    projected: dict = {}
-
-    def slots(items):
-        # |s|^2, the tail bound and the terms of each slot
-        stats = ((slot.norm_sq(), slot.tail_bound, slot.terms) for slot in items)
-        return [np.array(column) for column in zip(*stats)]
-
-    def phases(rhos):
-        # f = s e^(i rho), conjugated on the bra side, and |f|^2
-        f = [form.swap_sign * cmath.exp(1j * rho) for rho in rhos]
-        f = np.array([phase.conjugate() for phase in f] if form.conjugate else f)
-        return f.real, f.imag, np.array([abs(phase) ** 2 for phase in f.tolist()])
-
-    def projections(u1s, v1s):
-        # |u1|^2, mu, |r|^2, T(u1), |v1|^2 and T(v1) of each point, once
-        # per distinct (u1, v1)
-        n = max(len(u1s), len(v1s))
-        stats = []
-        for u1, v1 in zip(u1s * (n // len(u1s)), v1s * (n // len(v1s))):
-            if (u1, v1) not in projected:
-                projected[u1, v1] = (
-                    *_projection(u1, v1), u1.tail_bound, v1.norm_sq(), v1.tail_bound
-                )
-            stats.append(projected[u1, v1])
-        return [np.array(column) for column in zip(*stats)]
-
-    converted = _converted(rows, ((projections, 0, 2), (slots, 1), (slots, 3), (phases, 4)))
-    for block in _blocks(converted):
-        # each array with a leading row axis, of length 1 where the rows share it
-        (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f_re, f_im, f_sq) = (
-            _stacked(block, k) for k in range(4)
-        )
-        fmu = np.empty(np.broadcast_shapes((len(block), 1), f_re.shape, mu.shape), complex)
-        fmu.real = f_re * mu.real - f_im * mu.imag
-        fmu.imag = f_re * mu.imag + f_im * mu.real
+    for (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) in blocks:
+        # f conjugated on the bra side, and |f|^2
+        f = f.conj() if form.conjugate else f
+        f_sq = np.reshape([abs(phase) ** 2 for phase in f.ravel().tolist()], f.shape)
+        fmu = np.empty(np.broadcast_shapes(f.shape, mu.shape), complex)
+        fmu.real = f.real * mu.real - f.imag * mu.imag
+        fmu.imag = f.real * mu.imag + f.imag * mu.real
         shape = np.broadcast_shapes(fmu.shape, u2.shape[:-1], v2.shape[:-1])
         terms = u2.shape[-1]
         lanes = min(terms, max(1, _SLICE_POINTS // math.prod(shape)))
@@ -397,41 +353,6 @@ def pair_norm_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.n
 # several terms per slice, so that a small block, a single row say, is a
 # few numpy calls on arrays of about this size and not one per term.
 _SLICE_POINTS = 4096
-
-
-def _blocks(rows):
-    """Runs of ``rows`` (converted: projections, u2, v2, phases) in which
-    u2 and v2 are each the first row's, or a one-point slot in every row.
-
-    Where ``rows`` raises, the rows before are yielded as a last block
-    first, so a fault of an earlier row (an fsum that overflows) is still
-    raised before it, as a row-by-row loop would.
-    """
-    block: list = []
-    try:
-        for row in rows:
-            if block and not all(
-                row[k] is block[0][k] or len(row[k][0]) == len(block[0][k][0]) == 1
-                for k in (1, 2)
-            ):
-                yield block
-                block = []
-            block.append(row)
-    except Exception:
-        if block:
-            yield block
-        raise
-    if block:
-        yield block
-
-
-def _stacked(block, k: int) -> list[np.ndarray]:
-    """The arrays of item ``k`` of a block's rows, each with a leading row
-    axis: of length 1 where every row has the same item, else one per row."""
-    first = block[0][k]
-    if all(row[k] is first for row in block):
-        return [a[None] for a in first]
-    return [np.stack(column) for column in zip(*(row[k] for row in block))]
 
 
 def gram_halves(
@@ -547,42 +468,31 @@ def pair_closed_form(
     return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
-def pair_closed_form_grid(form: EntangledPair, rows) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def pair_closed_form_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`pair_closed_form` of ``form`` and the :func:`pair_matrix` tail
-    bound of its truncated sums at every point of a grid, one row at a time.
+    bound of its truncated sums at every point of a grid, a block of rows at
+    a time.
 
-    ``rows`` yields, row by row, the lists (half 1, half 2, rho) of the
-    row's points, the halves :func:`gram_halves` tuples, as for
-    :func:`pair_norm_grid`.  The complex products are written out in real
-    arithmetic in CPython's order (numpy's complex multiply can round
-    differently), so every value is the per-point one bit for bit.  The
-    tail is _product_tail's expression over the halves' N and T, and 0.0
-    without arithmetic where every T is 0 (a sector pair).  Yields, row by
-    row, the values and the tail bounds.
+    ``blocks`` yields, block by block, the arrays of its points' two halves
+    as :func:`gram_halves` columns and of the phase s e^(i rho) as a 1-tuple,
+    shaped as for :func:`pair_norm_grid`.  The complex products are written
+    out in real arithmetic in CPython's order (numpy's complex multiply can
+    round differently), so every value is the per-point one bit for bit.
+    The tail is _product_tail's expression over the halves' N and T, and
+    0.0 without arithmetic where every T of the block is 0 (a sector pair).
+    Yields, row by row, the values and the tail bounds.
     """
-    p_sq, s = form.amp_prefactor**2, form.swap_sign
-
-    def halves(items):
-        # N(u), N(v), G(u, v), T(u), T(v) of each point, interleaved, and
-        # whether any T is nonzero (a sector's never is)
-        a = np.fromiter(itertools.chain.from_iterable(items), complex, 5 * len(items))
-        t_u, t_v = a[3::5].real, a[4::5].real
-        return a[0::5].real, a[1::5].real, a[2::5], t_u, t_v, bool(t_u.any() or t_v.any())
-
-    def phases(rhos):
-        return np.array([s * cmath.exp(1j * rho) for rho in rhos])
-
-    for half1, half2, phase in _converted(rows, ((halves, 0), (halves, 1), (phases, 2))):
-        (n_u1, n_v1, g1, t_u1, t_v1, tailed1), (n_u2, n_v2, g2, t_u2, t_v2, tailed2) = half1, half2
+    p_sq = form.amp_prefactor**2
+    for (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), (phase,) in blocks:
         gram_re = g1.real * g2.real - g1.imag * g2.imag
         gram_im = g1.real * g2.imag + g1.imag * g2.real
         # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
         cross = phase.real * gram_re + phase.imag * gram_im
         tail = 0.0
-        if tailed1 or tailed2:
+        if t_u1.any() or t_v1.any() or t_u2.any() or t_v2.any():
             tail = n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2
             tail = 2.0 * p_sq * (tail + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2))
-        yield p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), tail
+        yield from zip(*np.broadcast_arrays(p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), tail))
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

@@ -1,13 +1,16 @@
 """Parameter-sweep grids over the entanglement probabilities.
 
 A sweep is two named axes plus fixed values for the remaining parameters of
-one family (circle, cylinder, coset, cat).  Each slot of the pair (series)
-or Gram half (closed form) is built once per distinct value of the swept
-axes it reads, the slots in axis batches (``SlotMap.batch``);
-:func:`entangle_circle.pair_norm_grid` and
-:func:`entangle_circle.pair_closed_form_grid` then take one axis1 row at
-once, equal bit for bit to the per-point kernels.  Everything runs in a
-fixed row-major order, so output files are byte-identical across runs.  CSV
+one family (circle, cylinder, coset, cat).  This module is the one place
+that knows which axes each item of the pair reads (a component, a slot, a
+Gram half, the (u1, v1) projection): :func:`_sweep_blocks` builds each item
+once per distinct value of the swept axes it reads, in axis batches,
+converts each batch once into arrays shaped (n1 or 1, n2 or 1, ...), and
+hands :func:`entangle_circle.pair_norm_grid` (series) or
+:func:`entangle_circle.pair_closed_form_grid` (closed form) blocks of axis1
+rows that they broadcast, equal bit for bit to the per-point kernels.
+Everything runs in a fixed row-major order, so output files are
+byte-identical across runs.  CSV
 floats are written with 17 significant digits and JSON floats in Python's
 shortest round-trip repr; both read back exactly.
 
@@ -19,6 +22,7 @@ amplitudes.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,6 +39,7 @@ TOOL_VERSION = "0.1.0"
 FAMILIES = ("circle", "cylinder", "coset", "cat")
 PROVENANCES = ("series", "closed_form", "both")
 CONVENTIONS = ("stripped", "full")
+FORMATS = ("csv", "json")
 
 # Per-family parameter names, defaults, and validity domains (lo, hi, open
 # upper end).  Disk moduli live in [0, 1); Im(alpha) must stay positive.
@@ -115,6 +120,9 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"axis {self.name} steps must be an integer, got {self.steps!r}")
+        object.__setattr__(self, "steps", int(self.steps))
         if self.steps < 2:
             raise ValueError("axis needs steps >= 2")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
@@ -142,6 +150,9 @@ class SweepSpec:
             raise ValueError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
             )
+        if not isinstance(self.truncation, (int, np.integer)):
+            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
+        object.__setattr__(self, "truncation", int(self.truncation))
         if self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
         object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
@@ -227,7 +238,7 @@ def _coset_label(re: float, im: float, phi: float, x: float, y: float) -> CosetL
 
 
 # family -> (entangled pair, its four components).  Both columns build the
-# pair's slots or Gram halves from the components (see _grid_rows).
+# pair's slots or Gram halves from the components (see _sweep_blocks).
 # Kernels are looked up on their modules at call time, so a wrapper
 # installed on a module attribute sees every sweep.  The pair's record
 # prefactor sets the "full" convention.
@@ -261,7 +272,7 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
     across runs.  The family's kernels and the convention's scale are read
     once.  The series column is one :func:`entangle_circle.pair_norm_grid`
-    call over the slots of :func:`_grid_rows`, the closed form one
+    call over the blocks of :func:`_sweep_blocks`, the closed form one
     :func:`entangle_circle.pair_closed_form_grid` call over its Gram halves
     (under ``both`` the two must agree within 1e-9 plus the series tail
     bound, or the first point that does not is named; under ``closed_form``
@@ -287,17 +298,16 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     values = np.empty((spec.axis1.steps, spec.axis2.steps))
     tails = np.empty_like(values)
     if provenance != "closed_form":
-        slots = _grid_rows(spec, form.record, components, fixed)
-        rows = entangle_circle.pair_norm_grid(form, slots)
-        for i, (row_values, row_tails) in enumerate(rows):
+        blocks = _sweep_blocks(spec, form, components, fixed)
+        for i, (row_values, row_tails) in enumerate(entangle_circle.pair_norm_grid(form, blocks)):
             values[i], tails[i] = row_values, row_tails
         values *= scale
         tails *= scale
         if provenance == "series":
             return ProbabilityGrid(spec, values, float(tails.max()), provenance)
-    halves = _grid_rows(spec, form.record, components, fixed, halves=True)
+    blocks = _sweep_blocks(spec, form, components, fixed, halves=True)
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    for i, (row, row_tails) in enumerate(entangle_circle.pair_closed_form_grid(form, halves)):
+    for i, (row, row_tails) in enumerate(entangle_circle.pair_closed_form_grid(form, blocks)):
         closed = scale * row
         if provenance == "closed_form":
             values[i], tails[i] = _clamp_residue(closed), scale * row_tails
@@ -312,113 +322,132 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     return ProbabilityGrid(spec, values, float(tails.max()), provenance)
 
 
-def _grid_rows(
-    spec: SweepSpec, record, components, fixed: dict[str, float], halves: bool = False
-):
-    """Yield, row by row, the lists of the slots (u1, u2, v1, v2) or, with
-    ``halves``, the two Gram halves of the points of each axis1 row, and
-    their phases rho.  A list holds one item per axis2 value, or a single
-    item where it does not vary along axis2; such a one-element list stays
-    the same object for as long as its item does, so a kernel converts it
-    once and broadcasts it.  A yielded list is never changed afterwards.
+def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], halves: bool = False):
+    """Yield the sweep in blocks of axis1 rows, each block the arrays that
+    its kernel reads: the (u1, v1) projection, u2, v2 and the phase
+    f = s e^(i rho) for ``entangle_circle.pair_norm_grid``, or with
+    ``halves`` the two Gram halves and f for ``pair_closed_form_grid``.
 
-    A component reads some parameter names, and a slot or half those of its
-    components; each is built once per distinct value of the axes among
-    them and shared wherever those axes repeat.  Slots are built in axis
-    batches by ``record.batch`` and halves by ``entangle_circle.gram_halves``
-    (whose total tails are built once a sweep), neither of which reads or
-    fills the fock_series memo: a role that reads only axis1 is one batch
-    over axis1, one that reads only axis2 one batch over axis2, one that
-    reads both one batch over axis2 per row, and one that reads neither a
-    batch of one.  Each point's item, or
-    the exception building it raised, is stored; a walk in row-major point
-    order, each point's new items in ``order`` (the labels before the
-    variables, as a point's params dataclass builds them, so a point with
-    two faults names the same one, then the slots or halves), raises the
-    first stored exception it meets.  So the first point that fails, and its
-    message, are those of a point-by-point loop.
+    Items.  A component (first, second, label, label', f) reads the
+    parameter names of its table entry, a slot role or Gram half those of
+    its components, and the projection those of u1 and v1.  Each is built
+    once per distinct value of the axes among them, in axis batches: one
+    that reads only axis1 is one batch over axis1, one that reads only
+    axis2 one batch over axis2, one that reads both one batch over axis2 per
+    row, and one that reads neither a batch of one.  Slots come from
+    ``record.batch``, halves from ``entangle_circle.gram_halves`` (whose
+    total tails are built once a sweep) and projections from
+    ``entangle_circle.projections``; none reads or fills the fock_series
+    memo.  A kernel item is converted once per batch into arrays of shape
+    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read, by
+    :func:`_columns`; a both-axes item's rows are stacked over a block.
+    Every parameter is read by some kernel item, so a block's arrays
+    broadcast to (rows, n2).  A series block is the whole grid unless u2
+    or v2 reads both axes; there, and in the closed form, it is one row.
+
+    Faults.  A point's item is the ValueError or ArithmeticError that
+    building it raised, or that of a component it reads, in which case it is
+    not built.  Each batch keeps its first fault in row-major order and
+    converts only the items before it.  The sweep's first failing point is
+    the least (row, column), ties broken by ``order`` (the labels before the
+    variables, as a point's params dataclass builds them, then the slots or
+    halves and the projection); the rows before it are yielded, and its
+    fault is raised naming the point: the first failure of a point-by-point
+    loop, with its message.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    terms = spec.truncation
-    parities = entangle_circle.slot_parities(spec.pair)
+    record, terms, parities = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
+    components = (*components, (("rho",), lambda rho: (form.swap_sign * cmath.exp(1j * rho),)))
+    n = len(components)
+    tails: dict = {}  # the grouped total slots' tails of the Gram halves, built once a sweep
+
+    def batcher(parity):
+        if halves:
+            return lambda points: entangle_circle.gram_halves(record, points, parity, terms, tails)
+        return lambda points: record.batch(points, parity, terms, False)
+
+    # the derived items: the items each reads, and its builder over points
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
+    derived = [(role, batcher(parities[role[0]])) for role in roles]
+    if not halves:
+        derived.append(((n, n + 2), entangle_circle.projections))  # of u1 and v1
+    # what the kernel reads: the two halves, or the projection, u2 and v2; then f
+    kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
     reads = [set(names) for names, _ in components]
-    reads += [set().union(*(reads[c] for c in role)) for role in roles]
+    for parents, _ in derived:
+        reads.append(set().union(*(reads[c] for c in parents)))
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
-    order = (2, 3, 0, 1) + tuple(range(len(components), len(reads)))
-    # built[k]: item k (or its exception) at each axis1 value if it reads
-    # axis1 only, else at each axis2 value of the current row (one entry if
-    # it reads neither); a row-constant one-element list is kept as it is
+    order = (2, 3, 0, 1) + tuple(range(4, len(reads)))
+    # built[k]: item k at each axis1 value if it reads axis1 only, else at
+    # each axis2 value of the current row (one entry if it reads neither)
     built: list[list] = [[] for _ in reads]
-    # the grouped total slots' tails of the Gram halves, built once a sweep
-    tails: dict = {}
+    arrays: list = [None] * len(reads)
+    first = (len(ax1), 0, 0, None)  # the first fault: row, column, rank in order, exception
 
     def at(k: int, i: int, j: int):
         return built[k][i] if on1[k] and not on2[k] else built[k][j if on2[k] else 0]
 
-    def build(k: int, points: list[tuple[int, int]]) -> list:
-        # item k at each (i, j) of points: the item or the exception
-        if k < len(components):
+    def batch(k: int, i: int) -> None:
+        # build item k over its batch at row i, note its first fault, convert
+        nonlocal first
+        points = ([(i1, 0) for i1 in range(len(ax1))] if on1[k] and not on2[k]
+                  else [(i, j) for j in range(len(ax2) if on2[k] else 1)])
+        if k < n:
             names, builder = components[k]
-            return [
-                _attempt(builder, *(ax1[i] if n == name1 else ax2[j] if n == name2
-                                    else fixed[n] for n in names))
-                for i, j in points
-            ]
-        role = roles[k - len(components)]
-        parts = [[at(c, i, j) for c in role] for i, j in points]
-        # a point whose component failed is never read: the walk meets
-        # that component first
-        faults = [next((p for p in ps if isinstance(p, Exception)), None) for ps in parts]
-        parity = parities[role[0]]
-        live = [ps for fault, ps in zip(faults, parts) if fault is None]
-        items = iter(
-            entangle_circle.gram_halves(record, live, parity, terms, tails) if halves
-            else record.batch(live, parity, terms, False)
-        )
-        return [next(items) if fault is None else fault for fault in faults]
+            built[k] = []
+            for i1, j in points:
+                try:
+                    built[k].append(builder(*(ax1[i1] if name == name1 else ax2[j] if name == name2
+                                              else fixed[name] for name in names)))
+                except (ValueError, ArithmeticError) as exc:
+                    built[k].append(exc)
+        else:
+            parents, builder = derived[k - n]
+            parts = [[at(c, i1, j) for c in parents] for i1, j in points]
+            faults = [next((p for p in ps if isinstance(p, Exception)), None) for ps in parts]
+            items = iter(builder([ps for fault, ps in zip(faults, parts) if fault is None]))
+            built[k] = [next(items) if fault is None else fault for fault in faults]
+        bad = next((m for m, item in enumerate(built[k]) if isinstance(item, Exception)), None)
+        if bad is not None:
+            first = min(first, (*points[bad], order.index(k), built[k][bad]))
+        if k in kernel_items:
+            good = len(points) if bad is None else bad
+            arrays[k] = _columns(built[k][:good], (good, 1) if on1[k] and not on2[k] else (1, good))
 
-    def points(k: int, i: int) -> list[tuple[int, int]]:
-        # the points of item k's batch: all of axis1 for one that reads
-        # axis1 only, else axis2 along row i (one point if it reads neither)
-        if on1[k] and not on2[k]:
-            return [(i1, 0) for i1 in range(len(ax1))]
-        return [(i, j) for j in range(len(ax2) if on2[k] else 1)]
-
-    for k in range(len(reads)):
-        built[k] = build(k, points(k, 0))
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]
-    rhos = ax2 if name2 == "rho" else [fixed["rho"]]
-    for i, v1 in enumerate(ax1):
-        for k in both if i else ():
-            built[k] = build(k, points(k, i))
-        # the items whose axes take a new value in this row: met at its
-        # first point, and (those on axis2) again at every later point
-        fresh = [k for k in order if i == 0 or on1[k]]
-        along = [k for k in fresh if on2[k]]
-        for j in range(len(ax2) if along else 1):
-            for k in fresh if j == 0 else along:
-                item = at(k, i, j)
-                if isinstance(item, Exception):
-                    raise GridDomainError(
-                        f"point ({name1}={v1}, {name2}={ax2[j]}): {item}"
-                    ) from item
-        # the walk has met every item of the row: none is an exception
-        yield (
-            *([built[k][i]] if on1[k] and not on2[k] else built[k]
-              for k in range(len(components), len(reads))),
-            [v1] if name1 == "rho" else rhos,
-        )
+    for k in range(len(reads)):
+        if k not in both:
+            batch(k, 0)
+    step = 1 if halves or n + 1 in both or n + 3 in both else len(ax1)
+    for i0 in range(0, len(ax1), step):
+        rows = []  # the arrays of the both-axes kernel items, row by row
+        for i in range(i0, i0 + step):
+            if i > first[0]:
+                break
+            for k in both:
+                batch(k, i)
+            rows.append({k: arrays[k] for k in both})
+        end = min(i0 + step, first[0])
+        if end > i0:
+            yield tuple(
+                [np.concatenate(cols) for cols in zip(*(row[k] for row in rows[: end - i0]))]
+                if k in both
+                else [a[i0:end] for a in arrays[k]] if on1[k] else arrays[k]
+                for k in kernel_items
+            )
+        if end < i0 + step:
+            i, j, _, fault = first
+            raise GridDomainError(f"point ({name1}={ax1[i]}, {name2}={ax2[j]}): {fault}") from fault
 
 
-def _attempt(build, *args):
-    """build(*args), or the ValueError or ArithmeticError it raised."""
-    try:
-        return build(*args)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
+def _columns(items: list, shape: tuple[int, int]) -> list[np.ndarray]:
+    """The columns of a batch's items as arrays of shape ``shape`` (each
+    entry's own shape appended): a slot as (N, T, terms), else the tuple."""
+    rows = [item if isinstance(item, tuple) else (item.norm_sq(), item.tail_bound, item.terms)
+            for item in items]
+    return [np.array(col).reshape(*shape, *np.shape(col[0])) for col in zip(*rows)]
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:
@@ -467,17 +496,14 @@ def _json_values(rows: list[list[float]]) -> str:
     ) + "\n ]"
 
 
-def read_grid_csv(text: str) -> np.ndarray:
-    """Rows of (axis1, axis2, value) back as an array, exactly as written."""
-    rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-    return np.array([[float(c) for c in row] for row in rows])
-
-
 def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") -> None:
     """Write the data file plus a ``<path>.meta.json`` sidecar; timestamps
-    only ever go in the sidecar so data files stay deterministic."""
+    only ever go in the sidecar so data files stay deterministic.  ``fmt``
+    is one of :data:`FORMATS`, checked before any file is opened."""
     import datetime
 
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     text = grid_to_csv(grid) if fmt == "csv" else grid_to_json(grid)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -148,11 +148,16 @@ def test_total_closed_form_grid_reports_the_series_tail(axes, terms, convention)
         assert run_sweep(spec, "closed_form").tail_bound_max == 0.0
 
 
-@pytest.mark.parametrize("axes", [("omega", "phi"), ("phi", "omega")], ids="x".join)
+@pytest.mark.parametrize(
+    "axes", [("omega", "phi"), ("phi", "omega"), ("sigma", "phi"), ("phi", "sigma")],
+    ids="x".join,
+)
 def test_total_closed_form_tail_where_one_half_has_none(axes):
     # at sigma = 0 the second half's truncated sums are exact (T = 0), so
-    # the tail comes from the first half alone and must still be reported
-    fixed = {**FIXED["circle"], "sigma": 0.0}
+    # the tail comes from the first half alone and must still be reported;
+    # at omega = 0, the other way round
+    zero = "sigma" if "omega" in axes else "omega"
+    fixed = {**FIXED["circle"], zero: 0.0}
     spec = _spec("circle", axes, SectorPair.TOTAL, "stripped", fixed, terms=2)
     closed = run_sweep(spec, "closed_form").tail_bound_max
     assert closed > 0.0

@@ -7,13 +7,14 @@ equal the family's ``probability_series*`` at that point bit for bit,
 the first failing point with the per-point loop's message.
 """
 
+import cmath
 import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, numerics
+from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, grids, numerics
 from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
 from mp2ent.entangle_circle import CirclePairParams, SectorPair, probability_series
 from mp2ent.entangle_coset import CosetPairParams, probability_series_coset
@@ -202,9 +203,13 @@ def test_grid_equals_the_per_point_series_where_the_phase_modulus_is_not_1(famil
         # the fiducial (x, y) vanishes where x crosses 0 at y = 0
         ("coset", ("alpha_im", 0.5, 2.0, 4), ("x", -1.0, 1.0, 5), SectorPair.MM, 12,
          (("y", 0.0),)),
+        # the label (x = y = 0) and the variable (|omega| rounds to 1) both
+        # fail at the first point: the label is named
+        ("coset", ("x", 0.0, 1.0, 3), ("omega", 0.9999999999999999, 0.5, 2), SectorPair.PP, 12,
+         (("y", 0.0), ("arg_omega", 3.0245729463650424))),
     ],
     ids=["cat-trunc-1", "cat-trunc-1-total", "cylinder-overflow", "cylinder-overflow-u1-first",
-         "coset-null-fiducial"],
+         "coset-null-fiducial", "coset-label-beats-variable"],
 )
 def test_a_failing_sweep_names_the_per_point_first_failure(
     family, axis1, axis2, pair, truncation, fixed
@@ -320,16 +325,18 @@ def test_a_sweep_forms_no_array_of_the_grid_times_n(axes):
 
 def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault():
     # mu = <u1, v1>/|u1|^2 = 1e154, so |w_k|^2 is about 1e308 and the sum of
-    # two overflows in fsum; the rows iterator fails only at row 1, and a
-    # row-by-row loop meets the overflow first
+    # two overflows in fsum; the blocks iterator fails only after its first
+    # block, and a row-by-row loop meets the overflow first
     def slot(*terms):
         return CoefficientSequence(None, np.array(terms, dtype=complex), 0.0)
 
     u1, u2, v1, v2 = slot(1e-154, 0.0), slot(0.0, 0.0), slot(1.0, 0.0), slot(1.0, 1.0)
+    phase = entangle_circle.CIRCLE_PAIR.swap_sign * cmath.exp(0j)
 
-    def rows():
-        yield [u1], [u2], [v1], [v2], [0.0]
+    def blocks():
+        items = (entangle_circle.projections([(u1, v1)]), [u2], [v2], [(phase,)])
+        yield tuple(grids._columns(batch, (1, 1)) for batch in items)
         raise GridDomainError("row 1")
 
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        list(entangle_circle.pair_norm_grid(entangle_circle.CIRCLE_PAIR, rows()))
+        list(entangle_circle.pair_norm_grid(entangle_circle.CIRCLE_PAIR, blocks()))

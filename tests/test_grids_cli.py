@@ -1,4 +1,6 @@
+import cmath
 import importlib
+import io
 import json
 import math
 import os
@@ -27,7 +29,6 @@ from mp2ent.grids import (
     SweepSpec,
     grid_to_csv,
     grid_to_json,
-    read_grid_csv,
     run_sweep,
     write_grid,
 )
@@ -120,6 +121,22 @@ class TestSweeps:
         with pytest.raises(ValueError):
             small_spec(fixed=(("bogus", 1.0),))
 
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "4", None])
+    def test_non_integer_steps_are_refused_naming_the_axis(self, steps):
+        with pytest.raises(ValueError, match=r"axis omega steps must be an integer"):
+            AxisSpec("omega", 0.0, 0.5, steps)
+
+    @pytest.mark.parametrize("truncation", [2.5, 12.0, "12"])
+    def test_non_integer_truncation_is_refused(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be an integer"):
+            small_spec(truncation=truncation)
+
+    def test_numpy_integer_steps_and_truncation_are_stored_as_int(self):
+        spec = small_spec(axis1=AxisSpec("omega", 0.0, 0.9, np.int64(3)), truncation=np.int32(8))
+        assert type(spec.axis1.steps) is int and type(spec.truncation) is int
+        payload = json.loads(grid_to_json(run_sweep(spec)))
+        assert (payload["spec"]["axis1"]["steps"], payload["spec"]["truncation"]) == (3, 8)
+
     def test_fixed_domain_checked(self):
         with pytest.raises(GridDomainError):
             small_spec(fixed=(("sigma", 1.2),))
@@ -135,7 +152,7 @@ class TestSerialization:
     def test_csv_round_trip_bit_exact(self, fmt):
         grid = run_sweep(small_spec(fixed=(("phi", 1.0), ("phi_prime", 0.2), ("rho", 2.0))))
         if fmt == "csv":
-            rows = read_grid_csv(grid_to_csv(grid))
+            rows = np.loadtxt(io.StringIO(grid_to_csv(grid)), delimiter=",", skiprows=1)
             assert rows.shape == (7 * 5, 3)
             values = rows[:, 2]
         else:
@@ -246,6 +263,21 @@ class TestSerialization:
         assert "created_at" in meta and meta["command"] == "circle"
         assert "created_at" not in path.read_text()
 
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+    def test_unknown_format_is_refused_before_any_file_is_opened(self, tmp_path, fmt):
+        grid = run_sweep(small_spec())
+        with pytest.raises(ValueError, match="format must be one of"):
+            write_grid(grid, str(tmp_path / "g.xml"), fmt)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_formats_are_the_writer_formats(self):
+        assert cli.FORMATS is grids.FORMATS and grids.FORMATS == ("csv", "json")
+        parser = cli.build_parser()
+        for fmt in grids.FORMATS:
+            assert parser.parse_args(["circle", "--format", fmt]).format == fmt
+        with pytest.raises(SystemExit):
+            parser.parse_args(["circle", "--format", "xml"])
+
 
 class TestCli:
     def test_parse_number_pi_suffix(self):
@@ -336,7 +368,7 @@ class TestCli:
             ])
         assert code == rc
         if rc == 0:
-            assert np.all(np.isfinite(read_grid_csv(out.read_text())))
+            assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
         else:
             assert "non-physical label" in capsys.readouterr().err
 
@@ -350,7 +382,7 @@ class TestCli:
             "--axis2", "sigma:0:0.95:3", "--out", str(out),
         ])
         assert rc == 0
-        assert np.all(np.isfinite(read_grid_csv(out.read_text())))
+        assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
 
     @pytest.mark.parametrize("pair", ["pm", "mm"])
     def test_default_cat_odd_sweeps_exit_0(self, tmp_path, pair):
@@ -358,7 +390,7 @@ class TestCli:
         # is exactly zero
         out = tmp_path / "cat.csv"
         assert main(["cat", "--pair", pair, "--out", str(out)]) == 0
-        values = read_grid_csv(out.read_text())[:, 2].reshape(64, 64)
+        values = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2].reshape(64, 64)
         assert np.all(values[:, 0] == 0.0)
         assert np.all(values[0, :] == 0.0) == (pair == "mm")
 
@@ -563,13 +595,40 @@ def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, rev
     assert counts["_projection"] == expected
 
 
-# how each list of a row reads the axes: "fixed" one entry, one list for the
-# whole sweep; "axis1" one entry, a new list each row; "axis2" an entry per
-# axis2 value, one list for the sweep; "both" an entry per axis2 value, a new
-# list each row.  Series rows are (u1, u2, v1, v2, rho), closed-form rows
-# (half 1, half 2, rho); u1 = (omega, phi), u2 = (sigma, phi'),
+@pytest.mark.parametrize(
+    ("family", "pair", "axes"),
+    [("circle", SectorPair.PP, (("sigma", 0.0, 0.9), ("phi", 0.0, 3.0))),
+     ("cat", SectorPair.PM, (("beta", 0.2, 1.9), ("phi_prime", 0.0, 3.0)))],
+    ids=["circle-pp-sigma-x-phi", "cat-pm-beta-x-phi_prime"],
+)
+def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, family, pair, axes):
+    # u2 or v2 reads both axes, so every block is one row, and u1 or v1
+    # reads axis2: 7 distinct (u1, v1) on a 5 x 7 grid, projected once per
+    # sweep and not once per block
+    counts = {"_projection": 0}
+    monkeypatch.setattr(
+        entangle_circle, "_projection",
+        _counting(counts, "_projection", entangle_circle._projection),
+    )
+    kernel, blocks = entangle_circle.pair_norm_grid, []
+
+    def recording(form, items):
+        return kernel(form, (blocks.append(block) or block for block in items))
+
+    monkeypatch.setattr(entangle_circle, "pair_norm_grid", recording)
+    run_sweep(SweepSpec(family, pair, AxisSpec(*axes[0], 5), AxisSpec(*axes[1], 7), truncation=8))
+    shapes = [np.broadcast_shapes(*(a.shape[:2] for item in b for a in item)) for b in blocks]
+    assert shapes == [(1, 7)] * 5
+    assert counts["_projection"] == 7
+
+
+# how each item of the pair reads the axes: "fixed" neither, "axis1",
+# "axis2" or "both".  Series items are (u1, u2, v1, v2, rho), closed-form
+# items (half 1, half 2, rho); u1 = (omega, phi), u2 = (sigma, phi'),
 # v1 = (omega, phi'), v2 = (sigma, phi), half 1 = (omega, phi, phi'),
-# half 2 = (sigma, phi', phi).
+# half 2 = (sigma, phi', phi).  The series kernel reads the (u1, v1)
+# projection, u2, v2 and the phase of rho; the closed form the halves and
+# the phase.
 ROW_LISTS = [
     ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2")),
     ("omega", "rho", True, ("axis1", "fixed", "axis2")),
@@ -577,30 +636,44 @@ ROW_LISTS = [
     ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed")),
     ("sigma", "phi", True, ("axis2", "both", "fixed")),
 ]
+AXES_OF = {"fixed": set(), "axis1": {1}, "axis2": {2}, "both": {1, 2}}
 
 
 @pytest.mark.parametrize(
     ("name1", "name2", "halves", "kinds"), ROW_LISTS,
     ids=[f"{a}x{b}-{'halves' if h else 'slots'}" for a, b, h, _ in ROW_LISTS],
 )
-def test_grid_rows_yield_a_row_constant_item_once(name1, name2, halves, kinds):
-    # an item that does not vary along axis2 is a one-element list, and the
-    # same list object for as long as the item does not change
+def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves, kinds):
+    # each kernel item comes as arrays of shape (rows or 1, 3 or 1), 1 along
+    # an axis it does not read; one that does not vary along axis1 is
+    # converted once, the same arrays in every block
     spec = SweepSpec(
         "circle", SectorPair.PM, AxisSpec(name1, 0.1, 0.5, 4), AxisSpec(name2, 0.2, 0.6, 3),
         truncation=6,
     )
     form, components = grids._FAMILY_TABLE["circle"]
     fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
-    rows = list(grids._grid_rows(spec, form.record, components, fixed, halves))
-    assert len(rows) == 4
-    for k, kind in enumerate(kinds):
-        lists = [row[k] for row in rows]
-        assert [len(items) for items in lists] == [3 if kind in ("axis2", "both") else 1] * 4
-        shared = [items is lists[0] for items in lists]
-        assert shared == [True] * 4 if kind in ("fixed", "axis2") else [True, False, False, False]
+    blocks = list(grids._sweep_blocks(spec, form, components, fixed, halves))
+    reads = [AXES_OF[kind] for kind in kinds]
+    if not halves:
+        u1, u2, v1, v2, rho = reads
+        reads = [u1 | v1, u2, v2, rho]
+    # one row per block in the closed form, else the whole grid (here u2
+    # and v2 never read both axes)
+    rows = 1 if halves else 4
+    assert len(blocks) == 4 // rows
+    for k, axes in enumerate(reads):
+        items = [block[k] for block in blocks]
+        for arrays in items:
+            shape = (rows if 1 in axes else 1, 3 if 2 in axes else 1)
+            assert [a.shape[:2] for a in arrays] == [shape] * len(arrays)
+        shared = [all(a is b for a, b in zip(arrays, items[0])) for arrays in items]
+        assert shared == [True] + [1 not in axes] * (len(blocks) - 1)
+    if not halves:
+        assert [a.shape[2:] for a in blocks[0][1] + blocks[0][2]] == [(), (), (6,)] * 2
     if name1 == "rho":
-        assert [row[-1] for row in rows] == [[v] for v in spec.axis1.values()]
+        (phase,) = blocks[0][-1]
+        assert phase.ravel().tolist() == [-1.0 * cmath.exp(1j * v) for v in spec.axis1.values()]
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)
