@@ -35,7 +35,9 @@ below the u S of the Gram form |u1|^2 |u2|^2 + |v1|^2 |v2|^2 + 2 Re(...).
 The exactly rounded sum over the materialised ``entries`` is within
 16 u sqrt(P S) + 3 u P + O(u^2 S) of P and stays the tests' reference.
 Coincident pairs at rho = 0 (v1 = u1, v2 = u2, f = -1) give mu = 1, r = 0
-and u2 - v2 = 0 exactly, so P = 0 exactly.
+and u2 - v2 = 0 exactly, so P = 0 exactly.  The tail bound of every path is
+one body, :func:`pair_tail`, and the closed forms' Gram form another,
+:func:`gram_form`; each takes Python scalars (per point) or arrays (grids).
 
 Sign convention: the swapped term enters with -e^(i rho), i.e. the control
 phase is measured from the antipodal point.  This is the convention in which
@@ -210,20 +212,22 @@ def pair_matrix(
     the circle/coset pair summands; the cylinder builds its slots directly
     in the displayed convention and passes False.
     """
-    tail = 2.0 * amp_prefactor**2 * (
-        _product_tail(slot1_u, slot2_u) + _product_tail(slot1_v, slot2_v)
-    )
+    slots = (slot1_u, slot2_u, slot1_v, slot2_v)
+    tail = pair_tail(amp_prefactor, [s.norm_sq() for s in slots], [s.tail_bound for s in slots])
     return CoefficientMatrix(
-        (slot1_u, slot2_u, slot1_v, slot2_v), swap_sign * cmath.exp(1j * rho),
-        amp_prefactor, conjugate, tail,
+        slots, swap_sign * cmath.exp(1j * rho), amp_prefactor, conjugate, tail
     )
 
 
-def _product_tail(s1: CoefficientSequence, s2: CoefficientSequence) -> float:
-    """Bound on sum of |s1_n s2_m|^2 outside the retained (n, m) square."""
-    n1, n2 = s1.norm_sq(), s2.norm_sq()
-    t1, t2 = s1.tail_bound, s2.tail_bound
-    return n1 * t2 + t1 * n2 + t1 * t2
+def pair_tail(p, n, t):
+    """2 p^2 (B(u1, u2) + B(v1, v2)),  B(a, b) = N(a) T(b) + T(a) N(b) + T(a) T(b):
+    the bound on sum |c_nm|^2 outside the retained square of
+    c = p (u1 (x) u2 + f v1 (x) v2), |f| = 1, from the squared norms ``n``
+    and tail bounds ``t`` of (u1, u2, v1, v2), Python floats or arrays."""
+    (n_u1, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2) = n, t
+    return 2.0 * p**2 * (
+        n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2 + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
+    )
 
 
 # The four slots of a pair as (variable, label) indices into (first, second,
@@ -311,12 +315,12 @@ def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np
     bit for bit (a point its certificate does not cover is one fsum of that
     point's terms).  A slice holds about _SLICE_POINTS values, or one term
     of every point of a larger block, so no array of the block's size times
-    N is formed.  Every float expression is that of pair_matrix, norm_sq and
-    _product_tail, so each value and tail is the per-point one bit for bit.
-    Yields, row by row, the values and the tail bounds of the row's points.
+    N is formed.  Every float expression is that of pair_matrix and norm_sq,
+    and the tail is :func:`pair_tail`'s, so each value and tail is the
+    per-point one bit for bit.  Yields, row by row, the values and the tail
+    bounds of the row's points.
     """
     p = form.amp_prefactor
-    tail_scale = 2.0 * p**2
     for (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) in blocks:
         # f conjugated on the bra side, and |f|^2
         f = f.conj() if form.conjugate else f
@@ -343,10 +347,9 @@ def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np
              for k in range(0, terms, lanes)),
             point_terms,
         )
-        # _product_tail(u1, u2) + _product_tail(v1, v2), |u1|^2 = uu
-        tails = uu * t_u2 + t_u1 * n_u2 + t_u1 * t_u2 + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2)
         values = p * p * (uu * w_sq + f_sq * rr * n_v2)
-        yield from zip(*np.broadcast_arrays(values, tail_scale * tails))
+        tails = pair_tail(p, (uu, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
+        yield from zip(*np.broadcast_arrays(values, tails))
 
 
 # Values per slice of :func:`pair_norm_grid`: a block of fewer points takes
@@ -357,13 +360,14 @@ _SLICE_POINTS = 4096
 
 def gram_halves(
     slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
-) -> list[tuple | ValueError | ArithmeticError]:
+) -> tuple[list[tuple], ValueError | ArithmeticError | None]:
     """One half of :func:`pair_closed_form`'s Gram form, with the tail bounds
-    the grid reports, at each (var, label, label') of ``points``: for the
-    slots u = (var, label) and v = (var, label'), (N(u), N(v), G(u, v),
-    T(u), T(v)) (:func:`gram_entries`), T the bound on a slot's dropped l^2
-    tail; or the ValueError or ArithmeticError its :func:`gram_entries` or
-    its slots raise, those of gram_entries first.
+    the grid reports, at each (var, label, label') of ``points`` before the
+    first that fails: for the slots u = (var, label) and v = (var, label'),
+    (N(u), N(v), G(u, v), T(u), T(v)) (:func:`gram_entries`), T the bound on
+    a slot's dropped l^2 tail; and the ValueError or ArithmeticError of the
+    failing point's :func:`gram_entries` or, failing that, of its slots, or
+    None.
 
     A sector's G is its whole series, so its T are 0.  The grouped total
     slots' T are their fock_series tails, kept in ``tails`` by (var, label)
@@ -371,23 +375,23 @@ def gram_halves(
     ``slots.batch`` call, which neither reads nor fills the memo that
     serves verify.
     """
-    halves: list = []
-    for point in points:
-        try:
+    points, halves, fault = list(points), [], None
+    try:
+        for point in points:
             halves.append(gram_entries(slots, *point, parity, terms))
-        except (ValueError, ArithmeticError) as exc:
-            halves.append(exc)
+    except (ValueError, ArithmeticError) as exc:
+        fault = exc
     if parity is not None:
-        return [h if isinstance(h, Exception) else (*h, 0.0, 0.0) for h in halves]
-    new = list(dict.fromkeys(
-        (var, lab) for var, *labels in points for lab in labels if (var, lab) not in tails
-    ))
-    tails.update(zip(new, slots.batch(new, None, terms, False)))
-    for k, (var, *labels) in enumerate(points):
-        slot_u, slot_v = (tails[var, lab] for lab in labels)
-        fault = next((x for x in (halves[k], slot_u, slot_v) if isinstance(x, Exception)), None)
-        halves[k] = fault or (*halves[k], slot_u.tail_bound, slot_v.tail_bound)
-    return halves
+        return [(*half, 0.0, 0.0) for half in halves], fault
+    keys = [(var, lab) for var, *labels in points[: len(halves)] for lab in labels]
+    new = list(dict.fromkeys(key for key in keys if key not in tails))
+    built, slot_fault = slots.batch(new, None, terms)
+    tails.update((key, slot.tail_bound) for key, slot in zip(new, built))
+    # the first point missing a slot tail is the one whose slot failed
+    done = next((k for k, key in enumerate(keys) if key not in tails), len(keys)) // 2
+    return [(*half, tails[var, lab], tails[var, lab_prime])
+            for half, (var, lab, lab_prime) in zip(halves[:done], points)
+            ], fault if done == len(halves) else slot_fault
 
 
 def gram_entries(
@@ -462,37 +466,41 @@ def pair_closed_form(
     (v1 = u1, v2 = u2) the terms cancel bit for bit.
     """
     p1, p2 = slot_parities(pair)
-    n_u1, n_v1, g1 = gram_entries(slots, first, label, label_prime, p1, terms)
-    n_u2, n_v2, g2 = gram_entries(slots, second, label_prime, label, p2, terms)
-    cross = (swap_sign * cmath.exp(1j * rho) * (g1 * g2).conjugate()).real
-    return amp_prefactor**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
+    return gram_form(
+        amp_prefactor, *gram_entries(slots, first, label, label_prime, p1, terms),
+        *gram_entries(slots, second, label_prime, label, p2, terms),
+        swap_sign * cmath.exp(1j * rho),
+    )
+
+
+def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):
+    """The Gram form of :func:`pair_closed_form`, phase = s e^(i rho), on
+    Python scalars or arrays.  The complex products are written out in real
+    arithmetic in CPython's order (numpy's can round differently), so an
+    array entry is the scalar result bit for bit."""
+    gram_re = g1.real * g2.real - g1.imag * g2.imag
+    gram_im = g1.real * g2.imag + g1.imag * g2.real
+    # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
+    cross = phase.real * gram_re + phase.imag * gram_im
+    return p**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
 def pair_closed_form_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`pair_closed_form` of ``form`` and the :func:`pair_matrix` tail
-    bound of its truncated sums at every point of a grid, a block of rows at
-    a time.
+    """:func:`pair_closed_form` of ``form`` and the :func:`pair_tail` bound
+    of its truncated sums at every point of a grid, a block of rows at a
+    time.
 
     ``blocks`` yields, block by block, the arrays of its points' two halves
     as :func:`gram_halves` columns and of the phase s e^(i rho) as a 1-tuple,
-    shaped as for :func:`pair_norm_grid`.  The complex products are written
-    out in real arithmetic in CPython's order (numpy's complex multiply can
-    round differently), so every value is the per-point one bit for bit.
-    The tail is _product_tail's expression over the halves' N and T, and
-    0.0 without arithmetic where every T of the block is 0 (a sector pair).
-    Yields, row by row, the values and the tail bounds.
+    shaped as for :func:`pair_norm_grid`, which :func:`gram_form` and
+    pair_tail broadcast (a sector pair's tail is 0, its T being 0).  Yields,
+    row by row, the values and the tail bounds.
     """
-    p_sq = form.amp_prefactor**2
+    p = form.amp_prefactor
     for (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), (phase,) in blocks:
-        gram_re = g1.real * g2.real - g1.imag * g2.imag
-        gram_im = g1.real * g2.imag + g1.imag * g2.real
-        # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
-        cross = phase.real * gram_re + phase.imag * gram_im
-        tail = 0.0
-        if t_u1.any() or t_v1.any() or t_u2.any() or t_v2.any():
-            tail = n_u1 * t_u2 + t_u1 * n_u2 + t_u1 * t_u2
-            tail = 2.0 * p_sq * (tail + (n_v1 * t_v2 + t_v1 * n_v2 + t_v1 * t_v2))
-        yield from zip(*np.broadcast_arrays(p_sq * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross), tail))
+        values = gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase)
+        tails = pair_tail(p, (n_u1, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
+        yield from zip(*np.broadcast_arrays(values, tails))
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

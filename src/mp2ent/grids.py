@@ -10,8 +10,7 @@ hands :func:`entangle_circle.pair_norm_grid` (series) or
 :func:`entangle_circle.pair_closed_form_grid` (closed form) blocks of axis1
 rows that they broadcast, equal bit for bit to the per-point kernels.
 Everything runs in a fixed row-major order, so output files are
-byte-identical across runs.  CSV
-floats are written with 17 significant digits and JSON floats in Python's
+byte-identical across runs and processes.  CSV floats are written with 17 significant digits and JSON floats in Python's
 shortest round-trip repr; both read back exactly.
 
 The kernels compute the prefactor-stripped convention; under
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
 from .entangle_circle import SectorPair
-from .numerics import DEFAULT_TERMS
+from .numerics import DEFAULT_TERMS, check_truncation
 from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
 
 TOOL_VERSION = "0.1.0"
@@ -150,11 +149,7 @@ class SweepSpec:
             raise ValueError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
             )
-        if not isinstance(self.truncation, (int, np.integer)):
-            raise ValueError(f"truncation must be an integer, got {self.truncation!r}")
-        object.__setattr__(self, "truncation", int(self.truncation))
-        if self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
+        object.__setattr__(self, "truncation", check_truncation(self.truncation))
         object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
@@ -342,18 +337,19 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     (n1 or 1, n2 or 1, ...), 1 along an axis it does not read, by
     :func:`_columns`; a both-axes item's rows are stacked over a block.
     Every parameter is read by some kernel item, so a block's arrays
-    broadcast to (rows, n2).  A series block is the whole grid unless u2
-    or v2 reads both axes; there, and in the closed form, it is one row.
+    broadcast to (rows, n2).  A block is the whole grid unless a kernel
+    item other than the projection reads both axes; then it is one row.
 
-    Faults.  A point's item is the ValueError or ArithmeticError that
-    building it raised, or that of a component it reads, in which case it is
-    not built.  Each batch keeps its first fault in row-major order and
-    converts only the items before it.  The sweep's first failing point is
-    the least (row, column), ties broken by ``order`` (the labels before the
-    variables, as a point's params dataclass builds them, then the slots or
-    halves and the projection); the rows before it are yielded, and its
-    fault is raised naming the point: the first failure of a point-by-point
-    loop, with its message.
+    Faults.  Every builder stops at its batch's first failing point and
+    returns the items before it and that point's ValueError or
+    ArithmeticError, recorded as (point, rank in ``order``, exception).  A
+    derived item is built only over the points whose parents were built, a
+    prefix of its batch; the parent's record covers the rest.  The sweep's
+    first failing point is the least (row, column), ties broken by
+    ``order`` (the labels before the variables, as a point's params
+    dataclass builds them, then the slots or halves and the projection);
+    the rows before it are yielded, and its fault is raised naming the
+    point: the first failure of a point-by-point loop, with its message.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
@@ -365,13 +361,14 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     def batcher(parity):
         if halves:
             return lambda points: entangle_circle.gram_halves(record, points, parity, terms, tails)
-        return lambda points: record.batch(points, parity, terms, False)
+        return lambda points: record.batch(points, parity, terms)
 
     # the derived items: the items each reads, and its builder over points
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
     derived = [(role, batcher(parities[role[0]])) for role in roles]
     if not halves:
-        derived.append(((n, n + 2), entangle_circle.projections))  # of u1 and v1
+        # of u1 and v1, which cannot fail
+        derived.append(((n, n + 2), lambda pairs: (entangle_circle.projections(pairs), None)))
     # what the kernel reads: the two halves, or the projection, u2 and v2; then f
     kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
     reads = [set(names) for names, _ in components]
@@ -381,7 +378,8 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     on2 = [name2 in names for names in reads]
     order = (2, 3, 0, 1) + tuple(range(4, len(reads)))
     # built[k]: item k at each axis1 value if it reads axis1 only, else at
-    # each axis2 value of the current row (one entry if it reads neither)
+    # each axis2 value of the current row (one entry if it reads neither),
+    # up to its batch's first fault
     built: list[list] = [[] for _ in reads]
     arrays: list = [None] * len(reads)
     first = (len(ax1), 0, 0, None)  # the first fault: row, column, rank in order, exception
@@ -390,37 +388,46 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
         return built[k][i] if on1[k] and not on2[k] else built[k][j if on2[k] else 0]
 
     def batch(k: int, i: int) -> None:
-        # build item k over its batch at row i, note its first fault, convert
+        # build item k over its batch at row i up to its first fault, note
+        # that fault, convert
         nonlocal first
         points = ([(i1, 0) for i1 in range(len(ax1))] if on1[k] and not on2[k]
                   else [(i, j) for j in range(len(ax2) if on2[k] else 1)])
+        fault = None
         if k < n:
             names, builder = components[k]
             built[k] = []
-            for i1, j in points:
-                try:
+            try:
+                for i1, j in points:
                     built[k].append(builder(*(ax1[i1] if name == name1 else ax2[j] if name == name2
                                               else fixed[name] for name in names)))
-                except (ValueError, ArithmeticError) as exc:
-                    built[k].append(exc)
+            except (ValueError, ArithmeticError) as exc:
+                fault = exc
         else:
+            # the points whose parents were built, a prefix of the batch; a
+            # parent's fault precedes the first point past it
             parents, builder = derived[k - n]
-            parts = [[at(c, i1, j) for c in parents] for i1, j in points]
-            faults = [next((p for p in ps if isinstance(p, Exception)), None) for ps in parts]
-            items = iter(builder([ps for fault, ps in zip(faults, parts) if fault is None]))
-            built[k] = [next(items) if fault is None else fault for fault in faults]
-        bad = next((m for m, item in enumerate(built[k]) if isinstance(item, Exception)), None)
-        if bad is not None:
-            first = min(first, (*points[bad], order.index(k), built[k][bad]))
+            parts = []
+            for i1, j in points:
+                try:
+                    parts.append([at(c, i1, j) for c in parents])
+                except IndexError:
+                    break
+            built[k], fault = builder(parts)
+        if fault is not None:
+            first = min(first, (*points[len(built[k])], order.index(k), fault))
         if k in kernel_items:
-            good = len(points) if bad is None else bad
-            arrays[k] = _columns(built[k][:good], (good, 1) if on1[k] and not on2[k] else (1, good))
+            good = len(built[k])
+            arrays[k] = _columns(built[k], (good, 1) if on1[k] and not on2[k] else (1, good))
 
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]
     for k in range(len(reads)):
         if k not in both:
             batch(k, 0)
-    step = 1 if halves or n + 1 in both or n + 3 in both else len(ax1)
+    # one block of the whole grid, unless a kernel item other than the
+    # (u1, v1) projection reads both axes: then one row a block, so that
+    # such items (a slot's N terms, or a Gram half) are held a row at a time
+    step = 1 if any(k in both and k != n + 4 for k in kernel_items) else len(ax1)
     for i0 in range(0, len(ax1), step):
         rows = []  # the arrays of the both-axes kernel items, row by row
         for i in range(i0, i0 + step):

@@ -27,6 +27,16 @@ DEFAULT_TERMS = 40
 _EXACT_FACTORIAL_MAX = 20
 
 
+def check_truncation(terms) -> int:
+    """``terms`` as an int: the one check of a series truncation, which
+    must be an integer >= 1 and not a bool."""
+    if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)):
+        raise ValueError(f"truncation must be an integer, got {terms!r}")
+    if terms < 1:
+        raise ValueError(f"truncation must be >= 1, got {terms}")
+    return int(terms)
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """A truncated series: value, retained order, and a rigorous bound on

@@ -11,8 +11,9 @@ amplitudes, the Gaussian log-weight - is data, one :class:`SlotMap` record
 per family.  One body, :func:`fock_series_batch`, builds every slot: a batch
 of G slots in one numpy log-magnitude pass.  The per-point paths call the
 memoized :func:`fock_series`, its batch of one, and the grid sweeps call
-``SlotMap.batch`` over an axis.  ``parity=None`` gives the grouped total
-slot, even + odd, whose sequence carries parity None (no sector).
+``SlotMap.batch`` over an axis; a batch stops at its first failing element
+and returns that element's exception.  ``parity=None`` gives the grouped
+total slot, even + odd, whose sequence carries parity None (no sector).
 
 Conventions
 -----------
@@ -208,7 +209,7 @@ class CoefficientSequence:
 def fock_series_batch(
     zs, amps, parity: Parity | None, terms: int,
     log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[CoefficientSequence | ValueError | ArithmeticError]:
+) -> tuple[list[CoefficientSequence], ValueError | ArithmeticError | None]:
     """The one slot body: the :func:`fock_series` slot of each z in ``zs``
     with its pair of sector amplitudes in ``amps``, all at one parity,
     truncation and log-weight g.  One numpy log-magnitude pass of shape
@@ -219,43 +220,38 @@ def fock_series_batch(
     would evaluate, so each slot is the same bit for bit whatever batch it
     is built in.
 
-    Returns, per element, its slot, or the ValueError or ArithmeticError
-    that building it alone raises (the same type and text).
+    Returns the slots of the elements before the batch's first failing one,
+    and the ValueError or ArithmeticError that building that element alone
+    raises (the same type and text), or None.  Each stage drops the
+    elements from its first fault on, so the fault kept is the first.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     size = 2 * terms
-    out: list = []
-    live, logs = [], []  # (index, z, amps) and ln|z/2| of each series to build
-    for z, pair in zip(zs, amps):
-        try:
+    inputs, logs, fault = [], [], None  # (z, amps) and ln|z/2|, None for a constant slot
+    try:
+        for z, pair in zip(zs, amps):
             z = complex(z) + 0j
-            if abs(z) / 2.0 == 0.0:
-                coeffs = np.zeros(terms, dtype=complex)
-                if parity is not Parity.ODD:
-                    coeffs[0] = pair[0]
-                out.append(CoefficientSequence(parity, coeffs, 0.0))
-                continue
-            logs.append(math.log(abs(z) / 2.0))
-        except (ValueError, ArithmeticError) as exc:
-            out.append(exc)
-            continue
-        live.append((len(out), z, pair))
-        out.append(None)
-    if not live:
-        return out
-    ks = np.arange(size + 4)
-    pieces = [ks * np.array(logs)[:, None], -0.5 * log_factorial_array(size + 3)]
-    if log_weight is not None:
-        pieces.append(log_weight(ks))
-    log_mag = sum(pieces[1:], pieces[0])
-    # log_mag[k] is rounded on the scale of its pieces, not of its value
-    scales = sum(np.abs(piece[..., size : size + 2]) for piece in pieces).tolist()
-    peaks = np.max(log_mag[:, 1:size], axis=1).tolist()
-    ends = log_mag[:, size : size + 4].tolist()
+            logs.append(math.log(abs(z) / 2.0) if abs(z) / 2.0 != 0.0 else None)
+            inputs.append((z, pair))
+    except (ValueError, ArithmeticError) as exc:
+        fault = exc
+    live = [k for k, log in enumerate(logs) if log is not None]
     sectors = tuple(Parity) if parity is None else (parity,)
-    rows, phases, tails = [], [], []
-    for row, (k, z, pair) in enumerate(live):
+    tails, phases = [], []
+    if live:
+        ks = np.arange(size + 4)
+        pieces = [ks * np.array([logs[k] for k in live])[:, None],
+                  -0.5 * log_factorial_array(size + 3)]
+        if log_weight is not None:
+            pieces.append(log_weight(ks))
+        log_mag = sum(pieces[1:], pieces[0])
+        # log_mag[k] is rounded on the scale of its pieces, not of its value
+        scales = sum(np.abs(piece[..., size : size + 2]) for piece in pieces).tolist()
+        peaks = np.max(log_mag[:, 1:size], axis=1).tolist()
+        ends = log_mag[:, size : size + 4].tolist()
+    for row, k in enumerate(live):
+        z, pair = inputs[k]
         peak, amp = peaks[row], max(pair)
         try:
             if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
@@ -276,29 +272,32 @@ def fock_series_batch(
             if parity is None:
                 tail = (math.sqrt(sector_tails[0]) + math.sqrt(sector_tails[1])) ** 2
         except (ValueError, ArithmeticError) as exc:
-            out[k] = exc
-            continue
-        rows.append(row)
+            fault, inputs, live = exc, inputs[:k], live[:row]
+            break
         tails.append(tail)
         # not cmath.phase, which raises OverflowError where the angle underflows
         phases.append(math.atan2(z.imag, z.real))
-    if not rows:
-        return out
-    phase = np.array(phases)[:, None]
-    amp_rows = np.array([live[row][2] for row in rows])
-    if len(rows) < len(live):
-        log_mag = log_mag[rows]
-    parts = [
-        amp_rows[:, o, None] * np.exp(log_mag[:, o:size:2] + 1j * ks[o:size:2] * phase)
-        for o in sectors
-    ]
-    coefficients = parts[0] if parity is not None else parts[0] + parts[1]
-    for row, coeffs, tail in zip(rows, coefficients, tails):
+    if live:
+        phase, rows = np.array(phases)[:, None], len(live)
+        amp_rows = np.array([inputs[k][1] for k in live])
+        parts = [
+            amp_rows[:, o, None] * np.exp(log_mag[:rows, o:size:2] + 1j * ks[o:size:2] * phase)
+            for o in sectors
+        ]
+        coefficients = iter(zip(parts[0] if parity is not None else parts[0] + parts[1], tails))
+    slots = []
+    for k, (_, pair) in enumerate(inputs):
         try:
-            out[live[row][0]] = CoefficientSequence(parity, coeffs, tail)
+            if logs[k] is None:
+                coeffs, tail = np.zeros(terms, dtype=complex), 0.0
+                if parity is not Parity.ODD:
+                    coeffs[0] = pair[0]
+            else:
+                coeffs, tail = next(coefficients)
+            slots.append(CoefficientSequence(parity, coeffs, tail))
         except (ValueError, ArithmeticError) as exc:
-            out[live[row][0]] = exc
-    return out
+            return slots, exc
+    return slots, fault
 
 
 @functools.lru_cache(maxsize=SLOT_MEMO_SIZE)
@@ -342,10 +341,10 @@ def fock_series(
     must give identical slots, so z is stripped of signed zeros (+ 0j)
     before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
     """
-    (slot,) = fock_series_batch([z], [amps], parity, terms, log_weight)
-    if isinstance(slot, Exception):
-        raise slot
-    return slot
+    slots, fault = fock_series_batch([z], [amps], parity, terms, log_weight)
+    if fault is not None:
+        raise fault
+    return slots[0]
 
 
 @dataclass(frozen=True)
@@ -365,9 +364,9 @@ class SlotMap:
 
     Calling a record, ``record(var, label, parity, terms, prefactor)``, is
     the only place where a (variable, label) pair becomes a memoized
-    fock_series call, and ``record.batch`` the only place where many become
-    one fock_series_batch call; ``parity=None`` gives the grouped total
-    slot.
+    fock_series call, and ``record.batch`` (always p = 1) the only place
+    where many become one fock_series_batch call; ``parity=None`` gives the
+    grouped total slot.
     """
 
     z: Callable[[Any, Any], complex]
@@ -388,30 +387,25 @@ class SlotMap:
             raise ValueError(self.overflow(var, label)) from None
 
     def batch(
-        self, points, parity: Parity | None, terms: int = DEFAULT_TERMS, prefactor: bool = True,
-    ) -> list[CoefficientSequence | ValueError | ArithmeticError]:
-        """The slots ``self(var, label, parity, terms, prefactor)`` of the
-        (var, label) ``points``, built by one :func:`fock_series_batch` call
-        without the memo.  Per point, its slot or the ValueError or
-        ArithmeticError that the call raises, with the same type and text."""
-        points = list(points)
-        built: list = []
-        for var, label in points:
-            try:
-                built.append(self._inputs(var, label, prefactor))
-            except (ValueError, ArithmeticError) as exc:
-                built.append(exc)
-        live = [k for k, item in enumerate(built) if isinstance(item, tuple)]
-        slots = fock_series_batch(
-            [built[k][0] for k in live], [built[k][1] for k in live], parity, terms, self.g
+        self, points, parity: Parity | None, terms: int = DEFAULT_TERMS,
+    ) -> tuple[list[CoefficientSequence], ValueError | ArithmeticError | None]:
+        """The slots ``self(var, label, parity, terms, False)`` of the
+        (var, label) ``points`` before the first whose call raises, built by
+        one :func:`fock_series_batch` call without the memo, and that call's
+        ValueError or ArithmeticError (the same type and text), or None."""
+        points, inputs, fault = list(points), [], None
+        try:
+            for var, label in points:
+                inputs.append(self._inputs(var, label, False))
+        except (ValueError, ArithmeticError) as exc:
+            fault = exc
+        slots, slot_fault = fock_series_batch(
+            [z for z, _ in inputs], [pair for _, pair in inputs], parity, terms, self.g
         )
-        for k, slot in zip(live, slots):
-            built[k] = slot
-        if self.overflow is not None:
-            for k, (var, label) in enumerate(points):
-                if isinstance(built[k], OverflowError):
-                    built[k] = ValueError(self.overflow(var, label))
-        return built
+        fault = fault if slot_fault is None else slot_fault
+        if isinstance(fault, OverflowError) and self.overflow is not None:
+            fault = ValueError(self.overflow(*points[len(slots)]))
+        return slots, fault
 
     def _inputs(self, var, label, prefactor: bool) -> tuple[complex, tuple[float, float]]:
         # z and the sector amplitudes of the slot of var at label
@@ -476,25 +470,15 @@ def coset_variable(omega: Mp2Variable, label: CosetLabel) -> complex:
 coset_projection = replace(mp2_circle_projection, z=coset_variable)
 
 
-def fiducial_overlap(label: CosetLabel) -> complex:
-    """The fiducial scalar S(alpha, phi).
-
-    Realized as  x [cos(alpha-phi) - sin(alpha-phi)] + y [cos + sin],
-    which reproduces the closed-form product
-
-        S(alpha*, phi) S(alpha, phi) = (x^2+y^2) cosh(2 Im alpha)
-            - (x^2-y^2) sin 2(Re alpha - phi) + 2xy cos 2(Re alpha - phi)
-
-    with S(alpha*, phi) = conj(S(alpha, phi)).  Its phase cancels in every
-    probability; it is exposed for the normalization display only.
-    """
-    w = label.alpha - label.phi
-    c, s = cmath.cos(w), cmath.sin(w)
-    return label.x * (c - s) + label.y * (c + s)
-
-
 def fiducial_overlap_sq(label: CosetLabel) -> float:
-    """S(alpha*, phi) S(alpha, phi) via its closed form (real, positive)."""
+    """The fiducial product S(alpha*, phi) S(alpha, phi), real and positive,
+
+        (x^2+y^2) cosh(2 Im alpha) - (x^2-y^2) sin 2(Re alpha - phi)
+            + 2xy cos 2(Re alpha - phi),
+
+    of S(alpha, phi) = x [cos(alpha-phi) - sin(alpha-phi)] + y [cos + sin]
+    and S(alpha*, phi) = conj(S(alpha, phi)).  Its phase cancels in every
+    probability, so only the product is computed."""
     v = label.alpha.imag
     u2 = 2.0 * (label.alpha.real - label.phi)
     x, y = label.x, label.y

@@ -32,7 +32,7 @@ from . import entangle_circle, entangle_coset, entangle_cylinder, numerics
 from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams, z_factors
 from .entangle_cylinder import DEGENERATE_NOME, CylinderPairParams
-from .numerics import DEFAULT_TERMS, log_factorial_array
+from .numerics import DEFAULT_TERMS, check_truncation, log_factorial_array
 from .states import (
     CircleLabel,
     CosetLabel,
@@ -216,59 +216,22 @@ def degenerate_limit_printed(pair: SectorPair, omega, delta: float, rho: float) 
 
 
 def total_closed_form_printed(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
-    """Total probability as printed: squared-bracket products plus the
-    cos(rho + (phi'-phi)(n-m)) (AB - CD) cross block."""
-    mw, ms = params.omega.modulus, params.sigma.modulus
-    t1, t2 = params.theta1, params.theta2
-    phi, phi_p = params.phi.phi, params.phi_prime.phi
-
-    def cross(n, sq, zw, zs):
-        rw, rs = math.sqrt(zw), math.sqrt(zs)
-        inv_n = 1.0 / sq
-        inv_m = inv_n
-        pair_term = (rw * rs * mw * ms / 2.0) * np.outer(inv_n, inv_m)
-        a_mat = 0.5 * (
-            2.0
-            + rw * math.cos(t1 + phi) * mw * inv_n[:, None]
-            + rs * math.cos(t2 + phi) * ms * inv_m[None, :]
-            + pair_term * math.cos(t1 - t2)
-        )
-        b_mat = 0.5 * (
-            2.0
-            - rw * math.cos(t1 + phi_p) * mw * inv_n[:, None]
-            + rs * math.cos(t2 + phi_p) * ms * inv_m[None, :]
-            + pair_term * math.cos(t2 - t1)
-        )
-        c_mat = 0.5 * (
-            rw * math.sin(t1 + phi) * mw * inv_n[:, None]
-            - rs * math.sin(t2 + phi) * ms * inv_m[None, :]
-            + pair_term * math.sin(t1 - t2)
-        )
-        d_mat = 0.5 * (
-            -rw * math.sin(t1 + phi_p) * mw * inv_n[:, None]
-            + rs * math.sin(t2 + phi_p) * ms * inv_m[None, :]
-            + pair_term * math.sin(t2 - t1)
-        )
-        cosblock = np.cos(params.rho + (phi_p - phi) * np.subtract.outer(n, n))
-        return cosblock * (a_mat * b_mat - c_mat * d_mat)
-
-    return _total_sum(params, terms, cross)
-
-
-def _total_sum(params: CirclePairParams, terms: int, cross_block) -> float:
-    """The printed total-pair sum,
+    """Total probability as printed,
 
         1/4 sqrt(Zw Zs) sum_nm w_n w_m [Q_w(n, phi) Q_s(m, phi')
                                         + Q_w(n, phi') Q_s(m, phi) + X_nm],
 
     with Gaussian weights w_n = (|omega|^2/4)^(2n)/(2n)! (delta_n0 at a zero
-    modulus) and the printed cross block X = cross_block(n, sqrt(2n + 1), Zw, Zs).
-    """
+    modulus): squared-bracket products plus the cos(rho + (phi'-phi)(n-m))
+    (AB - CD) cross block X."""
     n = np.arange(terms)
     zw = 1.0 - params.omega.modulus**2
     zs = 1.0 - params.sigma.modulus**2
     lf = log_factorial_array(2 * terms - 2 if terms > 1 else 0)[2 * n]
     sq = np.sqrt(2 * n + 1)
+    mw, ms = params.omega.modulus, params.sigma.modulus
+    t1, t2 = params.theta1, params.theta2
+    phi, phi_p = params.phi.phi, params.phi_prime.phi
 
     def weights(mod: float) -> np.ndarray:
         a = mod**2 / 4.0
@@ -282,13 +245,37 @@ def _total_sum(params: CirclePairParams, terms: int, cross_block) -> float:
             + zdisk * mod**2 / (4.0 * (2 * n + 1))
         )
 
-    mw, ms = params.omega.modulus, params.sigma.modulus
-    t1, t2 = params.theta1, params.theta2
-    phi, phi_p = params.phi.phi, params.phi_prime.phi
+    rw, rs = math.sqrt(zw), math.sqrt(zs)
+    inv_n = 1.0 / sq
+    inv_m = inv_n
+    pair_term = (rw * rs * mw * ms / 2.0) * np.outer(inv_n, inv_m)
+    a_mat = 0.5 * (
+        2.0
+        + rw * math.cos(t1 + phi) * mw * inv_n[:, None]
+        + rs * math.cos(t2 + phi) * ms * inv_m[None, :]
+        + pair_term * math.cos(t1 - t2)
+    )
+    b_mat = 0.5 * (
+        2.0
+        - rw * math.cos(t1 + phi_p) * mw * inv_n[:, None]
+        + rs * math.cos(t2 + phi_p) * ms * inv_m[None, :]
+        + pair_term * math.cos(t2 - t1)
+    )
+    c_mat = 0.5 * (
+        rw * math.sin(t1 + phi) * mw * inv_n[:, None]
+        - rs * math.sin(t2 + phi) * ms * inv_m[None, :]
+        + pair_term * math.sin(t1 - t2)
+    )
+    d_mat = 0.5 * (
+        -rw * math.sin(t1 + phi_p) * mw * inv_n[:, None]
+        + rs * math.sin(t2 + phi_p) * ms * inv_m[None, :]
+        + pair_term * math.sin(t2 - t1)
+    )
+    cosblock = np.cos(params.rho + (phi_p - phi) * np.subtract.outer(n, n))
     bracket = (
         np.outer(q_factor(mw, zw, t1, phi), q_factor(ms, zs, t2, phi_p))
         + np.outer(q_factor(mw, zw, t1, phi_p), q_factor(ms, zs, t2, phi))
-        + cross_block(n, sq, zw, zs)
+        + cosblock * (a_mat * b_mat - c_mat * d_mat)
     )
     return 0.25 * math.sqrt(zw * zs) * math.fsum(
         (np.outer(weights(mw), weights(ms)) * bracket).ravel().tolist()
@@ -691,8 +678,7 @@ def verify_all(tolerance: float = 1e-9, terms: int = DEFAULT_TERMS) -> Verificat
     """Run every comparison of ``BATTERY``."""
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
-    if terms < 1:
-        raise ValueError(f"truncation must be >= 1, got {terms}")
+    terms = check_truncation(terms)
     comps = []
     for row in BATTERY:
         try:

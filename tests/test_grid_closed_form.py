@@ -6,20 +6,31 @@ each built once per distinct value of the swept axes it reads.  Here every
 value must equal ``closed_form_P``, ``closed_form_total`` or
 ``closed_form_coset`` at that point bit for bit, coincident labels must give
 exactly 0, the total's truncated sums must report the series tail bound,
-and a failing or disagreeing sweep must name the first point in row-major
-order, as the per-point loop did.
+a failing or disagreeing sweep must name the first point in row-major
+order, as the per-point loop did, and a sweep's blocks must stay small.
 """
 
+import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mp2ent import entangle_circle, entangle_coset
 from mp2ent.entangle_circle import CirclePairParams, SectorPair, closed_form_P, closed_form_total
 from mp2ent.entangle_coset import CosetPairParams, closed_form_coset
-from mp2ent.grids import PARAMETERS, AxisSpec, GridDomainError, SweepSpec, run_sweep
-from mp2ent.states import CircleLabel, CosetLabel
+from mp2ent.grids import (
+    PARAMETERS,
+    AxisSpec,
+    GridDomainError,
+    SweepSpec,
+    grid_to_json,
+    run_sweep,
+)
+from mp2ent.states import CircleLabel, CosetLabel, Parity, cat_projection
 
 SECTOR_PAIRS = list(SectorPair)[:3]
 # the "full" scale: the record's prefactor^4
@@ -257,3 +268,80 @@ def test_a_coset_label_fault_names_the_per_point_first_failure(axes, fixed, prov
     with pytest.raises(GridDomainError) as got:
         run_sweep(spec, provenance)
     assert str(got.value) == str(expected.value)
+
+
+def _traced_peak(build):
+    """The result of ``build()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_whole_grid_sector_sweep_peaks_below_its_json():
+    # neither half reads both axes, so the 256 x 256 sweep is one block;
+    # its arrays stay below the peak of writing the grid out as JSON
+    def sweep(steps):
+        spec = SweepSpec("circle", SectorPair.PM, AxisSpec("omega", 0.0, 0.95, steps),
+                         AxisSpec("sigma", 0.0, 0.95, steps), truncation=40)
+        return lambda: run_sweep(spec, "closed_form")
+
+    sweep(4)()
+    grid, sweep_peak = _traced_peak(sweep(256))
+    _, json_peak = _traced_peak(lambda: grid_to_json(grid))
+    assert sweep_peak < json_peak
+
+
+def test_a_total_sweep_whose_halves_read_both_axes_peaks_by_the_row():
+    # both Gram halves read phi and phi', so each block is one row: 16 rows
+    # peak within a few times their output of 4 rows' peak (a whole-grid
+    # block would hold every row's halves at once)
+    def sweep(rows):
+        spec = SweepSpec("circle", SectorPair.TOTAL, AxisSpec("phi", 0.0, 3.0, rows),
+                         AxisSpec("phi_prime", -1.0, 2.0, 64), truncation=6)
+        return lambda: run_sweep(spec, "closed_form")
+
+    sweep(2)()
+    _, small = _traced_peak(sweep(4))
+    grid, large = _traced_peak(sweep(16))
+    assert large < small + 4 * grid.values.nbytes
+
+
+def _half_outcome(point, parity, terms):
+    """A Gram half as one point computes it: gram_entries, then its two
+    slots' tails, the first exception of the three in that order."""
+    var, label, label_prime = point
+    try:
+        half = entangle_circle.gram_entries(cat_projection, *point, parity, terms)
+        if parity is None:
+            return (*half, *(cat_projection(var, lab, None, terms, False).tail_bound
+                             for lab in (label, label_prime)))
+        return (*half, 0.0, 0.0)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.one_of(st.floats(0.0, 3.0), st.sampled_from([1e154, 1e300])),
+                  st.floats(-3.0, 3.0)),
+        min_size=1, max_size=5,
+    ),
+    parity=st.sampled_from([Parity.EVEN, Parity.ODD, None]),
+    terms=st.sampled_from([1, 2, 6]),
+)
+def test_gram_halves_stop_at_the_first_point_a_half_fails(points, parity, terms):
+    # at N = 1 a cat slot of |alpha| = 2 is not yet decaying while its
+    # truncated Gram sums are fine: the slot's fault is the point's; at
+    # |alpha| = 1e154 gram_entries fails first
+    points = [(cmath.rect(m, 0.3), CircleLabel(phi), CircleLabel(phi + 1.0)) for m, phi in points]
+    expected = [_half_outcome(point, parity, terms) for point in points]
+    halves, fault = entangle_circle.gram_halves(cat_projection, points, parity, terms, {})
+    bad = next((k for k, x in enumerate(expected) if isinstance(x, Exception)), len(expected))
+    assert halves == expected[:bad]
+    if bad == len(expected):
+        assert fault is None
+    else:
+        assert (type(fault), str(fault)) == (type(expected[bad]), str(expected[bad]))

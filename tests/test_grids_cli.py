@@ -126,8 +126,9 @@ class TestSweeps:
         with pytest.raises(ValueError, match=r"axis omega steps must be an integer"):
             AxisSpec("omega", 0.0, 0.5, steps)
 
-    @pytest.mark.parametrize("truncation", [2.5, 12.0, "12"])
+    @pytest.mark.parametrize("truncation", [2.5, 12.0, "12", True, False, np.bool_(True)])
     def test_non_integer_truncation_is_refused(self, truncation):
+        # a bool is an int, but not a truncation: True would sweep at N = 1
         with pytest.raises(ValueError, match="truncation must be an integer"):
             small_spec(truncation=truncation)
 
@@ -628,22 +629,23 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
 # v1 = (omega, phi'), v2 = (sigma, phi), half 1 = (omega, phi, phi'),
 # half 2 = (sigma, phi', phi).  The series kernel reads the (u1, v1)
 # projection, u2, v2 and the phase of rho; the closed form the halves and
-# the phase.
+# the phase.  The last entry is the rows of a block: all 4 of the grid,
+# unless a kernel item other than the projection reads both axes.
 ROW_LISTS = [
-    ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2")),
-    ("omega", "rho", True, ("axis1", "fixed", "axis2")),
-    ("rho", "phi", False, ("axis2", "fixed", "fixed", "axis2", "axis1")),
-    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed")),
-    ("sigma", "phi", True, ("axis2", "both", "fixed")),
+    ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2"), 4),
+    ("omega", "rho", True, ("axis1", "fixed", "axis2"), 4),
+    ("rho", "phi", False, ("axis2", "fixed", "fixed", "axis2", "axis1"), 4),
+    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed"), 4),
+    ("sigma", "phi", True, ("axis2", "both", "fixed"), 1),
 ]
 AXES_OF = {"fixed": set(), "axis1": {1}, "axis2": {2}, "both": {1, 2}}
 
 
 @pytest.mark.parametrize(
-    ("name1", "name2", "halves", "kinds"), ROW_LISTS,
-    ids=[f"{a}x{b}-{'halves' if h else 'slots'}" for a, b, h, _ in ROW_LISTS],
+    ("name1", "name2", "halves", "kinds", "rows"), ROW_LISTS,
+    ids=[f"{a}x{b}-{'halves' if h else 'slots'}" for a, b, h, *_ in ROW_LISTS],
 )
-def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves, kinds):
+def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves, kinds, rows):
     # each kernel item comes as arrays of shape (rows or 1, 3 or 1), 1 along
     # an axis it does not read; one that does not vary along axis1 is
     # converted once, the same arrays in every block
@@ -658,9 +660,6 @@ def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves,
     if not halves:
         u1, u2, v1, v2, rho = reads
         reads = [u1 | v1, u2, v2, rho]
-    # one row per block in the closed form, else the whole grid (here u2
-    # and v2 never read both axes)
-    rows = 1 if halves else 4
     assert len(blocks) == 4 // rows
     for k, axes in enumerate(reads):
         items = [block[k] for block in blocks]

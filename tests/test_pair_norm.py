@@ -2,7 +2,10 @@
 
 ``CoefficientMatrix.norm_sq`` never builds the N x N matrix; the exactly
 rounded sum over the materialised ``entries`` (``stable_norm_sq``) is kept
-here as the O(N^2) reference it is checked against.
+here as the O(N^2) reference it is checked against.  The per-point
+expressions of the Gram form and of the pair tail bound are kept here too,
+as the bit-for-bit references of ``gram_form`` and ``pair_tail``, the one
+body each that every path calls on scalars or arrays.
 """
 
 import cmath
@@ -15,7 +18,13 @@ from hypothesis import strategies as st
 
 from mp2ent import states
 from mp2ent.cat_compare import CatPairParams, cat_coefficient_matrix
-from mp2ent.entangle_circle import CirclePairParams, SectorPair, coefficient_matrix
+from mp2ent.entangle_circle import (
+    CirclePairParams,
+    SectorPair,
+    coefficient_matrix,
+    gram_form,
+    pair_tail,
+)
 from mp2ent.entangle_coset import CosetPairParams, coefficient_matrix_coset
 from mp2ent.entangle_cylinder import CylinderPairParams, coefficient_matrix_cyl
 from mp2ent.grids import FAMILIES, AxisSpec, SweepSpec, grid_to_csv, grid_to_json, run_sweep
@@ -243,7 +252,9 @@ class TestSlotMemo:
         assert states.fock_series.cache_info() == before
         monkeypatch.setattr(
             states.SlotMap, "batch",
-            lambda record, points, *args: [record(var, label, *args) for var, label in points],
+            lambda record, points, *args: (
+                [record(var, label, *args, False) for var, label in points], None
+            ),
         )
         assert grid_to_json(run_sweep(spec, "closed_form")) == grid
         assert states.fock_series.cache_info().misses > 0
@@ -262,3 +273,70 @@ class TestSlotMemo:
                 assert states.fock_series(z, amps, parity, 9).terms.tobytes() == (
                     direct[0].tobytes()
                 )
+
+
+def _reference_gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, swap_sign, rho):
+    """pair_closed_form's Gram form as the per-point path wrote it."""
+    cross = (swap_sign * cmath.exp(1j * rho) * (g1 * g2).conjugate()).real
+    return p**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
+
+
+class _Slot:
+    def __init__(self, norm_sq, tail_bound):
+        self.norm_sq, self.tail_bound = lambda: norm_sq, tail_bound
+
+
+def _product_tail(s1, s2):
+    """Bound on sum of |s1_n s2_m|^2 outside the retained (n, m) square."""
+    n1, n2 = s1.norm_sq(), s2.norm_sq()
+    t1, t2 = s1.tail_bound, s2.tail_bound
+    return n1 * t2 + t1 * n2 + t1 * t2
+
+
+def _reference_pair_tail(p, u1, u2, v1, v2):
+    """pair_matrix's tail bound as the per-point path wrote it."""
+    return 2.0 * p**2 * (_product_tail(u1, u2) + _product_tail(v1, v2))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+# signed zeros, and magnitudes whose products stay finite: numpy warns on
+# overflow where Python floats do not
+reals = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e50, 1e50))
+complexes = st.builds(complex, reals, reals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.5, 1.0, -0.0]), st.floats(-4.0, 4.0)),
+    points=st.lists(
+        st.tuples(reals, reals, complexes, reals, reals, complexes,
+                  st.sampled_from([1.0, -1.0]), st.floats(-10.0, 10.0)),
+        min_size=1, max_size=5,
+    ),
+)
+def test_gram_form_is_the_per_point_expression_on_scalars_and_arrays(p, points):
+    expected = [_reference_gram_form(p, *point) for point in points]
+    phases = [s * cmath.exp(1j * rho) for *_, s, rho in points]
+    for (*entries, _, _), phase, value in zip(points, phases, expected):
+        assert _bits(gram_form(p, *entries, phase)) == _bits(value)
+    columns = [np.array(column) for column in zip(*points)][:6]
+    assert _bits(gram_form(p, *columns, np.array(phases))) == _bits(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.5, 1.0, -0.0]), st.floats(-4.0, 4.0)),
+    points=st.lists(st.tuples(*[reals] * 8), min_size=1, max_size=5),
+)
+def test_pair_tail_is_the_per_point_expression_on_scalars_and_arrays(p, points):
+    # each point: N then T of (u1, u2, v1, v2)
+    expected = [
+        _reference_pair_tail(p, *map(_Slot, point[:4], point[4:])) for point in points
+    ]
+    for point, value in zip(points, expected):
+        assert _bits(pair_tail(p, point[:4], point[4:])) == _bits(value)
+    columns = [np.array(column) for column in zip(*points)]
+    assert _bits(pair_tail(p, columns[:4], columns[4:])) == _bits(expected)

@@ -20,7 +20,6 @@ from mp2ent.states import (
     coset_normalization,
     coset_projection,
     coset_variable,
-    fiducial_overlap,
     fiducial_overlap_sq,
     fock_series,
     fock_series_batch,
@@ -257,6 +256,15 @@ class TestCosetProjection:
             assert abs(fine.norm_sq() - coarse.norm_sq()) <= coarse.tail_bound
 
 
+def fiducial_overlap(label: CosetLabel) -> complex:
+    """The fiducial scalar S(alpha, phi) = x [cos(alpha-phi) - sin(alpha-phi)]
+    + y [cos + sin], whose product with S(alpha*, phi) = conj(S(alpha, phi))
+    fiducial_overlap_sq computes in closed form."""
+    w = label.alpha - label.phi
+    c, s = cmath.cos(w), cmath.sin(w)
+    return label.x * (c - s) + label.y * (c + s)
+
+
 class TestCosetNormalization:
     def test_fiducial_product_identity(self):
         for alpha, phi, x, y in [
@@ -411,11 +419,22 @@ def _outcome(build):
         return exc
 
 
+def _assert_prefix(got, outcomes):
+    # a batch's (slots, fault) is its scalar outcomes up to and including
+    # the first exception: the slots before it, and that exception
+    slots, fault = got
+    bad = next((k for k, x in enumerate(outcomes) if isinstance(x, Exception)), len(outcomes))
+    assert len(slots) == bad
+    for slot, expected in zip(slots, outcomes):
+        _assert_same(slot, expected)
+    if bad == len(outcomes):
+        assert fault is None
+    else:
+        assert type(fault) is type(outcomes[bad])
+        assert str(fault) == str(outcomes[bad])
+
+
 def _assert_same(got, expected):
-    if isinstance(expected, Exception):
-        assert type(got) is type(expected)
-        assert str(got) == str(expected)
-        return
     assert got.parity is expected.parity
     assert got.terms.tobytes() == expected.terms.tobytes()
     assert got.tail_bound.hex() == expected.tail_bound.hex()
@@ -431,11 +450,10 @@ def _assert_same(got, expected):
     terms=st.sampled_from(BATCH_TERMS),
 )
 def test_fock_series_batch_is_its_batch_of_one(zs, amps, weight, parity, terms):
-    batch = fock_series_batch(zs, [amps] * len(zs), parity, terms, weight)
-    assert len(batch) == len(zs)
-    for z, got in zip(zs, batch):
-        expected = _outcome(lambda: fock_series.__wrapped__(z, amps, parity, terms, weight))
-        _assert_same(got, expected)
+    _assert_prefix(
+        fock_series_batch(zs, [amps] * len(zs), parity, terms, weight),
+        [_outcome(lambda: fock_series.__wrapped__(z, amps, parity, terms, weight)) for z in zs],
+    )
 
 
 def _disk(modulus, arg):
@@ -474,8 +492,7 @@ RECORD_POINTS = {
 def test_record_batch_is_its_batch_of_one(record, parity, terms, data):
     slots, point = RECORD_POINTS[record]
     points = data.draw(st.lists(point, min_size=1, max_size=5))
-    prefactor = data.draw(st.booleans())
-    batch = slots.batch(points, parity, terms, prefactor)
-    assert len(batch) == len(points)
-    for (var, label), got in zip(points, batch):
-        _assert_same(got, _outcome(lambda: slots(var, label, parity, terms, prefactor)))
+    _assert_prefix(
+        slots.batch(points, parity, terms),
+        [_outcome(lambda: slots(var, label, parity, terms, False)) for var, label in points],
+    )

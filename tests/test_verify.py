@@ -173,3 +173,16 @@ def test_verify_argv_exits_0_2_or_3(tol, trunc):
     assert rc in (0, 2, 3)
     if not (math.isfinite(tol) and tol > 0) or trunc < 1:
         assert rc == 2
+
+
+@pytest.mark.parametrize(
+    ("terms", "message"),
+    [(2.5, "truncation must be an integer, got 2.5"),
+     (True, "truncation must be an integer, got True"),
+     (0, "truncation must be >= 1, got 0")],
+)
+def test_verify_all_checks_its_truncation_as_a_sweep_does(terms, message):
+    # a float or a bool is refused with the sweep's text, not a numpy
+    # TypeError or a run at N = 1
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_all(terms=terms)
