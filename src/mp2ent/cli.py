@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -105,6 +106,7 @@ def _add_sweep_flags(sub: argparse.ArgumentParser, family: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the ``mp2ent`` command line."""
     parser = argparse.ArgumentParser(
         prog="mp2ent",
         description="Mp(2)-projected entanglement probability sweeps and verification",
@@ -118,6 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trunc", type=int, default=DEFAULT_TERMS)
     ver.add_argument("--report", help="write the JSON report here (default stdout)")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built once a process: a build takes about 1 ms, a
+    # large share of a small sweep.  Parsing leaves it unchanged (an
+    # ``append`` flag copies its default list before appending).
+    return build_parser()
 
 
 def _default_out(family: str, pair: SectorPair, fmt: str) -> str:
@@ -175,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep's sidecar records as its ``command``."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _run_verify(args)

@@ -20,7 +20,8 @@ and inner product is an exactly rounded math.fsum of N products.
 :func:`pair_norm_grid` evaluates the same expressions over a sweep grid, a
 block of axis1 rows at a time in numpy, each item an array of length 1
 along an axis it does not read (:func:`mp2ent.grids.run_sweep` builds and
-shapes them), broadcast; its |w|^2 sums
+shapes them), broadcast; the (u1, v1) projection is taken a slot batch at
+a time (:func:`projections`), and the |w|^2 sums
 are :func:`~mp2ent.numerics.block_fsum`'s, certified equal to fsum's bit
 for bit, with fsum itself at any point the certificate does not cover.  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
@@ -67,6 +68,7 @@ from .numerics import (
     SeriesValue,
     abs_sq,
     block_fsum,
+    row_norms_sq,
     stable_inner,
     stable_norm_sq,
 )
@@ -75,6 +77,7 @@ from .states import (
     CoefficientSequence,
     Mp2Variable,
     Parity,
+    SlotBatch,
     SlotMap,
     as_circle_label,
     as_mp2,
@@ -294,10 +297,30 @@ def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float
     return uu, mu, stable_norm_sq(v1.terms - mu * u1.terms)
 
 
-def projections(pairs) -> list[tuple[float, complex, float, float, float, float]]:
-    """|u1|^2, mu, |r|^2 (:func:`_projection`), T(u1), N(v1) and T(v1) of
-    each (u1, v1) of ``pairs``: the projection item of :func:`pair_norm_grid`."""
-    return [(*_projection(u1, v1), u1.tail_bound, v1.norm_sq(), v1.tail_bound) for u1, v1 in pairs]
+def projections(u1: SlotBatch, v1: SlotBatch) -> tuple[np.ndarray, ...]:
+    """The projection item of :func:`pair_norm_grid` at each row of two
+    slot batches of one length: the columns |u1|^2, mu, |r|^2
+    (:func:`_projection`'s, bit for bit), T(u1), N(v1) and T(v1).
+
+    |u1|^2 is u1's norm column.  <u1, v1> is formed as by
+    :func:`~mp2ent.numerics.stable_inner`, its products over the whole
+    block and one exactly rounded fsum per row for each part: these terms
+    have both signs, which :func:`~mp2ent.numerics.block_fsum`'s
+    certificate does not cover.  mu divides it per row as _projection
+    does, and |r|^2 = |v1 - mu u1|^2 is one
+    :func:`~mp2ent.numerics.row_norms_sq` over the block.
+    """
+    (uu, t_u1, x), (n_v1, t_v1, y) = u1, v1
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    inner = zip((xr * yr + xi * yi).tolist(), (xr * yi - xi * yr).tolist(), uu.tolist())
+    mu = np.array(
+        [complex(math.fsum(re), math.fsum(im)) / n if n > 0.0 else 0j for re, im, n in inner],
+        complex,
+    )
+    rr, fault = row_norms_sq(y - mu[:, None] * x)
+    if fault is not None:
+        raise fault
+    return uu, mu, rr, t_u1, n_v1, t_v1
 
 
 def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -360,14 +383,14 @@ _SLICE_POINTS = 4096
 
 def gram_halves(
     slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
-) -> tuple[list[tuple], ValueError | ArithmeticError | None]:
+) -> tuple[tuple[np.ndarray, ...], ValueError | ArithmeticError | None]:
     """One half of :func:`pair_closed_form`'s Gram form, with the tail bounds
     the grid reports, at each (var, label, label') of ``points`` before the
-    first that fails: for the slots u = (var, label) and v = (var, label'),
-    (N(u), N(v), G(u, v), T(u), T(v)) (:func:`gram_entries`), T the bound on
-    a slot's dropped l^2 tail; and the ValueError or ArithmeticError of the
-    failing point's :func:`gram_entries` or, failing that, of its slots, or
-    None.
+    first that fails, as the columns N(u), N(v), G(u, v), T(u), T(v) for the
+    slots u = (var, label) and v = (var, label') (:func:`gram_entries`), T
+    the bound on a slot's dropped l^2 tail; and the ValueError or
+    ArithmeticError of the failing point's :func:`gram_entries` or, failing
+    that, of its slots, or None.
 
     A sector's G is its whole series, so its T are 0.  The grouped total
     slots' T are their fock_series tails, kept in ``tails`` by (var, label)
@@ -381,17 +404,23 @@ def gram_halves(
             halves.append(gram_entries(slots, *point, parity, terms))
     except (ValueError, ArithmeticError) as exc:
         fault = exc
-    if parity is not None:
-        return [(*half, 0.0, 0.0) for half in halves], fault
-    keys = [(var, lab) for var, *labels in points[: len(halves)] for lab in labels]
-    new = list(dict.fromkeys(key for key in keys if key not in tails))
-    built, slot_fault = slots.batch(new, None, terms)
-    tails.update((key, slot.tail_bound) for key, slot in zip(new, built))
-    # the first point missing a slot tail is the one whose slot failed
-    done = next((k for k, key in enumerate(keys) if key not in tails), len(keys)) // 2
-    return [(*half, tails[var, lab], tails[var, lab_prime])
-            for half, (var, lab, lab_prime) in zip(halves[:done], points)
-            ], fault if done == len(halves) else slot_fault
+    rows = [(*half, 0.0, 0.0) for half in halves]
+    if parity is None:
+        keys = [(var, lab) for var, *labels in points[: len(halves)] for lab in labels]
+        new = list(dict.fromkeys(key for key in keys if key not in tails))
+        built, slot_fault = slots.batch(new, None, terms)
+        tails.update(zip(new, built.tails.tolist()))
+        # the first point missing a slot tail is the one whose slot failed
+        done = next((k for k, key in enumerate(keys) if key not in tails), len(keys)) // 2
+        fault = fault if done == len(halves) else slot_fault
+        rows = [(*half, tails[var, lab], tails[var, lab_prime])
+                for half, (var, lab, lab_prime) in zip(halves[:done], points)]
+    columns = list(zip(*rows)) or [()] * 5
+    return tuple(np.array(col, kind) for col, kind in zip(columns, _HALF_KINDS)), fault
+
+
+# the dtypes of the gram_halves columns N(u), N(v), G(u, v), T(u), T(v)
+_HALF_KINDS = (float, float, complex, float, float)
 
 
 def gram_entries(

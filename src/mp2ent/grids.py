@@ -4,8 +4,9 @@ A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  This module is the one place
 that knows which axes each item of the pair reads (a component, a slot, a
 Gram half, the (u1, v1) projection): :func:`_sweep_blocks` builds each item
-once per distinct value of the swept axes it reads, in axis batches,
-converts each batch once into arrays shaped (n1 or 1, n2 or 1, ...), and
+once per distinct value of the swept axes it reads, in axis batches (a
+slot batch and a projection batch come as arrays, one row per value),
+reshapes each batch once into arrays shaped (n1 or 1, n2 or 1, ...), and
 hands :func:`entangle_circle.pair_norm_grid` (series) or
 :func:`entangle_circle.pair_closed_form_grid` (closed form) blocks of axis1
 rows that they broadcast, equal bit for bit to the per-point kernels.
@@ -21,6 +22,7 @@ amplitudes.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import json
 import math
@@ -31,7 +33,14 @@ import numpy as np
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
 from .entangle_circle import SectorPair
 from .numerics import DEFAULT_TERMS, check_truncation
-from .states import MIN_COSET_IM_ALPHA, CircleLabel, CosetLabel, CylinderLabel, Mp2Variable
+from .states import (
+    MIN_COSET_IM_ALPHA,
+    CircleLabel,
+    CosetLabel,
+    CylinderLabel,
+    Mp2Variable,
+    SlotBatch,
+)
 
 TOOL_VERSION = "0.1.0"
 
@@ -329,13 +338,17 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     once per distinct value of the axes among them, in axis batches: one
     that reads only axis1 is one batch over axis1, one that reads only
     axis2 one batch over axis2, one that reads both one batch over axis2 per
-    row, and one that reads neither a batch of one.  Slots come from
-    ``record.batch``, halves from ``entangle_circle.gram_halves`` (whose
-    total tails are built once a sweep) and projections from
-    ``entangle_circle.projections``; none reads or fills the fock_series
-    memo.  A kernel item is converted once per batch into arrays of shape
-    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read, by
-    :func:`_columns`; a both-axes item's rows are stacked over a block.
+    row, and one that reads neither a batch of one.  A component's batch is
+    a list of its values; a derived item's is columns, arrays whose first
+    axis runs over the batch.  Slots come from ``record.batch`` as a
+    :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
+    ``entangle_circle.gram_halves`` (whose total tails are built once a
+    sweep) and projections from ``entangle_circle.projections``, which
+    takes the u1 and v1 rows its points read, gathered from their batches;
+    none reads or fills the fock_series memo.  A kernel item is reshaped
+    once per batch into arrays of shape (n1 or 1, n2 or 1, ...), 1 along an
+    axis it does not read; a both-axes item's rows are stacked over a
+    block.
     Every parameter is read by some kernel item, so a block's arrays
     broadcast to (rows, n2).  A block is the whole grid unless a kernel
     item other than the projection reads both axes; then it is one row.
@@ -354,21 +367,23 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
     record, terms, parities = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
-    components = (*components, (("rho",), lambda rho: (form.swap_sign * cmath.exp(1j * rho),)))
+    components = (*components, (("rho",), lambda rho: form.swap_sign * cmath.exp(1j * rho)))
     n = len(components)
     tails: dict = {}  # the grouped total slots' tails of the Gram halves, built once a sweep
 
     def batcher(parity):
         if halves:
-            return lambda points: entangle_circle.gram_halves(record, points, parity, terms, tails)
-        return lambda points: record.batch(points, parity, terms)
+            return lambda *parts: entangle_circle.gram_halves(
+                record, zip(*parts), parity, terms, tails)
+        return lambda *parts: record.batch(zip(*parts), parity, terms)
 
-    # the derived items: the items each reads, and its builder over points
+    # the derived items: the items each reads, and its builder over their
+    # values at the batch's points
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
     derived = [(role, batcher(parities[role[0]])) for role in roles]
     if not halves:
         # of u1 and v1, which cannot fail
-        derived.append(((n, n + 2), lambda pairs: (entangle_circle.projections(pairs), None)))
+        derived.append(((n, n + 2), lambda u1, v1: (entangle_circle.projections(u1, v1), None)))
     # what the kernel reads: the two halves, or the projection, u2 and v2; then f
     kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
     reads = [set(names) for names, _ in components]
@@ -379,13 +394,18 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     order = (2, 3, 0, 1) + tuple(range(4, len(reads)))
     # built[k]: item k at each axis1 value if it reads axis1 only, else at
     # each axis2 value of the current row (one entry if it reads neither),
-    # up to its batch's first fault
-    built: list[list] = [[] for _ in reads]
+    # up to its batch's first fault: a list for a component, else columns
+    # (arrays whose first axis runs over the batch)
+    built: list = [[] for _ in reads]
     arrays: list = [None] * len(reads)
     first = (len(ax1), 0, 0, None)  # the first fault: row, column, rank in order, exception
 
-    def at(k: int, i: int, j: int):
-        return built[k][i] if on1[k] and not on2[k] else built[k][j if on2[k] else 0]
+    def size(k: int) -> int:
+        return len(built[k]) if k < n else len(built[k][0])
+
+    def at(k: int, i: int, j: int) -> int:
+        # the entry of item k's batch that point (i, j) reads
+        return i if on1[k] and not on2[k] else j if on2[k] else 0
 
     def batch(k: int, i: int) -> None:
         # build item k over its batch at row i up to its first fault, note
@@ -404,21 +424,23 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
             except (ValueError, ArithmeticError) as exc:
                 fault = exc
         else:
-            # the points whose parents were built, a prefix of the batch; a
-            # parent's fault precedes the first point past it
+            # the points whose parents were built, a prefix of the batch (a
+            # parent's fault precedes the first point past it, and the
+            # entries a parent gives never decrease along the batch)
             parents, builder = derived[k - n]
-            parts = []
-            for i1, j in points:
-                try:
-                    parts.append([at(c, i1, j) for c in parents])
-                except IndexError:
-                    break
-            built[k], fault = builder(parts)
+            entries = [[at(c, i1, j) for i1, j in points] for c in parents]
+            good = min(bisect.bisect_left(e, size(c)) for e, c in zip(entries, parents))
+            built[k], fault = builder(*(
+                [built[c][m] for m in e[:good]] if c < n
+                else SlotBatch(*(col[e[:good]] for col in built[c]))
+                for c, e in zip(parents, entries)
+            ))
         if fault is not None:
-            first = min(first, (*points[len(built[k])], order.index(k), fault))
+            first = min(first, (*points[size(k)], order.index(k), fault))
         if k in kernel_items:
-            good = len(built[k])
-            arrays[k] = _columns(built[k], (good, 1) if on1[k] and not on2[k] else (1, good))
+            columns = built[k] if k >= n else [np.array(built[k])]
+            shape = (size(k), 1) if on1[k] and not on2[k] else (1, size(k))
+            arrays[k] = [col.reshape(*shape, *col.shape[1:]) for col in columns]
 
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]
     for k in range(len(reads)):
@@ -447,14 +469,6 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
         if end < i0 + step:
             i, j, _, fault = first
             raise GridDomainError(f"point ({name1}={ax1[i]}, {name2}={ax2[j]}): {fault}") from fault
-
-
-def _columns(items: list, shape: tuple[int, int]) -> list[np.ndarray]:
-    """The columns of a batch's items as arrays of shape ``shape`` (each
-    entry's own shape appended): a slot as (N, T, terms), else the tuple."""
-    rows = [item if isinstance(item, tuple) else (item.norm_sq(), item.tail_bound, item.terms)
-            for item in items]
-    return [np.array(col).reshape(*shape, *np.shape(col[0])) for col in zip(*rows)]
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:
@@ -504,9 +518,11 @@ def _json_values(rows: list[list[float]]) -> str:
 
 
 def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") -> None:
-    """Write the data file plus a ``<path>.meta.json`` sidecar; timestamps
-    only ever go in the sidecar so data files stay deterministic.  ``fmt``
-    is one of :data:`FORMATS`, checked before any file is opened."""
+    """Write the data file plus a ``<path>.meta.json`` sidecar holding the
+    run's timestamp, command, format, tool version, series truncation and
+    largest tail bound; timestamps only ever go in the sidecar so data files
+    stay deterministic.  ``fmt`` is one of :data:`FORMATS`, checked before
+    any file is opened."""
     import datetime
 
     if fmt not in FORMATS:
@@ -519,6 +535,8 @@ def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") ->
         "tool_version": TOOL_VERSION,
         "command": command,
         "format": fmt,
+        "truncation": grid.spec.truncation,
+        "tail_bound_max": float(grid.tail_bound_max),
     }
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

@@ -9,11 +9,14 @@ its Fock offset) together with a rigorous bound on the dropped l^2 tail.
 Every family's series is one Fock series; what differs - z, the two sector
 amplitudes, the Gaussian log-weight - is data, one :class:`SlotMap` record
 per family.  One body, :func:`fock_series_batch`, builds every slot: a batch
-of G slots in one numpy log-magnitude pass.  The per-point paths call the
-memoized :func:`fock_series`, its batch of one, and the grid sweeps call
-``SlotMap.batch`` over an axis; a batch stops at its first failing element
-and returns that element's exception.  ``parity=None`` gives the grouped
-total slot, even + odd, whose sequence carries parity None (no sector).
+of G slots in one numpy log-magnitude pass, returned as arrays (a
+:class:`SlotBatch`: a (G, N) coefficient block with its norm and tail
+columns), with no object per slot.  The per-point paths call the memoized
+:func:`fock_series`, which wraps row 0 of its batch of one in a
+CoefficientSequence, and the grid sweeps call ``SlotMap.batch`` over an
+axis; a batch stops at its first failing element and returns that
+element's exception.  ``parity=None`` gives the grouped total slot, even +
+odd, whose sequence carries parity None (no sector).
 
 Conventions
 -----------
@@ -35,11 +38,11 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TERMS, log_factorial_array, stable_norm_sq
+from .numerics import DEFAULT_TERMS, log_factorial_array, row_norms_sq, stable_norm_sq
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
@@ -182,13 +185,16 @@ def as_mp2(value) -> Mp2Variable:
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Dense coefficients c_0..c_{N-1} of one sector series (``parity`` None
-    for the total slot), plus a bound on the l^2 tail  sum_{n>=N} |c_n|^2."""
+    for the total slot), plus a bound on the l^2 tail  sum_{n>=N} |c_n|^2.
+    ``_norm_sq`` passes that row's exactly rounded norm from a
+    :class:`SlotBatch`, which has already taken it; without it the norm is
+    computed here."""
 
     parity: Parity | None
     terms: np.ndarray = field(repr=False)
     tail_bound: float
 
-    _norm_sq: float = field(init=False, repr=False)
+    _norm_sq: float | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         terms = np.asarray(self.terms, dtype=complex)
@@ -196,7 +202,8 @@ class CoefficientSequence:
         object.__setattr__(self, "terms", terms)
         if not (self.tail_bound >= 0.0):
             raise ValueError("tail_bound must be non-negative")
-        object.__setattr__(self, "_norm_sq", stable_norm_sq(terms))
+        if self._norm_sq is None:
+            object.__setattr__(self, "_norm_sq", stable_norm_sq(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -206,24 +213,40 @@ class CoefficientSequence:
         return self._norm_sq
 
 
+class SlotBatch(NamedTuple):
+    """G slots of one parity and truncation as arrays: their squared norms
+    sum |c_n|^2 (G,), each exactly rounded, their tail bounds (G,) and
+    their coefficients c_0..c_(N-1) as one (G, N) block, in the order in
+    which a series kernel reads a slot.  Row g is the slot
+    ``CoefficientSequence(parity, terms[g], tails[g])`` bit for bit."""
+
+    norms: np.ndarray
+    tails: np.ndarray
+    terms: np.ndarray
+
+
 def fock_series_batch(
     zs, amps, parity: Parity | None, terms: int,
     log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[list[CoefficientSequence], ValueError | ArithmeticError | None]:
+) -> tuple[SlotBatch, ValueError | ArithmeticError | None]:
     """The one slot body: the :func:`fock_series` slot of each z in ``zs``
     with its pair of sector amplitudes in ``amps``, all at one parity,
-    truncation and log-weight g.  One numpy log-magnitude pass of shape
-    (G, 2N + 4) serves the G slots, and one complex exp pass per sector
-    builds their terms; ln|z/2|, the phase and the tail bounds stay libm
-    ``math`` calls per element, and a z whose |z|/2 is 0 takes its constant
-    slot without the pass.  Every float expression is the one a single slot
-    would evaluate, so each slot is the same bit for bit whatever batch it
-    is built in.
+    truncation and log-weight g, as one :class:`SlotBatch`.  One numpy
+    log-magnitude pass of shape (G, 2N + 4) serves the G slots, one complex
+    exp pass per sector fills their (G, N) block, and one
+    :func:`~mp2ent.numerics.row_norms_sq` takes their norms; ln|z/2|, the
+    phase and the tail bounds stay libm ``math`` calls per element, and a z
+    whose |z|/2 is 0 takes its constant slot without the pass.  Every float
+    expression is the one a single slot would evaluate, so each row is the
+    same bit for bit whatever batch it is built in.
 
-    Returns the slots of the elements before the batch's first failing one,
+    Returns the rows of the elements before the batch's first failing one,
     and the ValueError or ArithmeticError that building that element alone
-    raises (the same type and text), or None.  Each stage drops the
-    elements from its first fault on, so the fault kept is the first.
+    raises (the same type and text), or None: its input, its magnitude
+    guard or tail bound (a tail that is not >= 0 raises "tail_bound must be
+    non-negative", as CoefficientSequence does), or the fsum of its norm.
+    Each stage drops the elements from its first fault on, so the fault
+    kept is the first.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -248,7 +271,7 @@ def fock_series_batch(
         log_mag = sum(pieces[1:], pieces[0])
         # log_mag[k] is rounded on the scale of its pieces, not of its value
         scales = sum(np.abs(piece[..., size : size + 2]) for piece in pieces).tolist()
-        peaks = np.max(log_mag[:, 1:size], axis=1).tolist()
+        peaks = log_mag[:, 1:size].max(axis=1).tolist()
         ends = log_mag[:, size : size + 4].tolist()
     for row, k in enumerate(live):
         z, pair = inputs[k]
@@ -271,12 +294,15 @@ def fock_series_batch(
             tail = sector_tails[0]
             if parity is None:
                 tail = (math.sqrt(sector_tails[0]) + math.sqrt(sector_tails[1])) ** 2
+            if not (tail >= 0.0):
+                raise ValueError("tail_bound must be non-negative")
         except (ValueError, ArithmeticError) as exc:
             fault, inputs, live = exc, inputs[:k], live[:row]
             break
         tails.append(tail)
         # not cmath.phase, which raises OverflowError where the angle underflows
         phases.append(math.atan2(z.imag, z.real))
+    block, tail_column = np.zeros((len(inputs), terms), complex), np.zeros(len(inputs))
     if live:
         phase, rows = np.array(phases)[:, None], len(live)
         amp_rows = np.array([inputs[k][1] for k in live])
@@ -284,20 +310,20 @@ def fock_series_batch(
             amp_rows[:, o, None] * np.exp(log_mag[:rows, o:size:2] + 1j * ks[o:size:2] * phase)
             for o in sectors
         ]
-        coefficients = iter(zip(parts[0] if parity is not None else parts[0] + parts[1], tails))
-    slots = []
-    for k, (_, pair) in enumerate(inputs):
-        try:
+        coefficients = parts[0] if parity is not None else parts[0] + parts[1]
+        if rows == len(inputs):  # no constant slot: no copy (a batch of one, say)
+            block, tail_column = coefficients, np.array(tails)
+        else:
+            block[live], tail_column[live] = coefficients, tails
+    # a constant slot: c_0 its even amplitude (0 for an odd slot), the rest 0
+    if parity is not Parity.ODD:
+        for k, (_, pair) in enumerate(inputs):
             if logs[k] is None:
-                coeffs, tail = np.zeros(terms, dtype=complex), 0.0
-                if parity is not Parity.ODD:
-                    coeffs[0] = pair[0]
-            else:
-                coeffs, tail = next(coefficients)
-            slots.append(CoefficientSequence(parity, coeffs, tail))
-        except (ValueError, ArithmeticError) as exc:
-            return slots, exc
-    return slots, fault
+                block[k, 0] = pair[0]
+    norms, norm_fault = row_norms_sq(block)
+    if norm_fault is not None:
+        fault, block, tail_column = norm_fault, block[: len(norms)], tail_column[: len(norms)]
+    return SlotBatch(norms, tail_column, block), fault
 
 
 @functools.lru_cache(maxsize=SLOT_MEMO_SIZE)
@@ -315,8 +341,8 @@ def fock_series(
 
     as c_n = t_(2n + parity) for a sector, or as the grouped total slot
     c_n = t_(2n) + t_(2n+1) for ``parity=None``; the batch of one of
-    :func:`fock_series_batch`, which builds it.  One log-magnitude pass over
-    k = 0..2N+3 serves both (N = ``terms``).
+    :func:`fock_series_batch`, whose row 0 (with its norm) it wraps.  One
+    log-magnitude pass over k = 0..2N+3 serves both (N = ``terms``).
 
     Tail bound.  A sector's log-magnitude  k ln|z/2| - ln(k!)/2 + g(k)  is
     concave in n for every family (ln k! is convex and g is 0, -k^2/2, or
@@ -341,10 +367,12 @@ def fock_series(
     must give identical slots, so z is stripped of signed zeros (+ 0j)
     before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
     """
-    slots, fault = fock_series_batch([z], [amps], parity, terms, log_weight)
+    batch, fault = fock_series_batch([z], [amps], parity, terms, log_weight)
     if fault is not None:
         raise fault
-    return slots[0]
+    return CoefficientSequence(
+        parity, batch.terms[0], float(batch.tails[0]), _norm_sq=float(batch.norms[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -388,24 +416,25 @@ class SlotMap:
 
     def batch(
         self, points, parity: Parity | None, terms: int = DEFAULT_TERMS,
-    ) -> tuple[list[CoefficientSequence], ValueError | ArithmeticError | None]:
+    ) -> tuple[SlotBatch, ValueError | ArithmeticError | None]:
         """The slots ``self(var, label, parity, terms, False)`` of the
-        (var, label) ``points`` before the first whose call raises, built by
-        one :func:`fock_series_batch` call without the memo, and that call's
-        ValueError or ArithmeticError (the same type and text), or None."""
+        (var, label) ``points`` before the first whose call raises, as one
+        :class:`SlotBatch` built by one :func:`fock_series_batch` call
+        without the memo, and that call's ValueError or ArithmeticError (the
+        same type and text), or None."""
         points, inputs, fault = list(points), [], None
         try:
             for var, label in points:
                 inputs.append(self._inputs(var, label, False))
         except (ValueError, ArithmeticError) as exc:
             fault = exc
-        slots, slot_fault = fock_series_batch(
+        batch, slot_fault = fock_series_batch(
             [z for z, _ in inputs], [pair for _, pair in inputs], parity, terms, self.g
         )
         fault = fault if slot_fault is None else slot_fault
         if isinstance(fault, OverflowError) and self.overflow is not None:
-            fault = ValueError(self.overflow(*points[len(slots)]))
-        return slots, fault
+            fault = ValueError(self.overflow(*points[len(batch.norms)]))
+        return batch, fault
 
     def _inputs(self, var, label, prefactor: bool) -> tuple[complex, tuple[float, float]]:
         # z and the sector amplitudes of the slot of var at label

@@ -8,11 +8,15 @@ the first failing point with the per-point loop's message.
 """
 
 import cmath
+import contextlib
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mp2ent import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, grids, numerics
 from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
@@ -28,7 +32,16 @@ from mp2ent.grids import (
     grid_to_csv,
     run_sweep,
 )
-from mp2ent.states import CircleLabel, CoefficientSequence, CosetLabel, CylinderLabel
+from mp2ent.states import (
+    CircleLabel,
+    CoefficientSequence,
+    CosetLabel,
+    CylinderLabel,
+    Parity,
+    SlotBatch,
+    fock_series,
+    fock_series_batch,
+)
 
 SERIES = {
     "circle": probability_series,
@@ -330,13 +343,71 @@ def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault():
     def slot(*terms):
         return CoefficientSequence(None, np.array(terms, dtype=complex), 0.0)
 
-    u1, u2, v1, v2 = slot(1e-154, 0.0), slot(0.0, 0.0), slot(1.0, 0.0), slot(1.0, 1.0)
+    u1, u2, v1, v2 = (_batch_of(slot(*terms)) for terms in
+                      ((1e-154, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     phase = entangle_circle.CIRCLE_PAIR.swap_sign * cmath.exp(0j)
 
     def blocks():
-        items = (entangle_circle.projections([(u1, v1)]), [u2], [v2], [(phase,)])
-        yield tuple(grids._columns(batch, (1, 1)) for batch in items)
+        items = (entangle_circle.projections(u1, v1), u2, v2, (np.array([phase]),))
+        yield tuple([column.reshape(1, 1, *column.shape[1:]) for column in item] for item in items)
         raise GridDomainError("row 1")
 
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         list(entangle_circle.pair_norm_grid(entangle_circle.CIRCLE_PAIR, blocks()))
+
+
+def _batch_of(*slots):
+    """Slot objects as one SlotBatch, row k the k-th slot."""
+    return SlotBatch(np.array([slot.norm_sq() for slot in slots]),
+                     np.array([slot.tail_bound for slot in slots]),
+                     np.array([slot.terms for slot in slots]))
+
+
+@st.composite
+def slot_inputs(draw):
+    """One slot's (z, amps): z 0 (the constant slot) or of modulus up to past
+    the overflow guard; amps down to subnormal scale, or both 0 (a zero
+    slot, so |u1|^2 = 0 and mu = 0j)."""
+    z = draw(st.one_of(st.just(0j), st.builds(
+        cmath.rect, st.one_of(st.floats(0.0, 8.0), st.floats(1e3, 1e5)), st.floats(-4.0, 4.0))))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e-300, 2.0**-1060, 0.0]))
+    amps = draw(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+    return z, (scale * amps[0], scale * amps[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inputs=st.lists(st.tuples(slot_inputs(), slot_inputs()), min_size=1, max_size=6),
+    parity=st.sampled_from([Parity.EVEN, Parity.ODD, None]),
+    terms=st.sampled_from([1, 2, 6, 40]),
+    same=st.booleans(),
+    certified=st.booleans(),
+)
+def test_batched_projection_columns_are_the_per_point_projection(
+    inputs, parity, terms, same, certified
+):
+    # the (u1, v1) batches stop at their first fault (a z past the guard);
+    # the projection of their common prefix must be _projection's per row,
+    # and each norm column stable_norm_sq's, bit for bit, with or without
+    # block_fsum's certificate
+    if same:  # v1 = u1: mu = 1 and r = 0 exactly wherever |u1|^2 > 0
+        inputs = [(u, u) for u, _ in inputs]
+    patch = mock.patch.object(numerics, "_certified", lambda r, f, n: np.zeros(r.shape, bool))
+    with patch if not certified else contextlib.nullcontext():
+        u1, _ = fock_series_batch(*zip(*(u for u, _ in inputs)), parity, terms)
+        v1, _ = fock_series_batch(*zip(*(v for _, v in inputs)), parity, terms)
+        size = min(len(u1.norms), len(v1.norms))
+        u1, v1 = (SlotBatch(*(column[:size] for column in batch)) for batch in (u1, v1))
+        columns = entangle_circle.projections(u1, v1)
+    assert [column.shape for column in columns] == [(size,)] * 6
+    for k, ((zu, au), (zv, av)) in enumerate(inputs[:size]):
+        su = fock_series.__wrapped__(zu, au, parity, terms)
+        sv = fock_series.__wrapped__(zv, av, parity, terms)
+        for batch, slot in ((u1, su), (v1, sv)):
+            assert batch.norms[k].hex() == numerics.stable_norm_sq(slot.terms).hex()
+        uu, mu, rr = entangle_circle._projection(su, sv)
+        got = [column[k].item() for column in columns]
+        assert (got[1].real.hex(), got[1].imag.hex()) == (mu.real.hex(), mu.imag.hex())
+        del got[1]
+        assert [x.hex() for x in got] == [
+            x.hex() for x in (uu, rr, su.tail_bound, sv.norm_sq(), sv.tail_bound)]

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mp2ent
-from mp2ent import cli, entangle_circle, grids
+from mp2ent import cli, entangle_circle, grids, states
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import CirclePairParams, SectorPair
 from mp2ent.entangle_coset import CosetPairParams
@@ -259,10 +259,35 @@ class TestSerialization:
 
     def test_sidecar_metadata_holds_timestamp(self, tmp_path):
         path = tmp_path / "g.csv"
-        write_grid(run_sweep(small_spec()), str(path), "csv", command="circle")
+        grid = run_sweep(small_spec())
+        write_grid(grid, str(path), "csv", command="circle")
         meta = json.loads((tmp_path / "g.csv.meta.json").read_text())
         assert "created_at" in meta and meta["command"] == "circle"
         assert "created_at" not in path.read_text()
+        # the run's truncation and largest tail bound, exactly; the data
+        # file is the writer's text alone
+        assert set(meta) == {"command", "created_at", "format", "tail_bound_max", "tool_version",
+                             "truncation"}
+        assert meta["truncation"] == 20
+        assert meta["tail_bound_max"].hex() == grid.tail_bound_max.hex() != 0.0.hex()
+        assert path.read_text() == grid_to_csv(grid)
+
+    def test_back_to_back_runs_leak_no_flags(self, tmp_path):
+        # main parses with one parser a process: a run's --set and --axis1
+        # must not reach the next run, whose grid and sidecar are those of a
+        # run with the defaults
+        first = ["circle", "--axis1", "phi:0:3:3", "--axis2", "sigma:0.1:0.5:2", "--set",
+                 "rho=1", "--set", "omega=0.3", "--trunc", "12", "--out", str(tmp_path / "a.csv")]
+        second = ["circle", "--out", str(tmp_path / "b.csv")]
+        assert main(first) == 0 and main(second) == 0
+        assert cli._parser() is cli._parser()
+        assert cli._parser().parse_args(["circle"]).fixed == []
+        default = SweepSpec("circle", SectorPair.PP, *(AxisSpec(*a) for a in DEFAULT_AXES["circle"]))
+        grid = run_sweep(default)
+        assert (tmp_path / "b.csv").read_text() == grid_to_csv(grid)
+        meta = json.loads((tmp_path / "b.csv.meta.json").read_text())
+        assert meta["command"] == " ".join(second) and meta["truncation"] == 40
+        assert meta["tail_bound_max"] == grid.tail_bound_max
 
     @pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
     def test_unknown_format_is_refused_before_any_file_is_opened(self, tmp_path, fmt):
@@ -576,6 +601,38 @@ def test_closed_form_sweep_calls_its_kernel_once_per_point(
     assert counts == {kernel: 0, "pair_closed_form_grid": 1}
 
 
+@pytest.mark.parametrize("pair", [SectorPair.PM, SectorPair.TOTAL])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_series_sweep_builds_no_slot_object(monkeypatch, family, pair):
+    # a sweep's slots are SlotBatch arrays, with no CoefficientSequence per
+    # slot, and it neither reads nor fills the fock_series memo
+    counts = {"slots": 0}
+    post_init = states.CoefficientSequence.__post_init__
+    monkeypatch.setattr(states.CoefficientSequence, "__post_init__",
+                        _counting(counts, "slots", post_init))
+    states.fock_series.cache_clear()
+    (name1, lo1, hi1, _), (name2, lo2, hi2, _) = DEFAULT_AXES[family]
+    run_sweep(SweepSpec(family, pair, AxisSpec(name1, lo1, hi1, 4), AxisSpec(name2, lo2, hi2, 3),
+                        fixed=(("phi_prime", 0.7),), truncation=8))
+    info = states.fock_series.cache_info()
+    assert (counts["slots"], info.hits, info.misses, info.currsize) == (0, 0, 0, 0)
+
+
+def _counting_projections(monkeypatch) -> dict:
+    # the batches of (u1, v1) rows that entangle_circle.projections takes
+    # in a sweep, and their rows in all
+    counts = {"batches": 0, "rows": 0}
+    projections = entangle_circle.projections
+
+    def counting(u1, v1):
+        counts["batches"] += 1
+        counts["rows"] += len(u1.norms)
+        return projections(u1, v1)
+
+    monkeypatch.setattr(entangle_circle, "projections", counting)
+    return counts
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize(("reverse", "expected"), [(False, 8), (True, 5)],
                          ids=["default-axes", "reversed-axes"])
@@ -583,17 +640,13 @@ def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, rev
     # |u1|^2, mu and |r|^2 depend on (u1, v1) only.  On the default axes
     # both read axis1 (8 distinct pairs on an 8 x 5 grid); reversed, both
     # read axis2 (5), and the row kernel reuses them on every row.
-    counts = {"_projection": 0}
-    monkeypatch.setattr(
-        entangle_circle, "_projection",
-        _counting(counts, "_projection", entangle_circle._projection),
-    )
+    counts = _counting_projections(monkeypatch)
     (name1, lo1, hi1, _), (name2, lo2, hi2, _) = DEFAULT_AXES[family]
     axes = [AxisSpec(name1, lo1, hi1, 8), AxisSpec(name2, lo2, hi2, 5)]
     if reverse:
         axes = [AxisSpec(name2, lo2, hi2, 8), AxisSpec(name1, lo1, hi1, 5)]
     run_sweep(SweepSpec(family, SectorPair.PP, *axes, truncation=8))
-    assert counts["_projection"] == expected
+    assert counts == {"batches": 1, "rows": expected}
 
 
 @pytest.mark.parametrize(
@@ -606,11 +659,7 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     # u2 or v2 reads both axes, so every block is one row, and u1 or v1
     # reads axis2: 7 distinct (u1, v1) on a 5 x 7 grid, projected once per
     # sweep and not once per block
-    counts = {"_projection": 0}
-    monkeypatch.setattr(
-        entangle_circle, "_projection",
-        _counting(counts, "_projection", entangle_circle._projection),
-    )
+    counts = _counting_projections(monkeypatch)
     kernel, blocks = entangle_circle.pair_norm_grid, []
 
     def recording(form, items):
@@ -620,7 +669,7 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     run_sweep(SweepSpec(family, pair, AxisSpec(*axes[0], 5), AxisSpec(*axes[1], 7), truncation=8))
     shapes = [np.broadcast_shapes(*(a.shape[:2] for item in b for a in item)) for b in blocks]
     assert shapes == [(1, 7)] * 5
-    assert counts["_projection"] == 7
+    assert counts == {"batches": 1, "rows": 7}
 
 
 # how each item of the pair reads the axes: "fixed" neither, "axis1",

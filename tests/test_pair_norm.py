@@ -250,12 +250,16 @@ class TestSlotMemo:
         before = states.fock_series.cache_info()
         grid = grid_to_json(run_sweep(spec, "closed_form"))
         assert states.fock_series.cache_info() == before
-        monkeypatch.setattr(
-            states.SlotMap, "batch",
-            lambda record, points, *args: (
-                [record(var, label, *args, False) for var, label in points], None
-            ),
-        )
+
+        def through_the_memo(record, points, parity, terms):
+            slots = [record(var, label, parity, terms, False) for var, label in points]
+            return states.SlotBatch(
+                np.array([slot.norm_sq() for slot in slots]),
+                np.array([slot.tail_bound for slot in slots]),
+                np.reshape([slot.terms for slot in slots], (len(slots), terms)),
+            ), None
+
+        monkeypatch.setattr(states.SlotMap, "batch", through_the_memo)
         assert grid_to_json(run_sweep(spec, "closed_form")) == grid
         assert states.fock_series.cache_info().misses > 0
 

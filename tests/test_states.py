@@ -16,6 +16,7 @@ from mp2ent.states import (
     CylinderLabel,
     Mp2Variable,
     Parity,
+    SlotBatch,
     cat_projection,
     coset_normalization,
     coset_projection,
@@ -419,26 +420,26 @@ def _outcome(build):
         return exc
 
 
-def _assert_prefix(got, outcomes):
-    # a batch's (slots, fault) is its scalar outcomes up to and including
-    # the first exception: the slots before it, and that exception
-    slots, fault = got
+def _assert_prefix(got, outcomes, parity, terms):
+    # a batch's (SlotBatch, fault) is its scalar outcomes up to and including
+    # the first exception: the rows of the slots before it, bit for bit, and
+    # that exception
+    batch, fault = got
     bad = next((k for k, x in enumerate(outcomes) if isinstance(x, Exception)), len(outcomes))
-    assert len(slots) == bad
-    for slot, expected in zip(slots, outcomes):
-        _assert_same(slot, expected)
+    assert isinstance(batch, SlotBatch)
+    assert (batch.norms.dtype, batch.tails.dtype, batch.terms.dtype) == (float, float, complex)
+    assert (batch.norms.shape, batch.tails.shape, batch.terms.shape) == ((bad,), (bad,), (bad, terms))
+    for norm, tail, row, expected in zip(batch.norms.tolist(), batch.tails.tolist(), batch.terms,
+                                         outcomes):
+        assert expected.parity is parity
+        assert row.tobytes() == expected.terms.tobytes()
+        assert tail.hex() == expected.tail_bound.hex()
+        assert norm.hex() == expected.norm_sq().hex()
     if bad == len(outcomes):
         assert fault is None
     else:
         assert type(fault) is type(outcomes[bad])
         assert str(fault) == str(outcomes[bad])
-
-
-def _assert_same(got, expected):
-    assert got.parity is expected.parity
-    assert got.terms.tobytes() == expected.terms.tobytes()
-    assert got.tail_bound.hex() == expected.tail_bound.hex()
-    assert got.norm_sq().hex() == expected.norm_sq().hex()
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,7 +454,24 @@ def test_fock_series_batch_is_its_batch_of_one(zs, amps, weight, parity, terms):
     _assert_prefix(
         fock_series_batch(zs, [amps] * len(zs), parity, terms, weight),
         [_outcome(lambda: fock_series.__wrapped__(z, amps, parity, terms, weight)) for z in zs],
+        parity, terms,
     )
+
+
+@pytest.mark.parametrize(
+    ("middle", "error"),
+    # amplitudes of opposite sign pass the magnitude guard, which reads the
+    # larger one, while the even terms' |c_n|^2, each finite, overflow in
+    # fsum; NaN amplitudes pass it too and give a NaN tail
+    [((-5e152, 0.5), OverflowError), ((math.nan, math.nan), ValueError)],
+    ids=["norm-overflows", "nan-tail"],
+)
+def test_a_slot_that_fails_after_its_tail_guard_ends_its_batch(middle, error):
+    zs, amps = [2.0, 2.0 * math.e, 2.0], [(1.0, 1.0), middle, (1.0, 1.0)]
+    outcomes = [_outcome(lambda: fock_series.__wrapped__(z, pair, Parity.EVEN, 6))
+                for z, pair in zip(zs, amps)]
+    assert isinstance(outcomes[1], error)
+    _assert_prefix(fock_series_batch(zs, amps, Parity.EVEN, 6), outcomes, Parity.EVEN, 6)
 
 
 def _disk(modulus, arg):
@@ -495,4 +513,5 @@ def test_record_batch_is_its_batch_of_one(record, parity, terms, data):
     _assert_prefix(
         slots.batch(points, parity, terms),
         [_outcome(lambda: slots(var, label, parity, terms, False)) for var, label in points],
+        parity, terms,
     )
