@@ -68,6 +68,7 @@ from .numerics import (
     SeriesValue,
     abs_sq,
     block_fsum,
+    inner_terms,
     row_norms_sq,
     stable_inner,
     stable_norm_sq,
@@ -291,7 +292,10 @@ class EntangledPair:
 
 def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float, complex, float]:
     """|u1|^2, mu = <u1, v1>/|u1|^2 and |r|^2 = |v1 - mu u1|^2 of the module
-    docstring, each exactly rounded."""
+    docstring, each exactly rounded: :func:`projections` at one point, on
+    the same :func:`~mp2ent.numerics.inner_terms`.  (Not its batch of one:
+    the per-call array overhead would slow the per-point paths, verify
+    among them.)"""
     uu = u1.norm_sq()
     mu = stable_inner(u1.terms, v1.terms) / uu if uu > 0.0 else 0j
     return uu, mu, stable_norm_sq(v1.terms - mu * u1.terms)
@@ -299,20 +303,19 @@ def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float
 
 def projections(u1: SlotBatch, v1: SlotBatch) -> tuple[np.ndarray, ...]:
     """The projection item of :func:`pair_norm_grid` at each row of two
-    slot batches of one length: the columns |u1|^2, mu, |r|^2
-    (:func:`_projection`'s, bit for bit), T(u1), N(v1) and T(v1).
+    slot batches of one length: the columns |u1|^2, mu = <u1, v1>/|u1|^2
+    (0 where |u1|^2 is 0), |r|^2 = |v1 - mu u1|^2, T(u1), N(v1) and T(v1).
 
-    |u1|^2 is u1's norm column.  <u1, v1> is formed as by
-    :func:`~mp2ent.numerics.stable_inner`, its products over the whole
-    block and one exactly rounded fsum per row for each part: these terms
-    have both signs, which :func:`~mp2ent.numerics.block_fsum`'s
-    certificate does not cover.  mu divides it per row as _projection
-    does, and |r|^2 = |v1 - mu u1|^2 is one
-    :func:`~mp2ent.numerics.row_norms_sq` over the block.
+    |u1|^2 is u1's norm column.  <u1, v1> takes the
+    :func:`~mp2ent.numerics.inner_terms` of the whole blocks and one
+    exactly rounded fsum per row for each part, as
+    :func:`~mp2ent.numerics.stable_inner` does for one: these terms have
+    both signs, which :func:`~mp2ent.numerics.block_fsum`'s certificate
+    does not cover.  |r|^2 is one :func:`~mp2ent.numerics.row_norms_sq`
+    over the block.
     """
     (uu, t_u1, x), (n_v1, t_v1, y) = u1, v1
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    inner = zip((xr * yr + xi * yi).tolist(), (xr * yi - xi * yr).tolist(), uu.tolist())
+    inner = zip(*(part.tolist() for part in inner_terms(x, y)), uu.tolist())
     mu = np.array(
         [complex(math.fsum(re), math.fsum(im)) / n if n > 0.0 else 0j for re, im, n in inner],
         complex,

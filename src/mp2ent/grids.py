@@ -344,8 +344,9 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
     ``entangle_circle.gram_halves`` (whose total tails are built once a
     sweep) and projections from ``entangle_circle.projections``, which
-    takes the u1 and v1 rows its points read, gathered from their batches;
-    none reads or fills the fock_series memo.  A kernel item is reshaped
+    takes the u1 and v1 rows its points read: a slice of a batch along the
+    same axis, gathered from one broadcast along it; none reads or fills
+    the fock_series memo.  A kernel item is reshaped
     once per batch into arrays of shape (n1 or 1, n2 or 1, ...), 1 along an
     axis it does not read; a both-axes item's rows are stacked over a
     block.
@@ -407,6 +408,16 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
         # the entry of item k's batch that point (i, j) reads
         return i if on1[k] and not on2[k] else j if on2[k] else 0
 
+    def take(c: int, entries: list[int]):
+        # item c's entries at the given indices; a derived item's columns
+        # are sliced (a view) where the indices are a prefix, as for a
+        # parent batched along the same axis, and gathered only where one
+        # entry is broadcast along the batch
+        if c < n:
+            return [built[c][m] for m in entries]
+        rows = slice(len(entries)) if entries == list(range(len(entries))) else entries
+        return SlotBatch(*(col[rows] for col in built[c]))
+
     def batch(k: int, i: int) -> None:
         # build item k over its batch at row i up to its first fault, note
         # that fault, convert
@@ -430,11 +441,7 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
             parents, builder = derived[k - n]
             entries = [[at(c, i1, j) for i1, j in points] for c in parents]
             good = min(bisect.bisect_left(e, size(c)) for e, c in zip(entries, parents))
-            built[k], fault = builder(*(
-                [built[c][m] for m in e[:good]] if c < n
-                else SlotBatch(*(col[e[:good]] for col in built[c]))
-                for c, e in zip(parents, entries)
-            ))
+            built[k], fault = builder(*(take(c, e[:good]) for c, e in zip(parents, entries)))
         if fault is not None:
             first = min(first, (*points[size(k)], order.index(k), fault))
         if k in kernel_items:

@@ -5,8 +5,8 @@ of a disk variable, optionally damped by Gaussian weights, plus the two
 Jacobi theta constants needed by the cylinder degeneracy limits.  The
 kernels here are pure and deterministic.  Every sum, squared norm
 (``stable_norm_sq``, or ``row_norms_sq`` for each row of a block) and inner
-product (``stable_inner``) is exactly
-rounded, so it does not depend on summation order and reruns are bit-for-bit
+product (``stable_inner``, its terms ``inner_terms``) is exactly rounded, so
+it does not depend on summation order and reruns are bit-for-bit
 identical: one ``math.fsum`` over per-element products, or, for the
 non-negative terms of a block of points (``block_fsum``), a vectorized
 error-free cascade whose result is certified equal to fsum's, with fsum
@@ -218,11 +218,18 @@ def _certified(r: np.ndarray, f: np.ndarray, terms: int) -> np.ndarray:
     return 2.0 * (np.abs(f) + bound) < r - np.nextafter(r, -np.inf)
 
 
+def inner_terms(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-element products conj(x) y as real and imaginary arrays, of
+    the shape of ``x`` and ``y``: the terms of each exactly rounded inner
+    product (:func:`stable_inner`, or a row of a block).  The real part is
+    formed exactly as in :func:`abs_sq`, so a vector's inner product with
+    itself is its :func:`stable_norm_sq`."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return xr * yr + xi * yi, xr * yi - xi * yr
+
+
 def stable_inner(x: np.ndarray, y: np.ndarray) -> complex:
     """<x, y> = sum conj(x_n) y_n, real and imaginary parts each an exactly
-    rounded sum of per-element products.  The real part is formed exactly as
-    in :func:`abs_sq`, so stable_inner(x, x) == stable_norm_sq(x)."""
-    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
-    return complex(
-        math.fsum((xr * yr + xi * yi).tolist()), math.fsum((xr * yi - xi * yr).tolist())
-    )
+    rounded sum of the :func:`inner_terms`."""
+    re, im = inner_terms(x, y)
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))

@@ -185,16 +185,13 @@ def as_mp2(value) -> Mp2Variable:
 @dataclass(frozen=True, eq=False)
 class CoefficientSequence:
     """Dense coefficients c_0..c_{N-1} of one sector series (``parity`` None
-    for the total slot), plus a bound on the l^2 tail  sum_{n>=N} |c_n|^2.
-    ``_norm_sq`` passes that row's exactly rounded norm from a
-    :class:`SlotBatch`, which has already taken it; without it the norm is
-    computed here."""
+    for the total slot), plus a bound on the l^2 tail  sum_{n>=N} |c_n|^2."""
 
     parity: Parity | None
     terms: np.ndarray = field(repr=False)
     tail_bound: float
 
-    _norm_sq: float | None = field(default=None, repr=False, kw_only=True)
+    _norm_sq: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         terms = np.asarray(self.terms, dtype=complex)
@@ -202,8 +199,7 @@ class CoefficientSequence:
         object.__setattr__(self, "terms", terms)
         if not (self.tail_bound >= 0.0):
             raise ValueError("tail_bound must be non-negative")
-        if self._norm_sq is None:
-            object.__setattr__(self, "_norm_sq", stable_norm_sq(terms))
+        object.__setattr__(self, "_norm_sq", stable_norm_sq(terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -341,7 +337,7 @@ def fock_series(
 
     as c_n = t_(2n + parity) for a sector, or as the grouped total slot
     c_n = t_(2n) + t_(2n+1) for ``parity=None``; the batch of one of
-    :func:`fock_series_batch`, whose row 0 (with its norm) it wraps.  One
+    :func:`fock_series_batch`, whose row 0 and tail it wraps.  One
     log-magnitude pass over k = 0..2N+3 serves both (N = ``terms``).
 
     Tail bound.  A sector's log-magnitude  k ln|z/2| - ln(k!)/2 + g(k)  is
@@ -370,9 +366,7 @@ def fock_series(
     batch, fault = fock_series_batch([z], [amps], parity, terms, log_weight)
     if fault is not None:
         raise fault
-    return CoefficientSequence(
-        parity, batch.terms[0], float(batch.tails[0]), _norm_sq=float(batch.norms[0])
-    )
+    return CoefficientSequence(parity, batch.terms[0], float(batch.tails[0]))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ the first failing point with the per-point loop's message.
 """
 
 import cmath
-import contextlib
 import dataclasses
+import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -375,39 +374,45 @@ def slot_inputs(draw):
     return z, (scale * amps[0], scale * amps[1])
 
 
+def _reference_projection(u1, v1):
+    """|u1|^2, mu = <u1, v1>/|u1|^2 and |r|^2 = |v1 - mu u1|^2 of two slots,
+    each one exactly rounded fsum over the slots' own terms."""
+    uu, x, y = u1.norm_sq(), u1.terms, v1.terms
+    inner = complex(math.fsum((x.real * y.real + x.imag * y.imag).tolist()),
+                    math.fsum((x.real * y.imag - x.imag * y.real).tolist()))
+    mu = inner / uu if uu > 0.0 else 0j
+    return uu, mu, numerics.stable_norm_sq(y - mu * x)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     inputs=st.lists(st.tuples(slot_inputs(), slot_inputs()), min_size=1, max_size=6),
     parity=st.sampled_from([Parity.EVEN, Parity.ODD, None]),
     terms=st.sampled_from([1, 2, 6, 40]),
     same=st.booleans(),
-    certified=st.booleans(),
 )
-def test_batched_projection_columns_are_the_per_point_projection(
-    inputs, parity, terms, same, certified
-):
+def test_batched_projection_columns_are_the_per_point_projection(inputs, parity, terms, same):
     # the (u1, v1) batches stop at their first fault (a z past the guard);
-    # the projection of their common prefix must be _projection's per row,
-    # and each norm column stable_norm_sq's, bit for bit, with or without
-    # block_fsum's certificate
+    # the projection of their common prefix must be the reference's per
+    # row, as must _projection's (a batch of one), and each norm column
+    # stable_norm_sq's, bit for bit
     if same:  # v1 = u1: mu = 1 and r = 0 exactly wherever |u1|^2 > 0
         inputs = [(u, u) for u, _ in inputs]
-    patch = mock.patch.object(numerics, "_certified", lambda r, f, n: np.zeros(r.shape, bool))
-    with patch if not certified else contextlib.nullcontext():
-        u1, _ = fock_series_batch(*zip(*(u for u, _ in inputs)), parity, terms)
-        v1, _ = fock_series_batch(*zip(*(v for _, v in inputs)), parity, terms)
-        size = min(len(u1.norms), len(v1.norms))
-        u1, v1 = (SlotBatch(*(column[:size] for column in batch)) for batch in (u1, v1))
-        columns = entangle_circle.projections(u1, v1)
+    u1, _ = fock_series_batch(*zip(*(u for u, _ in inputs)), parity, terms)
+    v1, _ = fock_series_batch(*zip(*(v for _, v in inputs)), parity, terms)
+    size = min(len(u1.norms), len(v1.norms))
+    u1, v1 = (SlotBatch(*(column[:size] for column in batch)) for batch in (u1, v1))
+    columns = entangle_circle.projections(u1, v1)
     assert [column.shape for column in columns] == [(size,)] * 6
     for k, ((zu, au), (zv, av)) in enumerate(inputs[:size]):
         su = fock_series.__wrapped__(zu, au, parity, terms)
         sv = fock_series.__wrapped__(zv, av, parity, terms)
         for batch, slot in ((u1, su), (v1, sv)):
             assert batch.norms[k].hex() == numerics.stable_norm_sq(slot.terms).hex()
-        uu, mu, rr = entangle_circle._projection(su, sv)
-        got = [column[k].item() for column in columns]
-        assert (got[1].real.hex(), got[1].imag.hex()) == (mu.real.hex(), mu.imag.hex())
-        del got[1]
-        assert [x.hex() for x in got] == [
-            x.hex() for x in (uu, rr, su.tail_bound, sv.norm_sq(), sv.tail_bound)]
+        uu, mu, rr = _reference_projection(su, sv)
+        for got in ([column[k].item() for column in columns], list(entangle_circle._projection(su, sv))):
+            assert (got[1].real.hex(), got[1].imag.hex()) == (mu.real.hex(), mu.imag.hex())
+            del got[1]
+            assert [x.hex() for x in got[:2]] == [uu.hex(), rr.hex()]
+        assert [columns[j][k].item().hex() for j in (3, 4, 5)] == [
+            x.hex() for x in (su.tail_bound, sv.norm_sq(), sv.tail_bound)]

@@ -620,13 +620,16 @@ def test_a_series_sweep_builds_no_slot_object(monkeypatch, family, pair):
 
 def _counting_projections(monkeypatch) -> dict:
     # the batches of (u1, v1) rows that entangle_circle.projections takes
-    # in a sweep, and their rows in all
-    counts = {"batches": 0, "rows": 0}
+    # in a sweep, their rows in all, and the u1 and v1 blocks that are views
+    # of their slot batch (a slot batched along the projection's axis)
+    # rather than copies gathered from it (a slot broadcast along it)
+    counts = {"batches": 0, "rows": 0, "views": 0}
     projections = entangle_circle.projections
 
     def counting(u1, v1):
         counts["batches"] += 1
         counts["rows"] += len(u1.norms)
+        counts["views"] += sum(not batch.terms.flags.owndata for batch in (u1, v1))
         return projections(u1, v1)
 
     monkeypatch.setattr(entangle_circle, "projections", counting)
@@ -646,7 +649,7 @@ def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, rev
     if reverse:
         axes = [AxisSpec(name2, lo2, hi2, 8), AxisSpec(name1, lo1, hi1, 5)]
     run_sweep(SweepSpec(family, SectorPair.PP, *axes, truncation=8))
-    assert counts == {"batches": 1, "rows": expected}
+    assert counts == {"batches": 1, "rows": expected, "views": 2}
 
 
 @pytest.mark.parametrize(
@@ -658,7 +661,8 @@ def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, rev
 def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, family, pair, axes):
     # u2 or v2 reads both axes, so every block is one row, and u1 or v1
     # reads axis2: 7 distinct (u1, v1) on a 5 x 7 grid, projected once per
-    # sweep and not once per block
+    # sweep and not once per block; the other of u1 and v1 reads neither
+    # axis, so its one slot is gathered along the batch
     counts = _counting_projections(monkeypatch)
     kernel, blocks = entangle_circle.pair_norm_grid, []
 
@@ -669,7 +673,7 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     run_sweep(SweepSpec(family, pair, AxisSpec(*axes[0], 5), AxisSpec(*axes[1], 7), truncation=8))
     shapes = [np.broadcast_shapes(*(a.shape[:2] for item in b for a in item)) for b in blocks]
     assert shapes == [(1, 7)] * 5
-    assert counts == {"batches": 1, "rows": 7}
+    assert counts == {"batches": 1, "rows": 7, "views": 1}
 
 
 # how each item of the pair reads the axes: "fixed" neither, "axis1",
