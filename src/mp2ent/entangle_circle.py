@@ -39,6 +39,9 @@ Coincident pairs at rho = 0 (v1 = u1, v2 = u2, f = -1) give mu = 1, r = 0
 and u2 - v2 = 0 exactly, so P = 0 exactly.  The tail bound of every path is
 one body, :func:`pair_tail`, and the closed forms' Gram form another,
 :func:`gram_form`; each takes Python scalars (per point) or arrays (grids).
+The grid kernels and their batch builders (:func:`projections`,
+:func:`gram_halves`) raise a point's plain exception and name no point;
+:func:`mp2ent.grids.run_sweep` names it by replaying the per-point path.
 
 Sign convention: the swapped term enters with -e^(i rho), i.e. the control
 phase is measured from the antipodal point.  This is the convention in which
@@ -320,10 +323,7 @@ def projections(u1: SlotBatch, v1: SlotBatch) -> tuple[np.ndarray, ...]:
         [complex(math.fsum(re), math.fsum(im)) / n if n > 0.0 else 0j for re, im, n in inner],
         complex,
     )
-    rr, fault = row_norms_sq(y - mu[:, None] * x)
-    if fault is not None:
-        raise fault
-    return uu, mu, rr, t_u1, n_v1, t_v1
+    return uu, mu, row_norms_sq(y - mu[:, None] * x), t_u1, n_v1, t_v1
 
 
 def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -386,14 +386,13 @@ _SLICE_POINTS = 4096
 
 def gram_halves(
     slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
-) -> tuple[tuple[np.ndarray, ...], ValueError | ArithmeticError | None]:
+) -> tuple[np.ndarray, ...]:
     """One half of :func:`pair_closed_form`'s Gram form, with the tail bounds
-    the grid reports, at each (var, label, label') of ``points`` before the
-    first that fails, as the columns N(u), N(v), G(u, v), T(u), T(v) for the
-    slots u = (var, label) and v = (var, label') (:func:`gram_entries`), T
-    the bound on a slot's dropped l^2 tail; and the ValueError or
-    ArithmeticError of the failing point's :func:`gram_entries` or, failing
-    that, of its slots, or None.
+    the grid reports, at each (var, label, label') of ``points``, as the
+    columns N(u), N(v), G(u, v), T(u), T(v) for the slots u = (var, label)
+    and v = (var, label') (:func:`gram_entries`), T the bound on a slot's
+    dropped l^2 tail.  Raises a ValueError or ArithmeticError wherever a
+    point's gram_entries or one of its slots would.
 
     A sector's G is its whole series, so its T are 0.  The grouped total
     slots' T are their fock_series tails, kept in ``tails`` by (var, label)
@@ -401,25 +400,16 @@ def gram_halves(
     ``slots.batch`` call, which neither reads nor fills the memo that
     serves verify.
     """
-    points, halves, fault = list(points), [], None
-    try:
-        for point in points:
-            halves.append(gram_entries(slots, *point, parity, terms))
-    except (ValueError, ArithmeticError) as exc:
-        fault = exc
-    rows = [(*half, 0.0, 0.0) for half in halves]
+    points = list(points)
+    halves = [gram_entries(slots, *point, parity, terms) for point in points]
+    bounds = [(0.0, 0.0)] * len(points)
     if parity is None:
-        keys = [(var, lab) for var, *labels in points[: len(halves)] for lab in labels]
-        new = list(dict.fromkeys(key for key in keys if key not in tails))
-        built, slot_fault = slots.batch(new, None, terms)
-        tails.update(zip(new, built.tails.tolist()))
-        # the first point missing a slot tail is the one whose slot failed
-        done = next((k for k, key in enumerate(keys) if key not in tails), len(keys)) // 2
-        fault = fault if done == len(halves) else slot_fault
-        rows = [(*half, tails[var, lab], tails[var, lab_prime])
-                for half, (var, lab, lab_prime) in zip(halves[:done], points)]
-    columns = list(zip(*rows)) or [()] * 5
-    return tuple(np.array(col, kind) for col, kind in zip(columns, _HALF_KINDS)), fault
+        new = list(dict.fromkeys(
+            (var, lab) for var, *labels in points for lab in labels if (var, lab) not in tails))
+        tails.update(zip(new, slots.batch(new, None, terms).tails.tolist()))
+        bounds = [(tails[var, lab], tails[var, lab_prime]) for var, lab, lab_prime in points]
+    columns = zip(*(half + bound for half, bound in zip(halves, bounds)))
+    return tuple(np.array(col, kind) for col, kind in zip(columns, _HALF_KINDS))
 
 
 # the dtypes of the gram_halves columns N(u), N(v), G(u, v), T(u), T(v)

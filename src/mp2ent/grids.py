@@ -22,7 +22,6 @@ amplitudes.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import json
 import math
@@ -281,8 +280,8 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     (under ``both`` the two must agree within 1e-9 plus the series tail
     bound, or the first point that does not is named; under ``closed_form``
     the tail is that of the closed form's truncated sums, 0 for a sector
-    pair).  A point that fails
-    (invalid input or an arithmetic overflow) aborts naming the point;
+    pair).  If a column's rows raise (invalid input or an arithmetic
+    overflow), :func:`_replay` names the sweep's first failing point;
     domain checks are ``SweepSpec``'s, which checks every value it can
     emit."""
     if provenance not in PROVENANCES:
@@ -301,17 +300,25 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     fixed.update(spec.fixed)
     values = np.empty((spec.axis1.steps, spec.axis2.steps))
     tails = np.empty_like(values)
+
+    def rows(kernel, halves: bool):
+        # the kernel's rows; if they raise, the error of the first failing
+        # point, or theirs where no point fails on its own
+        try:
+            yield from kernel(form, _sweep_blocks(spec, form, components, fixed, halves))
+        except (ValueError, ArithmeticError):
+            _replay(spec, form, components, fixed, halves)
+            raise
+
     if provenance != "closed_form":
-        blocks = _sweep_blocks(spec, form, components, fixed)
-        for i, (row_values, row_tails) in enumerate(entangle_circle.pair_norm_grid(form, blocks)):
+        for i, (row_values, row_tails) in enumerate(rows(entangle_circle.pair_norm_grid, False)):
             values[i], tails[i] = row_values, row_tails
         values *= scale
         tails *= scale
         if provenance == "series":
             return ProbabilityGrid(spec, values, float(tails.max()), provenance)
-    blocks = _sweep_blocks(spec, form, components, fixed, halves=True)
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    for i, (row, row_tails) in enumerate(entangle_circle.pair_closed_form_grid(form, blocks)):
+    for i, (row, row_tails) in enumerate(rows(entangle_circle.pair_closed_form_grid, True)):
         closed = scale * row
         if provenance == "closed_form":
             values[i], tails[i] = _clamp_residue(closed), scale * row_tails
@@ -324,6 +331,38 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
                 f"{float(values[i, j])} vs {float(closed[j])}"
             )
     return ProbabilityGrid(spec, values, float(tails.max()), provenance)
+
+
+def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: bool) -> None:
+    """Walk the sweep point by point in row-major order through the
+    per-point API, and raise at the first point that fails: a
+    GridDomainError naming the point if its components (the labels first,
+    as a point's params dataclass builds them) or its pair builder
+    (``form.matrix``, or ``form.closed_form`` and, for the total, its
+    grouped slots, whose tails the grid reports) raise, or the pair norm's
+    own error unnamed.  Returns if no point fails."""
+    name1, name2 = spec.axis1.name, spec.axis2.name
+    pair, terms = spec.pair, spec.truncation
+    for v1 in spec.axis1.values():
+        for v2 in spec.axis2.values():
+            at = {**fixed, name1: v1, name2: v2}
+            try:
+                label, label_prime, first, second = (
+                    builder(*(at[name] for name in names))
+                    for names, builder in (components[k] for k in (2, 3, 0, 1))
+                )
+                parts = (first, second, label, label_prime)
+                if halves:
+                    form.closed_form(*parts, pair, at["rho"], terms)
+                    if pair is SectorPair.TOTAL:
+                        for var, *labels in entangle_circle.GRAM_HALVES:
+                            for lab in labels:
+                                form.record(parts[var], parts[lab], None, terms, False)
+                    continue
+                matrix = form.matrix(*parts, pair, terms, at["rho"])
+            except (ValueError, ArithmeticError) as exc:
+                raise GridDomainError(f"point ({name1}={v1}, {name2}={v2}): {exc}") from exc
+            matrix.norm_sq()
 
 
 def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], halves: bool = False):
@@ -344,26 +383,16 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
     ``entangle_circle.gram_halves`` (whose total tails are built once a
     sweep) and projections from ``entangle_circle.projections``, which
-    takes the u1 and v1 rows its points read: a slice of a batch along the
-    same axis, gathered from one broadcast along it; none reads or fills
-    the fock_series memo.  A kernel item is reshaped
-    once per batch into arrays of shape (n1 or 1, n2 or 1, ...), 1 along an
-    axis it does not read; a both-axes item's rows are stacked over a
-    block.
+    takes the u1 and v1 rows its points read: the batch itself along the
+    same axis (as a view), gathered from one broadcast along it; none reads
+    or fills the fock_series memo.  A builder that fails raises its plain
+    exception, which :func:`run_sweep` turns into the failing point's.  A
+    kernel item is reshaped once per batch into arrays of shape
+    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read; a both-axes
+    item's rows are stacked over a block.
     Every parameter is read by some kernel item, so a block's arrays
     broadcast to (rows, n2).  A block is the whole grid unless a kernel
     item other than the projection reads both axes; then it is one row.
-
-    Faults.  Every builder stops at its batch's first failing point and
-    returns the items before it and that point's ValueError or
-    ArithmeticError, recorded as (point, rank in ``order``, exception).  A
-    derived item is built only over the points whose parents were built, a
-    prefix of its batch; the parent's record covers the rest.  The sweep's
-    first failing point is the least (row, column), ties broken by
-    ``order`` (the labels before the variables, as a point's params
-    dataclass builds them, then the slots or halves and the projection);
-    the rows before it are yielded, and its fault is raised naming the
-    point: the first failure of a point-by-point loop, with its message.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
@@ -383,8 +412,7 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
     derived = [(role, batcher(parities[role[0]])) for role in roles]
     if not halves:
-        # of u1 and v1, which cannot fail
-        derived.append(((n, n + 2), lambda u1, v1: (entangle_circle.projections(u1, v1), None)))
+        derived.append(((n, n + 2), entangle_circle.projections))  # of u1 and v1
     # what the kernel reads: the two halves, or the projection, u2 and v2; then f
     kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
     reads = [set(names) for names, _ in components]
@@ -392,17 +420,12 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
         reads.append(set().union(*(reads[c] for c in parents)))
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
-    order = (2, 3, 0, 1) + tuple(range(4, len(reads)))
     # built[k]: item k at each axis1 value if it reads axis1 only, else at
-    # each axis2 value of the current row (one entry if it reads neither),
-    # up to its batch's first fault: a list for a component, else columns
-    # (arrays whose first axis runs over the batch)
-    built: list = [[] for _ in reads]
+    # each axis2 value of the current row (one entry if it reads neither):
+    # a list for a component, else columns (arrays whose first axis runs
+    # over the batch)
+    built: list = [None] * len(reads)
     arrays: list = [None] * len(reads)
-    first = (len(ax1), 0, 0, None)  # the first fault: row, column, rank in order, exception
-
-    def size(k: int) -> int:
-        return len(built[k]) if k < n else len(built[k][0])
 
     def at(k: int, i: int, j: int) -> int:
         # the entry of item k's batch that point (i, j) reads
@@ -410,43 +433,28 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
 
     def take(c: int, entries: list[int]):
         # item c's entries at the given indices; a derived item's columns
-        # are sliced (a view) where the indices are a prefix, as for a
-        # parent batched along the same axis, and gathered only where one
-        # entry is broadcast along the batch
+        # are sliced (a view) where the indices run over the whole batch, as
+        # for a parent batched along the same axis, and gathered only where
+        # one entry is broadcast along the batch
         if c < n:
             return [built[c][m] for m in entries]
-        rows = slice(len(entries)) if entries == list(range(len(entries))) else entries
+        rows = slice(None) if entries == list(range(len(entries))) else entries
         return SlotBatch(*(col[rows] for col in built[c]))
 
     def batch(k: int, i: int) -> None:
-        # build item k over its batch at row i up to its first fault, note
-        # that fault, convert
-        nonlocal first
+        # build item k over its batch at row i, and shape it for the kernel
         points = ([(i1, 0) for i1 in range(len(ax1))] if on1[k] and not on2[k]
                   else [(i, j) for j in range(len(ax2) if on2[k] else 1)])
-        fault = None
         if k < n:
             names, builder = components[k]
-            built[k] = []
-            try:
-                for i1, j in points:
-                    built[k].append(builder(*(ax1[i1] if name == name1 else ax2[j] if name == name2
-                                              else fixed[name] for name in names)))
-            except (ValueError, ArithmeticError) as exc:
-                fault = exc
+            built[k] = [builder(*(ax1[i1] if name == name1 else ax2[j] if name == name2
+                                  else fixed[name] for name in names)) for i1, j in points]
         else:
-            # the points whose parents were built, a prefix of the batch (a
-            # parent's fault precedes the first point past it, and the
-            # entries a parent gives never decrease along the batch)
             parents, builder = derived[k - n]
-            entries = [[at(c, i1, j) for i1, j in points] for c in parents]
-            good = min(bisect.bisect_left(e, size(c)) for e, c in zip(entries, parents))
-            built[k], fault = builder(*(take(c, e[:good]) for c, e in zip(parents, entries)))
-        if fault is not None:
-            first = min(first, (*points[size(k)], order.index(k), fault))
+            built[k] = builder(*(take(c, [at(c, i1, j) for i1, j in points]) for c in parents))
         if k in kernel_items:
             columns = built[k] if k >= n else [np.array(built[k])]
-            shape = (size(k), 1) if on1[k] and not on2[k] else (1, size(k))
+            shape = (len(points), 1) if on1[k] and not on2[k] else (1, len(points))
             arrays[k] = [col.reshape(*shape, *col.shape[1:]) for col in columns]
 
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]
@@ -460,22 +468,15 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     for i0 in range(0, len(ax1), step):
         rows = []  # the arrays of the both-axes kernel items, row by row
         for i in range(i0, i0 + step):
-            if i > first[0]:
-                break
             for k in both:
                 batch(k, i)
             rows.append({k: arrays[k] for k in both})
-        end = min(i0 + step, first[0])
-        if end > i0:
-            yield tuple(
-                [np.concatenate(cols) for cols in zip(*(row[k] for row in rows[: end - i0]))]
-                if k in both
-                else [a[i0:end] for a in arrays[k]] if on1[k] else arrays[k]
-                for k in kernel_items
-            )
-        if end < i0 + step:
-            i, j, _, fault = first
-            raise GridDomainError(f"point ({name1}={ax1[i]}, {name2}={ax2[j]}): {fault}") from fault
+        yield tuple(
+            [np.concatenate(cols) for cols in zip(*(row[k] for row in rows))]
+            if k in both
+            else [a[i0 : i0 + step] for a in arrays[k]] if on1[k] else arrays[k]
+            for k in kernel_items
+        )
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:

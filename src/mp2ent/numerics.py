@@ -168,19 +168,13 @@ def block_fsum(slices, point_terms) -> np.ndarray:
     return r
 
 
-def row_norms_sq(block: np.ndarray) -> tuple[np.ndarray, ValueError | ArithmeticError | None]:
-    """:func:`stable_norm_sq` of each row of the 2-D ``block`` before the
-    first whose fsum raises, bit for bit, and that row's exception, or None:
+def row_norms_sq(block: np.ndarray) -> np.ndarray:
+    """:func:`stable_norm_sq` of each row of the 2-D ``block``, bit for bit:
     the |entries|^2 are formed once over the block, then one ``math.fsum``
-    per row.  (A :func:`block_fsum` over the block's rows took about as long
-    at 64 rows of 40 terms, and 20x as long for a single row.)"""
-    norms = []
-    try:
-        for row in abs_sq(block).tolist():
-            norms.append(math.fsum(row))
-    except (ValueError, ArithmeticError) as exc:
-        return np.array(norms), exc
-    return np.array(norms), None
+    per row, which raises where that row's sum overflows.  (A
+    :func:`block_fsum` over the block's rows took about as long at 64 rows
+    of 40 terms, and 20x as long for a single row.)"""
+    return np.array([math.fsum(row) for row in abs_sq(block).tolist()])
 
 
 def _sum2(slices) -> tuple[np.ndarray, np.ndarray, int]:

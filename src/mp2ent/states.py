@@ -14,9 +14,10 @@ of G slots in one numpy log-magnitude pass, returned as arrays (a
 columns), with no object per slot.  The per-point paths call the memoized
 :func:`fock_series`, which wraps row 0 of its batch of one in a
 CoefficientSequence, and the grid sweeps call ``SlotMap.batch`` over an
-axis; a batch stops at its first failing element and returns that
-element's exception.  ``parity=None`` gives the grouped total slot, even +
-odd, whose sequence carries parity None (no sector).
+axis; a batch raises wherever one of its elements would, and a failing
+sweep names its point by replaying the per-point path
+(:func:`mp2ent.grids.run_sweep`).  ``parity=None`` gives the grouped total
+slot, even + odd, whose sequence carries parity None (no sector).
 
 Conventions
 -----------
@@ -62,7 +63,8 @@ LOG_DBL_MAX = math.log(sys.float_info.max)
 # pair builders and verify, which meet the same slot at many points, and
 # their reruns; at N = 40 an entry holds about 1.1 kB (tracemalloc).  Grid
 # sweeps build their slots in axis batches (SlotMap.batch) and neither read
-# nor fill it, so a sweep does not evict verify's slots.
+# nor fill it, so a sweep does not evict verify's slots; only a failing
+# sweep does, replaying its points up to the first failing one.
 SLOT_MEMO_SIZE = 1024
 
 # A sector tail bound a/(1 - r) is widened by TAIL_MARGIN_ULPS eps (1 + 2s),
@@ -224,7 +226,7 @@ class SlotBatch(NamedTuple):
 def fock_series_batch(
     zs, amps, parity: Parity | None, terms: int,
     log_weight: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[SlotBatch, ValueError | ArithmeticError | None]:
+) -> SlotBatch:
     """The one slot body: the :func:`fock_series` slot of each z in ``zs``
     with its pair of sector amplitudes in ``amps``, all at one parity,
     truncation and log-weight g, as one :class:`SlotBatch`.  One numpy
@@ -236,25 +238,18 @@ def fock_series_batch(
     expression is the one a single slot would evaluate, so each row is the
     same bit for bit whatever batch it is built in.
 
-    Returns the rows of the elements before the batch's first failing one,
-    and the ValueError or ArithmeticError that building that element alone
-    raises (the same type and text), or None: its input, its magnitude
-    guard or tail bound (a tail that is not >= 0 raises "tail_bound must be
-    non-negative", as CoefficientSequence does), or the fsum of its norm.
-    Each stage drops the elements from its first fault on, so the fault
-    kept is the first.
+    Raises a ValueError or ArithmeticError wherever building some element
+    alone raises: its input, its magnitude guard or tail bound (a tail that
+    is not >= 0 raises "tail_bound must be non-negative", as
+    CoefficientSequence does), or the fsum of its norm.  For a batch of one
+    that is the element's own exception.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
     size = 2 * terms
-    inputs, logs, fault = [], [], None  # (z, amps) and ln|z/2|, None for a constant slot
-    try:
-        for z, pair in zip(zs, amps):
-            z = complex(z) + 0j
-            logs.append(math.log(abs(z) / 2.0) if abs(z) / 2.0 != 0.0 else None)
-            inputs.append((z, pair))
-    except (ValueError, ArithmeticError) as exc:
-        fault = exc
+    inputs = [(complex(z) + 0j, pair) for z, pair in zip(zs, amps)]
+    # ln|z/2|, None for a constant slot
+    logs = [math.log(abs(z) / 2.0) if abs(z) / 2.0 != 0.0 else None for z, _ in inputs]
     live = [k for k, log in enumerate(logs) if log is not None]
     sectors = tuple(Parity) if parity is None else (parity,)
     tails, phases = [], []
@@ -272,42 +267,36 @@ def fock_series_batch(
     for row, k in enumerate(live):
         z, pair = inputs[k]
         peak, amp = peaks[row], max(pair)
-        try:
-            if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
-                raise OverflowError(
-                    f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}"
+        if peak > LOG_DBL_MAX or (amp > 0.0 and peak + math.log(amp) > MAX_CYLINDER_LOG_MAG):
+            raise OverflowError(f"series term e^{peak:.1f} passes e^{MAX_CYLINDER_LOG_MAG:g}")
+        sector_tails = []
+        for o in sectors:
+            first, second = ends[row][o], ends[row][o + 2]
+            if second >= first:
+                raise ValueError(
+                    f"increase terms: the series is not yet decaying at truncation {terms}"
                 )
-            sector_tails = []
-            for o in sectors:
-                first, second = ends[row][o], ends[row][o + 2]
-                if second >= first:
-                    raise ValueError(
-                        f"increase terms: the series is not yet decaying at truncation {terms}"
-                    )
-                ratio = math.exp(2.0 * (second - first))
-                margin = 1.0 + TAIL_MARGIN_ULPS * EPS * (1.0 + 2.0 * scales[row][o])
-                sector_tails.append(pair[o] ** 2 * math.exp(2.0 * first) / (1.0 - ratio) * margin)
-            tail = sector_tails[0]
-            if parity is None:
-                tail = (math.sqrt(sector_tails[0]) + math.sqrt(sector_tails[1])) ** 2
-            if not (tail >= 0.0):
-                raise ValueError("tail_bound must be non-negative")
-        except (ValueError, ArithmeticError) as exc:
-            fault, inputs, live = exc, inputs[:k], live[:row]
-            break
+            ratio = math.exp(2.0 * (second - first))
+            margin = 1.0 + TAIL_MARGIN_ULPS * EPS * (1.0 + 2.0 * scales[row][o])
+            sector_tails.append(pair[o] ** 2 * math.exp(2.0 * first) / (1.0 - ratio) * margin)
+        tail = sector_tails[0]
+        if parity is None:
+            tail = (math.sqrt(sector_tails[0]) + math.sqrt(sector_tails[1])) ** 2
+        if not (tail >= 0.0):
+            raise ValueError("tail_bound must be non-negative")
         tails.append(tail)
         # not cmath.phase, which raises OverflowError where the angle underflows
         phases.append(math.atan2(z.imag, z.real))
     block, tail_column = np.zeros((len(inputs), terms), complex), np.zeros(len(inputs))
     if live:
-        phase, rows = np.array(phases)[:, None], len(live)
+        phase = np.array(phases)[:, None]
         amp_rows = np.array([inputs[k][1] for k in live])
         parts = [
-            amp_rows[:, o, None] * np.exp(log_mag[:rows, o:size:2] + 1j * ks[o:size:2] * phase)
+            amp_rows[:, o, None] * np.exp(log_mag[:, o:size:2] + 1j * ks[o:size:2] * phase)
             for o in sectors
         ]
         coefficients = parts[0] if parity is not None else parts[0] + parts[1]
-        if rows == len(inputs):  # no constant slot: no copy (a batch of one, say)
+        if len(live) == len(inputs):  # no constant slot: no copy (a batch of one, say)
             block, tail_column = coefficients, np.array(tails)
         else:
             block[live], tail_column[live] = coefficients, tails
@@ -316,10 +305,7 @@ def fock_series_batch(
         for k, (_, pair) in enumerate(inputs):
             if logs[k] is None:
                 block[k, 0] = pair[0]
-    norms, norm_fault = row_norms_sq(block)
-    if norm_fault is not None:
-        fault, block, tail_column = norm_fault, block[: len(norms)], tail_column[: len(norms)]
-    return SlotBatch(norms, tail_column, block), fault
+    return SlotBatch(row_norms_sq(block), tail_column, block)
 
 
 @functools.lru_cache(maxsize=SLOT_MEMO_SIZE)
@@ -358,14 +344,13 @@ def fock_series(
 
     Memoized (SLOT_MEMO_SIZE slots): the per-point pair builders and verify
     meet the same slot at many points, and reruns meet it again.  Grid
-    sweeps build their slots in batches and neither read nor fill the memo.
+    sweeps build their slots in batches and neither read nor fill the memo,
+    unless they fail and replay their points.
     The returned sequence is shared and read-only.  Keys that compare equal
     must give identical slots, so z is stripped of signed zeros (+ 0j)
     before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
     """
-    batch, fault = fock_series_batch([z], [amps], parity, terms, log_weight)
-    if fault is not None:
-        raise fault
+    batch = fock_series_batch([z], [amps], parity, terms, log_weight)
     return CoefficientSequence(parity, batch.terms[0], float(batch.tails[0]))
 
 
@@ -382,7 +367,8 @@ class SlotMap:
     otherwise.  The pair builders ask for p = 1; under ``convention="full"``
     the grids scale each pair probability by ``prefactor**4`` instead.
     ``overflow(var, label)`` words the ValueError that replaces an
-    OverflowError met on the way; without it the OverflowError passes.
+    OverflowError met on the way by a call; without it, or in a batch, the
+    OverflowError passes.
 
     Calling a record, ``record(var, label, parity, terms, prefactor)``, is
     the only place where a (variable, label) pair becomes a memoized
@@ -408,27 +394,15 @@ class SlotMap:
                 raise
             raise ValueError(self.overflow(var, label)) from None
 
-    def batch(
-        self, points, parity: Parity | None, terms: int = DEFAULT_TERMS,
-    ) -> tuple[SlotBatch, ValueError | ArithmeticError | None]:
+    def batch(self, points, parity: Parity | None, terms: int = DEFAULT_TERMS) -> SlotBatch:
         """The slots ``self(var, label, parity, terms, False)`` of the
-        (var, label) ``points`` before the first whose call raises, as one
-        :class:`SlotBatch` built by one :func:`fock_series_batch` call
-        without the memo, and that call's ValueError or ArithmeticError (the
-        same type and text), or None."""
-        points, inputs, fault = list(points), [], None
-        try:
-            for var, label in points:
-                inputs.append(self._inputs(var, label, False))
-        except (ValueError, ArithmeticError) as exc:
-            fault = exc
-        batch, slot_fault = fock_series_batch(
+        (var, label) ``points`` as one :class:`SlotBatch`, built by one
+        :func:`fock_series_batch` call without the memo.  Raises a
+        ValueError or ArithmeticError wherever some point's call would."""
+        inputs = [self._inputs(var, label, False) for var, label in points]
+        return fock_series_batch(
             [z for z, _ in inputs], [pair for _, pair in inputs], parity, terms, self.g
         )
-        fault = fault if slot_fault is None else slot_fault
-        if isinstance(fault, OverflowError) and self.overflow is not None:
-            fault = ValueError(self.overflow(*points[len(batch.norms)]))
-        return batch, fault
 
     def _inputs(self, var, label, prefactor: bool) -> tuple[complex, tuple[float, float]]:
         # z and the sector amplitudes of the slot of var at label

@@ -618,6 +618,173 @@ def test_a_series_sweep_builds_no_slot_object(monkeypatch, family, pair):
     assert (counts["slots"], info.hits, info.misses, info.currsize) == (0, 0, 0, 0)
 
 
+def _counting_pair_builds(monkeypatch) -> dict:
+    # the per-point pair builds, which a sweep makes only to name its first
+    # failing point
+    counts = {"matrix": 0, "closed_form": 0}
+    for name in counts:
+        method = getattr(entangle_circle.EntangledPair, name)
+        monkeypatch.setattr(entangle_circle.EntangledPair, name, _counting(counts, name, method))
+    return counts
+
+
+def _named_point(spec, error) -> tuple[int, int]:
+    # the (i, j) of the point a GridDomainError names
+    head = str(error).split("): ")[0].removeprefix("point (")
+    v1, v2 = (float(part.split("=")[1]) for part in head.split(", "))
+    return spec.axis1.values().index(v1), spec.axis2.values().index(v2)
+
+
+@pytest.mark.parametrize(
+    ("family", "axis1", "axis2", "pair", "truncation"),
+    [
+        # a label past the cylinder's magnitude guard, on either axis
+        ("cylinder", ("l", -1.0, 400.0, 5), ("l_prime", -1.0, 1.0, 5), SectorPair.PP, 12),
+        ("cylinder", ("rho", 0.0, 3.0, 3), ("l", 0.0, 400.0, 4), SectorPair.TOTAL, 12),
+        # not yet decaying at truncation 1 once |alpha| passes about 1.86
+        ("cat", ("alpha", 0.0, 1.95, 5), ("beta", 0.0, 1.95, 5), SectorPair.PM, 1),
+    ],
+    ids=["cylinder-l-axis1", "cylinder-l-axis2", "cat-trunc-1"],
+)
+def test_a_failing_sweep_replays_the_points_up_to_its_first_failure(
+    monkeypatch, family, axis1, axis2, pair, truncation
+):
+    # a slot batch raises, and the sweep is walked point by point in
+    # row-major order, through EntangledPair.matrix, up to its first
+    # failing point (i, j): i n2 + j + 1 calls, the last one failing
+    spec = SweepSpec(family, pair, AxisSpec(*axis1), AxisSpec(*axis2), truncation=truncation)
+    counts = _counting_pair_builds(monkeypatch)
+    with pytest.raises(GridDomainError) as info:
+        run_sweep(spec)
+    i, j = _named_point(spec, info.value)
+    assert counts == {"matrix": i * spec.axis2.steps + j + 1, "closed_form": 0}
+    assert counts["matrix"] > 1
+
+
+@pytest.mark.parametrize("provenance", ["closed_form", "both"])
+@pytest.mark.parametrize("pair", [SectorPair.PM, SectorPair.TOTAL], ids=lambda p: p.value)
+def test_a_failing_closed_form_sweep_replays_the_points_up_to_its_first_failure(
+    monkeypatch, pair, provenance
+):
+    # a Gram entry that fails at the third omega fails a batch of halves;
+    # the sweep then calls EntangledPair.closed_form point by point up to
+    # (2, 0), and names that point with the entry's message
+    spec = small_spec(pair=pair, truncation=8)
+    bad = complex(spec.axis1.values()[2])
+    gram_entries = entangle_circle.gram_entries
+
+    def failing(slots, var, *args):
+        if var.omega == bad:
+            raise ValueError("planted")
+        return gram_entries(slots, var, *args)
+
+    monkeypatch.setattr(entangle_circle, "gram_entries", failing)
+    counts = _counting_pair_builds(monkeypatch)
+    with pytest.raises(GridDomainError) as info:
+        run_sweep(spec, provenance)
+    assert str(info.value).endswith("): planted")
+    assert _named_point(spec, info.value) == (2, 0)
+    assert counts == {"matrix": 0, "closed_form": 2 * spec.axis2.steps + 1}
+
+
+def test_a_failing_total_slot_is_named_by_the_replay(monkeypatch):
+    # the grid reports the grouped total slots' tails, so the replay builds
+    # those slots too: one that fails at the third omega names (2, 0)
+    spec = small_spec(pair=SectorPair.TOTAL, truncation=8)
+    bad = complex(spec.axis1.values()[2])  # z of the slot (omega, phi' = 0)
+    batch = states.fock_series_batch
+
+    def failing(zs, *args):
+        zs = list(zs)
+        if bad in zs:
+            raise ValueError("planted")
+        return batch(zs, *args)
+
+    monkeypatch.setattr(states, "fock_series_batch", failing)
+    states.fock_series.cache_clear()
+    counts = _counting_pair_builds(monkeypatch)
+    with pytest.raises(GridDomainError) as info:
+        run_sweep(spec, "closed_form")
+    assert str(info.value).endswith("): planted")
+    assert _named_point(spec, info.value) == (2, 0)
+    assert counts == {"matrix": 0, "closed_form": 2 * spec.axis2.steps + 1}
+
+
+def test_a_pair_norm_error_is_raised_unnamed(monkeypatch):
+    # the replay names a point whose components or pair builder fail; where
+    # the per-point norm fails (at the first point here), its own error is
+    # raised as it is
+    planted = OverflowError("planted")
+
+    def failing(*args):
+        raise planted
+
+    monkeypatch.setattr(entangle_circle, "projections", failing)
+    monkeypatch.setattr(entangle_circle, "_projection", failing)
+    counts = _counting_pair_builds(monkeypatch)
+    with pytest.raises(OverflowError) as info:
+        run_sweep(small_spec())
+    assert info.value is planted
+    assert counts == {"matrix": 1, "closed_form": 0}
+
+
+@pytest.mark.parametrize("provenance", PROVENANCES)
+@pytest.mark.parametrize("pair", [SectorPair.PM, SectorPair.TOTAL], ids=lambda p: p.value)
+def test_a_successful_sweep_makes_no_per_point_call(monkeypatch, pair, provenance):
+    # nor does it read or fill the fock_series memo
+    counts = _counting_pair_builds(monkeypatch)
+    states.fock_series.cache_clear()
+    run_sweep(small_spec(pair=pair, truncation=8), provenance)
+    info = states.fock_series.cache_info()
+    assert counts == {"matrix": 0, "closed_form": 0}
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_a_both_disagreement_makes_no_per_point_call(monkeypatch):
+    # the disagreement is a GridDomainError, a ValueError, raised over the
+    # kernel's rows and not by them: it is not replayed
+    kernel = entangle_circle.pair_closed_form_grid
+
+    def shifted(form, blocks):
+        for values, tails in kernel(form, blocks):
+            yield values + 1e-3, tails
+
+    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", shifted)
+    counts = _counting_pair_builds(monkeypatch)
+    with pytest.raises(GridDomainError, match=r"^series/closed-form disagreement at \("):
+        run_sweep(small_spec(pair=SectorPair.PM), "both")
+    assert counts == {"matrix": 0, "closed_form": 0}
+
+
+@pytest.mark.parametrize("error", [ValueError, OverflowError])
+@pytest.mark.parametrize(
+    ("owner", "name", "provenance"),
+    [(states.SlotMap, "batch", "series"), (entangle_circle, "projections", "series"),
+     (entangle_circle, "gram_halves", "closed_form")],
+    ids=["slot-batch", "projections", "gram-halves"],
+)
+def test_a_fault_only_a_batch_builder_raises_propagates_unchanged(
+    monkeypatch, owner, name, provenance, error
+):
+    # every point passes the replay, so the builder's own exception is
+    # raised as it was: not swallowed, and not named as a point's
+    planted = error("planted")
+
+    def failing(*args):
+        raise planted
+
+    monkeypatch.setattr(owner, name, failing)
+    counts = _counting_pair_builds(monkeypatch)
+    spec = small_spec(pair=SectorPair.TOTAL, truncation=8)
+    with pytest.raises(error) as info:
+        run_sweep(spec, provenance)
+    assert info.value is planted
+    walked = spec.axis1.steps * spec.axis2.steps
+    expected = {"matrix": walked, "closed_form": 0} if provenance == "series" else {
+        "matrix": 0, "closed_form": walked}
+    assert counts == expected
+
+
 def _counting_projections(monkeypatch) -> dict:
     # the batches of (u1, v1) rows that entangle_circle.projections takes
     # in a sweep, their rows in all, and the u1 and v1 blocks that are views

@@ -257,7 +257,7 @@ class TestSlotMemo:
                 np.array([slot.norm_sq() for slot in slots]),
                 np.array([slot.tail_bound for slot in slots]),
                 np.reshape([slot.terms for slot in slots], (len(slots), terms)),
-            ), None
+            )
 
         monkeypatch.setattr(states.SlotMap, "batch", through_the_memo)
         assert grid_to_json(run_sweep(spec, "closed_form")) == grid
