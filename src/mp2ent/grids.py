@@ -11,8 +11,11 @@ hands :func:`entangle_circle.pair_norm_grid` (series) or
 :func:`entangle_circle.pair_closed_form_grid` (closed form) blocks of axis1
 rows that they broadcast, equal bit for bit to the per-point kernels.
 Everything runs in a fixed row-major order, so output files are
-byte-identical across runs and processes.  CSV floats are written with 17 significant digits and JSON floats in Python's
-shortest round-trip repr; both read back exactly.
+byte-identical across runs and processes.  CSV floats are written as
+``format(x, '.17g')`` writes them and JSON floats as Python's shortest
+round-trip repr; both read back exactly.  The writers format a grid's
+values in blocks through :func:`floattext.float_text`, which writes those
+same bytes in whole-array passes.
 
 The kernels compute the prefactor-stripped convention; under
 ``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder
+from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, floattext
 from .entangle_circle import SectorPair
 from .numerics import DEFAULT_TERMS, check_truncation
 from .states import (
@@ -489,17 +492,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# values formatted a pass: bounds the writers' working arrays to a few
+# hundred kB whatever the grid's size
+_BLOCK = 2048
+
+
 def grid_to_csv(grid: ProbabilityGrid) -> str:
-    """Header ``axis1,axis2,value``; one row per point, row-major in axis1.
-    Each axis value is formatted once, and each axis1 row is one ``%`` of
-    its template ``{a1},{a2},%.17g`` per line (``'%.17g' % x`` is
-    ``format(x, '.17g')``) over the row's values."""
-    ax2 = [f",{_fmt(v)},%.17g\n" for v in grid.spec.axis2.values()]
-    rows = ["axis1,axis2,value\n"]
-    for v1, row in zip(grid.spec.axis1.values(), grid.values.tolist()):
-        a1 = _fmt(v1)
-        rows.append((a1 + a1.join(ax2)) % tuple(row))
-    return "".join(rows)
+    """Header ``axis1,axis2,value``; one row per point, row-major in axis1,
+    each float as ``format(x, '.17g')`` writes it.  Each axis value is
+    formatted once; the grid's values are formatted by
+    :func:`floattext.float_text`, ``_BLOCK`` at a time, each line one row of
+    a byte block of its axis1 text, its ``,{axis2},`` text, its value and
+    a newline."""
+    ax1 = floattext.byte_rows([_fmt(v) for v in grid.spec.axis1.values()])
+    ax2 = floattext.byte_rows([f",{_fmt(v)}," for v in grid.spec.axis2.values()])
+    newline = floattext.byte_rows(["\n"] * len(ax2))
+    lines = _formatted(grid.values, False, [(ax1, 0), (ax2, 1), None, (newline, 1)])
+    return "".join(["axis1,axis2,value\n", *lines])
 
 
 def grid_to_json(grid: ProbabilityGrid) -> str:
@@ -513,30 +522,61 @@ def grid_to_json(grid: ProbabilityGrid) -> str:
     }
     head = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
     # "values" sorts last, so the header ends in '"values": []' and "}"
-    return head[: -len("[]\n}")] + _json_values(grid.values.tolist()) + "\n}\n"
+    return "".join([head[: -len("[]\n}")], _json_values(grid.values), "\n}\n"])
 
 
-def _json_values(rows: list[list[float]]) -> str:
-    """Non-empty rows of finite floats as ``json.dumps`` writes them as a
-    member of an indent-1 object, without the pure-Python encoder that
-    ``indent`` selects: each float its repr, one per line."""
-    return "[\n" + ",\n".join(
-        "  [\n   " + ",\n   ".join(map(float.__repr__, row)) + "\n  ]" for row in rows
-    ) + "\n ]"
+def _json_values(rows) -> str:
+    """A non-empty 2-D array of finite floats as ``json.dumps`` writes it
+    as a member of an indent-1 object, without the pure-Python encoder that
+    ``indent`` selects: each float its repr, one per line.  The values are
+    formatted by :func:`floattext.float_text`, ``_BLOCK`` at a time, each
+    between the indent (and a row's opening ``[``) before it and the
+    separator (or a row's closing ``]``) after it."""
+    rows = np.asarray(rows, dtype=float)
+    n2 = rows.shape[1]
+    before = floattext.byte_rows(["  [\n   "] + ["   "] * (n2 - 1))
+    after = floattext.byte_rows([",\n"] * (n2 - 1) + ["\n  ],\n"])
+    lines = _formatted(rows, True, [(before, 1), None, (after, 1)])
+    lines[-1] = lines[-1][: -len(",\n")]
+    return "".join(["[\n", *lines, "\n ]"])
+
+
+def _formatted(values: np.ndarray, shortest: bool, parts) -> list[str]:
+    """The text of the 2-D ``values`` in row-major order, in blocks of
+    ``_BLOCK`` values.  A value's text is its ``parts`` in order: ``None``
+    is the value as :func:`floattext.float_text` writes it, and
+    ``(table, axis)`` the row of a :func:`floattext.byte_rows` table at the
+    value's axis1 (0) or axis2 (1) index."""
+    flat = values.reshape(-1)
+    ends = np.cumsum([floattext.WIDTH if p is None else p[0].shape[1] for p in parts]).tolist()
+    blocks = []
+    for start in range(0, flat.size, _BLOCK):
+        stop = min(start + _BLOCK, flat.size)
+        at = np.divmod(np.arange(start, stop), values.shape[1])
+        rows = np.empty((stop - start, ends[-1]), np.uint8)
+        for part, a, b in zip(parts, [0, *ends], ends):
+            rows[:, a:b] = (
+                floattext.float_text(flat[start:stop], shortest) if part is None
+                else np.take(part[0], at[part[1]], axis=0)
+            )
+        blocks.append(floattext.compact(rows))
+    return blocks
 
 
 def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") -> None:
     """Write the data file plus a ``<path>.meta.json`` sidecar holding the
     run's timestamp, command, format, tool version, series truncation and
     largest tail bound; timestamps only ever go in the sidecar so data files
-    stay deterministic.  ``fmt`` is one of :data:`FORMATS`, checked before
-    any file is opened."""
+    stay deterministic.  Both files are written without newline translation,
+    so the data file is the UTF-8 bytes of :func:`grid_to_csv` or
+    :func:`grid_to_json` on every platform.  ``fmt`` is one of
+    :data:`FORMATS`, checked before any file is opened."""
     import datetime
 
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
     text = grid_to_csv(grid) if fmt == "csv" else grid_to_json(grid)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     meta = {
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -546,6 +586,6 @@ def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") ->
         "truncation": grid.spec.truncation,
         "tail_bound_max": float(grid.tail_bound_max),
     }
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
+    with open(path + ".meta.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
         fh.write("\n")

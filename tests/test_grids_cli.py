@@ -1,3 +1,4 @@
+import _pyio
 import cmath
 import importlib
 import io
@@ -32,6 +33,8 @@ from mp2ent.grids import (
     run_sweep,
     write_grid,
 )
+
+import per_value_writers
 
 
 def small_spec(**overrides):
@@ -170,26 +173,27 @@ class TestSerialization:
         first = [float(x) for x in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == 0.0
 
-    def test_csv_matches_the_per_value_writer(self):
-        # each row is one '%.17g' template; the reference formats each value
-        # with format(x, '.17g'), edge values and random bit patterns included
+    @staticmethod
+    def _bit_pattern_grid(seed):
+        # edge values, then random bit patterns of non-negative finite floats
         edges = [0.0, -0.0, 5e-324, 1e-300, 1e16, 1e17, sys.float_info.max, 0.1, 1.0 / 3.0]
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(seed)
         bits = rng.integers(0, 0x7FF0000000000000, size=40 * 50 - len(edges), dtype=np.uint64)
         values = np.concatenate([edges, bits.view(float)]).reshape(40, 50)
         spec = small_spec(
             axis1=AxisSpec("omega", 0.0, 0.9, 40), axis2=AxisSpec("sigma", 0.1, 0.7, 50)
         )
-        grid = grids.ProbabilityGrid(spec, values, 0.0, "series")
+        return grids.ProbabilityGrid(spec, values, 0.0, "series")
 
-        def fmt(x):
-            return format(float(x), ".17g")
+    def test_csv_matches_the_per_value_writer(self):
+        # the reference formats each value with format(x, '.17g')
+        grid = self._bit_pattern_grid(5)
+        assert grid_to_csv(grid) == per_value_writers.grid_to_csv(grid)
 
-        lines = ["axis1,axis2,value"]
-        for v1, row in zip(grid.spec.axis1.values(), grid.values):
-            for v2, value in zip(grid.spec.axis2.values(), row):
-                lines.append(f"{fmt(v1)},{fmt(v2)},{fmt(value)}")
-        assert grid_to_csv(grid) == "\n".join(lines) + "\n"
+    def test_json_matches_the_per_value_writer(self):
+        # the reference writes each value's float.__repr__
+        grid = self._bit_pattern_grid(6)
+        assert grid_to_json(grid) == per_value_writers.grid_to_json(grid)
 
     def test_write_is_deterministic(self, tmp_path):
         spec = small_spec(fixed=(("phi", 1.0), ("phi_prime", 0.2), ("rho", 2.0)))
@@ -243,6 +247,21 @@ class TestSerialization:
         rows = np.resize([0.0, 5e-324, 1e-300, 0.1, 0.5, 2.0 / 3.0], shape).tolist()
         expected = json.dumps({"values": rows}, separators=(",", ": "), indent=1)
         assert expected == '{\n "values": ' + grids._json_values(rows) + "\n}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_written_files_are_the_writers_bytes_on_any_platform(self, fmt, tmp_path, monkeypatch):
+        # a text-mode file that translated newlines would write "\r\n" where
+        # the platform's line separator is one; the pure-Python io module
+        # reads os.linesep, so it stands in for such a platform here
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(grids, "open", _pyio.open, raising=False)
+        grid = run_sweep(small_spec())
+        path = tmp_path / f"g.{fmt}"
+        write_grid(grid, str(path), fmt, command="circle")
+        text = grid_to_csv(grid) if fmt == "csv" else grid_to_json(grid)
+        assert path.read_bytes() == text.encode("utf-8")
+        sidecar = (tmp_path / f"g.{fmt}.meta.json").read_bytes()
+        assert b"\r" not in sidecar and sidecar.endswith(b"}\n")
 
     def test_sidecar_records_the_argv_that_ran(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["mp2ent", "cat", "--pair", "mm"])
