@@ -3,7 +3,7 @@
 :func:`float_text` writes every value of an array exactly as
 ``float.__repr__`` (``shortest``) or ``format(x, ".17g")`` writes it, one
 NUL-padded row of ``WIDTH`` bytes per value, and :func:`compact` joins such
-rows into text.  The per-value calls take the bignum path of Gay's dtoa
+rows into bytes.  The per-value calls take the bignum path of Gay's dtoa
 (D. M. Gay, "Correctly Rounded Binary-Decimal and Decimal-Binary
 Conversions", 1990); here the decimal digits come from the exact scaled
 value x 10^k in double-double arithmetic (T. J. Dekker, "A floating-point
@@ -75,12 +75,10 @@ _TAIL = np.frombuffer(b"e+00" b"\0\0\0\0", np.uint64)[0]
 _D0, _SIGN, _TENS = 6, 41, 42
 # the four digits of 0 .. 9999, as "d.d.d.d." (each digit with its point
 # slot), and the number of trailing zeros among them
-_FOUR = np.indices((10,) * 4, np.uint8).reshape(4, -1)
 _DIGITS4 = np.full((10000, 8), ord("."), np.uint8)
-_DIGITS4[:, ::2] = _FOUR.T + np.uint8(ord("0"))
+_DIGITS4[:, ::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
 _DIGITS4 = _DIGITS4.view(np.uint64).ravel()
-_TRAILING4 = np.logical_and.accumulate(_FOUR[::-1] == 0).sum(axis=0, dtype=np.uint8)
-del _FOUR
+_TRAILING4 = sum(np.arange(10000) % step == 0 for step in (10, 100, 1000, 10000)).astype(np.uint8)
 
 # the decimal exponents of the fast path's leading digits
 _X_MIN, _X_MAX = -27, 14
@@ -226,6 +224,6 @@ def byte_rows(strings: list[str]) -> np.ndarray:
     return np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
 
 
-def compact(rows: np.ndarray) -> str:
-    """The text of NUL-padded byte rows, in order, without the NULs."""
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+def compact(rows: np.ndarray) -> bytes:
+    """The bytes of NUL-padded byte rows, in order, without the NULs."""
+    return rows.tobytes().translate(None, b"\0")

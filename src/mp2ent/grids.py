@@ -507,8 +507,9 @@ def grid_to_csv(grid: ProbabilityGrid) -> str:
     ax1 = floattext.byte_rows([_fmt(v) for v in grid.spec.axis1.values()])
     ax2 = floattext.byte_rows([f",{_fmt(v)}," for v in grid.spec.axis2.values()])
     newline = floattext.byte_rows(["\n"] * len(ax2))
-    lines = _formatted(grid.values, False, [(ax1, 0), (ax2, 1), None, (newline, 1)])
-    return "".join(["axis1,axis2,value\n", *lines])
+    text = bytearray(b"axis1,axis2,value\n")
+    _formatted(text, grid.values, False, [(ax1, 0), (ax2, 1), None, (newline, 1)])
+    return text.decode("ascii")
 
 
 def grid_to_json(grid: ProbabilityGrid) -> str:
@@ -522,34 +523,37 @@ def grid_to_json(grid: ProbabilityGrid) -> str:
     }
     head = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
     # "values" sorts last, so the header ends in '"values": []' and "}"
-    return "".join([head[: -len("[]\n}")], _json_values(grid.values), "\n}\n"])
+    text = bytearray(head[: -len("[]\n}")].encode("utf-8"))
+    _json_values(text, grid.values)
+    text += b"\n}\n"
+    return text.decode("utf-8")
 
 
-def _json_values(rows) -> str:
-    """A non-empty 2-D array of finite floats as ``json.dumps`` writes it
-    as a member of an indent-1 object, without the pure-Python encoder that
-    ``indent`` selects: each float its repr, one per line.  The values are
-    formatted by :func:`floattext.float_text`, ``_BLOCK`` at a time, each
-    between the indent (and a row's opening ``[``) before it and the
-    separator (or a row's closing ``]``) after it."""
-    rows = np.asarray(rows, dtype=float)
-    n2 = rows.shape[1]
+def _json_values(text: bytearray, values: np.ndarray) -> None:
+    """Append the non-empty 2-D array of finite floats ``values`` to
+    ``text`` as ``json.dumps`` writes it as a member of an indent-1 object,
+    without the pure-Python encoder that ``indent`` selects: each float its
+    repr, one per line.  The values are formatted by
+    :func:`floattext.float_text`, ``_BLOCK`` at a time, each between the
+    indent (and a row's opening ``[``) before it and the separator (or a
+    row's closing ``]``) after it."""
+    n2 = values.shape[1]
     before = floattext.byte_rows(["  [\n   "] + ["   "] * (n2 - 1))
     after = floattext.byte_rows([",\n"] * (n2 - 1) + ["\n  ],\n"])
-    lines = _formatted(rows, True, [(before, 1), None, (after, 1)])
-    lines[-1] = lines[-1][: -len(",\n")]
-    return "".join(["[\n", *lines, "\n ]"])
+    text += b"[\n"
+    _formatted(text, values, True, [(before, 1), None, (after, 1)])
+    # the last row's "]" closes the list
+    text[-len(",\n") :] = b"\n ]"
 
 
-def _formatted(values: np.ndarray, shortest: bool, parts) -> list[str]:
-    """The text of the 2-D ``values`` in row-major order, in blocks of
-    ``_BLOCK`` values.  A value's text is its ``parts`` in order: ``None``
-    is the value as :func:`floattext.float_text` writes it, and
-    ``(table, axis)`` the row of a :func:`floattext.byte_rows` table at the
-    value's axis1 (0) or axis2 (1) index."""
+def _formatted(text: bytearray, values: np.ndarray, shortest: bool, parts) -> None:
+    """Append the text of the 2-D ``values`` in row-major order to
+    ``text``, ``_BLOCK`` values at a time.  A value's text is its ``parts``
+    in order: ``None`` is the value as :func:`floattext.float_text` writes
+    it, and ``(table, axis)`` the row of a :func:`floattext.byte_rows` table
+    at the value's axis1 (0) or axis2 (1) index."""
     flat = values.reshape(-1)
     ends = np.cumsum([floattext.WIDTH if p is None else p[0].shape[1] for p in parts]).tolist()
-    blocks = []
     for start in range(0, flat.size, _BLOCK):
         stop = min(start + _BLOCK, flat.size)
         at = np.divmod(np.arange(start, stop), values.shape[1])
@@ -559,8 +563,7 @@ def _formatted(values: np.ndarray, shortest: bool, parts) -> list[str]:
                 floattext.float_text(flat[start:stop], shortest) if part is None
                 else np.take(part[0], at[part[1]], axis=0)
             )
-        blocks.append(floattext.compact(rows))
-    return blocks
+        text += floattext.compact(rows)
 
 
 def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") -> None:

@@ -34,7 +34,7 @@ def _assert_per_value(values):
     assert _texts(values, False) == [format(v, ".17g") for v in values]
     assert floattext.compact(floattext.float_text(np.array(values), True)) == "".join(
         map(repr, values)
-    )
+    ).encode("ascii")
 
 
 def _bits(n: int) -> float:

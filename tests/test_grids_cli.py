@@ -244,9 +244,11 @@ class TestSerialization:
 
     @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (256, 3)])
     def test_json_values_block_matches_json_dumps(self, shape):
-        rows = np.resize([0.0, 5e-324, 1e-300, 0.1, 0.5, 2.0 / 3.0], shape).tolist()
-        expected = json.dumps({"values": rows}, separators=(",", ": "), indent=1)
-        assert expected == '{\n "values": ' + grids._json_values(rows) + "\n}"
+        rows = np.resize([0.0, 5e-324, 1e-300, 0.1, 0.5, 2.0 / 3.0], shape)
+        expected = json.dumps({"values": rows.tolist()}, separators=(",", ": "), indent=1)
+        text = bytearray(b'{\n "values": ')
+        grids._json_values(text, rows)
+        assert expected == text.decode("ascii") + "\n}"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_written_files_are_the_writers_bytes_on_any_platform(self, fmt, tmp_path, monkeypatch):
