@@ -28,8 +28,8 @@ Certificate (:func:`_certified`).  The fast path holds where D lies in
 integer, every distance tried is more than 1e-6 from h, and x is not a
 power of two (whose rounding interval is asymmetric).  Where x 10^k is an
 integer its fraction is 0, so no such x is certified: not an integral x,
-and not any x >= 1e15 (k <= 3 there, and x is a multiple of 1/8), hence
-the range's top.  So the fast path never writes repr's ``.0`` of an
+and not any x >= 1e15, where ulp(x) 10^k is an integer; hence the range's
+top.  So the fast path never writes repr's ``.0`` of an
 integral value, and its exponents stay below 15.  Nor does it write a
 value whose digits round up to 10^17, which would carry into the exponent.
 0.0 is a constant; every other value (-0.0, negatives, subnormals,

@@ -8,6 +8,7 @@ shape and block edge, without peaking above them.
 """
 
 import math
+import os
 import struct
 import tracemalloc
 
@@ -55,7 +56,8 @@ FLOATS = st.one_of(
     st.integers(0, 2**64 - 1).map(_bits),  # bit patterns: every sign, NaN and inf
     st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]),
     st.integers(1, 2**52 - 1).map(_bits),  # subnormals
-    st.tuples(st.sampled_from([1e-26, 1e18]), st.integers(-3, 3)).map(lambda a: _ulps(*a)),
+    # the neighbours of the fast path's range ends, and of 1e18
+    st.tuples(st.sampled_from([1e-26, 1e15, 1e18]), st.integers(-3, 3)).map(lambda a: _ulps(*a)),
     st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
     st.tuples(st.integers(-30, 25), st.integers(-1, 1)).map(lambda a: _ulps(10.0 ** a[0], a[1])),
     st.builds(_decimal, st.integers(1, 17), st.integers(0, 10**17), st.integers(-30, 22)),
@@ -100,7 +102,7 @@ def test_float_text_over_random_arrays(draw):
     _assert_per_value(values)
 
 
-def test_the_fast_path_certifies_grid_like_values():
+def test_the_fast_path_certifies_grid_like_values(monkeypatch):
     # the fast path is what makes the writers fast: it must hold for all
     # but a sliver of ordinary probabilities (exact decimals fall back)
     rng = np.random.default_rng(4)
@@ -112,22 +114,29 @@ def test_the_fast_path_certifies_grid_like_values():
         certified.append(real(*args))
         return certified[-1]
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(floattext, "_certified", spy)
-        floattext.float_text(values, True)
+    monkeypatch.setattr(floattext, "_certified", spy)
+    floattext.float_text(values, True)
     assert certified[0].mean() > 0.999
 
 
-def _grid(values, axis2=("rho", -1.0, 2.5)):
+def _grid(values):
     rows, cols = np.shape(values)
     spec = SweepSpec("circle", SectorPair.PP, AxisSpec("omega", 0.0, 0.9, rows),
-                     AxisSpec(*axis2, cols))
+                     AxisSpec("rho", -1.0, 2.5, cols))
     return ProbabilityGrid(spec, values, 0.0, "series")
 
 
+def _assert_same_text(got, expected):
+    # name the first difference: pytest's own diff of megabytes of text
+    # takes minutes
+    if got != expected:
+        i = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"texts differ at {i}: {got[i - 40 : i + 40]!r} != {expected[i - 40 : i + 40]!r}")
+
+
 def _assert_reference_bytes(grid):
-    assert grid_to_csv(grid) == per_value_writers.grid_to_csv(grid)
-    assert grid_to_json(grid) == per_value_writers.grid_to_json(grid)
+    _assert_same_text(grid_to_csv(grid), per_value_writers.grid_to_csv(grid))
+    _assert_same_text(grid_to_json(grid), per_value_writers.grid_to_json(grid))
 
 
 def _mixed(shape, seed):
@@ -175,7 +184,8 @@ def test_writers_give_the_same_bytes_when_no_value_is_certified(spec, provenance
         return np.zeros(d.shape, bool)
 
     monkeypatch.setattr(floattext, "_certified", reject)
-    assert (grid_to_csv(grid), grid_to_json(grid)) == certified
+    _assert_same_text(grid_to_csv(grid), certified[0])
+    _assert_same_text(grid_to_json(grid), certified[1])
     assert sum(rejected) == 2 * grid.values.size
     _assert_reference_bytes(grid)
 
