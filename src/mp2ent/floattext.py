@@ -138,13 +138,13 @@ def _digits(x: np.ndarray, shortest: bool):
     # p1 < 2^64 (a D outside [10^18, 10^19) is rejected by the certificate)
     d = np.minimum(p1, 1.8e19).astype(np.uint64) + floor.astype(np.int64).view(np.uint64)
     frac = r - floor
+    # D rounded to 17 digits: the digits of '%.17g', and repr's at p = 17
+    c17 = (d + np.uint64(50)) // _U10[2]
+    margin = np.full(x.shape, np.inf)
     if shortest:
         mantissa, e = np.frexp(xs)
-        c17, margin = _shortest(d, frac, np.ldexp(np.take(_P10_HI, k), e - 54))
+        c17 = _shortest(d, frac, np.ldexp(np.take(_P10_HI, k), e - 54), c17, margin)
         margin[mantissa == 0.5] = 0.0  # a power of two
-    else:
-        c17 = (d + np.uint64(50)) // _U10[2]
-        margin = np.full(x.shape, np.inf)
     # a carry: in practice the log overestimates E so close below 10^(E+1)
     # that D is out of range, but the value falls back whatever the log
     ok = fast & _certified(d, frac, margin) & (c17 < _U10[17])
@@ -166,11 +166,10 @@ def _certified(d: np.ndarray, frac: np.ndarray, margin: np.ndarray) -> np.ndarra
     )
 
 
-def _shortest(d: np.ndarray, frac: np.ndarray, h: np.ndarray):
-    """repr's digits as a 17-digit integer, and the least |distance - h| tried."""
-    best = (d + np.uint64(50)) // _U10[2]
+def _shortest(d, frac, h, best: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """repr's digits as a 17-digit integer, from ``best``, D's 17 digits;
+    ``margin`` takes the least |distance - h| tried."""
     digits = np.full(d.shape, 17)
-    margin = np.full(d.shape, np.inf)
     live = np.arange(d.size)
     for p in range(16, 0, -1):
         step = _U10[19 - p]
@@ -185,7 +184,7 @@ def _shortest(d: np.ndarray, frac: np.ndarray, h: np.ndarray):
             break
         best[live] = c[within]
         digits[live] = p
-    return best * np.take(_U10, 17 - digits), margin
+    return best * np.take(_U10, 17 - digits)
 
 
 def _text(c17: np.ndarray, exp10: np.ndarray) -> np.ndarray:
