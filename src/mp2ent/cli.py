@@ -76,13 +76,15 @@ def parse_axis(text: str) -> AxisSpec:
     )
 
 
-def parse_set(items: list[str]) -> dict[str, float]:
-    fixed: dict[str, float] = {}
+def parse_set(items: list[str]) -> list[tuple[str, float]]:
+    """The ``name=value`` pairs of the ``--set`` flags, in order; a name
+    set twice is left for :class:`SweepSpec` to refuse."""
+    fixed = []
     for item in items:
         if "=" not in item:
             raise ValueError(f"--set expects name=value, got {item!r}")
         name, value = (part.strip() for part in item.split("=", 1))
-        fixed[name] = _parsed(parse_number, value, f"--set {name}")
+        fixed.append((name, _parsed(parse_number, value, f"--set {name}")))
     return fixed
 
 
@@ -147,7 +149,7 @@ def _run_family(args: argparse.Namespace, argv: list[str]) -> int:
         pair=pair,
         axis1=axis1,
         axis2=axis2,
-        fixed=tuple(parse_set(args.fixed).items()),
+        fixed=tuple(parse_set(args.fixed)),
         truncation=args.trunc,
         convention=args.convention,
     )

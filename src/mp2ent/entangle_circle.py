@@ -17,11 +17,11 @@ v1 = mu u1 + r with mu = <u1, v1>/|u1|^2 and r orthogonal to u1 gives
 
 two orthogonal terms, so no cancellation happens between them; each norm
 and inner product is an exactly rounded math.fsum of N products.
-:func:`pair_norm_grid` evaluates the same expressions over a sweep grid, a
-block of axis1 rows at a time in numpy, each item an array of length 1
-along an axis it does not read (:func:`mp2ent.grids.run_sweep` builds and
-shapes them), broadcast; the (u1, v1) projection is taken a slot batch at
-a time (:func:`projections`), and the |w|^2 sums
+:func:`pair_norm_grid` evaluates the same expressions over one block of a
+sweep grid in numpy (the whole grid, or one axis1 row), each item an array
+of length 1 along an axis it does not read (:func:`mp2ent.grids.run_sweep`
+builds and shapes them), broadcast; the (u1, v1) projection is taken a slot
+batch at a time (:func:`projections`), and the |w|^2 sums
 are :func:`~mp2ent.numerics.block_fsum`'s, certified equal to fsum's bit
 for bit, with fsum itself at any point the certificate does not cover.  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
@@ -60,7 +60,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -326,11 +325,11 @@ def projections(u1: SlotBatch, v1: SlotBatch) -> tuple[np.ndarray, ...]:
     return uu, mu, row_norms_sq(y - mu[:, None] * x), t_u1, n_v1, t_v1
 
 
-def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`CoefficientMatrix.norm_sq` and the :func:`pair_matrix` tail
-    bound of ``form`` at every point of a grid, a block of rows at a time.
+    bound of ``form`` at every point of one block of a grid.
 
-    ``blocks`` yields, block by block, the arrays of its points' items
+    ``block`` is the arrays of its points' items
     (:func:`mp2ent.grids.run_sweep`): the projection as :func:`projections`
     columns, u2 and v2 each as (N, T, terms), and the phase s e^(i rho) as a
     1-tuple, each of shape (rows or 1, columns or 1) (terms with a trailing
@@ -343,44 +342,43 @@ def pair_norm_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np
     of every point of a larger block, so no array of the block's size times
     N is formed.  Every float expression is that of pair_matrix and norm_sq,
     and the tail is :func:`pair_tail`'s, so each value and tail is the
-    per-point one bit for bit.  Yields, row by row, the values and the tail
-    bounds of the row's points.
+    per-point one bit for bit.  Returns the values and the tail bounds,
+    which broadcast to the block.
     """
     p = form.amp_prefactor
-    for (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) in blocks:
-        # f conjugated on the bra side, and |f|^2
-        f = f.conj() if form.conjugate else f
-        f_sq = np.reshape([abs(phase) ** 2 for phase in f.ravel().tolist()], f.shape)
-        fmu = np.empty(np.broadcast_shapes(f.shape, mu.shape), complex)
-        fmu.real = f.real * mu.real - f.imag * mu.imag
-        fmu.imag = f.real * mu.imag + f.imag * mu.real
-        shape = np.broadcast_shapes(fmu.shape, u2.shape[:-1], v2.shape[:-1])
-        terms = u2.shape[-1]
-        lanes = min(terms, max(1, _SLICE_POINTS // math.prod(shape)))
-        # broadcast views, the terms first: u2[k] is term k at every point
-        fmu = np.broadcast_to(fmu, shape)
-        u2, v2 = (
-            np.broadcast_to(np.ascontiguousarray(np.moveaxis(a, -1, 0)), (terms, *shape))
-            for a in (u2, v2)
-        )
+    (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) = block
+    # f conjugated on the bra side, and |f|^2
+    f = f.conj() if form.conjugate else f
+    f_sq = np.reshape([abs(phase) ** 2 for phase in f.ravel().tolist()], f.shape)
+    fmu = np.empty(np.broadcast_shapes(f.shape, mu.shape), complex)
+    fmu.real = f.real * mu.real - f.imag * mu.imag
+    fmu.imag = f.real * mu.imag + f.imag * mu.real
+    shape = np.broadcast_shapes(fmu.shape, u2.shape[:-1], v2.shape[:-1])
+    terms = u2.shape[-1]
+    lanes = min(terms, max(1, _SLICE_POINTS // math.prod(shape)))
+    # broadcast views, the terms first: u2[k] is term k at every point
+    fmu = np.broadcast_to(fmu, shape)
+    u2, v2 = (
+        np.broadcast_to(np.ascontiguousarray(np.moveaxis(a, -1, 0)), (terms, *shape))
+        for a in (u2, v2)
+    )
 
-        def point_terms(index):
-            at = (slice(None), *index)
-            return abs_sq(u2[at] + fmu[index] * v2[at]).tolist()
+    def point_terms(index):
+        at = (slice(None), *index)
+        return abs_sq(u2[at] + fmu[index] * v2[at]).tolist()
 
-        w_sq = block_fsum(
-            (abs_sq(u2[k : k + lanes] + fmu * v2[k : k + lanes])
-             for k in range(0, terms, lanes)),
-            point_terms,
-        )
-        values = p * p * (uu * w_sq + f_sq * rr * n_v2)
-        tails = pair_tail(p, (uu, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
-        yield from zip(*np.broadcast_arrays(values, tails))
+    w_sq = block_fsum(
+        (abs_sq(u2[k : k + lanes] + fmu * v2[k : k + lanes]) for k in range(0, terms, lanes)),
+        point_terms,
+    )
+    values = p * p * (uu * w_sq + f_sq * rr * n_v2)
+    return values, pair_tail(p, (uu, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
 
 
 # Values per slice of :func:`pair_norm_grid`: a block of fewer points takes
-# several terms per slice, so that a small block, a single row say, is a
-# few numpy calls on arrays of about this size and not one per term.
+# several terms per slice, so that a small block, such as the one row of a
+# sweep where an item reads both axes, is a few numpy calls on arrays of
+# about this size and not one per term.
 _SLICE_POINTS = 4096
 
 
@@ -507,22 +505,20 @@ def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):
     return p**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
-def pair_closed_form_grid(form: EntangledPair, blocks) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def pair_closed_form_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pair_closed_form` of ``form`` and the :func:`pair_tail` bound
-    of its truncated sums at every point of a grid, a block of rows at a
-    time.
+    of its truncated sums at every point of one block of a grid.
 
-    ``blocks`` yields, block by block, the arrays of its points' two halves
-    as :func:`gram_halves` columns and of the phase s e^(i rho) as a 1-tuple,
-    shaped as for :func:`pair_norm_grid`, which :func:`gram_form` and
-    pair_tail broadcast (a sector pair's tail is 0, its T being 0).  Yields,
-    row by row, the values and the tail bounds.
+    ``block`` is the arrays of its points' two halves as :func:`gram_halves`
+    columns and of the phase s e^(i rho) as a 1-tuple, shaped as for
+    :func:`pair_norm_grid`, which :func:`gram_form` and pair_tail broadcast
+    (a sector pair's tail is 0, its T being 0).  Returns the values and the
+    tail bounds.
     """
     p = form.amp_prefactor
-    for (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), (phase,) in blocks:
-        values = gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase)
-        tails = pair_tail(p, (n_u1, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
-        yield from zip(*np.broadcast_arrays(values, tails))
+    (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), (phase,) = block
+    values = gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase)
+    return values, pair_tail(p, (n_u1, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

@@ -8,14 +8,15 @@ once per distinct value of the swept axes it reads, in axis batches (a
 slot batch and a projection batch come as arrays, one row per value),
 reshapes each batch once into arrays shaped (n1 or 1, n2 or 1, ...), and
 hands :func:`entangle_circle.pair_norm_grid` (series) or
-:func:`entangle_circle.pair_closed_form_grid` (closed form) blocks of axis1
-rows that they broadcast, equal bit for bit to the per-point kernels.
-Everything runs in a fixed row-major order, so output files are
-byte-identical across runs and processes.  CSV floats are written as
-``format(x, '.17g')`` writes them and JSON floats as Python's shortest
-round-trip repr; both read back exactly.  The writers format a grid's
-values in blocks through :func:`floattext.float_text`, which writes those
-same bytes in whole-array passes.
+:func:`entangle_circle.pair_closed_form_grid` (closed form) one block at a
+time, the whole grid or, where an item reads both axes, one row; each
+kernel broadcasts its block and returns it, equal bit for bit to the
+per-point kernels.  Everything runs in a fixed row-major order, so output
+files are byte-identical across runs and processes.  CSV floats are
+written as ``format(x, '.17g')`` writes them and JSON floats as Python's
+shortest round-trip repr; both read back exactly.  The writers format a
+grid's values in blocks through :func:`floattext.float_text`, which writes
+those same bytes in whole-array passes.
 
 The kernels compute the prefactor-stripped convention; under
 ``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
@@ -161,6 +162,10 @@ class SweepSpec:
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
             )
         object.__setattr__(self, "truncation", check_truncation(self.truncation))
+        names = [name for name, _ in self.fixed]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"{self.family} parameter {name} is fixed twice")
         object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
@@ -277,16 +282,18 @@ _CLOSED_FORM_PAIRS = {"circle": tuple(SectorPair), "coset": tuple(SectorPair)[:3
 def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     """Evaluate the sweep; deterministic row-major order, identical output
     across runs.  The family's kernels and the convention's scale are read
-    once.  The series column is one :func:`entangle_circle.pair_norm_grid`
-    call over the blocks of :func:`_sweep_blocks`, the closed form one
-    :func:`entangle_circle.pair_closed_form_grid` call over its Gram halves
-    (under ``both`` the two must agree within 1e-9 plus the series tail
-    bound, or the first point that does not is named; under ``closed_form``
-    the tail is that of the closed form's truncated sums, 0 for a sector
-    pair).  If a column's rows raise (invalid input or an arithmetic
-    overflow), :func:`_replay` names the sweep's first failing point;
-    domain checks are ``SweepSpec``'s, which checks every value it can
-    emit."""
+    once.  Each column maps its kernel over the blocks of
+    :func:`_sweep_blocks`, block by block: the series column
+    :func:`entangle_circle.pair_norm_grid`, the closed form
+    :func:`entangle_circle.pair_closed_form_grid` over its Gram halves.  The
+    blocks' values and tails are broadcast, joined and scaled once a column
+    (under ``both`` the two columns must agree within 1e-9 plus the series
+    tail bound, or the first point in row-major order that does not is
+    named; under ``closed_form`` the tail is that of the closed form's
+    truncated sums, 0 for a sector pair).  If a block raises (invalid input
+    or an arithmetic overflow), :func:`_replay` names the sweep's first
+    failing point; domain checks are ``SweepSpec``'s, which checks every
+    value it can emit."""
     if provenance not in PROVENANCES:
         raise ValueError(f"provenance must be one of {PROVENANCES}")
     form, components = _FAMILY_TABLE[spec.family]
@@ -301,38 +308,37 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     scale = form.record.prefactor**4 if spec.convention == "full" else 1.0
     fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
     fixed.update(spec.fixed)
-    values = np.empty((spec.axis1.steps, spec.axis2.steps))
-    tails = np.empty_like(values)
 
-    def rows(kernel, halves: bool):
-        # the kernel's rows; if they raise, the error of the first failing
-        # point, or theirs where no point fails on its own
+    def column(kernel, halves: bool) -> tuple[np.ndarray, np.ndarray]:
+        # the kernel's values and tails over the grid, scaled; if a block
+        # raises, the error of the first failing point, or its own where no
+        # point fails on its own
         try:
-            yield from kernel(form, _sweep_blocks(spec, form, components, fixed, halves))
+            blocks = [np.broadcast_arrays(*kernel(form, block))
+                      for block in _sweep_blocks(spec, form, components, fixed, halves)]
         except (ValueError, ArithmeticError):
             _replay(spec, form, components, fixed, halves)
             raise
-
-    if provenance != "closed_form":
-        for i, (row_values, row_tails) in enumerate(rows(entangle_circle.pair_norm_grid, False)):
-            values[i], tails[i] = row_values, row_tails
+        values, tails = (np.concatenate(col) for col in zip(*blocks))
         values *= scale
         tails *= scale
+        return values, tails
+
+    if provenance != "closed_form":
+        values, tails = column(entangle_circle.pair_norm_grid, False)
         if provenance == "series":
             return ProbabilityGrid(spec, values, float(tails.max()), provenance)
-    ax1, ax2 = spec.axis1.values(), spec.axis2.values()
-    for i, (row, row_tails) in enumerate(rows(entangle_circle.pair_closed_form_grid, True)):
-        closed = scale * row
-        if provenance == "closed_form":
-            values[i], tails[i] = _clamp_residue(closed), scale * row_tails
-            continue
-        off = np.abs(values[i] - closed) > 1e-9 + tails[i]
-        if off.any():
-            j = int(off.argmax())
-            raise GridDomainError(
-                f"series/closed-form disagreement at ({ax1[i]}, {ax2[j]}): "
-                f"{float(values[i, j])} vs {float(closed[j])}"
-            )
+    closed, closed_tails = column(entangle_circle.pair_closed_form_grid, True)
+    if provenance == "closed_form":
+        return ProbabilityGrid(
+            spec, _clamp_residue(closed), float(closed_tails.max()), provenance)
+    off = np.abs(values - closed) > 1e-9 + tails
+    if off.any():
+        i, j = np.unravel_index(off.argmax(), off.shape)
+        raise GridDomainError(
+            f"series/closed-form disagreement at ({spec.axis1.values()[i]}, "
+            f"{spec.axis2.values()[j]}): {float(values[i, j])} vs {float(closed[i, j])}"
+        )
     return ProbabilityGrid(spec, values, float(tails.max()), provenance)
 
 
@@ -391,11 +397,12 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     or fills the fock_series memo.  A builder that fails raises its plain
     exception, which :func:`run_sweep` turns into the failing point's.  A
     kernel item is reshaped once per batch into arrays of shape
-    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read; a both-axes
-    item's rows are stacked over a block.
-    Every parameter is read by some kernel item, so a block's arrays
-    broadcast to (rows, n2).  A block is the whole grid unless a kernel
-    item other than the projection reads both axes; then it is one row.
+    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read.
+
+    Blocks.  Every parameter is read by some kernel item, so a block's
+    arrays broadcast to (rows, n2); and every item reads a subset of some
+    kernel item's axes.  A block is the whole grid when no item reads both
+    axes, and one row otherwise.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
     ax1, ax2 = spec.axis1.values(), spec.axis2.values()
@@ -464,22 +471,14 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     for k in range(len(reads)):
         if k not in both:
             batch(k, 0)
-    # one block of the whole grid, unless a kernel item other than the
-    # (u1, v1) projection reads both axes: then one row a block, so that
-    # such items (a slot's N terms, or a Gram half) are held a row at a time
-    step = 1 if any(k in both and k != n + 4 for k in kernel_items) else len(ax1)
-    for i0 in range(0, len(ax1), step):
-        rows = []  # the arrays of the both-axes kernel items, row by row
-        for i in range(i0, i0 + step):
-            for k in both:
-                batch(k, i)
-            rows.append({k: arrays[k] for k in both})
-        yield tuple(
-            [np.concatenate(cols) for cols in zip(*(row[k] for row in rows))]
-            if k in both
-            else [a[i0 : i0 + step] for a in arrays[k]] if on1[k] else arrays[k]
-            for k in kernel_items
-        )
+    # one block of the whole grid, unless an item reads both axes; then one
+    # row a block, so that such items (a slot's N terms, a projection or a
+    # Gram half) are held a row at a time
+    for rows in (slice(i, i + 1) for i in range(len(ax1))) if both else [slice(None)]:
+        for k in both:
+            batch(k, rows.start)
+        yield tuple([a[rows] for a in arrays[k]] if on1[k] and not on2[k] else arrays[k]
+                    for k in kernel_items)
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:

@@ -291,10 +291,12 @@ def fock_series_batch(
     if live:
         phase = np.array(phases)[:, None]
         amp_rows = np.array([inputs[k][1] for k in live])
-        parts = [
-            amp_rows[:, o, None] * np.exp(log_mag[:, o:size:2] + 1j * ks[o:size:2] * phase)
-            for o in sectors
-        ]
+        parts = [np.exp(log_mag[:, o:size:2] + 1j * ks[o:size:2] * phase) for o in sectors]
+        # each scaled by its real amplitude in real arithmetic: numpy's real
+        # times complex product signs an underflowed zero by the array's size
+        for o, part in zip(sectors, parts):
+            part.real *= amp_rows[:, o, None]
+            part.imag *= amp_rows[:, o, None]
         coefficients = parts[0] if parity is not None else parts[0] + parts[1]
         if len(live) == len(inputs):  # no constant slot: no copy (a batch of one, say)
             block, tail_column = coefficients, np.array(tails)

@@ -205,17 +205,20 @@ def test_coincident_labels_give_exactly_zero_total_on_the_grid(axes, terms):
         assert np.all(run_sweep(spec, "closed_form").values == 0.0)
 
 
-def _shifted(offsets):
-    """A pair_closed_form_grid that adds ``offsets[(i, j)]`` to point (i, j)."""
+def _shifted(offsets, rows):
+    """A pair_closed_form_grid that adds ``offsets[(i, j)]`` to point (i, j)
+    of the grid and appends each block's row count to ``rows``, by which it
+    counts the blocks' rows off in order."""
     kernel = entangle_circle.pair_closed_form_grid
 
-    def shifted(form, rows):
-        for i, (row, tails) in enumerate(kernel(form, rows)):
-            row = row.copy()
-            for (oi, oj), offset in offsets.items():
-                if oi == i:
-                    row[oj] += offset
-            yield row, tails
+    def shifted(form, block):
+        values, tails = np.broadcast_arrays(*kernel(form, block))
+        values, start = values.copy(), sum(rows)
+        for (i, j), offset in offsets.items():
+            if start <= i < start + len(values):
+                values[i - start, j] += offset
+        rows.append(len(values))
+        return values, tails
 
     return shifted
 
@@ -226,13 +229,20 @@ def _shifted(offsets):
      ({(3, 0): 1e-3, (1, 4): -1e-3}, (1, 4)),
      ({(1, 4): 1e-3, (1, 2): 1e-3}, (1, 2))],
 )
+# on omega x sigma the sweep is one block of the grid; on phi x phi' both
+# halves read both axes, so each of its 4 rows is a block
+@pytest.mark.parametrize(("axes", "blocks"), [(("omega", "sigma"), [4]),
+                                              (("phi", "phi_prime"), [1] * 4)],
+                         ids=["omega-x-sigma", "phi-x-phi_prime"])
 @pytest.mark.parametrize("family", ["circle", "coset"])
-def test_both_names_the_first_disagreeing_point(monkeypatch, family, offsets, named):
-    spec = _spec(family, ("omega", "sigma"), SectorPair.PM, "stripped")
+def test_both_names_the_first_disagreeing_point(monkeypatch, family, axes, blocks, offsets, named):
+    spec = _spec(family, axes, SectorPair.PM, "stripped")
     series = run_sweep(spec, "series").values
-    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", _shifted(offsets))
+    rows = []
+    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", _shifted(offsets, rows))
     with pytest.raises(GridDomainError) as info:
         run_sweep(spec, "both")
+    assert rows == blocks
     i, j = named
     v1, v2 = spec.axis1.values()[i], spec.axis2.values()[j]
     closed = float(_point_by_point(spec)[i, j] + offsets[named])
@@ -243,7 +253,7 @@ def test_both_names_the_first_disagreeing_point(monkeypatch, family, offsets, na
 
 def test_both_accepts_an_offset_within_its_threshold(monkeypatch):
     spec = _spec("circle", ("omega", "sigma"), SectorPair.PP, "stripped")
-    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", _shifted({(1, 1): 5e-10}))
+    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", _shifted({(1, 1): 5e-10}, []))
     assert run_sweep(spec, "both").values.tobytes() == run_sweep(spec).values.tobytes()
 
 

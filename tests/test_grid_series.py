@@ -1,10 +1,11 @@
 """The whole-grid series column against the point-by-point reference.
 
-``run_sweep`` builds each distinct slot once and takes the pair norm a
-block of rows at a time (``entangle_circle.pair_norm_grid``).  Here every value must
-equal the family's ``probability_series*`` at that point bit for bit,
-``tail_bound_max`` the largest per-point tail, and a failing sweep must name
-the first failing point with the per-point loop's message.
+``run_sweep`` builds each distinct slot once and takes the pair norm one
+block at a time, the whole grid or one row (``entangle_circle.pair_norm_grid``).
+Here every value must equal the family's ``probability_series*`` at that
+point bit for bit, ``tail_bound_max`` the largest per-point tail, and a
+failing sweep must name the first failing point with the per-point loop's
+message.
 """
 
 import cmath
@@ -29,6 +30,7 @@ from mp2ent.grids import (
     GridDomainError,
     SweepSpec,
     grid_to_csv,
+    grid_to_json,
     run_sweep,
 )
 from mp2ent.states import (
@@ -197,7 +199,8 @@ def test_grid_equals_the_per_point_series_where_the_phase_modulus_is_not_1(famil
     # |s e^(i rho)|^2 rounds to 1 - 2^-53 at this rho, so the order of the
     # products |f|^2 |r|^2 N(v2) shows in the last bit
     spec = _spec(family, None, pair, "stripped")
-    spec = dataclasses.replace(spec, fixed=(*spec.fixed, ("rho", -0.9174587293646823)))
+    fixed = tuple((name, value) for name, value in spec.fixed if name != "rho")
+    spec = dataclasses.replace(spec, fixed=(*fixed, ("rho", -0.9174587293646823)))
     _assert_equals_point_by_point(spec, *_point_by_point(spec))
 
 
@@ -335,10 +338,31 @@ def test_a_sweep_forms_no_array_of_the_grid_times_n(axes):
     assert peak < 2 * 2**20
 
 
-def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault():
+def test_a_sweep_whose_projection_reads_both_axes_peaks_below_its_json():
+    # u1 and the (u1, v1) projection read omega and arg_omega, so every block
+    # is one row and no item is held for the whole grid at once: the sweep
+    # peaks below writing its grid out as JSON
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            return build(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    spec = SweepSpec("circle", SectorPair.PP, AxisSpec("omega", 0.0, 0.9, 64),
+                     AxisSpec("arg_omega", 0.0, 3.0, 64), truncation=12)
+    run_sweep(dataclasses.replace(spec, axis1=AxisSpec("omega", 0.0, 0.9, 2)))
+    grid, sweep_peak = traced_peak(lambda: run_sweep(spec))
+    _, json_peak = traced_peak(lambda: grid_to_json(grid))
+    assert sweep_peak < json_peak
+
+
+def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault(monkeypatch):
     # mu = <u1, v1>/|u1|^2 = 1e154, so |w_k|^2 is about 1e308 and the sum of
     # two overflows in fsum; the blocks iterator fails only after its first
-    # block, and a row-by-row loop meets the overflow first
+    # block, and run_sweep, which takes each block's kernel call before it
+    # asks for the next block, meets the overflow first.  Every point of the
+    # spec passes the replay, so the overflow is raised as it was.
     def slot(*terms):
         return CoefficientSequence(None, np.array(terms, dtype=complex), 0.0)
 
@@ -346,13 +370,16 @@ def test_an_earlier_rows_fsum_overflow_is_raised_before_a_later_rows_fault():
                       ((1e-154, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     phase = entangle_circle.CIRCLE_PAIR.swap_sign * cmath.exp(0j)
 
-    def blocks():
+    def blocks(*args):
         items = (entangle_circle.projections(u1, v1), u2, v2, (np.array([phase]),))
         yield tuple([column.reshape(1, 1, *column.shape[1:]) for column in item] for item in items)
         raise GridDomainError("row 1")
 
+    monkeypatch.setattr(grids, "_sweep_blocks", blocks)
+    spec = SweepSpec("circle", SectorPair.PP, AxisSpec("omega", 0.1, 0.5, 2),
+                     AxisSpec("sigma", 0.1, 0.5, 2), truncation=8)
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        list(entangle_circle.pair_norm_grid(entangle_circle.CIRCLE_PAIR, blocks()))
+        run_sweep(spec)
 
 
 def _batch_of(*slots):

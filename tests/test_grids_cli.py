@@ -141,6 +141,11 @@ class TestSweeps:
         payload = json.loads(grid_to_json(run_sweep(spec)))
         assert (payload["spec"]["axis1"]["steps"], payload["spec"]["truncation"]) == (3, 8)
 
+    def test_a_parameter_fixed_twice_is_refused(self):
+        # neither value is silently kept: the two could be set far apart
+        with pytest.raises(ValueError, match="^circle parameter rho is fixed twice$"):
+            small_spec(fixed=(("rho", 1.0), ("phi", 0.0), ("rho", 2.0)))
+
     def test_fixed_domain_checked(self):
         with pytest.raises(GridDomainError):
             small_spec(fixed=(("sigma", 1.2),))
@@ -375,12 +380,13 @@ class TestCli:
             (["circle", "--axis1", "omega:0:0.5:2", "--axis2", "sigma:0:0.5:2",
               "--set", "omega=0.9"], "parameter omega is swept"),
             (["circle", "--set", "rho=abc"], "--set rho"),
+            (["circle", "--set", "rho=1", "--set", "rho=2"], "circle parameter rho is fixed twice"),
             (["circle", "--axis1", "omega:0:0.5:2x"], "axis omega steps"),
         ],
         ids=["phi-nan", "rho-inf", "trunc-0", "axis-inf",
              "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "verify-trunc-0",
              "verify-trunc-1", "cat-alpha-overflow", "set-swept", "set-unparseable",
-             "axis-steps-unparseable"],
+             "set-twice", "axis-steps-unparseable"],
     )
     def test_non_finite_or_out_of_range_input_names_the_parameter(
         self, tmp_path, capsys, argv, named
@@ -766,9 +772,9 @@ def test_a_both_disagreement_makes_no_per_point_call(monkeypatch):
     # kernel's rows and not by them: it is not replayed
     kernel = entangle_circle.pair_closed_form_grid
 
-    def shifted(form, blocks):
-        for values, tails in kernel(form, blocks):
-            yield values + 1e-3, tails
+    def shifted(form, block):
+        values, tails = kernel(form, block)
+        return values + 1e-3, tails
 
     monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", shifted)
     counts = _counting_pair_builds(monkeypatch)
@@ -854,8 +860,9 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     counts = _counting_projections(monkeypatch)
     kernel, blocks = entangle_circle.pair_norm_grid, []
 
-    def recording(form, items):
-        return kernel(form, (blocks.append(block) or block for block in items))
+    def recording(form, block):
+        blocks.append(block)
+        return kernel(form, block)
 
     monkeypatch.setattr(entangle_circle, "pair_norm_grid", recording)
     run_sweep(SweepSpec(family, pair, AxisSpec(*axes[0], 5), AxisSpec(*axes[1], 7), truncation=8))
@@ -871,12 +878,12 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
 # half 2 = (sigma, phi', phi).  The series kernel reads the (u1, v1)
 # projection, u2, v2 and the phase of rho; the closed form the halves and
 # the phase.  The last entry is the rows of a block: all 4 of the grid,
-# unless a kernel item other than the projection reads both axes.
+# unless an item reads both axes, then one.
 ROW_LISTS = [
     ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2"), 4),
     ("omega", "rho", True, ("axis1", "fixed", "axis2"), 4),
     ("rho", "phi", False, ("axis2", "fixed", "fixed", "axis2", "axis1"), 4),
-    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed"), 4),
+    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed"), 1),
     ("sigma", "phi", True, ("axis2", "both", "fixed"), 1),
 ]
 AXES_OF = {"fixed": set(), "axis1": {1}, "axis2": {2}, "both": {1, 2}}

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mp2ent.cat_compare import CatPairParams
@@ -452,6 +452,9 @@ def _assert_batch(build, items, outcomes, parity, terms):
     parity=st.sampled_from(PARITIES),
     terms=st.sampled_from(BATCH_TERMS),
 )
+# the odd term's imaginary part underflows: -0.0 in a batch of two and of one
+@example(zs=[1 + 0j, 2 - 4.450147717014e-311j], amps=(0.0, 2.4692176507257314e-286), weight=None,
+         parity=Parity.ODD, terms=1)
 def test_fock_series_batch_is_its_batch_of_one(zs, amps, weight, parity, terms):
     _assert_batch(
         lambda zs: fock_series_batch(zs, [amps] * len(zs), parity, terms, weight), zs,
