@@ -23,7 +23,11 @@ of length 1 along an axis it does not read (:func:`mp2ent.grids.run_sweep`
 builds and shapes them), broadcast; the (u1, v1) projection is taken a slot
 batch at a time (:func:`projections`), and the |w|^2 sums
 are :func:`~mp2ent.numerics.block_fsum`'s, certified equal to fsum's bit
-for bit, with fsum itself at any point the certificate does not cover.  With
+for bit, with fsum itself at any point the certificate does not cover.
+The sector series decay factorially, so on a block of several slices the
+sums stop at the first term past which no slot holds more than u^2 of its
+norm, wherever a bound on the rest certifies that it cannot move the
+rounded sum (on the default axes at N = 40, after 4 to 23 terms).  With
 u = 2^-53 and S = p^2 (|u1| |u2| + |f| |v1| |v2|)^2 (so P <= S), a
 first-order rounding analysis (complex products to sqrt(2) gamma_2, the
 projection error |d mu| <= 8 u |v1|/|u1|, |d r| <= 13 u |v1|,
@@ -74,6 +78,7 @@ from .numerics import (
     row_norms_sq,
     stable_inner,
     stable_norm_sq,
+    suffix_bound,
 )
 from .states import (
     CircleLabel,
@@ -337,13 +342,27 @@ def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
     block.  w = u2 + f mu v2 is formed a slice of terms at a time over the
     whole block, f mu in real arithmetic in CPython's order, and |w|^2
     summed by :func:`~mp2ent.numerics.block_fsum`, which is fsum's result
-    bit for bit (a point its certificate does not cover is one fsum of that
-    point's terms).  A slice holds about _SLICE_POINTS values, or one term
-    of every point of a larger block, so no array of the block's size times
-    N is formed.  Every float expression is that of pair_matrix and norm_sq,
-    and the tail is :func:`pair_tail`'s, so each value and tail is the
-    per-point one bit for bit.  Returns the values and the tail bounds,
-    which broadcast to the block.
+    over all N terms bit for bit (a point its certificates do not cover is
+    one fsum of that point's terms).  A slice holds about _SLICE_POINTS
+    values, or one term of every point of a larger block, so no array of
+    the block's size times N is formed.
+
+    A block of more than one slice is cut: the terms past K are not summed
+    where they cannot move the rounded sum.  K, from
+    :func:`~mp2ent.numerics.suffix_bound`, is the least index past which
+    every u2 and v2 slot of the block holds at most u^2 of its norm
+    (u = 2^-53), and each point's terms past K are bounded by Minkowski as
+    (sqrt(S_K(u2)) + |f mu| sqrt(S_K(v2)))^2, S_K a slot's sum of |c_k|^2
+    over k >= K, widened for rounding and underflow.  The points that bound
+    does not certify (an exact zero at coincident labels with rho = 0, a
+    tie) continue their cascades over the N - K terms left.  A one-slice
+    block (a row of at most _SLICE_POINTS / N points), or one whose K is N
+    (a short series), sums all N terms at once.
+
+    Every float expression is that of pair_matrix and norm_sq, and the tail
+    is :func:`pair_tail`'s, so each value and tail is the per-point one bit
+    for bit.  Returns the values and the tail bounds, which broadcast to the
+    block.
     """
     p = form.amp_prefactor
     (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) = block
@@ -356,6 +375,12 @@ def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
     shape = np.broadcast_shapes(fmu.shape, u2.shape[:-1], v2.shape[:-1])
     terms = u2.shape[-1]
     lanes = min(terms, max(1, _SLICE_POINTS // math.prod(shape)))
+    cut, rest = terms, 0.0
+    if lanes < terms:
+        # a non-finite f mu gives a NaN bound, which block_fsum never certifies
+        with np.errstate(invalid="ignore", over="ignore"):
+            cut, rest = suffix_bound(u2, v2, np.abs(fmu))
+        lanes = min(lanes, cut)
     # broadcast views, the terms first: u2[k] is term k at every point
     fmu = np.broadcast_to(fmu, shape)
     u2, v2 = (
@@ -367,9 +392,16 @@ def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
         at = (slice(None), *index)
         return abs_sq(u2[at] + fmu[index] * v2[at]).tolist()
 
+    def slices(start, stop, index=()):
+        # terms start .. stop - 1 of the points at index, lanes at a time
+        at, c = (slice(None), *index), fmu[index]
+        for k in range(start, stop, lanes):
+            j = min(k + lanes, stop)
+            yield abs_sq(u2[k:j][at] + c * v2[k:j][at])
+
     w_sq = block_fsum(
-        (abs_sq(u2[k : k + lanes] + fmu * v2[k : k + lanes]) for k in range(0, terms, lanes)),
-        point_terms,
+        slices(0, cut), point_terms, rest,
+        None if cut == terms else lambda index: slices(cut, terms, index),
     )
     values = p * p * (uu * w_sq + f_sq * rr * n_v2)
     return values, pair_tail(p, (uu, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))

@@ -18,8 +18,12 @@ integer, and R, evaluated in doubles, is within 4e-13 of its exact value
 where E is right.  '%.17g' rounds D to 17 digits.  repr takes the fewest
 digits p whose nearest p-digit decimal lies strictly within the half-ulp
 h = 2^(e - 54) 10^k of x (e from ``frexp``; h lies in (55, 1110] in D's
-units): p = 17 always does, and p = 16, 15, ... are tried on the values
-that qualified at p + 1, as qualifying is monotone in p.  Ties cannot
+units): p = 17 always does, and p = 16, then 15, are tried on the values
+that qualified at p + 1, as qualifying is monotone in p.  No smaller p
+needs a pass: a value within h of its 15-digit decimal c 10^4 is within h
+of no other multiple of 10^4, as 2h < 10^4, so a shorter decimal within h
+can only be c 10^4 itself, and repr's digits are c without its trailing
+zeros, the 17-digit integer c 100 whatever their count.  Ties cannot
 occur: each rounding drops an even power of ten and the fraction of
 x 10^k is certified non-zero.
 
@@ -168,10 +172,10 @@ def _certified(d: np.ndarray, frac: np.ndarray, margin: np.ndarray) -> np.ndarra
 
 def _shortest(d, frac, h, best: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """repr's digits as a 17-digit integer, from ``best``, D's 17 digits;
-    ``margin`` takes the least |distance - h| tried."""
-    digits = np.full(d.shape, 17)
+    ``margin`` takes the least |distance - h| tried (p = 16 and 15 only,
+    see the module docstring)."""
     live = np.arange(d.size)
-    for p in range(16, 0, -1):
+    for p in (16, 15):
         step = _U10[19 - p]
         dl = d[live]
         c = (dl + step // np.uint64(2)) // step
@@ -180,11 +184,8 @@ def _shortest(d, frac, h, best: np.ndarray, margin: np.ndarray) -> np.ndarray:
         margin[live] = np.minimum(margin[live], np.abs(dist - hl))
         within = dist < hl
         live = live[within]
-        if not live.size:
-            break
-        best[live] = c[within]
-        digits[live] = p
-    return best * np.take(_U10, 17 - digits)
+        best[live] = c[within] * _U10[17 - p]
+    return best
 
 
 def _text(c17: np.ndarray, exp10: np.ndarray) -> np.ndarray:

@@ -125,7 +125,7 @@ def stable_norm_sq(arr: np.ndarray) -> float:
     return math.fsum(abs_sq(arr).ravel().tolist())
 
 
-def block_fsum(slices, point_terms) -> np.ndarray:
+def block_fsum(slices, point_terms, rest=0.0, remaining=None) -> np.ndarray:
     """``math.fsum`` of the non-negative terms (none of them -0.0) of every
     point of a block, bit for bit, in numpy with no Python call per point.
 
@@ -134,38 +134,113 @@ def block_fsum(slices, point_terms) -> np.ndarray:
     slice may have fewer lanes).  Each lane runs the TwoSum cascade of
     Ogita, Rump and Oishi ("Sum2", SIAM J. Sci. Comput. 26(6), 2005) over
     its slices, the lanes are then joined pairwise by TwoSum, and the
-    result (s, c) by one more: r, f = TwoSum(s, c).
+    result (s, c) by one more: r, f = TwoSum(s, c).  The slices may stop at
+    a cut K short of the N terms fsum is to sum: then ``rest`` (broadcast to
+    ``shape``) bounds each point's sum of the N - K terms past the cut, and
+    ``remaining(index)`` yields those terms of the points at ``index``
+    (``np.nonzero``'s arrays, or () for the whole block) as ``slices`` does,
+    in slices of at most the first slice's lanes.
 
-    Certificate.  TwoSum is error-free, so the exact sum is S = s + sum(q)
-    over the errors q of the N - 1 TwoSums of partial sums (cascade steps
-    and joins), and c is their float sum.  With
+    Certificate.  TwoSum is error-free, so the exact sum of the K terms
+    summed is S_K = s + sum(q) over the errors q of the K - 1 TwoSums of
+    partial sums (cascade steps and joins), and c is their float sum.  With
     u = 2^-53 and non-negative terms, every float partial sum is at most
-    (1 + u)^N S, so sum|q| <= (N - 1) u (1 + u)^N S; each q passes through
-    at most 2N float additions on its way into c, so c is within
-    gamma_2N sum|q| of sum(q) (Higham's gamma_k = k u/(1 - k u)).  As
+    (1 + u)^K S_K, so sum|q| <= (K - 1) u (1 + u)^K S_K; each q passes
+    through at most 2K float additions on its way into c, so c is within
+    gamma_2K sum|q| of sum(q) (Higham's gamma_k = k u/(1 - k u)).  As
     r + f = s + c exactly and |f| <= u r,
 
-        |S - (r + f)| <= 2.3 N^2 u^2 S < B = 4 N^2 u^2 r
+        |S_K - (r + f)| <= 2.3 K^2 u^2 S_K < B = 4 K^2 u^2 r
 
-    for any N u <= 2^-5.  B is taken in floats: 4 N^2 u^2 is exact, and the
+    for any K u <= 2^-5.  B is taken in floats: 4 K^2 u^2 is exact, and the
     product rounds down by at most a factor 1 - u, or below 2^-1074, where
-    the error S - (r + f), a multiple of 2^-1074 smaller than B, is 0.  Let
-    g be the gap from r to its lower neighbour, for r >= 0 the smaller of
-    its two gaps.  Where 2 (|f| + B) < g, |S - r| < g/2 on either side of
-    r, so r is S correctly rounded and not a tie: fsum's result.  The test
-    is written in that form because g/2 rounds to 0 at g = 2^-1074, where
-    an exact zero (f = B = 0) must still pass.
+    the error S_K - (r + f), a multiple of 2^-1074 smaller than B, is 0.
+    The float |f| + B is at least |f| + 2.3 K^2 u^2 S_K, as B's slack of
+    1.7 K^2 u^2 r covers that addition's rounding (at most u (|f| + B)).
+    The skipped terms add T to the exact sum S = S_K + T, 0 <= T <= rest.
+    Let g be the gap from r to its lower neighbour, for r >= 0 the smaller
+    of its two gaps.  Where 2 (|f| + B + rest) < g in floats, the rounded
+    sums being monotone and g/2 a float, |S - r| <= |f| + B + rest < g/2 on
+    either side of r, so r is S correctly rounded and not a tie: fsum's
+    result.  The test is written in that form because g/2 rounds to 0 at
+    g = 2^-1074, where an exact zero (f = B = rest = 0) must still pass.
 
-    Fallback.  Every other point, ties and non-finite sums (whose f is NaN)
-    among them, is ``math.fsum(point_terms(index))`` over the terms of the
-    point at ``index`` of ``shape``, and raises where fsum raises.
+    Remainder.  :func:`mp2ent.entangle_circle.pair_norm_grid` sums the
+    float terms t_k = |w_k|^2 of w_k = a_k + phi b_k, two slots a, b and a
+    complex phi per point, and bounds their sum past K through the suffix
+    sums A = sum_(k>=K) |a_k|^2 and V of b taken over each slot's float
+    |c_k|^2 by a running sum (:func:`suffix_bound`).  Writing eta = 2^-1075
+    for the largest error of an underflowing product or square: phi b_k is
+    within sqrt(2) gamma_2 |phi| |b_k| + 2 sqrt(2) (1 + u) eta of its value,
+    so |w_k| <= (1 + u) (|a_k| + (1 + sqrt(2) gamma_2) |phi| |b_k|
+    + 2.9 eta) and t_k <= (1 + u)^2 |w_k|^2 + 2 (1 + u) eta, which gives
+    sqrt(t_k) <= (1 + 5u) (|a_k| + |phi| |b_k|) + 2^-536.9.  Minkowski's
+    inequality over the m = N - K skipped terms then bounds sqrt(T) by
+    (1 + 5u) (|a| + |phi| |b|) + sqrt(m) 2^-536.9, |a| and |b| the exact l^2
+    norms of the skipped entries.  Each float |c_k|^2 is at least
+    (1 - u)^2 |c_k|^2 - 2 eta and the running sum at least (1 - u)^(m - 1)
+    times its exact sum, so |a| <= (sqrt(A) + sqrt(2 m eta))
+    /(1 - u)^((m + 1)/2), and so for b.  ``abs`` (hypot) is within 2u of
+    |phi|, and taking sqrt(A) + |phi| sqrt(V), the slack and the square
+    adds a few roundings more: all the relative factors together stay
+    below 1 + (m + 30) u, so
+
+        T <= (sqrt(A) + |phi| sqrt(V) + sqrt(m) 2^-535 (1 + |phi|))^2
+             (1 + 2 (N + 16) u).
+
+    The slack sqrt(m) 2^-535 (1 + |phi|) is added only where some skipped
+    entry of a or b is nonzero: elsewhere every skipped term is exactly 0
+    (phi finite; a non-finite phi makes the bound NaN, never certified), so
+    all-zero slots keep a bound of exactly 0.
+
+    Second stage.  The points the cut's certificate does not cover (those
+    whose sum cancels to far below its slots' norms, an exact zero among
+    them, or ties) continue their lanes' cascades over the N - K remaining
+    terms, a cascade over all N terms, and are certified again, with K = N
+    and rest = 0: the whole block when no point was certified, else the
+    gathered points alone.  Every point that fails this too (or the one
+    certificate where nothing is cut), ties and non-finite sums (whose f is
+    NaN) among them, is ``math.fsum(point_terms(index))`` over the N terms
+    of the point at ``index`` of ``shape``, and raises where fsum raises.
     """
     # an overflowing or non-finite sum gets a NaN f, which the certificate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        r, f, terms = _sum2(iter(slices))
-    for index in zip(*np.nonzero(~_certified(r, f, terms))):
+        r, f, state = _sum2(iter(slices))
+        todo = ~_certified(r, f, state[2], rest)
+        if remaining is not None and todo.any():
+            index = () if todo.all() else np.nonzero(todo)
+            at = (slice(None), *index)
+            s, c, terms = state
+            r_all, f, state = _sum2(iter(remaining(index)), (s[at], c[at], terms))
+            r[index] = r_all
+            todo[index] = ~_certified(r_all, f, state[2], 0.0)
+    for index in zip(*np.nonzero(todo)):
         r[index] = math.fsum(point_terms(index))
     return r
+
+
+def suffix_bound(a: np.ndarray, b: np.ndarray, phi_abs: np.ndarray):
+    """The cut K and the bound ``rest`` of :func:`block_fsum`'s Remainder
+    for the N terms |a_k + phi b_k|^2 of slot arrays ``a`` and ``b`` (the N
+    terms on the last axis) and |phi| ``phi_abs``, which broadcast.
+
+    K is the least index past which every slot of ``a`` and ``b`` holds at
+    most u^2 of its float |c|^2 sum (at least 1), read from the slots'
+    reversed running sums; ``rest`` is 0 at K = N."""
+    terms = a.shape[-1]
+    sums = [np.cumsum(abs_sq(x)[..., ::-1], axis=-1)[..., ::-1] for x in (a, b)]
+    small = np.ones(terms + 1, bool)
+    for s in sums:
+        small[:terms] &= (s <= 2.0**-106 * s[..., :1]).reshape(-1, terms).all(axis=0)
+    cut = max(1, int(np.argmax(small)))
+    if cut == terms:
+        return cut, 0.0
+    m = terms - cut
+    s_a, s_b = (s[..., cut] for s in sums)
+    nonzero = np.any(a[..., cut:] != 0.0, axis=-1) | np.any(b[..., cut:] != 0.0, axis=-1)
+    slack = np.where(nonzero, math.sqrt(m) * 2.0**-535 * (1.0 + phi_abs), 0.0)
+    root = np.sqrt(s_a) + phi_abs * np.sqrt(s_b) + slack
+    return cut, root * root * (1.0 + 2.0 * (terms + 16) * 2.0**-53)
 
 
 def row_norms_sq(block: np.ndarray) -> np.ndarray:
@@ -177,12 +252,14 @@ def row_norms_sq(block: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in abs_sq(block).tolist()])
 
 
-def _sum2(slices) -> tuple[np.ndarray, np.ndarray, int]:
-    """r, f and N of :func:`block_fsum`: the lanes' cascades over
-    ``slices``, their pairwise joins and the final TwoSum(s, c)."""
-    s = np.array(next(slices), dtype=float)
-    c = np.zeros_like(s)
-    terms = len(s)
+def _sum2(slices, state=None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """r, f of :func:`block_fsum` and the lanes' state (s, c, N) before
+    their join: the lanes' cascades over ``slices`` (continuing ``state``
+    if given), their pairwise joins and the final TwoSum(s, c)."""
+    if state is None:
+        s = np.array(next(slices), dtype=float)
+        state = s, np.zeros_like(s), len(s)
+    s, c, terms = state
     for t in slices:
         lanes = len(t)
         a = s[:lanes]
@@ -191,7 +268,10 @@ def _sum2(slices) -> tuple[np.ndarray, np.ndarray, int]:
         c[:lanes] += (a - (x - z)) + (t - z)
         s[:lanes] = x
         terms += lanes
+    state = s, c, terms
     width = len(s)
+    if width > 1:
+        s, c = s.copy(), c.copy()
     while width > 1:
         half = (width + 1) // 2
         a, b = s[: width - half], s[half:width]
@@ -203,13 +283,13 @@ def _sum2(slices) -> tuple[np.ndarray, np.ndarray, int]:
     s, c = s[0], c[0]
     r = s + c
     z = r - s
-    return r, (s - (r - z)) + (c - z), terms
+    return r, (s - (r - z)) + (c - z), state
 
 
-def _certified(r: np.ndarray, f: np.ndarray, terms: int) -> np.ndarray:
-    """Where r is fsum's result (see :func:`block_fsum`): 2 (|f| + B) < g."""
+def _certified(r: np.ndarray, f: np.ndarray, terms: int, rest) -> np.ndarray:
+    """Where r is fsum's result (see :func:`block_fsum`): 2 (|f| + B + rest) < g."""
     bound = (4.0 * terms * terms * 2.0**-106) * r
-    return 2.0 * (np.abs(f) + bound) < r - np.nextafter(r, -np.inf)
+    return 2.0 * (np.abs(f) + bound + rest) < r - np.nextafter(r, -np.inf)
 
 
 def inner_terms(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -119,6 +119,18 @@ def test_the_fast_path_certifies_grid_like_values(monkeypatch):
     assert certified[0].mean() > 0.999
 
 
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_values_of_every_digit_count_take_the_fast_path(digits):
+    # repr's digit count from 1 to 17: the passes at p = 16 and 15 decide
+    # it, as below 15 digits a value's digits are its 15-digit decimal's
+    rng = np.random.default_rng(digits)
+    mantissas = rng.integers(10 ** (digits - 1), 10**digits, 512).tolist()
+    values = [float(f"{m}e{e - digits}") for m, e in zip(mantissas, rng.integers(-12, 1, 512).tolist())]
+    values += [math.nextafter(v, math.inf) for v in values[:64]]
+    _assert_per_value(values)
+    assert floattext._digits(np.array(values), True)[2].mean() > 0.95
+
+
 def _grid(values):
     rows, cols = np.shape(values)
     spec = SweepSpec("circle", SectorPair.PP, AxisSpec("omega", 0.0, 0.9, rows),

@@ -305,18 +305,106 @@ def test_grid_blocks_equal_the_per_point_series_bit_for_bit(family, axes, pair, 
 
 @pytest.mark.parametrize("family", list(FIXED))
 def test_sweeps_write_identical_bytes_when_no_sum_is_certified(family, monkeypatch):
-    # every point's |w|^2 then falls back to math.fsum of its terms
+    # the cut's certificate rejects every point, and then the cascade over
+    # all N terms does: every point's |w|^2 falls back to math.fsum
     spec = SweepSpec(family, SectorPair.MM, *(AxisSpec(*axis) for axis in DEFAULT_AXES[family]))
     certified = grid_to_csv(run_sweep(spec))
     rejected = []
 
-    def reject(r, f, terms):
-        rejected.append(r.size)
+    def reject(r, f, terms, rest):
+        rejected.append((terms, r.size))
         return np.zeros(r.shape, bool)
 
     monkeypatch.setattr(numerics, "_certified", reject)
     assert grid_to_csv(run_sweep(spec)) == certified
-    assert sum(rejected) == 64 * 64
+    (cut, first), second = rejected
+    assert cut < 40 and first == 64 * 64 and second == (40, 64 * 64)
+
+
+def _summed_terms(monkeypatch):
+    """A list that records, for each numerics._sum2 call, the number of
+    terms its slices hold per point and the number of points."""
+    calls = []
+    real = numerics._sum2
+
+    def spy(slices, state=None):
+        lanes = []
+
+        def counted():
+            for t in slices:
+                lanes.append(len(t))
+                yield t
+
+        out = real(counted(), state)
+        calls.append((sum(lanes), out[0].size))
+        return out
+
+    monkeypatch.setattr(numerics, "_sum2", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=[p.value for p in SectorPair])
+@pytest.mark.parametrize("family", list(FIXED))
+def test_default_axes_sweeps_sum_fewer_than_n_terms(family, pair, monkeypatch):
+    spec = SweepSpec(family, pair, *(AxisSpec(*axis) for axis in DEFAULT_AXES[family]))
+    calls = _summed_terms(monkeypatch)
+    run_sweep(spec)
+    # one cascade over the whole 64 x 64 grid, cut short of N = 40, and
+    # no second stage
+    ((terms, points),) = calls
+    assert terms < spec.truncation == 40 and points == 64 * 64
+
+
+@pytest.mark.parametrize(
+    ("family", "pair", "axes", "truncation", "calls"),
+    [
+        # one-row blocks: one slice of N lanes each
+        ("circle", SectorPair.PP, (("sigma", 0.0, 0.95, 64), ("phi", 0.0, 3.0, 64)), 40,
+         [(40, 64)] * 64),
+        # fine-low-trunc's shape: a short series keeps all N terms
+        ("circle", SectorPair.MM, (("omega", 0.0, 0.95, 96), ("sigma", 0.0, 0.95, 96)), 6,
+         [(6, 96 * 96)]),
+    ],
+    ids=["sigma-x-phi", "fine-low-trunc"],
+)
+def test_sweeps_the_cut_leaves_sum_all_n_terms(family, pair, axes, truncation, calls, monkeypatch):
+    spec = SweepSpec(family, pair, *(AxisSpec(*axis) for axis in axes), truncation=truncation)
+    summed = _summed_terms(monkeypatch)
+    run_sweep(spec)
+    assert summed == calls
+
+
+def test_one_row_blocks_of_several_slices_are_cut(monkeypatch):
+    # v2 reads sigma and phi, so every block is one row; a row of 150
+    # points takes 27 lanes a slice, fewer than N = 40, so it is cut
+    spec = dataclasses.replace(
+        _spec("circle", ("phi", "sigma"), SectorPair.PM, "stripped", 40),
+        axis1=AxisSpec("phi", 0.0, 6.0, 3), axis2=AxisSpec("sigma", 0.1, 0.9, 150),
+    )
+    calls = _summed_terms(monkeypatch)
+    _assert_equals_point_by_point(spec, *_point_by_point(spec))
+    assert [points for _, points in calls[:3]] == [150] * 3
+    assert all(terms < 40 for terms, _ in calls[:3])
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=[p.value for p in SectorPair])
+@pytest.mark.parametrize("family", ["circle", "cat"])
+def test_coincident_surfaces_at_rho_0_take_the_second_stage_and_are_0(family, pair, monkeypatch):
+    # claim (2)(ii): phi = phi' and rho = 0 cancel exactly.  No point where
+    # a skipped slot entry is nonzero can be certified by the cut, so those
+    # continue over all N terms; each value is the per-point one, 0.0
+    spec = dataclasses.replace(
+        _spec(family, None, pair, "stripped", 40),
+        axis1=AxisSpec(DEFAULT_AXES[family][0][0], 0.0, 0.9, 6),
+        axis2=AxisSpec(DEFAULT_AXES[family][1][0], 0.0, 0.9, 24),
+        fixed=(("phi", 1.0), ("phi_prime", 1.0), ("rho", 0.0)),
+    )
+    calls = _summed_terms(monkeypatch)
+    values, tail_max = _point_by_point(spec)
+    _assert_equals_point_by_point(spec, values, tail_max)
+    assert not np.any(values)
+    (cut, points), (rest, gathered) = calls[:2]
+    assert cut < 40 and cut + rest == 40 and points == 6 * 24 and 0 < gathered <= points
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mp2ent import numerics
 from mp2ent.cat_compare import coherent_fock_vector
-from mp2ent.numerics import SeriesValue, block_fsum, log_factorial, theta2, theta3
+from mp2ent.numerics import (
+    SeriesValue,
+    abs_sq,
+    block_fsum,
+    log_factorial,
+    suffix_bound,
+    theta2,
+    theta3,
+)
 from mp2ent.states import Parity, fock_series
 
 
@@ -252,3 +262,163 @@ class TestBlockFsum:
         got, fallbacks = _block_fsum([[1.0, 2.0**-53], [1.0, 2.0**-52]], 1)
         assert fallbacks == [(0,)]
         assert got == [1.0, 1.0 + 2.0**-52]
+
+
+def _cut_fsum(points, cut, rest, lanes):
+    """block_fsum over ``points`` (each a list of its N terms) cut after
+    ``cut`` terms, ``rest`` bounding each point's terms past it, fed
+    ``lanes`` terms per slice (at most K, the lanes of the first); and the
+    points where it fell back to fsum."""
+    terms, lanes = np.array(points, dtype=float).T, min(lanes, cut)
+    fallbacks = []
+
+    def point_terms(index):
+        fallbacks.append(index)
+        return terms[(slice(None), *index)].tolist()
+
+    def slices(start, stop, index=()):
+        at = (slice(None), *index)
+        return (terms[k : min(k + lanes, stop)][at] for k in range(start, stop, lanes))
+
+    got = _outcome(lambda: block_fsum(
+        slices(0, cut), point_terms, np.array(rest), lambda index: slices(cut, len(terms), index)
+    ).ravel().tolist())
+    return got, fallbacks
+
+
+def _upper(x: Fraction) -> float:
+    """The least float >= x (x >= 0), or inf."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return math.inf
+    return f if Fraction(f) >= x else math.nextafter(f, math.inf)
+
+
+def _rest(skipped, kind, scale=0):
+    """A bound on the sum of ``skipped``: exact (its exact sum rounded up),
+    loose (that times 2^scale, plus the least subnormal) or zero."""
+    exact = math.inf if math.inf in skipped else _upper(sum(map(Fraction, skipped), Fraction(0)))
+    if kind == "exact":
+        return exact
+    if kind == "loose":
+        return exact * 2.0**scale + 5e-324
+    assert exact == 0.0
+    return 0.0
+
+
+class TestBlockFsumCut:
+    """block_fsum over the first K of N terms, with a bound on the rest,
+    must still be math.fsum over all N terms bit for bit, and fall back to
+    fsum only where the cascade over all N terms would (its second stage
+    takes every point the cut leaves uncertified)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_fsum_over_all_terms(self, data):
+        n = data.draw(st.integers(2, 45), label="N")
+        cut = data.draw(st.integers(1, n - 1), label="K")
+        points = data.draw(st.lists(_point(n), min_size=1, max_size=6), label="points")
+        kind = data.draw(st.sampled_from(["exact", "loose", "zero"]), label="rest")
+        if kind == "zero":
+            points = [p[:cut] + [0.0] * (n - cut) for p in points]
+        scale = data.draw(st.integers(0, 60), label="scale")
+        rest = [_rest(p[cut:], kind, scale) for p in points]
+        lanes = min(cut, data.draw(st.integers(1, n + 2), label="lanes"))
+        got, fallbacks = _cut_fsum(points, cut, rest, lanes)
+        assert _same(got, _fsum_each(points))
+        if cut % lanes == 0 and not isinstance(got, tuple):
+            # the same lanes as one cascade over all N terms
+            assert fallbacks == _block_fsum(points, lanes)[1]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 40])
+    @pytest.mark.parametrize(
+        ("points", "cut", "second", "fallback"),
+        [
+            # a tie within the first K terms that a skipped term breaks
+            ([[1.0, 2.0**-53, 0.0, 2.0**-60], [2.0**-53, 1.0, 2.0**-61, 0.0]], 2, [0, 1], []),
+            # skipped terms that are subnormal
+            ([[1e-310, 0.0, 5e-324, 5e-324], [2.0**-1022, 5e-324, 0.0, 0.0]], 2, [0], []),
+            # exact zeros: none skipped, or nonzero terms only past the cut
+            ([[0.0] * 40, [1.0] + [0.0] * 39, [0.0] * 39 + [1e-300]], 10, [2], []),
+            # a tie left by both stages, and one only the cut leaves
+            ([[1.0, 0.0, 2.0**-53], [1.0, 2.0**-52, 0.0]], 1, [0, 1], [(0,)]),
+        ],
+        ids=["tie-broken", "subnormal", "zeros", "tie-kept"],
+    )
+    def test_edge_cases_equal_fsum(self, points, cut, second, fallback, lanes, monkeypatch):
+        calls = []
+        real = numerics._certified
+
+        def spy(r, f, terms, rest):
+            calls.append(real(r, f, terms, rest))
+            return calls[-1]
+
+        monkeypatch.setattr(numerics, "_certified", spy)
+        got, fallbacks = _cut_fsum(points, cut, [_rest(p[cut:], "exact") for p in points], lanes)
+        assert _same(got, _fsum_each(points))
+        assert np.flatnonzero(~calls[0]).tolist() == second
+        assert len(calls) == 1 + bool(second)
+        assert fallbacks == fallback
+
+
+# slot entries: zeros, and both signs over exponents from the normal range
+# down to where |c|^2 underflows
+ENTRY = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda m, e, neg: (-1.0 if neg else 1.0) * math.ldexp(m, e),
+        st.floats(0.5, 1.0, exclude_max=True), st.integers(-600, 40), st.booleans(),
+    ),
+)
+
+
+def _slot(n):
+    return st.lists(st.builds(complex, ENTRY, ENTRY), min_size=n, max_size=n).map(np.array)
+
+
+class TestSuffixBound:
+    """numerics.suffix_bound: rest bounds the float terms |a_k + phi b_k|^2
+    past the cut, as pair_norm_grid forms them, underflow included."""
+
+    @staticmethod
+    def _check(a, b, phi):
+        n = len(a)
+        terms = abs_sq(a + phi * b)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cut, rest = suffix_bound(a, b, np.abs(phi))
+        assert 1 <= cut <= n
+        skipped = sum(map(Fraction, terms[cut:].tolist()), Fraction(0))
+        if cut == n:
+            assert rest == 0.0
+        elif math.isfinite(rest):
+            assert Fraction(float(rest)) >= skipped
+        # and the cut sum is fsum's over all N terms
+        column = terms[:, None]
+        got = block_fsum(
+            (column[:cut],), lambda index: terms.tolist(), rest,
+            lambda index: (column[k : k + cut][(slice(None), *index)] for k in range(cut, n, cut)),
+        )
+        assert got.tobytes() == np.array([math.fsum(terms.tolist())]).tobytes()
+        return cut, rest
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_bounds_the_skipped_terms(self, data):
+        n = data.draw(st.integers(2, 45), label="N")
+        a, b = data.draw(_slot(n), label="a"), data.draw(_slot(n), label="b")
+        phi = data.draw(st.builds(complex, ENTRY, ENTRY), label="phi")
+        self._check(a, b, phi)
+
+    def test_skipped_terms_whose_squares_underflow_are_bounded(self):
+        # |b_k|^2 underflows to 0 past the cut, so the suffix sums are 0,
+        # but phi b_k does not: every skipped term is 1e-320 or so
+        a = np.array([1e-160] + [0.0] * 39, complex)
+        b = np.array([0.0] + [1e-170] * 39, complex)
+        cut, rest = self._check(a, b, 1e10 + 0j)
+        assert cut == 1 and rest > 0.0
+
+    def test_all_zero_skipped_entries_keep_a_zero_bound(self):
+        # an odd slot at z = 0 is all zero; only the first entry is nonzero
+        a = np.array([1.0] + [0.0] * 39, complex)
+        assert self._check(a, np.zeros(40, complex), 0.5 + 0j) == (1, 0.0)
