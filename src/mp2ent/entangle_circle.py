@@ -310,8 +310,10 @@ def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float
 
 def projections(u1: SlotBatch, v1: SlotBatch) -> tuple[np.ndarray, ...]:
     """The projection item of :func:`pair_norm_grid` at each row of two
-    slot batches of one length: the columns |u1|^2, mu = <u1, v1>/|u1|^2
-    (0 where |u1|^2 is 0), |r|^2 = |v1 - mu u1|^2, T(u1), N(v1) and T(v1).
+    slot batches of one length (:class:`~mp2ent.states.SlotBatch` columns,
+    which may be broadcast views): the columns |u1|^2,
+    mu = <u1, v1>/|u1|^2 (0 where |u1|^2 is 0), |r|^2 = |v1 - mu u1|^2,
+    T(u1), N(v1) and T(v1).
 
     |u1|^2 is u1's norm column.  <u1, v1> takes the
     :func:`~mp2ent.numerics.inner_terms` of the whole blocks and one
@@ -439,11 +441,7 @@ def gram_halves(
         tails.update(zip(new, slots.batch(new, None, terms).tails.tolist()))
         bounds = [(tails[var, lab], tails[var, lab_prime]) for var, lab, lab_prime in points]
     columns = zip(*(half + bound for half, bound in zip(halves, bounds)))
-    return tuple(np.array(col, kind) for col, kind in zip(columns, _HALF_KINDS))
-
-
-# the dtypes of the gram_halves columns N(u), N(v), G(u, v), T(u), T(v)
-_HALF_KINDS = (float, float, complex, float, float)
+    return tuple(np.array(col) for col in columns)
 
 
 def gram_entries(

@@ -3,11 +3,10 @@
 A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  This module is the one place
 that knows which axes each item of the pair reads (a component, a slot, a
-Gram half, the (u1, v1) projection): :func:`_sweep_blocks` builds each item
-once per distinct value of the swept axes it reads, in axis batches (a
-slot batch and a projection batch come as arrays, one row per value),
-reshapes each batch once into arrays shaped (n1 or 1, n2 or 1, ...), and
-hands :func:`entangle_circle.pair_norm_grid` (series) or
+Gram half, the (u1, v1) projection): :func:`_sweep_blocks` holds each item
+in one form, arrays shaped (n1 or 1, n2 or 1, ...), built once per
+distinct value of the swept axes it reads from its parents broadcast to
+its shape, and hands :func:`entangle_circle.pair_norm_grid` (series) or
 :func:`entangle_circle.pair_closed_form_grid` (closed form) one block at a
 time, the whole grid or, where an item reads both axes, one row; each
 kernel broadcasts its block and returns it, equal bit for bit to the
@@ -29,7 +28,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .states import (
     CosetLabel,
     CylinderLabel,
     Mp2Variable,
-    SlotBatch,
 )
 
 TOOL_VERSION = "0.1.0"
@@ -131,6 +130,8 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self) -> None:
+        for bound in ("start", "stop"):
+            object.__setattr__(self, bound, _real(getattr(self, bound), f"axis {self.name} {bound}"))
         if not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"axis {self.name} steps must be an integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
@@ -166,7 +167,8 @@ class SweepSpec:
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"{self.family} parameter {name} is fixed twice")
-        object.__setattr__(self, "fixed", tuple(sorted(dict(self.fixed).items())))
+        object.__setattr__(self, "fixed", tuple(sorted(
+            (name, _real(value, f"{self.family} parameter {name}")) for name, value in self.fixed)))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
             if axis.name not in catalog:
@@ -186,17 +188,15 @@ class SweepSpec:
                 )
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "pair": self.pair.value,
-            "axis1": {"name": self.axis1.name, "start": self.axis1.start,
-                      "stop": self.axis1.stop, "steps": self.axis1.steps},
-            "axis2": {"name": self.axis2.name, "start": self.axis2.start,
-                      "stop": self.axis2.stop, "steps": self.axis2.steps},
-            "fixed": {k: v for k, v in self.fixed},
-            "truncation": self.truncation,
-            "convention": self.convention,
-        }
+        return {**asdict(self), "pair": self.pair.value, "fixed": dict(self.fixed)}
+
+
+def _real(value, where: str) -> float:
+    """``value`` as a float: the one check of a sweep bound or fixed value,
+    which must be a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{where} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_domain(family: str, name: str, value: float) -> None:
@@ -382,47 +382,49 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
 
     Items.  A component (first, second, label, label', f) reads the
     parameter names of its table entry, a slot role or Gram half those of
-    its components, and the projection those of u1 and v1.  Each is built
-    once per distinct value of the axes among them, in axis batches: one
-    that reads only axis1 is one batch over axis1, one that reads only
-    axis2 one batch over axis2, one that reads both one batch over axis2 per
-    row, and one that reads neither a batch of one.  A component's batch is
-    a list of its values; a derived item's is columns, arrays whose first
-    axis runs over the batch.  Slots come from ``record.batch`` as a
+    its components, and the projection those of u1 and v1.  Each item has
+    one form: arrays shaped (n1 or 1, n2 or 1, ...), 1 along an axis it
+    does not read, so one call per distinct value of the axes it reads
+    builds it.  A component is its builder broadcast over the axis values
+    and fixed values it reads (an object array; f a complex one).  A
+    derived item is its builder called on its parents' arrays broadcast to
+    its shape and flattened (views, zero-stride along an axis a parent does
+    not read, so no parent is copied), its columns reshaped to that shape:
+    slots come from ``record.batch`` as the columns of a
     :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
     ``entangle_circle.gram_halves`` (whose total tails are built once a
-    sweep) and projections from ``entangle_circle.projections``, which
-    takes the u1 and v1 rows its points read: the batch itself along the
-    same axis (as a view), gathered from one broadcast along it; none reads
+    sweep) and projections from ``entangle_circle.projections``; none reads
     or fills the fock_series memo.  A builder that fails raises its plain
-    exception, which :func:`run_sweep` turns into the failing point's.  A
-    kernel item is reshaped once per batch into arrays of shape
-    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read.
+    exception, which :func:`run_sweep` turns into the failing point's.
 
     Blocks.  Every parameter is read by some kernel item, so a block's
     arrays broadcast to (rows, n2); and every item reads a subset of some
     kernel item's axes.  A block is the whole grid when no item reads both
-    axes, and one row otherwise.
+    axes, and one row otherwise: an item that reads both is built a row at
+    a time, the others once a sweep and viewed at each row.
     """
     name1, name2 = spec.axis1.name, spec.axis2.name
-    ax1, ax2 = spec.axis1.values(), spec.axis2.values()
+    ax1, ax2 = (np.array(axis.values(), object) for axis in (spec.axis1, spec.axis2))
+    cells = {name: np.full((1, 1), value, object) for name, value in fixed.items()}
     record, terms, parities = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
     components = (*components, (("rho",), lambda rho: form.swap_sign * cmath.exp(1j * rho)))
     n = len(components)
     tails: dict = {}  # the grouped total slots' tails of the Gram halves, built once a sweep
 
     def batcher(parity):
+        # a slot role's or Gram half's builder over its components' points
         if halves:
             return lambda *parts: entangle_circle.gram_halves(
                 record, zip(*parts), parity, terms, tails)
         return lambda *parts: record.batch(zip(*parts), parity, terms)
 
     # the derived items: the items each reads, and its builder over their
-    # values at the batch's points
+    # columns at its points, parent after parent
     roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
     derived = [(role, batcher(parities[role[0]])) for role in roles]
     if not halves:
-        derived.append(((n, n + 2), entangle_circle.projections))  # of u1 and v1
+        # of u1 and v1, the three slot columns of each
+        derived.append(((n, n + 2), lambda *cols: entangle_circle.projections(cols[:3], cols[3:])))
     # what the kernel reads: the two halves, or the projection, u2 and v2; then f
     kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
     reads = [set(names) for names, _ in components]
@@ -430,55 +432,33 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
         reads.append(set().union(*(reads[c] for c in parents)))
     on1 = [name1 in names for names in reads]
     on2 = [name2 in names for names in reads]
-    # built[k]: item k at each axis1 value if it reads axis1 only, else at
-    # each axis2 value of the current row (one entry if it reads neither):
-    # a list for a component, else columns (arrays whose first axis runs
-    # over the batch)
-    built: list = [None] * len(reads)
-    arrays: list = [None] * len(reads)
 
-    def at(k: int, i: int, j: int) -> int:
-        # the entry of item k's batch that point (i, j) reads
-        return i if on1[k] and not on2[k] else j if on2[k] else 0
-
-    def take(c: int, entries: list[int]):
-        # item c's entries at the given indices; a derived item's columns
-        # are sliced (a view) where the indices run over the whole batch, as
-        # for a parent batched along the same axis, and gathered only where
-        # one entry is broadcast along the batch
-        if c < n:
-            return [built[c][m] for m in entries]
-        rows = slice(None) if entries == list(range(len(entries))) else entries
-        return SlotBatch(*(col[rows] for col in built[c]))
-
-    def batch(k: int, i: int) -> None:
-        # build item k over its batch at row i, and shape it for the kernel
-        points = ([(i1, 0) for i1 in range(len(ax1))] if on1[k] and not on2[k]
-                  else [(i, j) for j in range(len(ax2) if on2[k] else 1)])
+    def build(k: int, rows: slice, items: list) -> tuple:
+        # item k at the axis1 values of rows, its parents read from items
         if k < n:
             names, builder = components[k]
-            built[k] = [builder(*(ax1[i1] if name == name1 else ax2[j] if name == name2
-                                  else fixed[name] for name in names)) for i1, j in points]
-        else:
-            parents, builder = derived[k - n]
-            built[k] = builder(*(take(c, [at(c, i1, j) for i1, j in points]) for c in parents))
-        if k in kernel_items:
-            columns = built[k] if k >= n else [np.array(built[k])]
-            shape = (len(points), 1) if on1[k] and not on2[k] else (1, len(points))
-            arrays[k] = [col.reshape(*shape, *col.shape[1:]) for col in columns]
+            at = {**cells, name1: ax1[rows, None], name2: ax2[None, :]}
+            made = np.frompyfunc(builder, len(names), 1)(*(at[name] for name in names))
+            return (made.astype(complex) if k == n - 1 else made,)
+        parents, builder = derived[k - n]
+        shape = np.broadcast_shapes(*(items[c][0].shape[:2] for c in parents))
+        columns = builder(*(np.broadcast_to(col, shape + col.shape[2:]).reshape(-1, *col.shape[2:])
+                            for c in parents for col in items[c]))
+        return tuple(col.reshape(*shape, *col.shape[1:]) for col in columns)
 
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]
+    whole: list = []  # each item that does not read both axes, built once a sweep
     for k in range(len(reads)):
-        if k not in both:
-            batch(k, 0)
+        whole.append(None if k in both else build(k, slice(None), whole))
     # one block of the whole grid, unless an item reads both axes; then one
     # row a block, so that such items (a slot's N terms, a projection or a
     # Gram half) are held a row at a time
     for rows in (slice(i, i + 1) for i in range(len(ax1))) if both else [slice(None)]:
+        items = [tuple(col[rows] for col in item) if on1[k] and not on2[k] else item
+                 for k, item in enumerate(whole)]
         for k in both:
-            batch(k, rows.start)
-        yield tuple([a[rows] for a in arrays[k]] if on1[k] and not on2[k] else arrays[k]
-                    for k in kernel_items)
+            items[k] = build(k, rows, items)
+        yield tuple(items[k] for k in kernel_items)
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:

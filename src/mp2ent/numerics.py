@@ -205,15 +205,17 @@ def block_fsum(slices, point_terms, rest=0.0, remaining=None) -> np.ndarray:
     """
     # an overflowing or non-finite sum gets a NaN f, which the certificate rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        r, f, state = _sum2(iter(slices))
-        todo = ~_certified(r, f, state[2], rest)
+        s, c, terms = _cascade(iter(slices))
+        # the second stage continues the lanes, so the join takes a copy
+        r, f = _join(s.copy(), c.copy()) if remaining is not None else _join(s, c)
+        todo = ~_certified(r, f, terms, rest)
         if remaining is not None and todo.any():
             index = () if todo.all() else np.nonzero(todo)
             at = (slice(None), *index)
-            s, c, terms = state
-            r_all, f, state = _sum2(iter(remaining(index)), (s[at], c[at], terms))
+            s, c, terms = _cascade(iter(remaining(index)), (s[at], c[at], terms))
+            r_all, f = _join(s, c)
             r[index] = r_all
-            todo[index] = ~_certified(r_all, f, state[2], 0.0)
+            todo[index] = ~_certified(r_all, f, terms, 0.0)
     for index in zip(*np.nonzero(todo)):
         r[index] = math.fsum(point_terms(index))
     return r
@@ -252,10 +254,10 @@ def row_norms_sq(block: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(row) for row in abs_sq(block).tolist()])
 
 
-def _sum2(slices, state=None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """r, f of :func:`block_fsum` and the lanes' state (s, c, N) before
-    their join: the lanes' cascades over ``slices`` (continuing ``state``
-    if given), their pairwise joins and the final TwoSum(s, c)."""
+def _cascade(slices, state=None) -> tuple:
+    """The lanes' state (s, c, N) of :func:`block_fsum`: their TwoSum
+    cascades over ``slices``, continuing ``state`` (in place) if given, N
+    the terms summed so far."""
     if state is None:
         s = np.array(next(slices), dtype=float)
         state = s, np.zeros_like(s), len(s)
@@ -268,10 +270,14 @@ def _sum2(slices, state=None) -> tuple[np.ndarray, np.ndarray, tuple]:
         c[:lanes] += (a - (x - z)) + (t - z)
         s[:lanes] = x
         terms += lanes
-    state = s, c, terms
+    return s, c, terms
+
+
+def _join(s: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """r, f of :func:`block_fsum`: the lanes (s, c) joined pairwise by
+    TwoSum, in place (so a lane state to be continued is joined as a copy),
+    and then r, f = TwoSum(s, c)."""
     width = len(s)
-    if width > 1:
-        s, c = s.copy(), c.copy()
     while width > 1:
         half = (width + 1) // 2
         a, b = s[: width - half], s[half:width]
@@ -283,7 +289,7 @@ def _sum2(slices, state=None) -> tuple[np.ndarray, np.ndarray, tuple]:
     s, c = s[0], c[0]
     r = s + c
     z = r - s
-    return r, (s - (r - z)) + (c - z), state
+    return r, (s - (r - z)) + (c - z)
 
 
 def _certified(r: np.ndarray, f: np.ndarray, terms: int, rest) -> np.ndarray:

@@ -322,10 +322,11 @@ def test_sweeps_write_identical_bytes_when_no_sum_is_certified(family, monkeypat
 
 
 def _summed_terms(monkeypatch):
-    """A list that records, for each numerics._sum2 call, the number of
-    terms its slices hold per point and the number of points."""
+    """A list that records, for each numerics._cascade call (a first stage
+    or a second), the number of terms its slices hold per point and the
+    number of points."""
     calls = []
-    real = numerics._sum2
+    real = numerics._cascade
 
     def spy(slices, state=None):
         lanes = []
@@ -336,10 +337,10 @@ def _summed_terms(monkeypatch):
                 yield t
 
         out = real(counted(), state)
-        calls.append((sum(lanes), out[0].size))
+        calls.append((sum(lanes), out[0][0].size))
         return out
 
-    monkeypatch.setattr(numerics, "_sum2", spy)
+    monkeypatch.setattr(numerics, "_cascade", spy)
     return calls
 
 

@@ -141,6 +141,33 @@ class TestSweeps:
         payload = json.loads(grid_to_json(run_sweep(spec)))
         assert (payload["spec"]["axis1"]["steps"], payload["spec"]["truncation"]) == (3, 8)
 
+    def test_numpy_float_bounds_sweep_and_write_json(self):
+        spec = small_spec(axis1=AxisSpec("omega", np.float32(0.0), np.float64(0.5), 2))
+        assert [type(spec.axis1.start), type(spec.axis1.stop)] == [float, float]
+        payload = json.loads(grid_to_json(run_sweep(spec)))
+        assert (payload["spec"]["axis1"]["start"], payload["spec"]["axis1"]["stop"]) == (0.0, 0.5)
+
+    def test_integer_bounds_and_fixed_values_are_stored_as_float(self):
+        spec = small_spec(axis1=AxisSpec("rho", 0, np.int64(3), 2), fixed=(("phi", 1),))
+        assert [type(value) for value in (spec.axis1.start, spec.axis1.stop)] == [float, float]
+        assert spec.fixed == (("phi", 1.0),) and type(spec.fixed[0][1]) is float
+        payload = json.loads(grid_to_json(run_sweep(spec)), parse_int=str, parse_float=str)
+        axis, fixed = payload["spec"]["axis1"], payload["spec"]["fixed"]
+        assert (axis["start"], axis["stop"], fixed["phi"]) == ("0.0", "3.0", "1.0")
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 1 + 0j, "0.5", None])
+    @pytest.mark.parametrize("bound", ["start", "stop"])
+    def test_a_bool_or_non_real_bound_is_refused_naming_the_axis(self, bound, value):
+        bounds = {"start": 0.0, "stop": 0.5, bound: value}
+        with pytest.raises(ValueError, match=rf"^axis omega {bound} must be a real number, got "):
+            AxisSpec("omega", bounds["start"], bounds["stop"], 2)
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(False), 1j, "1", None])
+    def test_a_bool_or_non_real_fixed_value_is_refused_naming_the_parameter(self, value):
+        # True is an int, but no parameter's value: it would sweep at rho = 1
+        with pytest.raises(ValueError, match=r"^circle parameter rho must be a real number, got "):
+            small_spec(fixed=(("rho", value),))
+
     def test_a_parameter_fixed_twice_is_refused(self):
         # neither value is silently kept: the two could be set far apart
         with pytest.raises(ValueError, match="^circle parameter rho is fixed twice$"):
@@ -814,16 +841,19 @@ def test_a_fault_only_a_batch_builder_raises_propagates_unchanged(
 
 def _counting_projections(monkeypatch) -> dict:
     # the batches of (u1, v1) rows that entangle_circle.projections takes
-    # in a sweep, their rows in all, and the u1 and v1 blocks that are views
-    # of their slot batch (a slot batched along the projection's axis)
-    # rather than copies gathered from it (a slot broadcast along it)
-    counts = {"batches": 0, "rows": 0, "views": 0}
+    # in a sweep, their rows in all, the u1 and v1 blocks that are views
+    # rather than copies (each is a view of its slot block, broadcast to the
+    # projection's points), and those of them that are zero-stride along
+    # the batch (a slot that reads no axis the projection reads)
+    counts = {"batches": 0, "rows": 0, "views": 0, "zero_stride": 0}
     projections = entangle_circle.projections
 
     def counting(u1, v1):
+        (norms, _, _), blocks = u1, (u1[2], v1[2])
         counts["batches"] += 1
-        counts["rows"] += len(u1.norms)
-        counts["views"] += sum(not batch.terms.flags.owndata for batch in (u1, v1))
+        counts["rows"] += len(norms)
+        counts["views"] += sum(not block.flags.owndata for block in blocks)
+        counts["zero_stride"] += sum(block.strides[0] == 0 for block in blocks)
         return projections(u1, v1)
 
     monkeypatch.setattr(entangle_circle, "projections", counting)
@@ -843,7 +873,7 @@ def test_series_sweep_projects_each_distinct_u1_v1_once(monkeypatch, family, rev
     if reverse:
         axes = [AxisSpec(name2, lo2, hi2, 8), AxisSpec(name1, lo1, hi1, 5)]
     run_sweep(SweepSpec(family, SectorPair.PP, *axes, truncation=8))
-    assert counts == {"batches": 1, "rows": expected, "views": 2}
+    assert counts == {"batches": 1, "rows": expected, "views": 2, "zero_stride": 0}
 
 
 @pytest.mark.parametrize(
@@ -856,7 +886,8 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     # u2 or v2 reads both axes, so every block is one row, and u1 or v1
     # reads axis2: 7 distinct (u1, v1) on a 5 x 7 grid, projected once per
     # sweep and not once per block; the other of u1 and v1 reads neither
-    # axis, so its one slot is gathered along the batch
+    # axis, so its one slot is broadcast along the batch: no slot block is
+    # copied
     counts = _counting_projections(monkeypatch)
     kernel, blocks = entangle_circle.pair_norm_grid, []
 
@@ -868,7 +899,7 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
     run_sweep(SweepSpec(family, pair, AxisSpec(*axes[0], 5), AxisSpec(*axes[1], 7), truncation=8))
     shapes = [np.broadcast_shapes(*(a.shape[:2] for item in b for a in item)) for b in blocks]
     assert shapes == [(1, 7)] * 5
-    assert counts == {"batches": 1, "rows": 7, "views": 1}
+    assert counts == {"batches": 1, "rows": 7, "views": 2, "zero_stride": 1}
 
 
 # how each item of the pair reads the axes: "fixed" neither, "axis1",
@@ -921,6 +952,43 @@ def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves,
     if name1 == "rho":
         (phase,) = blocks[0][-1]
         assert phase.ravel().tolist() == [-1.0 * cmath.exp(1j * v) for v in spec.axis1.values()]
+
+
+@pytest.mark.parametrize("halves", [False, True], ids=["slots", "halves"])
+@pytest.mark.parametrize(
+    ("name1", "name2"),
+    list(dict.fromkeys((a, b) for a, b, *_ in ROW_LISTS)) + [("omega", "arg_omega")],
+    ids=lambda name: name,
+)
+def test_sweep_blocks_build_each_component_once_per_distinct_value(
+    monkeypatch, name1, name2, halves
+):
+    # a component (first, second, label, label', the phase of rho) is built
+    # n1 times a sweep if it reads axis1, n2 if axis2, n1 n2 if both (the
+    # first variable on omega x arg_omega) and once if neither, whether the
+    # blocks are the whole grid or one row each
+    spec = SweepSpec(
+        "circle", SectorPair.PM, AxisSpec(name1, 0.1, 0.5, 4), AxisSpec(name2, 0.2, 0.6, 3),
+        truncation=6,
+    )
+    form, components = grids._FAMILY_TABLE["circle"]
+    calls = [0] * (len(components) + 1)
+
+    def counted(k, build):
+        def counting(*values):
+            calls[k] += 1
+            return build(*values)
+        return counting
+
+    counted_components = tuple(
+        (names, counted(k, build)) for k, (names, build) in enumerate(components))
+    # the phase's builder is s e^(i rho), one cmath.exp call
+    monkeypatch.setattr(grids, "cmath", type("cmath", (), {"exp": counted(-1, cmath.exp)}))
+    fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
+    list(grids._sweep_blocks(spec, form, counted_components, fixed, halves))
+    sizes = {name1: 4, name2: 3}
+    reads = [names for names, _ in components] + [("rho",)]
+    assert calls == [math.prod(sizes.get(name, 1) for name in names) for names in reads]
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)
