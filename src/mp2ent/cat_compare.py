@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
+from .entangle_circle import CoefficientMatrix, EntangledPair, PairParams, SectorPair
 from .numerics import DEFAULT_TERMS, SeriesValue, stable_norm_sq
 from .states import CircleLabel, CoefficientSequence, Parity, as_circle_label, cat_projection
 
@@ -29,8 +29,16 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-10
 
 
+def cat_displacement(value) -> complex:
+    """``value`` as the complex displacement of a cat slot; it must be finite."""
+    value = complex(value)
+    if not math.isfinite(abs(value)):
+        raise ValueError("cat displacements must be finite")
+    return value
+
+
 @dataclass(frozen=True)
-class CatPairParams:
+class CatPairParams(PairParams):
     """Parameter bundle for an entangled pair projected onto cat states."""
 
     alpha: complex
@@ -38,27 +46,7 @@ class CatPairParams:
     phi: CircleLabel
     phi_prime: CircleLabel
     rho: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", cat_displacement(self.alpha))
-        object.__setattr__(self, "beta", cat_displacement(self.beta))
-        object.__setattr__(self, "phi", as_circle_label(self.phi))
-        object.__setattr__(self, "phi_prime", as_circle_label(self.phi_prime))
-        object.__setattr__(self, "rho", float(self.rho))
-        if not math.isfinite(self.rho):
-            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
-
-    @property
-    def delta(self) -> float:
-        return self.phi.phi - self.phi_prime.phi
-
-
-def cat_displacement(value) -> complex:
-    """``value`` as the complex displacement of a cat slot; it must be finite."""
-    value = complex(value)
-    if not math.isfinite(abs(value)):
-        raise ValueError("cat displacements must be finite")
-    return value
+    coercions = (cat_displacement, cat_displacement, as_circle_label, as_circle_label)
 
 
 # the cat pair: conjugated cat slots, the circle's -e^(i rho) on the swapped term
@@ -70,9 +58,7 @@ def cat_coefficient_matrix(
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
 ) -> CoefficientMatrix:
-    return CAT_PAIR.matrix(
-        params.alpha, params.beta, params.phi, params.phi_prime, pair, terms, params.rho
-    )
+    return CAT_PAIR.matrix(params.parts, pair, terms, params.rho)
 
 
 def cat_entangled_probability(

@@ -74,6 +74,8 @@ from .numerics import (
     SeriesValue,
     abs_sq,
     block_fsum,
+    check_real,
+    check_truncation,
     inner_terms,
     row_norms_sq,
     stable_inner,
@@ -124,41 +126,6 @@ _SECTOR_PARITIES = {
 
 # cosh for the even sector, sinh for the odd one, indexed by the Parity
 _SECTOR_FUNCS = (cmath.cosh, cmath.sinh)
-
-
-@dataclass(frozen=True)
-class CirclePairParams:
-    """Full parameter bundle for an entangled pair of circle states.
-
-    theta1 = arg(omega) and theta2 = arg(sigma) are derived, never free.
-    """
-
-    omega: Mp2Variable
-    sigma: Mp2Variable
-    phi: CircleLabel
-    phi_prime: CircleLabel
-    rho: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", as_mp2(self.omega))
-        object.__setattr__(self, "sigma", as_mp2(self.sigma))
-        object.__setattr__(self, "phi", as_circle_label(self.phi))
-        object.__setattr__(self, "phi_prime", as_circle_label(self.phi_prime))
-        object.__setattr__(self, "rho", float(self.rho))
-        if not math.isfinite(self.rho):
-            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
-
-    @property
-    def delta(self) -> float:
-        return self.phi.phi - self.phi_prime.phi
-
-    @property
-    def theta1(self) -> float:
-        return self.omega.arg
-
-    @property
-    def theta2(self) -> float:
-        return self.sigma.arg
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,14 +239,13 @@ class EntangledPair:
     amp_prefactor: float
     conjugate: bool = True
 
-    def matrix(
-        self, first, second, label, label_prime, pair: SectorPair, terms: int, rho: float
-    ) -> CoefficientMatrix:
+    def matrix(self, parts, pair: SectorPair, terms: int, rho: float) -> CoefficientMatrix:
         """The one pair builder every family goes through: the four
-        :data:`SLOT_ROLES` slots, each one state's sector sequence (p1 for
-        ``first``, p2 for ``second``) or the grouped total slot (even + odd)
-        for the TOTAL pair, combined in :func:`pair_matrix`."""
-        parts, parities = (first, second, label, label_prime), slot_parities(pair)
+        :data:`SLOT_ROLES` slots of ``parts`` = (first, second, label,
+        label'), each one state's sector sequence (p1 for ``first``, p2 for
+        ``second``) or the grouped total slot (even + odd) for the TOTAL
+        pair, combined in :func:`pair_matrix`."""
+        parities, terms = slot_parities(pair), check_truncation(terms)
         return pair_matrix(
             *(self.record(parts[var], parts[lab], parities[var], terms, False)
               for var, lab in SLOT_ROLES),
@@ -287,14 +253,76 @@ class EntangledPair:
         )
 
     def closed_form(
-        self, first, second, label, label_prime, pair: SectorPair, rho: float,
-        terms: int = DEFAULT_TERMS,
+        self, parts, pair: SectorPair, rho: float, terms: int = DEFAULT_TERMS
     ) -> float:
-        """:func:`pair_closed_form` of this pair."""
+        """:func:`pair_closed_form` of this pair at ``parts`` = (first,
+        second, label, label')."""
+        first, second, label, label_prime = parts  # not *parts: per-point calls are hot
         return pair_closed_form(
             self.record, first, second, label, label_prime, pair, rho,
             self.swap_sign, self.amp_prefactor, terms,
         )
+
+
+@dataclass(frozen=True)
+class PairParams:
+    """The one validation path of every family's pair parameters.
+
+    Each family's class declares five fields itself: its first variable,
+    second variable, label and label' (named as the family names them) and
+    the control phase ``rho``, and ``coercions``, its functions from the
+    values given to its first fields (the variables, and the labels where
+    a plain number stands for one), run in field order.  Then rho must be a
+    real number (:func:`~mp2ent.numerics.check_real`, as a sweep's fixed
+    values must) and finite.  ``parts`` is the first four fields as
+    :meth:`EntangledPair.matrix` takes them, stored once; it is no field,
+    so ``==``, ``hash`` and ``repr`` see the five alone.
+    """
+
+    coercions = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # each coercion with the field it makes, paired once per class and
+        # not per construction (the per-point limits build params per call)
+        cls._coerce = tuple(zip(cls.__annotations__, cls.coercions))
+
+    def __post_init__(self) -> None:
+        fields = vars(self)  # in field order; written here, as the params are frozen
+        for name, coerce in self._coerce:
+            fields[name] = coerce(fields[name])
+        first, second, label, label_prime, rho = fields.values()
+        rho = fields["rho"] = check_real(rho, "pair phase rho")
+        if not math.isfinite(rho):
+            raise ValueError(f"pair phase rho must be finite, got {rho}")
+        fields["parts"] = (first, second, label, label_prime)
+
+    @property
+    def delta(self) -> float:
+        return self.parts[2].phi - self.parts[3].phi
+
+
+@dataclass(frozen=True)
+class CirclePairParams(PairParams):
+    """Full parameter bundle for an entangled pair of circle states.
+
+    theta1 = arg(omega) and theta2 = arg(sigma) are derived, never free.
+    """
+
+    omega: Mp2Variable
+    sigma: Mp2Variable
+    phi: CircleLabel
+    phi_prime: CircleLabel
+    rho: float
+    coercions = (as_mp2, as_mp2, as_circle_label, as_circle_label)
+
+    @property
+    def theta1(self) -> float:
+        return self.omega.arg
+
+    @property
+    def theta2(self) -> float:
+        return self.sigma.arg
 
 
 def _projection(u1: CoefficientSequence, v1: CoefficientSequence) -> tuple[float, complex, float]:
@@ -516,6 +544,7 @@ def pair_closed_form(
     (v1 = u1, v2 = u2) the terms cancel bit for bit.
     """
     p1, p2 = slot_parities(pair)
+    terms = check_truncation(terms)
     return gram_form(
         amp_prefactor, *gram_entries(slots, first, label, label_prime, p1, terms),
         *gram_entries(slots, second, label_prime, label, p2, terms),
@@ -562,9 +591,7 @@ def coefficient_matrix(
 ) -> CoefficientMatrix:
     """Coefficient matrix of the projected entangled pair for one sector pair;
     TOTAL uses the grouped total slots."""
-    return CIRCLE_PAIR.matrix(
-        params.omega, params.sigma, params.phi, params.phi_prime, pair, terms, params.rho
-    )
+    return CIRCLE_PAIR.matrix(params.parts, pair, terms, params.rho)
 
 
 def probability_series(
@@ -597,19 +624,14 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("use closed_form_total for the total pair")
-    return CIRCLE_PAIR.closed_form(
-        params.omega, params.sigma, params.phi, params.phi_prime, pair, params.rho
-    )
+    return CIRCLE_PAIR.closed_form(params.parts, pair, params.rho)
 
 
 def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
     """Total-pair probability: :func:`pair_closed_form` on the grouped total
     slots, each Gram entry the ``terms``-term sum of :func:`gram_entries`; the
     printed total (verify) with the series-derived cross block."""
-    return CIRCLE_PAIR.closed_form(
-        params.omega, params.sigma, params.phi, params.phi_prime, SectorPair.TOTAL,
-        params.rho, terms,
-    )
+    return CIRCLE_PAIR.closed_form(params.parts, SectorPair.TOTAL, params.rho, terms)
 
 
 def limit_coincident(pair: SectorPair, omega, sigma, rho: float) -> float:

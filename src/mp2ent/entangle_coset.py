@@ -16,10 +16,9 @@ the opposite swap sign: :data:`COSET_PAIR`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
+from .entangle_circle import CoefficientMatrix, EntangledPair, PairParams, SectorPair
 from .numerics import DEFAULT_TERMS, SeriesValue
 from .states import (
     MIN_COSET_IM_ALPHA,
@@ -34,7 +33,7 @@ from .states import (
 
 
 @dataclass(frozen=True)
-class CosetPairParams:
+class CosetPairParams(PairParams):
     """Parameter bundle for an entangled pair of coset circle states."""
 
     omega: Mp2Variable
@@ -42,18 +41,13 @@ class CosetPairParams:
     label: CosetLabel
     label_prime: CosetLabel
     rho: float
+    coercions = (as_mp2, as_mp2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", as_mp2(self.omega))
-        object.__setattr__(self, "sigma", as_mp2(self.sigma))
-        object.__setattr__(self, "rho", float(self.rho))
-        if not math.isfinite(self.rho):
-            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
+        super().__post_init__()
         for lab in (self.label, self.label_prime):
             if lab.alpha.imag < MIN_COSET_IM_ALPHA:
-                raise ValueError(
-                    f"coset pair requires Im(alpha) >= {MIN_COSET_IM_ALPHA}"
-                )
+                raise ValueError(f"coset pair requires Im(alpha) >= {MIN_COSET_IM_ALPHA}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +95,7 @@ def coefficient_matrix_coset(
     pair: SectorPair,
     terms: int = DEFAULT_TERMS,
 ) -> CoefficientMatrix:
-    return COSET_PAIR.matrix(
-        params.omega, params.sigma, params.label, params.label_prime, pair, terms, params.rho
-    )
+    return COSET_PAIR.matrix(params.parts, pair, terms, params.rho)
 
 
 def probability_series_coset(
@@ -129,9 +121,7 @@ def closed_form_coset(params: CosetPairParams, pair: SectorPair) -> float:
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("closed forms cover pp, pm, mm only")
-    return COSET_PAIR.closed_form(
-        params.omega, params.sigma, params.label, params.label_prime, pair, params.rho
-    )
+    return COSET_PAIR.closed_form(params.parts, pair, params.rho)
 
 
 def single_projection_norm_sq(zprime: complex, terms: int = DEFAULT_TERMS) -> float:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entangle_circle import CoefficientMatrix, EntangledPair, SectorPair
-from .numerics import DEFAULT_TERMS, SeriesValue, theta2, theta3
+from .entangle_circle import CoefficientMatrix, EntangledPair, PairParams, SectorPair
+from .numerics import DEFAULT_TERMS, SeriesValue, check_truncation, theta2, theta3
 from .states import (
     CylinderLabel,
     Mp2Variable,
@@ -48,7 +48,7 @@ WEIGHT_CONVENTIONS = ("displayed", "amplitude")
 
 
 @dataclass(frozen=True)
-class CylinderPairParams:
+class CylinderPairParams(PairParams):
     """Parameter bundle for an entangled pair of cylinder states."""
 
     omega: Mp2Variable
@@ -56,17 +56,7 @@ class CylinderPairParams:
     label: CylinderLabel
     label_prime: CylinderLabel
     rho: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", as_mp2(self.omega))
-        object.__setattr__(self, "sigma", as_mp2(self.sigma))
-        object.__setattr__(self, "rho", float(self.rho))
-        if not math.isfinite(self.rho):
-            raise ValueError(f"pair phase rho must be finite, got {self.rho}")
-
-    @property
-    def delta(self) -> float:
-        return self.label.phi - self.label_prime.phi
+    coercions = (as_mp2, as_mp2)
 
 
 def _on_conjugate_variable(record: SlotMap) -> SlotMap:
@@ -105,9 +95,7 @@ def coefficient_matrix_cyl(
     if weights not in WEIGHT_CONVENTIONS:
         raise ValueError(f"weights must be one of {WEIGHT_CONVENTIONS}")
     form = CYLINDER_DISPLAY_PAIR if weights == "displayed" else CYLINDER_PAIR
-    return form.matrix(
-        params.omega, params.sigma, params.label, params.label_prime, pair, terms, params.rho
-    )
+    return form.matrix(params.parts, pair, terms, params.rho)
 
 
 def probability_series_cyl(
@@ -142,6 +130,7 @@ def degenerate_limit_cyl(
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("degenerate limits cover pp, pm, mm only")
+    terms = check_truncation(terms)
     s = float(l) + float(l_prime)
     if abs(s) > MAX_DEGENERATE_L_SUM:
         raise ValueError(

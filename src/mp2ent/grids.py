@@ -28,14 +28,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, floattext
 from .entangle_circle import SectorPair
-from .numerics import DEFAULT_TERMS, check_truncation
+from .numerics import DEFAULT_TERMS, check_real, check_truncation
 from .states import (
     MIN_COSET_IM_ALPHA,
     CircleLabel,
@@ -131,7 +130,8 @@ class AxisSpec:
 
     def __post_init__(self) -> None:
         for bound in ("start", "stop"):
-            object.__setattr__(self, bound, _real(getattr(self, bound), f"axis {self.name} {bound}"))
+            value = check_real(getattr(self, bound), f"axis {self.name} {bound}")
+            object.__setattr__(self, bound, value)
         if not isinstance(self.steps, (int, np.integer)):
             raise ValueError(f"axis {self.name} steps must be an integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
@@ -168,7 +168,8 @@ class SweepSpec:
             if names.count(name) > 1:
                 raise ValueError(f"{self.family} parameter {name} is fixed twice")
         object.__setattr__(self, "fixed", tuple(sorted(
-            (name, _real(value, f"{self.family} parameter {name}")) for name, value in self.fixed)))
+            (name, check_real(value, f"{self.family} parameter {name}"))
+            for name, value in self.fixed)))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
             if axis.name not in catalog:
@@ -188,15 +189,9 @@ class SweepSpec:
                 )
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "pair": self.pair.value, "fixed": dict(self.fixed)}
-
-
-def _real(value, where: str) -> float:
-    """``value`` as a float: the one check of a sweep bound or fixed value,
-    which must be a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{where} must be a real number, got {value!r}")
-    return float(value)
+        # shallow: dataclasses.asdict would deep-copy the whole spec
+        return {**vars(self), "pair": self.pair.value, "fixed": dict(self.fixed),
+                "axis1": dict(vars(self.axis1)), "axis2": dict(vars(self.axis2))}
 
 
 def _check_domain(family: str, name: str, value: float) -> None:
@@ -362,13 +357,13 @@ def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: 
                 )
                 parts = (first, second, label, label_prime)
                 if halves:
-                    form.closed_form(*parts, pair, at["rho"], terms)
+                    form.closed_form(parts, pair, at["rho"], terms)
                     if pair is SectorPair.TOTAL:
                         for var, *labels in entangle_circle.GRAM_HALVES:
                             for lab in labels:
                                 form.record(parts[var], parts[lab], None, terms, False)
                     continue
-                matrix = form.matrix(*parts, pair, terms, at["rho"])
+                matrix = form.matrix(parts, pair, terms, at["rho"])
             except (ValueError, ArithmeticError) as exc:
                 raise GridDomainError(f"point ({name1}={v1}, {name2}={v2}): {exc}") from exc
             matrix.norm_sq()

@@ -17,6 +17,7 @@ exp/log/lgamma come from the platform's math library.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +32,24 @@ _EXACT_FACTORIAL_MAX = 20
 def check_truncation(terms) -> int:
     """``terms`` as an int: the one check of a series truncation, which
     must be an integer >= 1 and not a bool."""
+    if type(terms) is int and terms >= 1:  # the common case, in one test
+        return terms
     if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)):
         raise ValueError(f"truncation must be an integer, got {terms!r}")
     if terms < 1:
         raise ValueError(f"truncation must be >= 1, got {terms}")
     return int(terms)
+
+
+def check_real(value, where: str) -> float:
+    """``value`` as a float: the one check of a real parameter (a sweep
+    bound or fixed value, a pair's phase rho), which must be a real number
+    and not a bool."""
+    # float first: for a float, the numbers.Real check alone would cost
+    # several times the rest of the call
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValueError(f"{where} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -95,7 +109,7 @@ def theta3(q: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
     needs in anger is q = e^-8, deep in the fast-convergence regime, and
     q <= 0.9 keeps the geometric tail bound meaningful.
     """
-    q = _check_nome(q)
+    q, terms = _check_nome(q), check_truncation(terms)
     if q == 0.0:
         return SeriesValue(1.0, terms, 0.0)
     total = 1.0 + math.fsum(2.0 * q ** (n * n) for n in range(1, terms))
@@ -107,7 +121,7 @@ def theta3(q: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
 
 def theta2(q: float, terms: int = DEFAULT_TERMS) -> SeriesValue:
     """Jacobi theta constant  theta_2(0, q) = 2 sum_{n>=0} q^((n+1/2)^2)."""
-    q = _check_nome(q)
+    q, terms = _check_nome(q), check_truncation(terms)
     if q == 0.0:
         return SeriesValue(0.0, terms, 0.0)
     total = math.fsum(2.0 * q ** ((n + 0.5) ** 2) for n in range(terms))

@@ -43,7 +43,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TERMS, log_factorial_array, row_norms_sq, stable_norm_sq
+from .numerics import (
+    DEFAULT_TERMS, check_truncation, log_factorial_array, row_norms_sq, stable_norm_sq,
+)
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
@@ -244,8 +246,7 @@ def fock_series_batch(
     CoefficientSequence does), or the fsum of its norm.  For a batch of one
     that is the element's own exception.
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+    terms = check_truncation(terms)
     size = 2 * terms
     inputs = [(complex(z) + 0j, pair) for z, pair in zip(zs, amps)]
     # ln|z/2|, None for a constant slot

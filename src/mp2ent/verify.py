@@ -37,7 +37,6 @@ from .states import (
     CircleLabel,
     CosetLabel,
     CylinderLabel,
-    Mp2Variable,
     Parity,
     as_mp2,
     cat_projection,
@@ -482,9 +481,7 @@ _CIRCLE_DEGENERATE = Points(_CIRCLE, tuple(
 # points are a fixed set, so each params object is built once and shared.
 @lru_cache(maxsize=256)
 def _circle_params(w, s, d, r) -> CirclePairParams:
-    return CirclePairParams(
-        Mp2Variable(w), Mp2Variable(s), CircleLabel(0.7 + d), CircleLabel(0.7), r
-    )
+    return CirclePairParams(w, s, 0.7 + d, 0.7, r)
 
 
 def _circle_series(pair, n, *pt) -> float:
@@ -504,9 +501,7 @@ _CYLINDER_DEGENERATE = Points(
 
 @lru_cache(maxsize=256)
 def _cylinder_params(w, s, l, lp, phi, phip, r) -> CylinderPairParams:
-    return CylinderPairParams(
-        Mp2Variable(w), Mp2Variable(s), CylinderLabel(l, phi), CylinderLabel(lp, phip), r
-    )
+    return CylinderPairParams(w, s, CylinderLabel(l, phi), CylinderLabel(lp, phip), r)
 
 
 def _pre_theta_sum(rho: float, terms: int) -> float:
@@ -522,10 +517,7 @@ _COSET = Points(
 
 @lru_cache(maxsize=256)
 def _coset_params(w, s, r) -> CosetPairParams:
-    return CosetPairParams(
-        Mp2Variable(w), Mp2Variable(s),
-        CosetLabel(0.4 + 0.8j, 0.9), CosetLabel(-0.2 + 1.3j, 0.1), r,
-    )
+    return CosetPairParams(w, s, CosetLabel(0.4 + 0.8j, 0.9), CosetLabel(-0.2 + 1.3j, 0.1), r)
 
 
 def _coset_series(pair, n, *pt) -> float:

@@ -1,5 +1,6 @@
 import _pyio
 import cmath
+import dataclasses
 import importlib
 import io
 import json
@@ -235,6 +236,34 @@ class TestSerialization:
             write_grid(run_sweep(spec), str(path), "csv")
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(fixed=(), truncation=1, convention="full", pair=SectorPair.TOTAL),
+        SweepSpec(family="coset", pair=SectorPair.MM, axis1=AxisSpec("x", -1.0, -0.5, 3),
+                  axis2=AxisSpec("alpha_im", 0.5, 2.0, 2),
+                  fixed=(("rho", 0.25), ("alpha2_re", -0.3), ("y", 0.5))),
+        SweepSpec(family="cat", pair=SectorPair.PM, axis1=AxisSpec("alpha", 0, 1, 2),
+                  axis2=AxisSpec("arg_beta", np.float32(0.5), 3, 4)),
+    ])
+    def test_json_spec_is_the_dataclass_dict(self, spec):
+        # the shallow dict writes the bytes of the deep asdict copy it replaced
+        deep = {**dataclasses.asdict(spec), "pair": spec.pair.value, "fixed": dict(spec.fixed)}
+        assert json.dumps(spec.to_json_dict(), sort_keys=True) == json.dumps(deep, sort_keys=True)
+        # and it is the caller's: filling it in leaves the spec as it was
+        before = repr(spec)
+        data = spec.to_json_dict()
+        data["axis1"]["start"], data["family"] = 9.0, "x"
+        assert repr(spec) == before and spec.to_json_dict() == json.loads(json.dumps(deep))
+
+    def test_json_spec_bytes(self):
+        spec = small_spec(fixed=(("rho", 2.0), ("phi", 0.5)))
+        assert json.dumps(spec.to_json_dict(), sort_keys=True) == (
+            '{"axis1": {"name": "omega", "start": 0.0, "steps": 7, "stop": 0.9}, '
+            '"axis2": {"name": "sigma", "start": 0.0, "steps": 5, "stop": 0.9}, '
+            '"convention": "stripped", "family": "circle", "fixed": {"phi": 0.5, "rho": 2.0}, '
+            '"pair": "pp", "truncation": 20}'
+        )
 
     def test_json_payload_schema(self, tmp_path):
         grid = run_sweep(small_spec())
