@@ -95,6 +95,16 @@ from .states import (
 )
 
 
+# The sectors (p1, p2) of the two halves of each pair, by the pair's value;
+# (None, None) selects the grouped total slots of the TOTAL pair.
+_SLOT_PARITIES = {
+    "pp": (Parity.EVEN, Parity.EVEN),
+    "pm": (Parity.EVEN, Parity.ODD),
+    "mm": (Parity.ODD, Parity.ODD),
+    "total": (None, None),
+}
+
+
 class SectorPair(Enum):
     """Which Mp(2) sectors the two halves of the pair are projected onto."""
 
@@ -103,11 +113,17 @@ class SectorPair(Enum):
     MM = "mm"
     TOTAL = "total"
 
+    def __init__(self, value: str) -> None:
+        # kept on the member: a lookup keyed by the member would hash it
+        # through Enum's Python-level __hash__ on every per-point call
+        self._slot_parities = _SLOT_PARITIES[value]
+
     @property
     def parities(self) -> tuple[Parity, Parity]:
-        if self is SectorPair.TOTAL:
+        parities = self._slot_parities
+        if parities[0] is None:
             raise ValueError("the total pair has no single sector assignment")
-        return _SECTOR_PARITIES[self]
+        return parities
 
     @classmethod
     def parse(cls, text: str) -> "SectorPair":
@@ -115,13 +131,6 @@ class SectorPair(Enum):
             return cls(text.lower())
         except ValueError:
             raise ValueError(f"unknown sector pair {text!r}; use pp|pm|mm|total") from None
-
-
-_SECTOR_PARITIES = {
-    SectorPair.PP: (Parity.EVEN, Parity.EVEN),
-    SectorPair.PM: (Parity.EVEN, Parity.ODD),
-    SectorPair.MM: (Parity.ODD, Parity.ODD),
-}
 
 
 # cosh for the even sector, sinh for the odd one, indexed by the Parity
@@ -218,7 +227,7 @@ SLOT_ROLES = ((0, 2), (1, 3), (0, 3), (1, 2))
 def slot_parities(pair: SectorPair) -> tuple[Parity | None, Parity | None]:
     """The sectors (p1, p2) of the two halves; (None, None) selects the
     grouped total slots of the TOTAL pair."""
-    return (None, None) if pair is SectorPair.TOTAL else pair.parities
+    return pair._slot_parities
 
 
 @dataclass(frozen=True)

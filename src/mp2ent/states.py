@@ -311,7 +311,7 @@ def fock_series_batch(
     return SlotBatch(row_norms_sq(block), tail_column, block)
 
 
-@functools.lru_cache(maxsize=SLOT_MEMO_SIZE)
+@functools.lru_cache(maxsize=SLOT_MEMO_SIZE, typed=True)
 def fock_series(
     z: complex,
     amps: tuple[float, float],
@@ -351,7 +351,9 @@ def fock_series(
     unless they fail and replay their points.
     The returned sequence is shared and read-only.  Keys that compare equal
     must give identical slots, so z is stripped of signed zeros (+ 0j)
-    before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.
+    before use: -1 - 0j == -1 + 0j, but their phases are -pi and +pi.  The
+    memo is typed: ``terms`` = True or 1.0 equals 1, but must raise where
+    the memoized 1-term slot would be returned.
     """
     batch = fock_series_batch([z], [amps], parity, terms, log_weight)
     return CoefficientSequence(parity, batch.terms[0], float(batch.tails[0]))
@@ -390,6 +392,7 @@ class SlotMap:
         self, var, label, parity: Parity | None, terms: int = DEFAULT_TERMS,
         prefactor: bool = True,
     ) -> CoefficientSequence:
+        terms = check_truncation(terms)  # a bad truncation raises whatever the memo holds
         try:
             return fock_series(*self._inputs(var, label, prefactor), parity, terms, self.g)
         except OverflowError:

@@ -19,11 +19,13 @@ from mp2ent.entangle_circle import (
     pair_closed_form,
     probability_series,
     sector_weight,
+    slot_parities,
 )
 from mp2ent.states import (
     CircleLabel,
     CylinderLabel,
     Mp2Variable,
+    Parity,
     cat_projection,
     mp2_cylinder_projection,
 )
@@ -356,3 +358,14 @@ class TestPairClosedForm:
             cat_projection, p.alpha, p.beta, p.phi, p.phi_prime, pair, p.rho, -1.0, 0.5
         )
         assert value == pytest.approx(cat_entangled_probability(p, pair, 40).value, rel=1e-12)
+
+
+def test_sector_pair_parities_are_unchanged():
+    even, odd = Parity.EVEN, Parity.ODD
+    expected = {SectorPair.PP: (even, even), SectorPair.PM: (even, odd), SectorPair.MM: (odd, odd)}
+    assert {pair: pair.parities for pair in SECTORS} == expected
+    assert {pair: slot_parities(pair) for pair in SectorPair} == {
+        **expected, SectorPair.TOTAL: (None, None)
+    }
+    with pytest.raises(ValueError, match="^the total pair has no single sector assignment$"):
+        SectorPair.TOTAL.parities

@@ -521,3 +521,25 @@ def test_record_batch_is_its_batch_of_one(record, parity, terms, data):
         [_outcome(lambda: slots(var, label, parity, terms, False)) for var, label in points],
         parity, terms,
     )
+
+
+@pytest.mark.parametrize(
+    ("terms", "message"),
+    [(True, "truncation must be an integer, got True"),
+     (1.0, "truncation must be an integer, got 1.0"),
+     (2.5, "truncation must be an integer, got 2.5"),
+     (0, "truncation must be >= 1, got 0")],
+)
+def test_a_bad_truncation_is_refused_past_the_slot_memo(terms, message):
+    # True and 1.0 equal 1: the 1-term slot in the memo must not answer them
+    calls = (
+        lambda n: mp2_circle_projection(Mp2Variable(0.5), CircleLabel(0.0), Parity.EVEN, n),
+        lambda n: fock_series(0.5 + 0j, (1.0, 1.0), Parity.EVEN, n),
+    )
+    fock_series.cache_clear()
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(terms)
+        call(1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(terms)

@@ -1,23 +1,30 @@
 """The verify battery as a table: every status pinned, honest rows, named
 worst points, and a CLI that exits 0, 2 or 3 on any tolerance/truncation."""
 
+import dataclasses
+import json
 import math
 import os
 from functools import partial
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mp2ent import entangle_circle, verify
 from mp2ent.cli import main
-from mp2ent.entangle_circle import SectorPair
+from mp2ent.entangle_circle import CirclePairParams, SectorPair
 from mp2ent.entangle_cylinder import CylinderPairParams
-from mp2ent.states import CylinderLabel, Mp2Variable
+from mp2ent.states import CircleLabel, CylinderLabel, Mp2Variable
 from mp2ent.verify import (
     BATTERY,
+    PAIRS,
     cylinder_probability_corrected,
     cylinder_probability_printed,
+    total_closed_form_printed,
     verify_all,
 )
 
@@ -186,3 +193,149 @@ def test_verify_all_checks_its_truncation_as_a_sweep_does(terms, message):
     # TypeError or a run at N = 1
     with pytest.raises(ValueError, match=f"^{message}$"):
         verify_all(terms=terms)
+
+
+def _asdict_json(comp) -> dict:
+    # the deep copy the report was built from before it went shallow
+    out = dataclasses.asdict(comp)
+    if comp.sample is None:
+        del out["sample"]
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-30])
+def test_report_rows_serialize_as_their_deep_copy(tol):
+    report = verify_all(tol)
+    assert any(c.sample is not None for c in report.comparisons)
+    for comp in report.comparisons:
+        shallow = comp.to_json_dict()
+        assert json.dumps(shallow, indent=1, sort_keys=True) == json.dumps(
+            _asdict_json(comp), indent=1, sort_keys=True
+        )
+        if comp.sample is not None:  # the sample and its point are copies
+            shallow["sample"]["point"].clear()
+            shallow["sample"].clear()
+            assert comp.sample and comp.sample["point"]
+
+
+def _full_fsum(terms) -> float:
+    return math.fsum(terms.ravel().tolist())
+
+
+def _bits(compute):
+    """The bits of a float result, or the type and text of its error."""
+    try:
+        return float(compute()).hex()
+    except (ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "terms", [[], [0.0], [-0.0, -0.0], [0.0, -0.0], [1e308, 1e308, 0.0], [math.inf, 0.0, -math.inf],
+              [math.nan, 0.0], [1.0, -1.0, 0.0], [1e-320, 0.0, -1e-320, 1e16, 1.0, -1e16]],
+)
+def test_fsum_nonzero_is_fsum(terms):
+    array = np.array(terms, dtype=float)
+    assert _bits(lambda: verify._fsum_nonzero(array)) == _bits(lambda: math.fsum(terms))
+
+
+finite_labels = st.floats(-2.5, 2.5)  # e^(4 l x) stays finite at every x < 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    w=st.floats(0.0, 0.95), s=st.floats(0.0, 0.95),
+    # up to past the slot oracle's overflow guard (|l| about 21 to 24),
+    # where the sums' exponentials overflow and raise
+    l=st.one_of(finite_labels, st.floats(-25.0, 25.0)),
+    lp=st.one_of(finite_labels, st.floats(-25.0, 25.0)),
+    phi=st.floats(-4.0, 4.0), phip=st.floats(-4.0, 4.0), rho=st.floats(-7.0, 7.0),
+    terms=st.integers(1, 40),
+)
+# every term zero: the cross term cancels the direct ones everywhere
+@example(w=0.5, s=0.5, l=0.0, lp=0.0, phi=0.7, phip=0.7, rho=math.pi, terms=40)
+@example(w=0.0, s=0.0, l=0.0, lp=0.0, phi=0.7, phip=0.7, rho=math.pi, terms=1)
+def test_nxn_sums_over_nonzero_terms_are_fsum_over_all(w, s, l, lp, phi, phip, rho, terms):
+    cylinder = CylinderPairParams(
+        Mp2Variable(w), Mp2Variable(s), CylinderLabel(l, phi), CylinderLabel(lp, phip), rho
+    )
+    circle = CirclePairParams(
+        Mp2Variable(w), Mp2Variable(s), CircleLabel(phi), CircleLabel(phip), rho
+    )
+
+    def outcomes():
+        return [
+            _bits(lambda: verify._cylinder_sum(cylinder, pair, terms, printed))
+            for pair in PAIRS for printed in (False, True)
+        ] + [_bits(lambda: total_closed_form_printed(circle, terms))]
+
+    got = outcomes()
+    with mock.patch.object(verify, "_fsum_nonzero", _full_fsum):
+        assert outcomes() == got
+
+
+def test_the_all_zero_example_sums_no_nonzero_term():
+    # the first example above: at l = l' = 0, delta = 0 and rho = pi every
+    # series-argument term, and every printed even-even one, is exactly 0
+    params = CylinderPairParams(
+        Mp2Variable(0.5), Mp2Variable(0.5), CylinderLabel(0.0, 0.7), CylinderLabel(0.0, 0.7),
+        math.pi,
+    )
+    seen = []
+    original = verify._fsum_nonzero
+
+    def recording(terms):
+        seen.append(terms)
+        return original(terms)
+
+    with mock.patch.object(verify, "_fsum_nonzero", recording):
+        values = [cylinder_probability_corrected(params, pair, 40) for pair in PAIRS]
+        values.append(cylinder_probability_printed(params, SectorPair.PP, 40))
+    assert len(seen) == 4 and not any(np.any(terms) for terms in seen)
+    assert [v.hex() for v in values] == [(0.0).hex()] * 4
+
+
+def _counting(monkeypatch, module, name):
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("terms", [40, 6])
+def test_each_circle_oracle_point_is_evaluated_once_a_run(monkeypatch, terms):
+    rows = [row for row in BATTERY
+            if isinstance(row.oracle, partial) and row.oracle.func is verify._circle_series]
+    keys = {(row.oracle.args[0], terms, pt) for row in rows for pt in row.points.values}
+    evaluations = sum(len(row.points.values) for row in rows)
+    calls = _counting(monkeypatch, entangle_circle, "probability_series")
+    verify_all(terms=terms)
+    assert len(calls) == len(set(calls)) == len(keys)
+    assert {(pair, n) for _, pair, n in calls} == {(pair, n) for pair, n, _ in keys}
+    assert (evaluations, len(keys)) == (168, 132)
+    # a second run evaluates them again: nothing is kept between runs
+    verify_all(terms=terms)
+    assert len(calls) == 2 * len(keys)
+
+
+def test_a_kernel_patched_between_runs_is_seen(monkeypatch):
+    first = verify_all()
+    kernel = entangle_circle.probability_series
+
+    def shifted(params, pair, terms):
+        value = kernel(params, pair, terms)
+        return dataclasses.replace(value, value=value.value + 1e-3)
+
+    monkeypatch.setattr(entangle_circle, "probability_series", shifted)
+    second = verify_all()
+    assert not second.passed
+    moved = {c.name for a, c in zip(first.comparisons, second.comparisons) if a != c}
+    assert moved == {row.name for row in BATTERY if row.name.startswith("circle-")}
+    monkeypatch.setattr(entangle_circle, "probability_series", kernel)
+    assert verify_all() == first
