@@ -214,9 +214,12 @@ def cat_overlap_block_norm(alpha: complex, parity: Parity, dim: int = DEFAULT_FO
     """Frobenius norm of the coherent-overlap cross block
     (|-a><a| + |a><-a|)/(2(1 +- e^(-2|a|^2))) of the cat density matrix.
 
-    The sector-basis matrices carry no such cross-projector block; for the
-    cat matrices it is nonzero whenever alpha != 0, which is the structural
-    sense in which the cat representation is not minimal.
+    With e and o the even and odd parts of |a> (|-a> = e - o), the block is
+    2 (e e^+ - o o^+)/norm: parity-diagonal, so it is not an even/odd block,
+    and its norm is 2 sqrt(|e|^4 + |o|^4)/norm.  The sector-basis matrices
+    carry no such cross-projector block; for the cat matrices it is nonzero
+    whenever alpha != 0, which is the structural sense in which the cat
+    representation is not minimal.
     """
     vp, vm, _, norm = _cat_kets(alpha, parity, dim)
     block = (np.outer(vm, vp.conj()) + np.outer(vp, vm.conj())) / norm

@@ -171,7 +171,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     report = verify_all(tolerance=args.tol, terms=args.trunc)
     payload = json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+        # no newline translation: the file is the payload's bytes on every platform
+        with open(args.report, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
         print(f"wrote {args.report}")
     else:

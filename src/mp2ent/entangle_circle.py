@@ -74,7 +74,7 @@ from .numerics import (
     SeriesValue,
     abs_sq,
     block_fsum,
-    check_real,
+    check_finite_real,
     check_truncation,
     inner_terms,
     row_norms_sq,
@@ -144,8 +144,8 @@ class CoefficientMatrix:
 
         c_nm = p (u1_n u2_m + phase v1_n v2_m)
 
-    as the four slot sequences (u1, u2, v1, v2), each conjugated when
-    ``conjugate`` is set.  The N x N ``entries`` are built only when read.
+    as the four slot sequences (u1, u2, v1, v2), each entering conjugated
+    (bra side).  The N x N ``entries`` are built only when read.
     """
 
     slots: tuple[
@@ -153,7 +153,6 @@ class CoefficientMatrix:
     ] = field(repr=False)
     phase: complex
     amp_prefactor: float
-    conjugate: bool
     tail_bound: float
 
     def __post_init__(self) -> None:
@@ -162,8 +161,7 @@ class CoefficientMatrix:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        conj = np.conj if self.conjugate else np.asarray
-        u1, u2, v1, v2 = (conj(slot.terms) for slot in self.slots)
+        u1, u2, v1, v2 = (np.conj(slot.terms) for slot in self.slots)
         entries = self.amp_prefactor * (np.outer(u1, u2) + self.phase * np.outer(v1, v2))
         entries.setflags(write=False)
         return entries
@@ -172,7 +170,7 @@ class CoefficientMatrix:
         """sum |c_nm|^2 in O(N), by the projected form of the module docstring."""
         u1, u2, v1, v2 = self.slots
         # |conj(c)| = |c|: work on the unconjugated slots with conj(phase)
-        phase = self.phase.conjugate() if self.conjugate else self.phase
+        phase = self.phase.conjugate()
         uu, mu, rr = _projection(u1, v1)
         w = u2.terms + (phase * mu) * v2.terms
         p = self.amp_prefactor
@@ -191,19 +189,12 @@ def pair_matrix(
     rho: float,
     swap_sign: float,
     amp_prefactor: float,
-    conjugate: bool = True,
 ) -> CoefficientMatrix:
-    """c_nm = p (u1_n u2_m + s e^(i rho) v1_n v2_m).
-
-    ``conjugate=True`` conjugates the slot sequences (bra side), matching
-    the circle/coset pair summands; the cylinder builds its slots directly
-    in the displayed convention and passes False.
-    """
+    """c_nm = p (u1_n u2_m + s e^(i rho) v1_n v2_m) over the conjugated
+    slot sequences (bra side), as every family's pair summands take them."""
     slots = (slot1_u, slot2_u, slot1_v, slot2_v)
     tail = pair_tail(amp_prefactor, [s.norm_sq() for s in slots], [s.tail_bound for s in slots])
-    return CoefficientMatrix(
-        slots, swap_sign * cmath.exp(1j * rho), amp_prefactor, conjugate, tail
-    )
+    return CoefficientMatrix(slots, swap_sign * cmath.exp(1j * rho), amp_prefactor, tail)
 
 
 def pair_tail(p, n, t):
@@ -237,8 +228,8 @@ class EntangledPair:
         c_nm = p (u1_n u2_m + s e^(i rho) v1_n v2_m)
 
     the family's slot ``record`` (a :class:`~mp2ent.states.SlotMap`, called
-    without its prefactor), the swap sign s, the amplitude prefactor p, and
-    whether the slot sequences enter conjugated (bra side).  Each family
+    without its prefactor), the swap sign s and the amplitude prefactor p;
+    every family's slot sequences enter conjugated (bra side).  Each family
     declares its pair once; its ``coefficient_matrix*``, its closed form and
     the grids all read that declaration.
     """
@@ -246,7 +237,6 @@ class EntangledPair:
     record: SlotMap
     swap_sign: float
     amp_prefactor: float
-    conjugate: bool = True
 
     def matrix(self, parts, pair: SectorPair, terms: int, rho: float) -> CoefficientMatrix:
         """The one pair builder every family goes through: the four
@@ -258,18 +248,39 @@ class EntangledPair:
         return pair_matrix(
             *(self.record(parts[var], parts[lab], parities[var], terms, False)
               for var, lab in SLOT_ROLES),
-            rho, self.swap_sign, self.amp_prefactor, self.conjugate,
+            rho, self.swap_sign, self.amp_prefactor,
         )
 
     def closed_form(
         self, parts, pair: SectorPair, rho: float, terms: int = DEFAULT_TERMS
     ) -> float:
-        """:func:`pair_closed_form` of this pair at ``parts`` = (first,
-        second, label, label')."""
+        """Closed-form twin of :meth:`matrix` at ``parts`` = (first, second,
+        label, label') for a record without a log-weight g.
+
+        There the sector inner product of two slots a, b is one hyperbolic
+        function,
+
+            G(a, b) = <a, b> = A_a A_b f(conj(z_a) z_b / 4),   f = cosh or sinh,
+
+        (cosh for the even sector) with z_a from ``record.z`` and A_a the
+        sector's entry of ``record.amps``, and that of two grouped total slots
+        a ``terms``-term sum (:func:`gram_entries`), so the norm of
+        p (u1 u2 + s e^(i rho) v1 v2) is the Gram form
+
+            P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
+                      + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
+
+        N(a) = Re G(a, a), one :func:`gram_entries` call per
+        :data:`GRAM_HALVES` half.  Each N is evaluated by the same expression
+        as G, so at coincident labels (v1 = u1, v2 = u2) the terms cancel
+        bit for bit.
+        """
         first, second, label, label_prime = parts  # not *parts: per-point calls are hot
-        return pair_closed_form(
-            self.record, first, second, label, label_prime, pair, rho,
-            self.swap_sign, self.amp_prefactor, terms,
+        (p1, p2), terms, record = slot_parities(pair), check_truncation(terms), self.record
+        return gram_form(
+            self.amp_prefactor, *gram_entries(record, first, label, label_prime, p1, terms),
+            *gram_entries(record, second, label_prime, label, p2, terms),
+            self.swap_sign * cmath.exp(1j * rho),
         )
 
 
@@ -283,9 +294,10 @@ class PairParams:
     values given to its first fields (the variables, and the labels where
     a plain number stands for one), run in field order.  Then rho must be a
     real number (:func:`~mp2ent.numerics.check_real`, as a sweep's fixed
-    values must) and finite.  ``parts`` is the first four fields as
-    :meth:`EntangledPair.matrix` takes them, stored once; it is no field,
-    so ``==``, ``hash`` and ``repr`` see the five alone.
+    values must) and finite (:func:`~mp2ent.numerics.check_finite_real`).
+    ``parts`` is the first four fields as :meth:`EntangledPair.matrix`
+    takes them, stored once; it is no field, so ``==``, ``hash`` and
+    ``repr`` see the five alone.
     """
 
     coercions = ()
@@ -301,9 +313,7 @@ class PairParams:
         for name, coerce in self._coerce:
             fields[name] = coerce(fields[name])
         first, second, label, label_prime, rho = fields.values()
-        rho = fields["rho"] = check_real(rho, "pair phase rho")
-        if not math.isfinite(rho):
-            raise ValueError(f"pair phase rho must be finite, got {rho}")
+        fields["rho"] = check_finite_real(rho, "pair phase rho")
         fields["parts"] = (first, second, label, label_prime)
 
     @property
@@ -406,7 +416,7 @@ def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
     p = form.amp_prefactor
     (uu, mu, rr, t_u1, n_v1, t_v1), (n_u2, t_u2, u2), (n_v2, t_v2, v2), (f,) = block
     # f conjugated on the bra side, and |f|^2
-    f = f.conj() if form.conjugate else f
+    f = f.conj()
     f_sq = np.reshape([abs(phase) ** 2 for phase in f.ravel().tolist()], f.shape)
     fmu = np.empty(np.broadcast_shapes(f.shape, mu.shape), complex)
     fmu.real = f.real * mu.real - f.imag * mu.imag
@@ -456,12 +466,13 @@ _SLICE_POINTS = 4096
 def gram_halves(
     slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
 ) -> tuple[np.ndarray, ...]:
-    """One half of :func:`pair_closed_form`'s Gram form, with the tail bounds
-    the grid reports, at each (var, label, label') of ``points``, as the
-    columns N(u), N(v), G(u, v), T(u), T(v) for the slots u = (var, label)
-    and v = (var, label') (:func:`gram_entries`), T the bound on a slot's
-    dropped l^2 tail.  Raises a ValueError or ArithmeticError wherever a
-    point's gram_entries or one of its slots would.
+    """One half of :meth:`EntangledPair.closed_form`'s Gram form, with the
+    tail bounds the grid reports, at each (var, label, label') of
+    ``points``, as the columns N(u), N(v), G(u, v), T(u), T(v) for the slots
+    u = (var, label) and v = (var, label') (:func:`gram_entries`), T the
+    bound on a slot's dropped l^2 tail.  Raises a ValueError or
+    ArithmeticError wherever a point's gram_entries or one of its slots
+    would.
 
     A sector's G is its whole series, so its T are 0.  The grouped total
     slots' T are their fock_series tails, kept in ``tails`` by (var, label)
@@ -495,7 +506,7 @@ def gram_entries(
         x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)).
     """
     if slots.g is not None:
-        raise ValueError("pair_closed_form needs a record without a log-weight")
+        raise ValueError("the closed form needs a record without a log-weight")
     zu, zv = slots.z(var, label), slots.z(var, label_prime)
     if parity is None:
         root = 2.0 * np.sqrt(2.0 * np.arange(terms) + 1.0)
@@ -528,44 +539,11 @@ def gram_entries(
 GRAM_HALVES = ((0, 2, 3), (1, 3, 2))
 
 
-def pair_closed_form(
-    slots: SlotMap, first, second, label, label_prime, pair: SectorPair,
-    rho: float, swap_sign: float, amp_prefactor: float, terms: int = DEFAULT_TERMS,
-) -> float:
-    """Closed-form twin of :meth:`EntangledPair.matrix` (conjugated slots) for
-    any pair of a record without a log-weight g.
-
-    There the sector inner product of two slots a, b is one hyperbolic
-    function,
-
-        G(a, b) = <a, b> = A_a A_b f(conj(z_a) z_b / 4),   f = cosh or sinh,
-
-    (cosh for the even sector) with z_a from ``slots.z`` and A_a the sector's
-    entry of ``slots.amps``, and that of two grouped total slots a
-    ``terms``-term sum (:func:`gram_entries`), so the norm of
-    p (u1 u2 + s e^(i rho) v1 v2) is the Gram form
-
-        P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
-                  + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
-
-    N(a) = Re G(a, a), one :func:`gram_entries` call per half.  Each N is
-    evaluated by the same expression as G, so at coincident labels
-    (v1 = u1, v2 = u2) the terms cancel bit for bit.
-    """
-    p1, p2 = slot_parities(pair)
-    terms = check_truncation(terms)
-    return gram_form(
-        amp_prefactor, *gram_entries(slots, first, label, label_prime, p1, terms),
-        *gram_entries(slots, second, label_prime, label, p2, terms),
-        swap_sign * cmath.exp(1j * rho),
-    )
-
-
 def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):
-    """The Gram form of :func:`pair_closed_form`, phase = s e^(i rho), on
-    Python scalars or arrays.  The complex products are written out in real
-    arithmetic in CPython's order (numpy's can round differently), so an
-    array entry is the scalar result bit for bit."""
+    """The Gram form of :meth:`EntangledPair.closed_form`, phase =
+    s e^(i rho), on Python scalars or arrays.  The complex products are
+    written out in real arithmetic in CPython's order (numpy's can round
+    differently), so an array entry is the scalar result bit for bit."""
     gram_re = g1.real * g2.real - g1.imag * g2.imag
     gram_im = g1.real * g2.imag + g1.imag * g2.real
     # Re(phase conj(gram)): CPython's re * re - im * (-im), bit for bit
@@ -574,8 +552,9 @@ def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):
 
 
 def pair_closed_form_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pair_closed_form` of ``form`` and the :func:`pair_tail` bound
-    of its truncated sums at every point of one block of a grid.
+    """:meth:`EntangledPair.closed_form` of ``form`` and the
+    :func:`pair_tail` bound of its truncated sums at every point of one
+    block of a grid.
 
     ``block`` is the arrays of its points' two halves as :func:`gram_halves`
     columns and of the phase s e^(i rho) as a 1-tuple, shaped as for
@@ -626,10 +605,10 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
         P = 1/2 Zw^e1 Zs^e2 { f(a) g(b) - Re[e^(-i rho) f(a e^(-i D)) g(b e^(i D))] }
 
     a = |omega|^2/4, b = |sigma|^2/4, D = phi - phi', f/g = cosh (even) or
-    sinh (odd); it is the Gram form of :func:`pair_closed_form` on the circle
-    record.  Expanding the complex cosh/sinh reproduces the hyperbolic/
-    trigonometric bracket structure of the printed closed forms with the
-    cross-term corrections recorded in the reconciliation report.
+    sinh (odd); it is the Gram form of :meth:`EntangledPair.closed_form` on
+    the circle record.  Expanding the complex cosh/sinh reproduces the
+    hyperbolic/trigonometric bracket structure of the printed closed forms
+    with the cross-term corrections recorded in the reconciliation report.
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("use closed_form_total for the total pair")
@@ -637,9 +616,10 @@ def closed_form_P(params: CirclePairParams, pair: SectorPair) -> float:
 
 
 def closed_form_total(params: CirclePairParams, terms: int = DEFAULT_TERMS) -> float:
-    """Total-pair probability: :func:`pair_closed_form` on the grouped total
-    slots, each Gram entry the ``terms``-term sum of :func:`gram_entries`; the
-    printed total (verify) with the series-derived cross block."""
+    """Total-pair probability: :meth:`EntangledPair.closed_form` on the
+    grouped total slots, each Gram entry the ``terms``-term sum of
+    :func:`gram_entries`; the printed total (verify) with the
+    series-derived cross block."""
     return CIRCLE_PAIR.closed_form(params.parts, SectorPair.TOTAL, params.rho, terms)
 
 

@@ -10,8 +10,8 @@ with Z_i = 1 - |z_i|^2 in (0, 1].  The pair combination keeps the printed
 +e^(i rho) on the swapped term (fully coincident pairs cancel at rho = pi).
 Coset slots are circle slots at z', so the series and the closed forms are
 the circle pipeline's (:meth:`~mp2ent.entangle_circle.EntangledPair.matrix`,
-:func:`~mp2ent.entangle_circle.pair_closed_form`) on the coset record with
-the opposite swap sign: :data:`COSET_PAIR`.
+:meth:`~mp2ent.entangle_circle.EntangledPair.closed_form`) on the coset
+record with the opposite swap sign: :data:`COSET_PAIR`.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def closed_form_coset(params: CosetPairParams, pair: SectorPair) -> float:
                   { e^(-i rho) f(z1* z1p/4) g(z2p* z2/4) + c.c. } ]
 
     with e = 1/2 (even slot) or 3/2 (odd slot), f/g = cosh or sinh: the
-    Gram form of :func:`~mp2ent.entangle_circle.pair_closed_form` on the
-    coset record.
+    Gram form of :meth:`~mp2ent.entangle_circle.EntangledPair.closed_form`
+    on the coset record.
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("closed forms cover pp, pm, mm only")

@@ -1,6 +1,8 @@
 """Entangled pairs of Barut-Girardello cylinder states in Mp(2) sector pairs.
 
-Same pipeline as the circle, with two cylinder-specific twists:
+Same pipeline as the circle (:class:`~mp2ent.entangle_circle.EntangledPair`,
+conjugated slots, here of the cylinder records at z' = omega e^(l + i phi)),
+with two cylinder-specific twists:
 
 * Gaussian attenuation.  The oracle amplitudes carry the single-state
   weights e^(-2n^2) / e^(-(2n+1)^2/2); squaring them reproduces the printed
@@ -22,17 +24,24 @@ argument) and reconciled against the honest oracle limit in
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .entangle_circle import CoefficientMatrix, EntangledPair, PairParams, SectorPair
-from .numerics import DEFAULT_TERMS, SeriesValue, check_truncation, theta2, theta3
+from .numerics import (
+    DEFAULT_TERMS,
+    SeriesValue,
+    check_finite_real,
+    check_truncation,
+    theta2,
+    theta3,
+)
 from .states import (
     CylinderLabel,
     Mp2Variable,
-    SlotMap,
     as_mp2,
     mp2_cylinder_display_projection,
     mp2_cylinder_projection,
@@ -59,24 +68,22 @@ class CylinderPairParams(PairParams):
     coercions = (as_mp2, as_mp2)
 
 
-def _on_conjugate_variable(record: SlotMap) -> SlotMap:
-    # Pair summands conjugate the disk variable but keep the label phase
-    # e^(l - i phi): a pair slot is the single-state slot at conj(omega),
-    # not the conjugate of a whole sequence.
-    return replace(
-        record, z=lambda omega, label: record.z(Mp2Variable(omega.omega.conjugate()), label)
-    )
+def _pair_variable(omega: Mp2Variable, label: CylinderLabel) -> complex:
+    # z' = omega e^(l + i phi): the pair summands take the single-state slot
+    # at conj(omega) e^(l - i phi) unconjugated, which is the conjugate of
+    # the slot at z', the amplitudes and log-weights being real
+    return omega.omega * cmath.exp(complex(label.l, label.phi))
 
 
-# the cylinder pair: slots at conj(omega), unconjugated, +e^(i rho) on the
-# swapped term and amplitude (u + e^(i rho) v)/sqrt(2); the probability
-# oracle's single-state weights, or the squared-amplitude display weights
+# the cylinder pair: conjugated slots at z', +e^(i rho) on the swapped term
+# and amplitude (u + e^(i rho) v)/sqrt(2); the probability oracle's
+# single-state weights, or the squared-amplitude display weights
 CYLINDER_PAIR = EntangledPair(
-    _on_conjugate_variable(mp2_cylinder_projection), swap_sign=+1.0,
-    amp_prefactor=1.0 / math.sqrt(2.0), conjugate=False,
+    replace(mp2_cylinder_projection, z=_pair_variable), swap_sign=+1.0,
+    amp_prefactor=1.0 / math.sqrt(2.0),
 )
 CYLINDER_DISPLAY_PAIR = replace(
-    CYLINDER_PAIR, record=_on_conjugate_variable(mp2_cylinder_display_projection)
+    CYLINDER_PAIR, record=replace(mp2_cylinder_display_projection, z=_pair_variable)
 )
 
 
@@ -127,11 +134,19 @@ def degenerate_limit_cyl(
     otherwise the exhibited pre-theta sums.  The PP pre-theta sum and its
     theta form disagree by a factor 2 at l + l' = 0; both are preserved as
     printed and the discrepancy is surfaced by the reconciliation report.
+    l, l', delta and rho must be finite real numbers
+    (:func:`~mp2ent.numerics.check_finite_real`).
     """
     if pair is SectorPair.TOTAL:
         raise ValueError("degenerate limits cover pp, pm, mm only")
     terms = check_truncation(terms)
-    s = float(l) + float(l_prime)
+    l, l_prime, delta, rho = (
+        check_finite_real(value, name) for value, name in (
+            (l, "cylinder label l"), (l_prime, "cylinder label l'"),
+            (delta, "angle difference delta"), (rho, "pair phase rho"),
+        )
+    )
+    s = l + l_prime
     if abs(s) > MAX_DEGENERATE_L_SUM:
         raise ValueError(
             f"|l + l'| = {abs(s)} exceeds the documented threshold "

@@ -52,6 +52,14 @@ def check_real(value, where: str) -> float:
     return float(value)
 
 
+def check_finite_real(value, where: str) -> float:
+    """:func:`check_real`, and then the float must be finite."""
+    value = check_real(value, where)
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SeriesValue:
     """A truncated series: value, retained order, and a rigorous bound on

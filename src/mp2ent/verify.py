@@ -45,7 +45,7 @@ from . import entangle_circle, entangle_coset, entangle_cylinder, numerics
 from .entangle_circle import CirclePairParams, SectorPair
 from .entangle_coset import CosetPairParams, z_factors
 from .entangle_cylinder import DEGENERATE_NOME, CylinderPairParams
-from .numerics import DEFAULT_TERMS, check_truncation, log_factorial_array
+from .numerics import DEFAULT_TERMS, check_real, check_truncation, log_factorial_array
 from .states import (
     CircleLabel,
     CosetLabel,
@@ -701,7 +701,9 @@ BATTERY: tuple[Check, ...] = (
 
 
 def verify_all(tolerance: float = 1e-9, terms: int = DEFAULT_TERMS) -> VerificationReport:
-    """Run every comparison of ``BATTERY``."""
+    """Run every comparison of ``BATTERY``; ``tolerance`` must be a real
+    number (:func:`~mp2ent.numerics.check_real`), finite and positive."""
+    tolerance = check_real(tolerance, "tolerance")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
     terms = check_truncation(terms)

@@ -141,6 +141,24 @@ class TestDensityMatrices:
         )
         assert cat_overlap_block_norm(1.0, parity, 32) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 0.8 - 1.1j, 2.0j])
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_overlap_block_is_parity_diagonal(self, alpha, parity):
+        # |-a><a| + |a><-a| = 2 (e e^+ - o o^+), e and o the even and odd
+        # parts of |a>: its even/odd entries are 0 up to rounding, and its
+        # norm is 2 sqrt(|e|^4 + |o|^4)/norm
+        vec = coherent_fock_vector(alpha, 32)
+        e, o = vec.copy(), vec.copy()
+        e[1::2], o[::2] = 0.0, 0.0
+        norm = 2.0 * (1.0 + (-1) ** parity * math.exp(-2.0 * abs(alpha) ** 2))
+        vm = coherent_fock_vector(-alpha, 32)
+        block = np.outer(vm, vec.conj()) + np.outer(vec, vm.conj())
+        assert np.allclose(block, 2.0 * (np.outer(e, e.conj()) - np.outer(o, o.conj())),
+                           rtol=0.0, atol=1e-15)
+        ee, oo = np.vdot(e, e).real, np.vdot(o, o).real
+        expected = 2.0 * math.sqrt(ee * ee + oo * oo) / norm
+        assert cat_overlap_block_norm(alpha, parity, 32) == pytest.approx(expected, rel=1e-13)
+
     def test_even_cat_00_entry(self):
         # (0,0) entry from the two-coherent-state overlap structure
         alpha = 1.0

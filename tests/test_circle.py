@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mp2ent.cat_compare import CatPairParams, cat_entangled_probability
 from mp2ent.entangle_circle import (
     CirclePairParams,
+    EntangledPair,
     SectorPair,
     closed_form_P,
     closed_form_total,
@@ -16,7 +17,6 @@ from mp2ent.entangle_circle import (
     limit_coincident,
     limit_degenerate,
     limit_orthogonal,
-    pair_closed_form,
     probability_series,
     sector_weight,
     slot_parities,
@@ -343,10 +343,10 @@ class TestConventions:
 class TestPairClosedForm:
     def test_rejects_a_record_with_a_log_weight(self):
         with pytest.raises(ValueError, match="log-weight"):
-            pair_closed_form(
-                mp2_cylinder_projection, Mp2Variable(0.5), Mp2Variable(0.5),
-                CylinderLabel(0.0, 0.0), CylinderLabel(0.0, 1.0), SectorPair.PP,
-                0.0, 1.0, 0.5,
+            EntangledPair(mp2_cylinder_projection, 1.0, 0.5).closed_form(
+                (Mp2Variable(0.5), Mp2Variable(0.5), CylinderLabel(0.0, 0.0),
+                 CylinderLabel(0.0, 1.0)),
+                SectorPair.PP, 0.0,
             )
 
     @pytest.mark.parametrize("pair", SECTORS)
@@ -354,9 +354,7 @@ class TestPairClosedForm:
         # the Gram form uses nothing circle-specific: on the cat record it
         # reproduces the cat series
         p = CatPairParams(0.8 + 0.3j, 1.1 - 0.2j, CircleLabel(1.0), CircleLabel(0.3), 0.9)
-        value = pair_closed_form(
-            cat_projection, p.alpha, p.beta, p.phi, p.phi_prime, pair, p.rho, -1.0, 0.5
-        )
+        value = EntangledPair(cat_projection, -1.0, 0.5).closed_form(p.parts, pair, p.rho)
         assert value == pytest.approx(cat_entangled_probability(p, pair, 40).value, rel=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,6 +215,35 @@ class TestDegenerateLimits:
     def test_rejects_large_l_sum(self):
         with pytest.raises(ValueError):
             degenerate_limit_cyl(SectorPair.PP, 5.0, 4.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("pair", SECTORS, ids=lambda p: p.value)
+    @pytest.mark.parametrize(("at", "name"), [
+        (0, "cylinder label l"), (1, "cylinder label l'"),
+        (2, "angle difference delta"), (3, "pair phase rho"),
+    ])
+    @pytest.mark.parametrize(("value", "message"), [
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (-math.inf, "must be finite, got -inf"),
+        (True, "must be a real number, got True"),
+        ("1", "must be a real number, got '1'"),
+        (1j, "must be a real number, got 1j"),
+        (None, "must be a real number, got None"),
+    ])
+    def test_rejects_a_value_that_is_no_finite_real_by_name(self, pair, at, name, value, message):
+        # a NaN used to come back as a NaN limit, True and "1" as numbers,
+        # and an infinite rho as "math domain error"
+        args = [0.1, -0.1, 0.3, 0.7]
+        args[at] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(message)}$"):
+            degenerate_limit_cyl(pair, *args)
+
+    def test_takes_numpy_and_integer_reals_as_their_floats(self):
+        for pair in SECTORS:
+            expected = degenerate_limit_cyl(pair, 0.0, 0.5, 2.0, 1.0)
+            assert degenerate_limit_cyl(pair, 0, np.float64(0.5), 2, np.float32(1.0)) == expected
+            assert degenerate_limit_cyl(pair, 0.0, 0.0, 0.3, 0.7, 12) == degenerate_limit_cyl(
+                pair, np.float64(0.0), 0, 0.3, 0.7, 12)
 
     def test_weak_angle_dependence_of_oracle_at_degeneracy(self):
         # honest omega = sigma oracle: delta-dependence exists but is weak

@@ -20,6 +20,7 @@ from mp2ent import cli, entangle_circle, grids, states
 from mp2ent.cli import main, parse_axis, parse_number
 from mp2ent.entangle_circle import CirclePairParams, SectorPair
 from mp2ent.entangle_coset import CosetPairParams
+from mp2ent.verify import verify_all
 from mp2ent.grids import (
     CONVENTIONS,
     DEFAULT_AXES,
@@ -517,6 +518,16 @@ class TestCli:
             c for c in report["comparisons"] if c["must_match"] and not c["ok"]
         ]
         assert must_fail == []
+
+    def test_verify_report_is_the_payload_bytes_on_any_platform(self, tmp_path, monkeypatch):
+        # as for the grid writers: the pure-Python io module reads
+        # os.linesep, so it stands in for a platform whose separator is "\r\n"
+        monkeypatch.setattr(os, "linesep", "\r\n")
+        monkeypatch.setattr(cli, "open", _pyio.open, raising=False)
+        path = tmp_path / "report.json"
+        assert main(["verify", "--report", str(path)]) == 0
+        payload = json.dumps(verify_all().to_json_dict(), indent=1, sort_keys=True) + "\n"
+        assert path.read_bytes() == payload.encode("utf-8")
 
     def test_verify_unreachable_tolerance_exits_3(self, tmp_path):
         rc = main(["verify", "--tol", "1e-30", "--trunc", "20",

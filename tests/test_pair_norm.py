@@ -9,6 +9,8 @@ body each that every path calls on scalars or arrays.
 """
 
 import cmath
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -20,15 +22,22 @@ from mp2ent import states
 from mp2ent.cat_compare import CatPairParams, cat_coefficient_matrix
 from mp2ent.entangle_circle import (
     CirclePairParams,
+    CoefficientMatrix,
+    EntangledPair,
     SectorPair,
     coefficient_matrix,
     gram_form,
+    pair_matrix,
     pair_tail,
 )
 from mp2ent.entangle_coset import CosetPairParams, coefficient_matrix_coset
-from mp2ent.entangle_cylinder import CylinderPairParams, coefficient_matrix_cyl
+from mp2ent.entangle_cylinder import (
+    CYLINDER_DISPLAY_PAIR,
+    CylinderPairParams,
+    coefficient_matrix_cyl,
+)
 from mp2ent.grids import FAMILIES, AxisSpec, SweepSpec, grid_to_csv, grid_to_json, run_sweep
-from mp2ent.numerics import stable_norm_sq
+from mp2ent.numerics import stable_inner, stable_norm_sq
 from mp2ent.states import (
     CircleLabel,
     CosetLabel,
@@ -39,6 +48,7 @@ from mp2ent.states import (
     coset_projection,
     mp2_circle_projection,
     mp2_cylinder_display_projection,
+    mp2_cylinder_projection,
 )
 
 U = 2.0**-53  # unit roundoff
@@ -149,16 +159,21 @@ class TestProjectedNorm:
         assert m.norm_sq() == 0.0 == stable_norm_sq(m.entries)
 
 
-def _old_entries(slot, first, second, label, label_p, pair, rho, swap_sign, p, conjugate):
-    """The N x N construction the pair matrix used before the rank-2 form,
-    from the four slots u1 = (first, label), u2 = (second, label'),
-    v1 = (first, label'), v2 = (second, label)."""
+def _old_slots(slot, first, second, label, label_p, pair):
+    """The four slots u1 = (first, label), u2 = (second, label'),
+    v1 = (first, label'), v2 = (second, label) of ``slot``."""
     p1, p2 = (None, None) if pair is SectorPair.TOTAL else pair.parities
-    u1, u2 = slot(first, label, p1).terms, slot(second, label_p, p2).terms
-    v1, v2 = slot(first, label_p, p1).terms, slot(second, label, p2).terms
+    return (slot(first, label, p1), slot(second, label_p, p2),
+            slot(first, label_p, p1), slot(second, label, p2))
+
+
+def _old_entries(slot, first, second, label, label_p, pair, rho, swap_sign, p):
+    """The N x N construction the pair matrix used before the rank-2 form,
+    over the conjugated slots of :func:`_old_slots`."""
+    slots = _old_slots(slot, first, second, label, label_p, pair)
+    u1, u2, v1, v2 = (np.conj(s.terms) for s in slots)
     phase = swap_sign * cmath.exp(1j * rho)
-    conj = np.conj if conjugate else np.asarray
-    return p * (np.outer(conj(u1), conj(u2)) + phase * np.outer(conj(v1), conj(v2)))
+    return p * (np.outer(u1, u2) + phase * np.outer(v1, v2))
 
 
 N_BITS = 24
@@ -174,15 +189,15 @@ BIT_CASES = {
         lambda pair: _old_entries(
             lambda var, phi, par: mp2_circle_projection(
                 Mp2Variable(var), CircleLabel(phi), par, N_BITS, False),
-            _W, _S, 1.3, 0.2, pair, _RHO, -1.0, 0.5, True,
+            _W, _S, 1.3, 0.2, pair, _RHO, -1.0, 0.5,
         ),
     ),
+    # the slots of the display pair's record, at z' = omega e^(l + i phi)
     "cylinder": (
         lambda pair: coefficient_matrix_cyl(CylinderPairParams(_W, _S, *_CYL, _RHO), pair, N_BITS),
         lambda pair: _old_entries(
-            lambda var, lab, par: mp2_cylinder_display_projection(
-                Mp2Variable(var.conjugate()), lab, par, N_BITS),
-            _W, _S, *_CYL, pair, _RHO, 1.0, 1.0 / math.sqrt(2.0), False,
+            lambda var, lab, par: CYLINDER_DISPLAY_PAIR.record(Mp2Variable(var), lab, par, N_BITS),
+            _W, _S, *_CYL, pair, _RHO, 1.0, 1.0 / math.sqrt(2.0),
         ),
     ),
     "coset": (
@@ -190,7 +205,7 @@ BIT_CASES = {
             CosetPairParams(_W, _S, *_COSET, _RHO), pair, N_BITS),
         lambda pair: _old_entries(
             lambda var, lab, par: coset_projection(Mp2Variable(var), lab, par, N_BITS, False),
-            _W, _S, *_COSET, pair, _RHO, 1.0, 0.5, True,
+            _W, _S, *_COSET, pair, _RHO, 1.0, 0.5,
         ),
     ),
     "cat": (
@@ -199,7 +214,7 @@ BIT_CASES = {
             pair, N_BITS),
         lambda pair: _old_entries(
             lambda a, phi, par: cat_projection(a, CircleLabel(phi), par, N_BITS, False),
-            1.2 - 0.5j, 1.9j, 0.8, 5.0, pair, _RHO, -1.0, 0.5, True,
+            1.2 - 0.5j, 1.9j, 0.8, 5.0, pair, _RHO, -1.0, 0.5,
         ),
     ),
 }
@@ -213,6 +228,62 @@ def test_entries_equal_outer_construction_bit_for_bit(family, pair):
     assert entries.shape == (N_BITS, N_BITS)
     assert entries.tobytes() == old(pair).tobytes()
     assert not entries.flags.writeable
+
+
+def test_every_pair_is_its_record_swap_sign_and_prefactor():
+    # one pair form: no family's slots enter unconjugated
+    assert [f.name for f in dataclasses.fields(EntangledPair)] == [
+        "record", "swap_sign", "amp_prefactor"]
+    assert [f.name for f in dataclasses.fields(CoefficientMatrix)] == [
+        "slots", "phase", "amp_prefactor", "tail_bound"]
+    assert list(inspect.signature(pair_matrix).parameters) == [
+        "slot1_u", "slot2_u", "slot1_v", "slot2_v", "rho", "swap_sign", "amp_prefactor"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=st.sampled_from(list(SectorPair)),
+    weights=st.sampled_from(["displayed", "amplitude"]),
+    terms=st.integers(min_value=1, max_value=40),
+    w=st.one_of(st.sampled_from([0.0, -0.0, 0.5]), moduli).flatmap(
+        lambda m: st.builds(lambda a: m * cmath.exp(1j * a), angles)),
+    s=st.one_of(st.sampled_from([0.0, 0.5j]), st.builds(complex, moduli, st.floats(-0.3, 0.3))),
+    labels=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+    coincident=st.booleans(),
+    rho=st.one_of(st.sampled_from([0.0, math.pi]), angles),
+)
+@example(pair=SectorPair.PP, weights="displayed", terms=24, w=-0.0, s=0.0,
+         labels=(0.0, 0.0, 0.0, 0.0), coincident=True, rho=0.0)
+def test_cylinder_pair_equals_the_unconjugated_slots_at_conjugate_omega(
+    pair, weights, terms, w, s, labels, coincident, rho
+):
+    # the cylinder pair used to take the single-state slots at
+    # conj(omega) e^(l - i phi) unconjugated; its conjugated slots at
+    # z' = omega e^(l + i phi) are their conjugates, the amplitudes and
+    # log-weights being real, so the entries are equal in value (the sign
+    # of a zero imaginary part may differ) and the norm and tail bound
+    # equal bit for bit
+    label = CylinderLabel(labels[0], labels[1])
+    label_p = label if coincident else CylinderLabel(labels[2], labels[3])
+    matrix = coefficient_matrix_cyl(
+        CylinderPairParams(w, s, label, label_p, rho), pair, terms, weights)
+    record = mp2_cylinder_display_projection if weights == "displayed" else mp2_cylinder_projection
+    u1, u2, v1, v2 = slots = _old_slots(
+        lambda var, lab, par: record(Mp2Variable(complex(var).conjugate()), lab, par, terms),
+        w, s, label, label_p, pair,
+    )
+    p, phase = 1.0 / math.sqrt(2.0), cmath.exp(1j * rho)
+    entries = p * (np.outer(u1.terms, u2.terms) + phase * np.outer(v1.terms, v2.terms))
+    assert np.array_equal(matrix.entries, entries)
+    # the old unconjugated norm_sq, expression for expression
+    uu = u1.norm_sq()
+    mu = stable_inner(u1.terms, v1.terms) / uu if uu > 0.0 else 0j
+    rr = stable_norm_sq(v1.terms - mu * u1.terms)
+    norm = p * p * (uu * stable_norm_sq(u2.terms + (phase * mu) * v2.terms)
+                    + abs(phase) ** 2 * rr * v2.norm_sq())
+    assert _bits(matrix.norm_sq()) == _bits(norm)
+    tail = pair_tail(p, [x.norm_sq() for x in slots], [x.tail_bound for x in slots])
+    assert _bits(matrix.tail_bound) == _bits(tail)
 
 
 class TestSlotMemo:

@@ -14,11 +14,11 @@ from mp2ent.cat_compare import CatPairParams, cat_coefficient_matrix, cat_entang
 from mp2ent.entangle_circle import (
     CIRCLE_PAIR,
     CirclePairParams,
+    EntangledPair,
     PairParams,
     SectorPair,
     closed_form_total,
     coefficient_matrix,
-    pair_closed_form,
     probability_series,
 )
 from mp2ent.entangle_coset import (
@@ -196,8 +196,8 @@ ENTRIES = {
     "cat_entangled_probability": lambda n: cat_entangled_probability(CAT, PP, n),
     "closed_form_total": lambda n: closed_form_total(CIRCLE, n),
     # the sector closed forms, closed_form_P's and closed_form_coset's
-    "pair_closed_form": lambda n: pair_closed_form(
-        COSET_PAIR.record, *COSET_PARAMS.parts, PP, 0.5, 1.0, 0.5, n
+    "pair_closed_form": lambda n: EntangledPair(COSET_PAIR.record, 1.0, 0.5).closed_form(
+        COSET_PARAMS.parts, PP, 0.5, n
     ),
     "pair_closed_form_total": lambda n: CIRCLE_PAIR.closed_form(
         CIRCLE.parts, SectorPair.TOTAL, 0.5, n

@@ -195,6 +195,22 @@ def test_verify_all_checks_its_truncation_as_a_sweep_does(terms, message):
         verify_all(terms=terms)
 
 
+@pytest.mark.parametrize(
+    ("tol", "message"),
+    [(True, "tolerance must be a real number, got True"),
+     ("1e-9", "tolerance must be a real number, got '1e-9'"),
+     (1e-9 + 0j, r"tolerance must be a real number, got \(1e-09\+0j\)"),
+     (None, "tolerance must be a real number, got None"),
+     (math.nan, "tolerance must be finite and > 0, got nan"),
+     (0, "tolerance must be finite and > 0, got 0.0")],
+)
+def test_verify_all_checks_its_tolerance_is_a_real_number(tol, message):
+    # True used to run and report "tolerance": true; the others raised a
+    # TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        verify_all(tol)
+
+
 def _asdict_json(comp) -> dict:
     # the deep copy the report was built from before it went shallow
     out = dataclasses.asdict(comp)
