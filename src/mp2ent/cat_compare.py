@@ -129,7 +129,8 @@ def density_matrix_cat(
     """
     if dim < 4:
         raise ValueError("dim must be >= 4")
-    vp, vm, sign, norm = _cat_kets(alpha, parity, dim)
+    vp, sign, norm = _cat_ket(alpha, parity, dim)
+    vm = coherent_fock_vector(-complex(alpha), dim)
     block = (
         np.outer(vp, vp.conj())
         + np.outer(vm, vm.conj())
@@ -138,15 +139,15 @@ def density_matrix_cat(
     return _renormalized(block / norm, "fock")
 
 
-def _cat_kets(alpha: complex, parity: Parity, dim: int):
-    """(|a>, |-a>, sign = (-1)^parity, norm = 2 (1 + sign e^(-2|a|^2))) of the
-    cat of ``parity`` over ``dim`` Fock states; undefined if odd at alpha = 0."""
+def _cat_ket(alpha: complex, parity: Parity, dim: int):
+    """(|a>, sign = (-1)^parity, norm = 2 (1 + sign e^(-2|a|^2))) of the cat
+    of ``parity`` over ``dim`` Fock states; undefined if odd at alpha = 0."""
     alpha = complex(alpha)
     if parity is Parity.ODD and alpha == 0:
         raise ValueError("odd cat state is undefined at alpha = 0")
     sign = (-1.0) ** parity
     norm = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    return coherent_fock_vector(alpha, dim), coherent_fock_vector(-alpha, dim), sign, norm
+    return coherent_fock_vector(alpha, dim), sign, norm
 
 
 def _embedded_unit_vector(seq: CoefficientSequence, dim: int) -> np.ndarray:
@@ -210,17 +211,25 @@ def sector_off_diagonal_norm(rho: DensityMatrix) -> float:
     return float(np.sqrt(stable_norm_sq(block)))
 
 
-def cat_overlap_block_norm(alpha: complex, parity: Parity, dim: int = DEFAULT_FOCK_DIM) -> float:
-    """Frobenius norm of the coherent-overlap cross block
+def cat_overlap_block(alpha: complex, parity: Parity, dim: int = DEFAULT_FOCK_DIM) -> np.ndarray:
+    """The coherent-overlap cross block
     (|-a><a| + |a><-a|)/(2(1 +- e^(-2|a|^2))) of the cat density matrix.
 
     With e and o the even and odd parts of |a> (|-a> = e - o), the block is
-    2 (e e^+ - o o^+)/norm: parity-diagonal, so it is not an even/odd block,
-    and its norm is 2 sqrt(|e|^4 + |o|^4)/norm.  The sector-basis matrices
-    carry no such cross-projector block; for the cat matrices it is nonzero
-    whenever alpha != 0, which is the structural sense in which the cat
-    representation is not minimal.
+    2 (e e^+ - o o^+)/norm, built so from the one vector |a>: it is
+    parity-diagonal, its even/odd entries exactly 0, so it is not an
+    even/odd block.
     """
-    vp, vm, _, norm = _cat_kets(alpha, parity, dim)
-    block = (np.outer(vm, vp.conj()) + np.outer(vp, vm.conj())) / norm
-    return float(np.sqrt(stable_norm_sq(block)))
+    vec, _, norm = _cat_ket(alpha, parity, dim)
+    even, odd = vec.copy(), vec.copy()
+    even[1::2], odd[::2] = 0.0, 0.0
+    return 2.0 * (np.outer(even, even.conj()) - np.outer(odd, odd.conj())) / norm
+
+
+def cat_overlap_block_norm(alpha: complex, parity: Parity, dim: int = DEFAULT_FOCK_DIM) -> float:
+    """Frobenius norm of :func:`cat_overlap_block`, 2 sqrt(|e|^4 + |o|^4)/norm.
+    The sector-basis matrices carry no such cross-projector block; for the
+    cat matrices it is nonzero whenever alpha != 0, which is the structural
+    sense in which the cat representation is not minimal.
+    """
+    return float(np.sqrt(stable_norm_sq(cat_overlap_block(alpha, parity, dim))))

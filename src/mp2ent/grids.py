@@ -14,8 +14,9 @@ per-point kernels.  Everything runs in a fixed row-major order, so output
 files are byte-identical across runs and processes.  CSV floats are
 written as ``format(x, '.17g')`` writes them and JSON floats as Python's
 shortest round-trip repr; both read back exactly.  The writers format a
-grid's values in blocks through :func:`floattext.float_text`, which writes
-those same bytes in whole-array passes.
+grid's values in blocks of whole rows through :func:`floattext.float_text`,
+which writes those same bytes in whole-array passes, straight into the
+lines of one reusable buffer that holds the rest of each line's text.
 
 The kernels compute the prefactor-stripped convention; under
 ``convention="full"`` :func:`run_sweep` multiplies each value and tail by the
@@ -466,28 +467,33 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# values formatted a pass: bounds the writers' working arrays to a few
-# hundred kB whatever the grid's size
+# the most values the writers format a block: bounds their working arrays
+# to a few hundred kB whatever the grid's size
 _BLOCK = 2048
 
 
 def grid_to_csv(grid: ProbabilityGrid) -> str:
     """Header ``axis1,axis2,value``; one row per point, row-major in axis1,
-    each float as ``format(x, '.17g')`` writes it.  Each axis value is
-    formatted once; the grid's values are formatted by
-    :func:`floattext.float_text`, ``_BLOCK`` at a time, each line one row of
-    a byte block of its axis1 text, its ``,{axis2},`` text, its value and
-    a newline."""
-    ax1 = floattext.byte_rows([_fmt(v) for v in grid.spec.axis1.values()])
-    ax2 = floattext.byte_rows([f",{_fmt(v)}," for v in grid.spec.axis2.values()])
-    newline = floattext.byte_rows(["\n"] * len(ax2))
-    text = bytearray(b"axis1,axis2,value\n")
-    _formatted(text, grid.values, False, [(ax1, 0), (ax2, 1), None, (newline, 1)])
-    return text.decode("ascii")
+    each float as ``format(x, '.17g')`` writes it."""
+    return _grid_bytes(grid, "csv").decode("ascii")
 
 
 def grid_to_json(grid: ProbabilityGrid) -> str:
     """Sorted-key JSON at indent 1; ``json.dumps`` writes all but the values."""
+    return _grid_bytes(grid, "json").decode("utf-8")
+
+
+def _grid_bytes(grid: ProbabilityGrid, fmt: str) -> bytearray:
+    """The UTF-8 bytes of :func:`grid_to_csv` (``fmt`` "csv") or
+    :func:`grid_to_json` ("json").  In CSV each axis value is formatted
+    once, and each line is its axis1 text, its ``,{axis2},`` text, its
+    value and a newline (see :func:`_formatted`)."""
+    if fmt == "csv":
+        ax1 = floattext.byte_rows([_fmt(v) for v in grid.spec.axis1.values()])
+        ax2 = floattext.byte_rows([f",{_fmt(v)}," for v in grid.spec.axis2.values()])
+        text = bytearray(b"axis1,axis2,value\n")
+        _formatted(text, grid.values, False, ax2, floattext.byte_rows(["\n"] * len(ax2)), ax1)
+        return text
     payload = {
         "spec": grid.spec.to_json_dict(),
         "values": [],
@@ -500,61 +506,83 @@ def grid_to_json(grid: ProbabilityGrid) -> str:
     text = bytearray(head[: -len("[]\n}")].encode("utf-8"))
     _json_values(text, grid.values)
     text += b"\n}\n"
-    return text.decode("utf-8")
+    return text
 
 
 def _json_values(text: bytearray, values: np.ndarray) -> None:
     """Append the non-empty 2-D array of finite floats ``values`` to
     ``text`` as ``json.dumps`` writes it as a member of an indent-1 object,
     without the pure-Python encoder that ``indent`` selects: each float its
-    repr, one per line.  The values are formatted by
-    :func:`floattext.float_text`, ``_BLOCK`` at a time, each between the
-    indent (and a row's opening ``[``) before it and the separator (or a
-    row's closing ``]``) after it."""
+    repr, one per line, between the indent (and a row's opening ``[``)
+    before it and the separator (or a row's closing ``]``) after it."""
     n2 = values.shape[1]
     before = floattext.byte_rows(["  [\n   "] + ["   "] * (n2 - 1))
     after = floattext.byte_rows([",\n"] * (n2 - 1) + ["\n  ],\n"])
     text += b"[\n"
-    _formatted(text, values, True, [(before, 1), None, (after, 1)])
+    _formatted(text, values, True, before, after)
     # the last row's "]" closes the list
     text[-len(",\n") :] = b"\n ]"
 
 
-def _formatted(text: bytearray, values: np.ndarray, shortest: bool, parts) -> None:
+def _formatted(text: bytearray, values: np.ndarray, shortest: bool, before: np.ndarray,
+               after: np.ndarray, lead: np.ndarray | None = None) -> None:
     """Append the text of the 2-D ``values`` in row-major order to
-    ``text``, ``_BLOCK`` values at a time.  A value's text is its ``parts``
-    in order: ``None`` is the value as :func:`floattext.float_text` writes
-    it, and ``(table, axis)`` the row of a :func:`floattext.byte_rows` table
-    at the value's axis1 (0) or axis2 (1) index."""
-    flat = values.reshape(-1)
-    ends = np.cumsum([floattext.WIDTH if p is None else p[0].shape[1] for p in parts]).tolist()
-    for start in range(0, flat.size, _BLOCK):
-        stop = min(start + _BLOCK, flat.size)
-        at = np.divmod(np.arange(start, stop), values.shape[1])
-        rows = np.empty((stop - start, ends[-1]), np.uint8)
-        for part, a, b in zip(parts, [0, *ends], ends):
-            rows[:, a:b] = (
-                floattext.float_text(flat[start:stop], shortest) if part is None
-                else np.take(part[0], at[part[1]], axis=0)
-            )
-        text += floattext.compact(rows)
+    ``text``.  A value's text is, in order, the row of ``lead`` at its
+    axis1 index (if given), the rows of ``before`` and then the value as
+    :func:`floattext.float_text` writes it, and the row of ``after``, the
+    last two at its axis2 index; each table is a
+    :func:`floattext.byte_rows` table.
+
+    The values go in blocks of whole grid rows, ``max(1, _BLOCK // n2)``
+    rows a block, and a row longer than ``_BLOCK`` in chunks of ``_BLOCK``
+    values.  One buffer holds a block's text, a line per value: lead and
+    before, NULs to a word boundary, the value's ``WIDTH`` bytes (which
+    float_text writes there as words), after and NULs to a word boundary.
+    The axis2 pieces are written into it once a grid (once a chunk in a
+    chunked row), the axis1 piece once a block, and
+    :func:`floattext.compact` joins its lines."""
+    n1, n2 = values.shape
+    rows, cols = max(1, _BLOCK // n2), min(n2, _BLOCK)
+    w1 = 0 if lead is None else lead.shape[1]
+    w2 = w1 + before.shape[1]
+    # the value's bytes begin and end on word boundaries, as does a line
+    start = 8 * -(-w2 // 8)
+    stop = start + floattext.WIDTH
+    buffer = np.zeros((rows, cols, stop + 8 * -(-after.shape[1] // 8)), np.uint8)
+    lines = buffer.reshape(rows * cols, -1)
+    words = lines.view(np.uint64)[:, start // 8 : stop // 8]
+    written = None  # the first axis2 index of the pieces in the buffer
+    for i in range(0, n1, rows):
+        for j in range(0, n2, cols):
+            block = values[i : i + rows, j : j + cols]
+            k, c = block.shape
+            if j != written:
+                buffer[:, :c, w1:w2] = before[j : j + c]
+                buffer[:, :c, stop : stop + after.shape[1]] = after[j : j + c]
+                written = j
+            if lead is not None:
+                buffer[:k, :c, :w1] = lead[i : i + k, None]
+            # whole rows (c = cols) or one row (k = 1): the buffer's first lines
+            floattext.float_text(block.ravel(), shortest, words[: block.size])
+            text += floattext.compact(lines[: block.size])
 
 
 def write_grid(grid: ProbabilityGrid, path: str, fmt: str, command: str = "") -> None:
     """Write the data file plus a ``<path>.meta.json`` sidecar holding the
     run's timestamp, command, format, tool version, series truncation and
     largest tail bound; timestamps only ever go in the sidecar so data files
-    stay deterministic.  Both files are written without newline translation,
-    so the data file is the UTF-8 bytes of :func:`grid_to_csv` or
-    :func:`grid_to_json` on every platform.  ``fmt`` is one of
-    :data:`FORMATS`, checked before any file is opened."""
+    stay deterministic.  The data file is the bytes the writers build (the
+    UTF-8 bytes of :func:`grid_to_csv` or :func:`grid_to_json`), written as
+    they are, and the sidecar is written without newline translation, on
+    every platform.  ``fmt`` is one of :data:`FORMATS`, checked before any
+    file is opened."""
     import datetime
 
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-    text = grid_to_csv(grid) if fmt == "csv" else grid_to_json(grid)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    data = _grid_bytes(grid, fmt)
+    with open(path, "wb") as fh:
+        fh.write(data)
     meta = {
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tool_version": TOOL_VERSION,

@@ -341,7 +341,7 @@ def _cylinder_sum(params: CylinderPairParams, pair: SectorPair,
 
     wn = dl(params.omega.modulus**2 / 4.0, 2 * n + o1)
     wm = dl(params.sigma.modulus**2 / 4.0, 2 * n + o2)
-    gauss = np.exp(-4.0 * np.add.outer(x**2, y**2))
+    gauss = _exp(-4.0 * np.add.outer(x**2, y**2))
     e1 = np.exp(4.0 * (l * x[:, None] + lp * y[None, :]))
     e2 = np.exp(4.0 * (lp * x[:, None] + l * y[None, :]))
     if printed:
@@ -351,6 +351,12 @@ def _cylinder_sum(params: CylinderPairParams, pair: SectorPair,
     cross = 2.0 * np.exp(2.0 * (l + lp) * np.add.outer(x, y)) * np.cos(arg)
     pref = entangle_circle.sector_weight(pair, params.omega, params.sigma)
     return pref * _fsum_nonzero(np.outer(wn, wm) * gauss * (e1 + e2 + cross))
+
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    """np.exp(v) bit for bit, 0.0 where it underflows to 0.0 (v <= -746),
+    without the slow lanes numpy's exp takes there."""
+    return np.exp(v, out=np.zeros_like(v), where=v > -746.0)
 
 
 cylinder_probability_printed = partial(_cylinder_sum, printed=True)

@@ -7,6 +7,7 @@ import pytest
 from mp2ent.cat_compare import (
     CatPairParams,
     cat_entangled_probability,
+    cat_overlap_block,
     cat_overlap_block_norm,
     coherent_fock_vector,
     density_matrix_cat,
@@ -19,6 +20,7 @@ from mp2ent.entangle_circle import (
     SectorPair,
     probability_series,
 )
+from mp2ent.numerics import stable_norm_sq
 from mp2ent.states import CircleLabel, Mp2Variable, Parity, cat_projection
 
 ORTHO = math.pi / 2.0
@@ -158,6 +160,19 @@ class TestDensityMatrices:
         ee, oo = np.vdot(e, e).real, np.vdot(o, o).real
         expected = 2.0 * math.sqrt(ee * ee + oo * oo) / norm
         assert cat_overlap_block_norm(alpha, parity, 32) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 0.8 - 1.1j, 2.0j])
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_overlap_block_even_odd_entries_are_exactly_zero(self, alpha, parity):
+        # built from |a> alone as 2 (e e^+ - o o^+)/norm, the block has no
+        # rounding residue off its parity blocks, as the sector matrices
+        # it is compared with have none
+        block = cat_overlap_block(alpha, parity, 32)
+        even = np.arange(32) % 2 == 0
+        assert np.all(block[np.ix_(even, ~even)] == 0.0)
+        assert np.all(block[np.ix_(~even, even)] == 0.0)
+        assert np.any(block[np.ix_(even, even)] != 0.0) and np.any(block[np.ix_(~even, ~even)] != 0.0)
+        assert cat_overlap_block_norm(alpha, parity, 32) == math.sqrt(stable_norm_sq(block))
 
     def test_even_cat_00_entry(self):
         # (0,0) entry from the two-coherent-state overlap structure

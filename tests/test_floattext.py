@@ -11,6 +11,7 @@ import math
 import os
 import struct
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -131,6 +132,37 @@ def test_values_of_every_digit_count_take_the_fast_path(digits):
     assert floattext._digits(np.array(values), True)[2].mean() > 0.95
 
 
+def _pattern_value(x, nd):
+    """A value the fast path writes whose repr has ``nd`` significant digits
+    and decimal exponent ``x``, or None if none of 400 draws is one."""
+    rng = np.random.default_rng(100 * (x + 100) + nd)
+    for m in rng.integers(10 ** (nd - 1), 10**nd, 400).tolist():
+        value = float(f"{m}e{x - nd + 1}")
+        text = Decimal(repr(value)).normalize()
+        if (text.adjusted(), len(text.as_tuple().digits)) == (x, nd):
+            if floattext._digits(np.array([value]), True)[2][0]:
+                return value
+    return None
+
+
+def test_float_text_writes_every_fast_path_pattern():
+    # every decimal exponent X of the tables and every significant-digit
+    # count of a non-integral value there (nd > X + 1), each through its own
+    # lead, exponent and mask words.  X = -27, the tables' first entry, only
+    # indexes values whose log put them below 1e-26: their D is out of
+    # range, so they are never certified and take the per-value call
+    x_min, x_max = floattext._X_MIN, floattext._X_MAX
+    assert (x_min, x_max) == (-27, 14)
+    patterns = [(x, nd) for x in range(x_min + 1, x_max + 1) for nd in range(1, 18) if nd > x + 1]
+    values = {pattern: _pattern_value(*pattern) for pattern in patterns}
+    assert [p for p, v in values.items() if v is None] == []
+    _assert_per_value(list(values.values()))
+    edge = [_ulps(1e-26, k) for k in range(-3, 4)] + [9.87654321e-27, 1.23456789e-26]
+    _, xi, ok = floattext._digits(np.array(edge), True)
+    assert ok.any() and not (ok & (xi == 0)).any()
+    _assert_per_value(edge)
+
+
 def _grid(values):
     rows, cols = np.shape(values)
     spec = SweepSpec("circle", SectorPair.PP, AxisSpec("omega", 0.0, 0.9, rows),
@@ -172,6 +204,28 @@ def test_writers_match_the_per_value_writers_for_any_block(block, monkeypatch):
     monkeypatch.setattr(grids, "_BLOCK", block)
     for shape in [(2, 2), (5, 3), (3, 5), (2, 9), (9, 2)]:
         _assert_reference_bytes(_grid(_mixed(shape, block)))
+
+
+@pytest.mark.parametrize(
+    "block, shapes",
+    [(2048, [(9, 256), (17, 512), (13, 300), (5, 2047), (3, 4100), (2, 2049)]),
+     (4, [(5, 2), (3, 4), (6, 3), (3, 7), (2, 9), (4, 5)])],
+    ids=["default", "4"],
+)
+def test_whole_row_blocks_match_the_per_value_writers(block, shapes, monkeypatch):
+    # a block is max(1, _BLOCK // n2) whole rows: n2 divides _BLOCK, or
+    # does not (the last block short of rows), or n2 > _BLOCK, each row in
+    # _BLOCK-value chunks with the last one shorter; a row's "[" and "]",
+    # and CSV's axis1 text, must land at every block edge
+    monkeypatch.setattr(grids, "_BLOCK", block)
+    for shape in shapes:
+        _assert_reference_bytes(_grid(_mixed(shape, block + sum(shape))))
+    # one row: a grid has two at least, so through _json_values alone
+    for n2 in (1, block - 1, block, block + 1, 2 * block + 3):
+        rows = _mixed((1, n2), n2)
+        text = bytearray()
+        grids._json_values(text, rows)
+        assert text.decode("ascii") == per_value_writers.json_values(rows.tolist())
 
 
 SWEEPS = [

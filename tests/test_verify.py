@@ -135,6 +135,16 @@ def test_cylinder_sums_are_pinned(point, pair):
     )
 
 
+def test_the_cylinder_gaussian_is_np_exp_bit_for_bit():
+    # the cylinder sums' e^(-4(x^2 + y^2)) skips numpy's exp where it
+    # underflows to 0.0; every bit must be plain np.exp's, the smallest
+    # subnormal's neighbourhood and the cut at -746 included
+    edges = [-746.0, -745.1332191019411, -745.1332191019412, -744.4400719213812, -708.4, -0.0]
+    v = np.concatenate([np.linspace(-800.0, 0.0, 400001)]
+                       + [np.array([np.nextafter(e, t) for t in (-np.inf, np.inf)] + [e]) for e in edges])
+    assert np.array_equal(verify._exp(v).view(np.uint64), np.exp(v).view(np.uint64))
+
+
 def test_rows_declare_named_points():
     assert len({row.name for row in BATTERY}) == len(BATTERY)
     for row in BATTERY:
