@@ -6,7 +6,9 @@ hashed with sha256 (a sweep that raises hashes its error type and text):
 
 * every family x sector pair x provenance the family covers (its closed
   form's pairs for ``closed_form`` and ``both``),
-* on the family's default axes and on the angle axes phi x rho,
+* on the family's default axes, on the angle axes phi x rho and on the
+  label axes phi x phi' (there both Gram halves and the series projection
+  read both axes, so every block of the sweep is one row),
 * at 6 x 5 points and truncations N = 6 and N = 40,
 
 plus the ``mp2ent verify`` report, exit code and stderr at the default
@@ -48,6 +50,7 @@ DIGESTS = os.path.normpath(os.path.join(
 STEPS = (6, 5)
 TRUNCATIONS = (6, 40)
 ANGLE_AXES = (("phi", 0.0, 3.0), ("rho", 0.0, 3.0))
+LABEL_AXES = (("phi", 0.0, 3.0), ("phi_prime", 0.5, 2.5))
 
 
 def _sha256(text: str) -> str:
@@ -60,6 +63,7 @@ def cases():
         axes = {
             "default": tuple(axis[:3] for axis in DEFAULT_AXES[family]),
             "angles": ANGLE_AXES,
+            "labels": LABEL_AXES,
         }
         for pair in SectorPair:
             covered = pair in _CLOSED_FORM_PAIRS.get(family, ())

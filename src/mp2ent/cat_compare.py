@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entangle_circle import CoefficientMatrix, EntangledPair, PairParams, SectorPair
-from .numerics import DEFAULT_TERMS, SeriesValue, stable_norm_sq
+from .numerics import DEFAULT_TERMS, SeriesValue, check_complex, stable_norm_sq
 from .states import CircleLabel, CoefficientSequence, Parity, as_circle_label, cat_projection
 
 DEFAULT_FOCK_DIM = 32
@@ -31,7 +31,7 @@ _TRACE_TOL = 1e-10
 
 def cat_displacement(value) -> complex:
     """``value`` as the complex displacement of a cat slot; it must be finite."""
-    value = complex(value)
+    value = check_complex(value, "cat displacement")
     if not math.isfinite(abs(value)):
         raise ValueError("cat displacements must be finite")
     return value

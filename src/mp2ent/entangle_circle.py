@@ -292,7 +292,8 @@ class PairParams:
     second variable, label and label' (named as the family names them) and
     the control phase ``rho``, and ``coercions``, its functions from the
     values given to its first fields (the variables, and the labels where
-    a plain number stands for one), run in field order.  Then rho must be a
+    a plain number stands for one) or, for a label that must be given as
+    one, its label class, run in field order.  Then rho must be a
     real number (:func:`~mp2ent.numerics.check_real`, as a sweep's fixed
     values must) and finite (:func:`~mp2ent.numerics.check_finite_real`).
     ``parts`` is the first four fields as :meth:`EntangledPair.matrix`
@@ -306,7 +307,9 @@ class PairParams:
         super().__init_subclass__(**kwargs)
         # each coercion with the field it makes, paired once per class and
         # not per construction (the per-point limits build params per call)
-        cls._coerce = tuple(zip(cls.__annotations__, cls.coercions))
+        cls._coerce = tuple(
+            (name, _instance_of(coerce, name) if isinstance(coerce, type) else coerce)
+            for name, coerce in zip(cls.__annotations__, cls.coercions))
 
     def __post_init__(self) -> None:
         fields = vars(self)  # in field order; written here, as the params are frozen
@@ -319,6 +322,15 @@ class PairParams:
     @property
     def delta(self) -> float:
         return self.parts[2].phi - self.parts[3].phi
+
+
+def _instance_of(kind: type, name: str):
+    """The coercion of the pair field ``name``, which must be a ``kind``."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"pair {name} must be a {kind.__name__}, got {value!r}")
+        return value
+    return check
 
 
 @dataclass(frozen=True)
@@ -464,31 +476,14 @@ _SLICE_POINTS = 4096
 
 
 def gram_halves(
-    slots: SlotMap, points, parity: Parity | None, terms: int, tails: dict
+    slots: SlotMap, points, parity: Parity | None, terms: int
 ) -> tuple[np.ndarray, ...]:
-    """One half of :meth:`EntangledPair.closed_form`'s Gram form, with the
-    tail bounds the grid reports, at each (var, label, label') of
-    ``points``, as the columns N(u), N(v), G(u, v), T(u), T(v) for the slots
-    u = (var, label) and v = (var, label') (:func:`gram_entries`), T the
-    bound on a slot's dropped l^2 tail.  Raises a ValueError or
-    ArithmeticError wherever a point's gram_entries or one of its slots
-    would.
-
-    A sector's G is its whole series, so its T are 0.  The grouped total
-    slots' T are their fock_series tails, kept in ``tails`` by (var, label)
-    for the whole sweep: the slots it lacks are built by one
-    ``slots.batch`` call, which neither reads nor fills the memo that
-    serves verify.
-    """
-    points = list(points)
-    halves = [gram_entries(slots, *point, parity, terms) for point in points]
-    bounds = [(0.0, 0.0)] * len(points)
-    if parity is None:
-        new = list(dict.fromkeys(
-            (var, lab) for var, *labels in points for lab in labels if (var, lab) not in tails))
-        tails.update(zip(new, slots.batch(new, None, terms).tails.tolist()))
-        bounds = [(tails[var, lab], tails[var, lab_prime]) for var, lab, lab_prime in points]
-    columns = zip(*(half + bound for half, bound in zip(halves, bounds)))
+    """One half of :meth:`EntangledPair.closed_form`'s Gram form at each
+    (var, label, label') of ``points``, as the columns N(u), N(v), G(u, v)
+    for the slots u = (var, label) and v = (var, label')
+    (:func:`gram_entries`).  Raises a ValueError or ArithmeticError
+    wherever a point's gram_entries would."""
+    columns = zip(*(gram_entries(slots, *point, parity, terms) for point in points))
     return tuple(np.array(col) for col in columns)
 
 
@@ -551,21 +546,26 @@ def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):
     return p**2 * (n_u1 * n_u2 + n_v1 * n_v2 + 2.0 * cross)
 
 
-def pair_closed_form_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
+def pair_closed_form_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray | float]:
     """:meth:`EntangledPair.closed_form` of ``form`` and the
     :func:`pair_tail` bound of its truncated sums at every point of one
     block of a grid.
 
     ``block`` is the arrays of its points' two halves as :func:`gram_halves`
     columns and of the phase s e^(i rho) as a 1-tuple, shaped as for
-    :func:`pair_norm_grid`, which :func:`gram_form` and pair_tail broadcast
-    (a sector pair's tail is 0, its T being 0).  Returns the values and the
-    tail bounds.
+    :func:`pair_norm_grid`, which :func:`gram_form` broadcasts; for the
+    TOTAL pair the four :data:`SLOT_ROLES` slots follow as
+    :class:`~mp2ent.states.SlotBatch` columns, whose tails T and the
+    halves' N give pair_tail.  A sector's G is its whole series, so its
+    tail is 0.0.  Returns the values and the tail bounds.
     """
     p = form.amp_prefactor
-    (n_u1, n_v1, g1, t_u1, t_v1), (n_u2, n_v2, g2, t_u2, t_v2), (phase,) = block
+    (n_u1, n_v1, g1), (n_u2, n_v2, g2), (phase,), *slots = block
     values = gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase)
-    return values, pair_tail(p, (n_u1, n_u2, n_v1, n_v2), (t_u1, t_u2, t_v1, t_v2))
+    if not slots:
+        return values, 0.0
+    tails = [tail for _, tail, _ in slots]
+    return values, pair_tail(p, (n_u1, n_u2, n_v1, n_v2), tails)
 
 
 # the circle pair: conjugated circle slots, -e^(i rho) on the swapped term

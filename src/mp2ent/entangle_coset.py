@@ -41,7 +41,7 @@ class CosetPairParams(PairParams):
     label: CosetLabel
     label_prime: CosetLabel
     rho: float
-    coercions = (as_mp2, as_mp2)
+    coercions = (as_mp2, as_mp2, CosetLabel, CosetLabel)
 
     def __post_init__(self) -> None:
         super().__post_init__()

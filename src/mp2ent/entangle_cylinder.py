@@ -65,7 +65,7 @@ class CylinderPairParams(PairParams):
     label: CylinderLabel
     label_prime: CylinderLabel
     rho: float
-    coercions = (as_mp2, as_mp2)
+    coercions = (as_mp2, as_mp2, CylinderLabel, CylinderLabel)
 
 
 def _pair_variable(omega: Mp2Variable, label: CylinderLabel) -> complex:

@@ -159,6 +159,11 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
+        for name, kind, what in (("pair", SectorPair, "a SectorPair"),
+                                 ("axis1", AxisSpec, "an AxisSpec"),
+                                 ("axis2", AxisSpec, "an AxisSpec")):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"sweep {name} must be {what}, got {getattr(self, name)!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
@@ -374,7 +379,9 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     """Yield the sweep in blocks of axis1 rows, each block the arrays that
     its kernel reads: the (u1, v1) projection, u2, v2 and the phase
     f = s e^(i rho) for ``entangle_circle.pair_norm_grid``, or with
-    ``halves`` the two Gram halves and f for ``pair_closed_form_grid``.
+    ``halves`` the two Gram halves and f for ``pair_closed_form_grid``,
+    then for the TOTAL pair the u1, u2, v1 and v2 slots, whose tails the
+    closed form reports.
 
     Items.  A component (first, second, label, label', f) reads the
     parameter names of its table entry, a slot role or Gram half those of
@@ -388,10 +395,10 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     not read, so no parent is copied), its columns reshaped to that shape:
     slots come from ``record.batch`` as the columns of a
     :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
-    ``entangle_circle.gram_halves`` (whose total tails are built once a
-    sweep) and projections from ``entangle_circle.projections``; none reads
-    or fills the fock_series memo.  A builder that fails raises its plain
-    exception, which :func:`run_sweep` turns into the failing point's.
+    ``entangle_circle.gram_halves`` and projections from
+    ``entangle_circle.projections``; none reads or fills the fock_series
+    memo.  A builder that fails raises its plain exception, which
+    :func:`run_sweep` turns into the failing point's.
 
     Blocks.  Every parameter is read by some kernel item, so a block's
     arrays broadcast to (rows, n2); and every item reads a subset of some
@@ -405,24 +412,28 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     record, terms, parities = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
     components = (*components, (("rho",), lambda rho: form.swap_sign * cmath.exp(1j * rho)))
     n = len(components)
-    tails: dict = {}  # the grouped total slots' tails of the Gram halves, built once a sweep
 
-    def batcher(parity):
-        # a slot role's or Gram half's builder over its components' points
-        if halves:
-            return lambda *parts: entangle_circle.gram_halves(
-                record, zip(*parts), parity, terms, tails)
+    def slot(parity):
+        # a slot role's builder over its components' points
         return lambda *parts: record.batch(zip(*parts), parity, terms)
 
+    def half(parity):
+        # a Gram half's builder over its components' points
+        return lambda *parts: entangle_circle.gram_halves(record, zip(*parts), parity, terms)
+
     # the derived items: the items each reads, and its builder over their
-    # columns at its points, parent after parent
-    roles = entangle_circle.GRAM_HALVES if halves else entangle_circle.SLOT_ROLES
-    derived = [(role, batcher(parities[role[0]])) for role in roles]
+    # columns at its points, parent after parent; and what the kernel reads
+    slots = [(role, slot(parities[role[0]])) for role in entangle_circle.SLOT_ROLES]
     if not halves:
-        # of u1 and v1, the three slot columns of each
-        derived.append(((n, n + 2), lambda *cols: entangle_circle.projections(cols[:3], cols[3:])))
-    # what the kernel reads: the two halves, or the projection, u2 and v2; then f
-    kernel_items = (n, n + 1, n - 1) if halves else (n + 4, n + 1, n + 3, n - 1)
+        # the projection: of u1 and v1, the three slot columns of each
+        derived = slots + [
+            ((n, n + 2), lambda *cols: entangle_circle.projections(cols[:3], cols[3:]))]
+        kernel_items = (n + 4, n + 1, n + 3, n - 1)
+    else:
+        # the halves, then for the total the slots whose tails it reports
+        derived = [(role, half(parities[role[0]])) for role in entangle_circle.GRAM_HALVES]
+        derived += slots if spec.pair is SectorPair.TOTAL else []
+        kernel_items = (n, n + 1, n - 1, *range(n + 2, n + len(derived)))
     reads = [set(names) for names, _ in components]
     for parents, _ in derived:
         reads.append(set().union(*(reads[c] for c in parents)))

@@ -52,6 +52,15 @@ def check_real(value, where: str) -> float:
     return float(value)
 
 
+def check_complex(value, where: str) -> complex:
+    """``value`` as a complex: the one check of a complex parameter (a disk
+    variable, a coset label's alpha, a cat displacement), which must be a
+    number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (complex, float, numbers.Complex)):
+        raise ValueError(f"{where} must be a complex number, got {value!r}")
+    return complex(value)
+
+
 def check_finite_real(value, where: str) -> float:
     """:func:`check_real`, and then the float must be finite."""
     value = check_real(value, where)

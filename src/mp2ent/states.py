@@ -44,7 +44,8 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TERMS, check_truncation, log_factorial_array, row_norms_sq, stable_norm_sq,
+    DEFAULT_TERMS, check_complex, check_real, check_truncation, log_factorial_array,
+    row_norms_sq, stable_norm_sq,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -96,7 +97,7 @@ class Parity(IntEnum):
 
 
 def _wrap_angle(phi: float) -> float:
-    phi = float(phi)
+    phi = check_real(phi, "label angle phi")
     if not math.isfinite(phi):
         raise ValueError(f"label angle phi must be finite, got {phi}")
     phi = math.fmod(phi, TWO_PI)
@@ -121,8 +122,10 @@ class CylinderLabel:
     phi: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.l):
+        l = check_real(self.l, "cylinder label l")
+        if not math.isfinite(l):
             raise ValueError("cylinder label l must be finite")
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "phi", _wrap_angle(self.phi))
 
 
@@ -132,7 +135,8 @@ class CosetLabel:
     fiducial coefficients (x, y).
 
     Im(alpha) > 0 is the normalizability condition; (x, y) = (0, 0) would
-    annihilate the fiducial vector.  Every field must be finite.
+    annihilate the fiducial vector.  Every field must be a finite number,
+    alpha complex and the rest real.
     """
 
     alpha: complex
@@ -141,15 +145,16 @@ class CosetLabel:
     y: float = 0.0
 
     def __post_init__(self) -> None:
-        alpha = complex(self.alpha)
-        for name, value in (("alpha", alpha), ("x", self.x), ("y", self.y)):
+        alpha = check_complex(self.alpha, "coset label alpha")
+        x, y = (check_real(getattr(self, name), f"coset label {name}") for name in ("x", "y"))
+        for name, value in (("alpha", alpha), ("x", x), ("y", y)):
             if not cmath.isfinite(value):
                 raise ValueError(f"coset label {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not (alpha.imag > 0.0):
             raise ValueError("coset label requires Im(alpha) > 0 (normalizability)")
-        if self.x == 0.0 and self.y == 0.0:
+        if x == 0.0 and y == 0.0:
             raise ValueError("fiducial coefficients (x, y) must not both vanish")
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "phi", _wrap_angle(self.phi))
 
 
@@ -160,7 +165,7 @@ class Mp2Variable:
     omega: complex
 
     def __post_init__(self) -> None:
-        omega = complex(self.omega)
+        omega = check_complex(self.omega, "disk variable omega")
         if not (abs(omega) < 1.0):
             raise ValueError(f"|omega| must be < 1 (Bargmann disk), got {abs(omega)}")
         object.__setattr__(self, "omega", omega)
@@ -177,7 +182,7 @@ class Mp2Variable:
 def as_circle_label(value) -> CircleLabel:
     """``value`` if it already is a :class:`CircleLabel`, else the label at
     the angle it holds (validated on the way)."""
-    return value if isinstance(value, CircleLabel) else CircleLabel(float(value))
+    return value if isinstance(value, CircleLabel) else CircleLabel(value)
 
 
 def as_mp2(value) -> Mp2Variable:

@@ -1,11 +1,12 @@
 """The whole-grid closed-form column against the point-by-point reference.
 
 Every closed form, the circle total's included, is one
-``entangle_circle.pair_closed_form_grid`` call over the pair's Gram halves,
-each built once per distinct value of the swept axes it reads.  Here every
-value must equal ``closed_form_P``, ``closed_form_total`` or
-``closed_form_coset`` at that point bit for bit, coincident labels must give
-exactly 0, the total's truncated sums must report the series tail bound,
+``entangle_circle.pair_closed_form_grid`` call over the pair's Gram halves
+(and, for the total, its four slots), each built once per distinct value of
+the swept axes it reads.  Here every value must equal ``closed_form_P``,
+``closed_form_total`` or ``closed_form_coset`` at that point bit for bit,
+coincident labels must give exactly 0, the total's truncated sums must
+report the series tail bound (its slots' pair tail, bit for bit),
 a failing or disagreeing sweep must name the first point in row-major
 order, as the per-point loop did, and a sweep's blocks must stay small.
 """
@@ -320,16 +321,10 @@ def test_a_total_sweep_whose_halves_read_both_axes_peaks_by_the_row():
     assert large < small + 4 * grid.values.nbytes
 
 
-def _half_outcome(point, parity, terms):
-    """A Gram half as one point computes it: gram_entries, then its two
-    slots' tails, the first exception of the three in that order."""
-    var, label, label_prime = point
+def _gram_outcome(point, parity, terms):
+    """A Gram half as one point computes it, or its exception."""
     try:
-        half = entangle_circle.gram_entries(cat_projection, *point, parity, terms)
-        if parity is None:
-            return (*half, *(cat_projection(var, lab, None, terms, False).tail_bound
-                             for lab in (label, label_prime)))
-        return (*half, 0.0, 0.0)
+        return entangle_circle.gram_entries(cat_projection, *point, parity, terms)
     except (ValueError, ArithmeticError) as exc:
         return exc
 
@@ -344,16 +339,101 @@ def _half_outcome(point, parity, terms):
     parity=st.sampled_from([Parity.EVEN, Parity.ODD, None]),
     terms=st.sampled_from([1, 2, 6]),
 )
-def test_gram_halves_are_the_per_point_halves_or_raise(points, parity, terms):
-    # at N = 1 a cat slot of |alpha| = 2 is not yet decaying while its
-    # truncated Gram sums are fine; at |alpha| = 1e154 gram_entries fails.
-    # Where any point fails the batch raises (the sweep names the point)
+def test_gram_halves_are_the_per_point_gram_entries_or_raise(points, parity, terms):
+    # at |alpha| = 1e154 a sector's gram_entries fails and the grouped
+    # total's sums are NaN.  Where any point fails the batch raises (the
+    # sweep names the point)
     points = [(cmath.rect(m, 0.3), CircleLabel(phi), CircleLabel(phi + 1.0)) for m, phi in points]
-    expected = [_half_outcome(point, parity, terms) for point in points]
+    expected = [_gram_outcome(point, parity, terms) for point in points]
     if any(isinstance(x, Exception) for x in expected):
         with pytest.raises((ValueError, ArithmeticError)):
-            entangle_circle.gram_halves(cat_projection, points, parity, terms, {})
+            entangle_circle.gram_halves(cat_projection, points, parity, terms)
         return
-    halves = entangle_circle.gram_halves(cat_projection, points, parity, terms, {})
-    # the halves come as columns, one entry per point
-    assert list(zip(*(column.tolist() for column in halves))) == expected
+    halves = entangle_circle.gram_halves(cat_projection, points, parity, terms)
+    # the halves come as three columns, one entry per point, bit for bit
+    assert [column.tobytes() for column in halves] == [
+        np.array(column).tobytes() for column in zip(*expected)]
+
+
+def _closed_form_blocks(monkeypatch, spec):
+    """Each block the closed-form kernel of ``spec``'s sweep gets, with the
+    tails it returns broadcast to the block."""
+    kernel, blocks = entangle_circle.pair_closed_form_grid, []
+
+    def recording(form, block):
+        values, tails = kernel(form, block)
+        blocks.append((block, np.broadcast_arrays(values, tails)[1]))
+        return values, tails
+
+    monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", recording)
+    run_sweep(spec, "closed_form")
+    return blocks
+
+
+def _point_parts(spec):
+    """(first, second, label, label') at each point of the circle ``spec``, row-major."""
+    fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
+    fixed.update(spec.fixed)
+    name1, name2 = spec.axis1.name, spec.axis2.name
+    return [_params("circle", {**fixed, name1: v1, name2: v2}).parts
+            for v1 in spec.axis1.values() for v2 in spec.axis2.values()]
+
+
+# whole-grid blocks (each half reads one axis) and one-row blocks (both
+# halves read both axes), with each block's rows
+BLOCK_AXES = [(("omega", "sigma"), 4), (("phi", "phi_prime"), 1)]
+BLOCK_IDS = ["x".join(axes) for axes, _ in BLOCK_AXES]
+
+
+@pytest.mark.parametrize("pair", list(SectorPair), ids=lambda p: p.value)
+@pytest.mark.parametrize(("axes", "rows"), BLOCK_AXES, ids=BLOCK_IDS)
+def test_grid_gram_halves_are_the_per_point_gram_entries(monkeypatch, axes, rows, pair):
+    spec = _spec("circle", axes, pair, "stripped", terms=6)
+    record, parity = entangle_circle.CIRCLE_PAIR.record, entangle_circle.slot_parities(pair)
+    got = []
+    for block, tails in _closed_form_blocks(monkeypatch, spec):
+        assert tails.shape == (rows, 5)
+        for half in block[:2]:
+            assert len(half) == 3
+        columns = [np.broadcast_to(col, tails.shape).ravel().tolist()
+                   for half in block[:2] for col in half]
+        got += zip(*columns)
+    expected = [
+        (*entangle_circle.gram_entries(record, parts[var], parts[lab], parts[lab_prime],
+                                       parity[var], 6),)
+        for parts in _point_parts(spec) for var, lab, lab_prime in entangle_circle.GRAM_HALVES
+    ]
+    assert got == [a + b for a, b in zip(expected[::2], expected[1::2])]
+
+
+@pytest.mark.parametrize("terms", [2, 6])
+@pytest.mark.parametrize(("axes", "rows"), BLOCK_AXES, ids=BLOCK_IDS)
+def test_closed_form_grid_tails_are_the_slots_pair_tail(monkeypatch, axes, rows, terms):
+    # the total's tail is pair_tail over the halves' N and the four slots'
+    # tail bounds, per point bit for bit; a sector pair's G are whole
+    # series, so its blocks carry no slot and its tails are exactly 0.0
+    form = entangle_circle.CIRCLE_PAIR
+    spec = _spec("circle", axes, SectorPair.TOTAL, "stripped", terms=terms)
+    blocks = _closed_form_blocks(monkeypatch, spec)
+    assert {len(block) for block, _ in blocks} == {7}
+    got = [t.hex() for _, tails in blocks for t in tails.ravel().tolist()]
+    expected = []
+    for parts in _point_parts(spec):
+        (n_u1, n_v1, _), (n_u2, n_v2, _) = (
+            entangle_circle.gram_entries(form.record, parts[var], parts[lab], parts[lab_prime],
+                                         None, terms)
+            for var, lab, lab_prime in entangle_circle.GRAM_HALVES)
+        slot_tails = [form.record(parts[var], parts[lab], None, terms, False).tail_bound
+                      for var, lab in entangle_circle.SLOT_ROLES]
+        tail = entangle_circle.pair_tail(
+            form.amp_prefactor, (n_u1, n_u2, n_v1, n_v2), slot_tails)
+        expected.append(tail.hex())
+    assert got == expected
+    assert max(float.fromhex(t) for t in got) > 0.0
+    for pair in SECTOR_PAIRS:
+        spec = _spec("circle", axes, pair, "stripped", terms=terms)
+        blocks = _closed_form_blocks(monkeypatch, spec)
+        assert {len(block) for block, _ in blocks} == {3}
+        tails = np.concatenate([tails for _, tails in blocks])
+        assert tails.shape == (4, 5)
+        assert {t.hex() for t in tails.ravel().tolist()} == {(0.0).hex()}

@@ -175,6 +175,17 @@ class TestSweeps:
         with pytest.raises(ValueError, match="^circle parameter rho is fixed twice$"):
             small_spec(fixed=(("rho", 1.0), ("phi", 0.0), ("rho", 2.0)))
 
+    @pytest.mark.parametrize(
+        ("name", "value", "kind"),
+        [("pair", "pp", "a SectorPair"), ("pair", None, "a SectorPair"),
+         ("axis1", ("omega", 0.0, 0.5, 2), "an AxisSpec"), ("axis1", "omega", "an AxisSpec"),
+         ("axis2", None, "an AxisSpec")],
+    )
+    def test_a_pair_or_axis_of_another_type_is_refused_naming_the_field(self, name, value, kind):
+        # refused at construction, not by the sweep, its writers or to_json_dict
+        with pytest.raises(ValueError, match=rf"^sweep {name} must be {kind}, got "):
+            small_spec(**{name: value})
+
     def test_fixed_domain_checked(self):
         with pytest.raises(GridDomainError):
             small_spec(fixed=(("sigma", 1.2),))

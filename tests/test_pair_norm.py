@@ -310,9 +310,9 @@ class TestSlotMemo:
         assert grid_to_csv(run_sweep(spec)) == cold == warm
 
     def test_total_closed_form_sweep_leaves_the_memo_unchanged(self, monkeypatch):
-        # each grouped Gram half takes its two slot tails from one unmemoized
-        # batch; through the memo, as the per-point record call, the bytes
-        # are the same
+        # the total's four slot items, whose tails the closed form reports,
+        # are unmemoized batches; through the memo, as the per-point record
+        # call, the bytes are the same
         spec = SweepSpec(
             family="circle", pair=SectorPair.TOTAL, axis1=AxisSpec("phi", 0.0, 3.0, 8),
             axis2=AxisSpec("phi_prime", -1.0, 2.0, 8), truncation=12,

@@ -5,6 +5,7 @@ series truncation (:func:`mp2ent.numerics.check_truncation`)."""
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -68,13 +69,18 @@ FIRST_ERRORS = {
         ((0.3, 0.4, 0.1, 1.2, math.nan), r"^pair phase rho must be finite, got nan$"),
     ],
     CylinderPairParams: [
-        ((2.0, 3.0, CYL, CYL_PRIME, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 2\.0$"),
-        ((0.3, 3.0, CYL, CYL_PRIME, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 3\.0$"),
+        ((2.0, 3.0, 0.3, 0.1, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 2\.0$"),
+        ((0.3, 3.0, 0.3, 0.1, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 3\.0$"),
+        ((0.3, 0.4, 0.3, 0.1, math.nan), r"^pair label must be a CylinderLabel, got 0\.3$"),
+        ((0.3, 0.4, CYL, 0.1, math.nan), r"^pair label_prime must be a CylinderLabel, got 0\.1$"),
         ((0.3, 0.4, CYL, CYL_PRIME, math.inf), r"^pair phase rho must be finite, got inf$"),
     ],
     CosetPairParams: [
-        ((2.0, 3.0, THIN, THIN, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 2\.0$"),
-        ((0.3, 3.0, THIN, THIN, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 3\.0$"),
+        ((2.0, 3.0, 0.3, CYL, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 2\.0$"),
+        ((0.3, 3.0, 0.3, CYL, math.nan), r"^\|omega\| must be < 1 \(Bargmann disk\), got 3\.0$"),
+        ((0.3, 0.4, 0.3, CYL, math.nan), r"^pair label must be a CosetLabel, got 0\.3$"),
+        ((0.3, 0.4, THIN, CYL, math.nan),
+         r"^pair label_prime must be a CosetLabel, got CylinderLabel\(l=0\.3, phi=0\.4\)$"),
         ((0.3, 0.4, THIN, THIN, math.nan), r"^pair phase rho must be finite, got nan$"),
         ((0.3, 0.4, THIN, COSET, 0.5), r"^coset pair requires Im\(alpha\) >= 1e-06$"),
         ((0.3, 0.4, COSET, THIN, 0.5), r"^coset pair requires Im\(alpha\) >= 1e-06$"),
@@ -100,11 +106,24 @@ def test_fields_are_checked_in_field_order(cls, args, message):
 
 
 def test_only_the_declared_fields_are_coerced():
-    # a family coerces only what it declares: a cylinder label is taken as given
-    with pytest.raises(TypeError):
+    # a family coerces only what it declares: a circle label is made from
+    # a real number, a cylinder label is taken as given
+    with pytest.raises(ValueError, match=r"^label angle phi must be a real number, got None$"):
         CirclePairParams(0.3, 0.4, None, 0.0, 0.5)
     params = CylinderPairParams(0.3, 0.4, CYL, CYL_PRIME, 0.5)
     assert params.label is CYL and params.label_prime is CYL_PRIME
+
+
+@pytest.mark.parametrize("value", [0.3, None, "label", CircleLabel(0.3)], ids=repr)
+@pytest.mark.parametrize("name", ["label", "label_prime"])
+@pytest.mark.parametrize("cls", [CylinderPairParams, CosetPairParams])
+def test_a_label_the_family_takes_as_given_must_be_its_label(cls, name, value):
+    # refused at construction, and not when a kernel first reads it
+    kind = cls.__annotations__[name]
+    args = dict(zip(cls.__match_args__, (*VALID[cls], 0.5)), **{name: value})
+    message = rf"^pair {name} must be a {kind}, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        cls(**args)
 
 
 @pytest.mark.parametrize("rho", [True, False, np.bool_(True), "1", 1j, 1 + 0j, None])

@@ -100,6 +100,50 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match=rf"coset label {name} must be finite"):
             CosetLabel(**{"alpha": 1j, "phi": 0.0, **fields})
 
+    @pytest.mark.parametrize(
+        ("build", "where"),
+        [
+            (lambda v: CircleLabel(v), "label angle phi"),
+            (lambda v: CylinderLabel(v, 0.0), "cylinder label l"),
+            (lambda v: CylinderLabel(0.0, v), "label angle phi"),
+            (lambda v: CosetLabel(1j, v), "label angle phi"),
+            (lambda v: CosetLabel(1j, 0.0, x=v), "coset label x"),
+            (lambda v: CosetLabel(1j, 0.0, y=v), "coset label y"),
+            (lambda v: CirclePairParams(0.3, 0.4, 0.1, v, 0.5), "label angle phi"),
+            (lambda v: CatPairParams(0.3, 0.4, v, 0.1, 0.5), "label angle phi"),
+        ],
+        ids=["circle-phi", "cylinder-l", "cylinder-phi", "coset-phi", "coset-x", "coset-y",
+             "circle-params-phi", "cat-params-phi"],
+    )
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", "1", None, 1j])
+    def test_a_bool_or_non_real_field_is_refused_naming_it(self, build, where, value):
+        with pytest.raises(ValueError, match=rf"^{where} must be a real number, got "):
+            build(value)
+
+    @pytest.mark.parametrize(
+        ("build", "where"),
+        [
+            (lambda v: Mp2Variable(v), "disk variable omega"),
+            (lambda v: CosetLabel(v, 0.0), "coset label alpha"),
+            (lambda v: CirclePairParams(0.3, v, 0.1, 1.2, 0.5), "disk variable omega"),
+            (lambda v: CatPairParams(v, 0.4, 0.1, 1.2, 0.5), "cat displacement"),
+        ],
+        ids=["disk-variable", "coset-alpha", "circle-params-sigma", "cat-params-alpha"],
+    )
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", "0.5+1j", None])
+    def test_a_bool_or_non_number_complex_field_is_refused_naming_it(self, build, where, value):
+        with pytest.raises(ValueError, match=rf"^{where} must be a complex number, got "):
+            build(value)
+
+    def test_real_and_complex_fields_take_any_number_as_float_or_complex(self):
+        assert type(CircleLabel(np.float32(0.5)).phi) is float
+        cyl = CylinderLabel(1, np.int64(0))
+        assert (cyl.l, cyl.phi) == (1.0, 0.0) and type(cyl.l) is float
+        coset = CosetLabel(np.complex64(0.5 + 1j), 0, x=2, y=np.float32(0.5))
+        assert [type(v) for v in (coset.alpha, coset.x, coset.y)] == [complex, float, float]
+        assert (coset.x, coset.y) == (2.0, 0.5)
+        assert [type(Mp2Variable(v).omega) for v in (0, np.float64(0.5), 0.5j)] == [complex] * 3
+
     def test_parity_sector_indices(self):
         assert Parity.EVEN.sector_index == 0.25
         assert Parity.ODD.sector_index == 0.75
