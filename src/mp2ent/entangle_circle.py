@@ -271,15 +271,22 @@ class EntangledPair:
                       + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
 
         N(a) = Re G(a, a), one :func:`gram_entries` call per
-        :data:`GRAM_HALVES` half.  Each N is evaluated by the same expression
-        as G, so at coincident labels (v1 = u1, v2 = u2) the terms cancel
-        bit for bit.
+        :data:`GRAM_HALVES` half on the ``record.z`` and ``record.amps`` of
+        its two slots, each formed here once.  Each N is evaluated by the
+        same expression as G, so at coincident labels (v1 = u1, v2 = u2)
+        the terms cancel bit for bit.  A record with a log-weight is
+        refused.
         """
         first, second, label, label_prime = parts  # not *parts: per-point calls are hot
         (p1, p2), terms, record = slot_parities(pair), check_truncation(terms), self.record
+        if record.g is not None:
+            raise ValueError("the closed form needs a record without a log-weight")
+        zu1, zv1 = record.z(first, label), record.z(first, label_prime)
+        zu2, zv2 = record.z(second, label_prime), record.z(second, label)
         return gram_form(
-            self.amp_prefactor, *gram_entries(record, first, label, label_prime, p1, terms),
-            *gram_entries(record, second, label_prime, label, p2, terms),
+            self.amp_prefactor,
+            *gram_entries(zu1, record.amps(first, zu1), zv1, record.amps(first, zv1), p1, terms),
+            *gram_entries(zu2, record.amps(second, zu2), zv2, record.amps(second, zv2), p2, terms),
             self.swap_sign * cmath.exp(1j * rho),
         )
 
@@ -475,40 +482,38 @@ def pair_norm_grid(form: EntangledPair, block) -> tuple[np.ndarray, np.ndarray]:
 _SLICE_POINTS = 4096
 
 
-def gram_halves(
-    slots: SlotMap, points, parity: Parity | None, terms: int
-) -> tuple[np.ndarray, ...]:
+def gram_halves(zu, amps_u, zv, amps_v, parity: Parity | None, terms: int) -> tuple[np.ndarray, ...]:
     """One half of :meth:`EntangledPair.closed_form`'s Gram form at each
-    (var, label, label') of ``points``, as the columns N(u), N(v), G(u, v)
-    for the slots u = (var, label) and v = (var, label')
-    (:func:`gram_entries`).  Raises a ValueError or ArithmeticError
-    wherever a point's gram_entries would."""
-    columns = zip(*(gram_entries(slots, *point, parity, terms) for point in points))
+    point of the equal-length columns ``zu``, ``amps_u``, ``zv`` and
+    ``amps_v`` (the z and sector amplitudes of its slots u and v), as the
+    columns N(u), N(v), G(u, v) of :func:`gram_entries`.  Raises a
+    ValueError or ArithmeticError wherever a point's gram_entries would."""
+    columns = zip(*(gram_entries(*point, parity, terms) for point in zip(zu, amps_u, zv, amps_v)))
     return tuple(np.array(col) for col in columns)
 
 
 def gram_entries(
-    slots: SlotMap, var, label, label_prime, parity: Parity | None, terms: int = DEFAULT_TERMS
+    zu: complex, amps_u: tuple[float, float], zv: complex, amps_v: tuple[float, float],
+    parity: Parity | None, terms: int = DEFAULT_TERMS,
 ) -> tuple[float, float, complex]:
-    """N(u), N(v) and G(u, v) of the slots u = (var, label) and
-    v = (var, label').
+    """N(u), N(v) and G(u, v) of the slots u and v of a record without a
+    log-weight, from their disk variables z and (even, odd) sector
+    amplitudes ``amps``, as its ``z`` and ``amps`` give them.
 
     A sector's G is its whole series, one hyperbolic function.  The grouped
     total slots (``parity`` None) c_n = t_2n + t_(2n+1) give the
-    ``terms``-term sum, with A_e, A_o from ``slots.amps``,
+    ``terms``-term sum, with (A_e, A_o) = amps,
 
         G(a, b) = sum_(n<N) x^(2n)/(2n)! conj(b_n(a)) b_n(b),
-        x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)).
+        x = conj(z_a) z_b / 4,   b_n(a) = A_e + A_o z_a / (2 sqrt(2n + 1)),
+
+    and raise OverflowError where one of the three is not finite.
     """
-    if slots.g is not None:
-        raise ValueError("the closed form needs a record without a log-weight")
-    zu, zv = slots.z(var, label), slots.z(var, label_prime)
     if parity is None:
         root = 2.0 * np.sqrt(2.0 * np.arange(terms) + 1.0)
         k = 2.0 * np.arange(1, terms)
 
-        def b_n(z):  # (re, im)
-            even, odd = slots.amps(var, z)
+        def b_n(z, even, odd):  # (re, im)
             return even + odd * z.real / root, odd * z.imag / root
 
         def gram(za, zb, ba, bb):
@@ -519,19 +524,22 @@ def gram_entries(
             cr, ci = ba[0] * bb[0] + ba[1] * bb[1], ba[0] * bb[1] - ba[1] * bb[0]
             return complex(np.sum(w.real * cr - w.imag * ci), np.sum(w.real * ci + w.imag * cr))
 
-        bu, bv = b_n(zu), b_n(zv)
-        return gram(zu, zu, bu, bu).real, gram(zv, zv, bv, bv).real, gram(zu, zv, bu, bv)
+        bu, bv = b_n(zu, *amps_u), b_n(zv, *amps_v)
+        entries = gram(zu, zu, bu, bu).real, gram(zv, zv, bv, bv).real, gram(zu, zv, bu, bv)
+        if not all(map(cmath.isfinite, entries)):
+            raise OverflowError("a grouped total Gram entry overflows")
+        return entries
     f = _SECTOR_FUNCS[parity]
-    au, av = slots.amps(var, zu)[parity], slots.amps(var, zv)[parity]
+    au, av = amps_u[parity], amps_v[parity]
     # conj(z_a)/4, the bra side of every G(a, b) below
     cu, cv = zu.conjugate() * 0.25, zv.conjugate() * 0.25
     gu, gv = (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real
     return gu, gv, au * av * f(cu * zv)
 
 
-# The two Gram halves as (variable, label, label') indices into (first,
-# second, label, label'): N(u1), N(v1), G(u1, v1) and N(u2), N(v2), G(u2, v2).
-GRAM_HALVES = ((0, 2, 3), (1, 3, 2))
+# The two Gram halves as the SLOT_ROLES indices of their slots (u, v):
+# N(u1), N(v1), G(u1, v1) and N(u2), N(v2), G(u2, v2).
+GRAM_HALVES = ((0, 2), (1, 3))
 
 
 def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):

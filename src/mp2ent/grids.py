@@ -29,11 +29,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, floattext
+from . import cat_compare, entangle_circle, entangle_coset, entangle_cylinder, floattext, states
 from .entangle_circle import SectorPair
 from .numerics import DEFAULT_TERMS, check_real, check_truncation
 from .states import (
@@ -164,18 +165,22 @@ class SweepSpec:
                                  ("axis2", AxisSpec, "an AxisSpec")):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"sweep {name} must be {what}, got {getattr(self, name)!r}")
+        fixed = tuple(self.fixed) if isinstance(self.fixed, Iterable) else None
+        if fixed is None or not all(isinstance(item, (tuple, list)) and len(item) == 2
+                                    and isinstance(item[0], str) for item in fixed):
+            raise ValueError(f"sweep fixed must be (name, value) pairs, got {self.fixed!r}")
         if self.convention not in CONVENTIONS:
             raise ValueError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}"
             )
         object.__setattr__(self, "truncation", check_truncation(self.truncation))
-        names = [name for name, _ in self.fixed]
+        names = [name for name, _ in fixed]
         for name in names:
             if names.count(name) > 1:
                 raise ValueError(f"{self.family} parameter {name} is fixed twice")
         object.__setattr__(self, "fixed", tuple(sorted(
             (name, check_real(value, f"{self.family} parameter {name}"))
-            for name, value in self.fixed)))
+            for name, value in fixed)))
         catalog = PARAMETERS[self.family]
         for axis in (self.axis1, self.axis2):
             if axis.name not in catalog:
@@ -365,9 +370,8 @@ def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: 
                 if halves:
                     form.closed_form(parts, pair, at["rho"], terms)
                     if pair is SectorPair.TOTAL:
-                        for var, *labels in entangle_circle.GRAM_HALVES:
-                            for lab in labels:
-                                form.record(parts[var], parts[lab], None, terms, False)
+                        for var, lab in entangle_circle.SLOT_ROLES:
+                            form.record(parts[var], parts[lab], None, terms, False)
                     continue
                 matrix = form.matrix(parts, pair, terms, at["rho"])
             except (ValueError, ArithmeticError) as exc:
@@ -384,21 +388,26 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     closed form reports.
 
     Items.  A component (first, second, label, label', f) reads the
-    parameter names of its table entry, a slot role or Gram half those of
-    its components, and the projection those of u1 and v1.  Each item has
-    one form: arrays shaped (n1 or 1, n2 or 1, ...), 1 along an axis it
-    does not read, so one call per distinct value of the axes it reads
-    builds it.  A component is its builder broadcast over the axis values
-    and fixed values it reads (an object array; f a complex one).  A
-    derived item is its builder called on its parents' arrays broadcast to
-    its shape and flattened (views, zero-stride along an axis a parent does
-    not read, so no parent is copied), its columns reshaped to that shape:
-    slots come from ``record.batch`` as the columns of a
-    :class:`~mp2ent.states.SlotBatch` (N, T, terms), halves from
-    ``entangle_circle.gram_halves`` and projections from
-    ``entangle_circle.projections``; none reads or fills the fock_series
-    memo.  A builder that fails raises its plain exception, which
-    :func:`run_sweep` turns into the failing point's.
+    parameter names of its table entry; the input item of a slot role
+    (var, label) those of its two components, its slot those of its input
+    item, a Gram half those of its two slots' input items, and the
+    projection those of u1 and v1.  Each item has one form: arrays shaped
+    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read, so one call
+    per distinct value of the axes it reads builds it.  A component is its
+    builder broadcast over the axis values and fixed values it reads (an
+    object array; f a complex one).  A derived item is its builder called
+    on its parents' arrays broadcast to its shape and flattened (views,
+    zero-stride along an axis a parent does not read, so no parent is
+    copied), its columns reshaped to that shape: an input item is the
+    object columns z and amps of ``record.z`` and ``record.amps``, the
+    only calls a sweep makes to them; slots come from
+    ``states.fock_series_batch`` over an input item as the columns of a
+    :class:`~mp2ent.states.SlotBatch` (N, T, terms), the halves from
+    ``entangle_circle.gram_halves`` over the input items of (u1, v1) and of
+    (u2, v2), and projections from ``entangle_circle.projections``; none
+    reads or fills the fock_series memo.  A builder that fails raises its
+    plain exception, which :func:`run_sweep` turns into the failing
+    point's.
 
     Blocks.  Every parameter is read by some kernel item, so a block's
     arrays broadcast to (rows, n2); and every item reads a subset of some
@@ -413,27 +422,41 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
     components = (*components, (("rho",), lambda rho: form.swap_sign * cmath.exp(1j * rho)))
     n = len(components)
 
+    z_of, amps_of = np.frompyfunc(record.z, 2, 1), np.frompyfunc(record.amps, 2, 1)
+
+    def inputs(var, label):
+        # a slot role's object columns z and amps (p = 1) at its components' points
+        z = z_of(var, label)
+        return z, amps_of(var, z)
+
     def slot(parity):
-        # a slot role's builder over its components' points
-        return lambda *parts: record.batch(zip(*parts), parity, terms)
+        # a slot role's builder over its input item's columns
+        return lambda *cols: states.fock_series_batch(*cols, parity, terms, record.g)
 
     def half(parity):
-        # a Gram half's builder over its components' points
-        return lambda *parts: entangle_circle.gram_halves(record, zip(*parts), parity, terms)
+        # a Gram half's builder over the input items of its two slots
+        return lambda *cols: entangle_circle.gram_halves(*cols, parity, terms)
 
     # the derived items: the items each reads, and its builder over their
-    # columns at its points, parent after parent; and what the kernel reads
-    slots = [(role, slot(parities[role[0]])) for role in entangle_circle.SLOT_ROLES]
+    # columns at its points, parent after parent, built in this order; and
+    # what the kernel reads
     if not halves:
-        # the projection: of u1 and v1, the three slot columns of each
-        derived = slots + [
-            ((n, n + 2), lambda *cols: entangle_circle.projections(cols[:3], cols[3:]))]
-        kernel_items = (n + 4, n + 1, n + 3, n - 1)
+        # each slot right after its input item (items n + 2r and n + 2r + 1
+        # for role r), so that a slot batch that fails leaves the later
+        # roles' inputs unbuilt; then the projection of u1 and v1, the three
+        # slot columns of each
+        derived = [item for r, role in enumerate(entangle_circle.SLOT_ROLES)
+                   for item in ((role, inputs), ((n + 2 * r,), slot(parities[role[0]])))]
+        derived.append(((n + 1, n + 5), lambda *c: entangle_circle.projections(c[:3], c[3:])))
+        kernel_items = (n + 8, n + 3, n + 7, n - 1)
     else:
-        # the halves, then for the total the slots whose tails it reports
-        derived = [(role, half(parities[role[0]])) for role in entangle_circle.GRAM_HALVES]
-        derived += slots if spec.pair is SectorPair.TOTAL else []
-        kernel_items = (n, n + 1, n - 1, *range(n + 2, n + len(derived)))
+        # the input items n to n + 3, the halves over them, then for the
+        # total the slots whose tails it reports
+        derived = [(role, inputs) for role in entangle_circle.SLOT_ROLES]
+        derived += [((n + u, n + v), half(parity))
+                    for (u, v), parity in zip(entangle_circle.GRAM_HALVES, parities)]
+        derived += [((n + r,), slot(None)) for r in range(4) if spec.pair is SectorPair.TOTAL]
+        kernel_items = (n + 4, n + 5, n - 1, *range(n + 6, n + len(derived)))
     reads = [set(names) for names, _ in components]
     for parents, _ in derived:
         reads.append(set().union(*(reads[c] for c in parents)))
@@ -448,9 +471,12 @@ def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], ha
             made = np.frompyfunc(builder, len(names), 1)(*(at[name] for name in names))
             return (made.astype(complex) if k == n - 1 else made,)
         parents, builder = derived[k - n]
-        shape = np.broadcast_shapes(*(items[c][0].shape[:2] for c in parents))
-        columns = builder(*(np.broadcast_to(col, shape + col.shape[2:]).reshape(-1, *col.shape[2:])
-                            for c in parents for col in items[c]))
+        # each dimension is 1 or full, so the broadcast shape is the largest;
+        # np.broadcast_to costs a few us a call, so only parents that need it
+        shape = tuple(map(max, zip(*(items[c][0].shape[:2] for c in parents))))
+        columns = builder(*(
+            (col if col.shape[:2] == shape else np.broadcast_to(col, shape + col.shape[2:]))
+            .reshape(-1, *col.shape[2:]) for c in parents for col in items[c]))
         return tuple(col.reshape(*shape, *col.shape[1:]) for col in columns)
 
     both = [k for k in range(len(reads)) if on1[k] and on2[k]]

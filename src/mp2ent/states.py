@@ -13,11 +13,13 @@ of G slots in one numpy log-magnitude pass, returned as arrays (a
 :class:`SlotBatch`: a (G, N) coefficient block with its norm and tail
 columns), with no object per slot.  The per-point paths call the memoized
 :func:`fock_series`, which wraps row 0 of its batch of one in a
-CoefficientSequence, and the grid sweeps call ``SlotMap.batch`` over an
-axis; a batch raises wherever one of its elements would, and a failing
-sweep names its point by replaying the per-point path
-(:func:`mp2ent.grids.run_sweep`).  ``parity=None`` gives the grouped total
-slot, even + odd, whose sequence carries parity None (no sector).
+CoefficientSequence, and the grid sweeps call fock_series_batch over the
+(z, amplitudes) of a slot role at an axis of points, each evaluated once a
+sweep by the record's own ``z`` and ``amps``; a batch raises wherever one
+of its elements would, and a failing sweep names its point by replaying
+the per-point path (:func:`mp2ent.grids.run_sweep`).  ``parity=None``
+gives the grouped total slot, even + odd, whose sequence carries parity
+None (no sector).
 
 Conventions
 -----------
@@ -65,8 +67,8 @@ LOG_DBL_MAX = math.log(sys.float_info.max)
 # Distinct slots kept by the fock_series memo.  It serves the per-point
 # pair builders and verify, which meet the same slot at many points, and
 # their reruns; at N = 40 an entry holds about 1.1 kB (tracemalloc).  Grid
-# sweeps build their slots in axis batches (SlotMap.batch) and neither read
-# nor fill it, so a sweep does not evict verify's slots; only a failing
+# sweeps build their slots in axis batches (fock_series_batch) and neither
+# read nor fill it, so a sweep does not evict verify's slots; only a failing
 # sweep does, replaying its points up to the first failing one.
 SLOT_MEMO_SIZE = 1024
 
@@ -382,9 +384,12 @@ class SlotMap:
 
     Calling a record, ``record(var, label, parity, terms, prefactor)``, is
     the only place where a (variable, label) pair becomes a memoized
-    fock_series call, and ``record.batch`` (always p = 1) the only place
-    where many become one fock_series_batch call; ``parity=None`` gives the
-    grouped total slot.
+    fock_series call; ``parity=None`` gives the grouped total slot.  Its
+    ``z`` and ``amps`` are called per point there and in
+    :meth:`~mp2ent.entangle_circle.EntangledPair.closed_form`, and by a
+    sweep's input items (:func:`mp2ent.grids._sweep_blocks`, always
+    p = 1), each distinct input once a sweep, whose columns make one
+    fock_series_batch call.
     """
 
     z: Callable[[Any, Any], complex]
@@ -399,28 +404,14 @@ class SlotMap:
     ) -> CoefficientSequence:
         terms = check_truncation(terms)  # a bad truncation raises whatever the memo holds
         try:
-            return fock_series(*self._inputs(var, label, prefactor), parity, terms, self.g)
+            z = self.z(var, label)
+            even, odd = self.amps(var, z)
+            p = self.prefactor if prefactor else 1.0
+            return fock_series(z, (p * even, p * odd), parity, terms, self.g)
         except OverflowError:
             if self.overflow is None:
                 raise
             raise ValueError(self.overflow(var, label)) from None
-
-    def batch(self, points, parity: Parity | None, terms: int = DEFAULT_TERMS) -> SlotBatch:
-        """The slots ``self(var, label, parity, terms, False)`` of the
-        (var, label) ``points`` as one :class:`SlotBatch`, built by one
-        :func:`fock_series_batch` call without the memo.  Raises a
-        ValueError or ArithmeticError wherever some point's call would."""
-        inputs = [self._inputs(var, label, False) for var, label in points]
-        return fock_series_batch(
-            [z for z, _ in inputs], [pair for _, pair in inputs], parity, terms, self.g
-        )
-
-    def _inputs(self, var, label, prefactor: bool) -> tuple[complex, tuple[float, float]]:
-        # z and the sector amplitudes of the slot of var at label
-        z = self.z(var, label)
-        even, odd = self.amps(var, z)
-        p = self.prefactor if prefactor else 1.0
-        return z, (p * even, p * odd)
 
 
 def _disk_weights(modulus: float) -> tuple[float, float]:

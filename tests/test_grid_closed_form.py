@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mp2ent import entangle_circle, entangle_coset
+from mp2ent.cat_compare import CAT_PAIR, CatPairParams
 from mp2ent.entangle_circle import CirclePairParams, SectorPair, closed_form_P, closed_form_total
 from mp2ent.entangle_coset import CosetPairParams, closed_form_coset
 from mp2ent.grids import (
@@ -321,12 +322,33 @@ def test_a_total_sweep_whose_halves_read_both_axes_peaks_by_the_row():
     assert large < small + 4 * grid.values.nbytes
 
 
+def _inputs(record, var, label):
+    """The (z, amps) of the slot of ``var`` at ``label``, p = 1."""
+    z = record.z(var, label)
+    return z, record.amps(var, z)
+
+
 def _gram_outcome(point, parity, terms):
-    """A Gram half as one point computes it, or its exception."""
+    """A Gram half as one point computes it from its two slots' inputs, or
+    its exception."""
+    var, label, label_prime = point
     try:
-        return entangle_circle.gram_entries(cat_projection, *point, parity, terms)
+        return entangle_circle.gram_entries(
+            *_inputs(cat_projection, var, label), *_inputs(cat_projection, var, label_prime),
+            parity, terms)
     except (ValueError, ArithmeticError) as exc:
         return exc
+
+
+def _gram_halves(points, parity, terms):
+    """gram_halves over the cat input columns of (var, label) and
+    (var, label') at ``points``, as a sweep's input items form them."""
+    z_of = np.frompyfunc(cat_projection.z, 2, 1)
+    amps_of = np.frompyfunc(cat_projection.amps, 2, 1)
+    var, label, label_prime = (np.array(column, object) for column in zip(*points))
+    zu, zv = z_of(var, label), z_of(var, label_prime)
+    return entangle_circle.gram_halves(
+        zu, amps_of(var, zu), zv, amps_of(var, zv), parity, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -340,19 +362,32 @@ def _gram_outcome(point, parity, terms):
     terms=st.sampled_from([1, 2, 6]),
 )
 def test_gram_halves_are_the_per_point_gram_entries_or_raise(points, parity, terms):
-    # at |alpha| = 1e154 a sector's gram_entries fails and the grouped
-    # total's sums are NaN.  Where any point fails the batch raises (the
-    # sweep names the point)
+    # at |alpha| = 1e154 the Gram entries overflow, in a sector and in the
+    # grouped total alike, and at 1e300 the inputs' weight does.  Where any
+    # point fails the batch raises (the sweep names the point)
     points = [(cmath.rect(m, 0.3), CircleLabel(phi), CircleLabel(phi + 1.0)) for m, phi in points]
     expected = [_gram_outcome(point, parity, terms) for point in points]
     if any(isinstance(x, Exception) for x in expected):
         with pytest.raises((ValueError, ArithmeticError)):
-            entangle_circle.gram_halves(cat_projection, points, parity, terms)
+            _gram_halves(points, parity, terms)
         return
-    halves = entangle_circle.gram_halves(cat_projection, points, parity, terms)
-    # the halves come as three columns, one entry per point, bit for bit
+    halves = _gram_halves(points, parity, terms)
+    # the halves come as three finite columns, one entry per point, bit for bit
     assert [column.tobytes() for column in halves] == [
         np.array(column).tobytes() for column in zip(*expected)]
+    assert all(np.isfinite(column).all() for column in halves)
+
+
+def test_an_overflowing_grouped_total_gram_entry_raises():
+    # at |alpha| = 1e154 the total's x^(2n) terms overflow, as the sector
+    # entries and the series pair do, rather than giving a NaN probability
+    parts = CatPairParams(1e154, 0.5, 0.0, 1.0, 0.3).parts
+    with pytest.raises(OverflowError, match="^a grouped total Gram entry overflows$"):
+        CAT_PAIR.closed_form(parts, SectorPair.TOTAL, 0.3, 2)
+    with pytest.raises(OverflowError):
+        CAT_PAIR.closed_form(parts, SectorPair.PP, 0.3, 2)
+    with pytest.raises(ValueError, match="^cat displacement"):
+        CAT_PAIR.matrix(parts, SectorPair.TOTAL, 2, 0.3)
 
 
 def _closed_form_blocks(monkeypatch, spec):
@@ -368,6 +403,14 @@ def _closed_form_blocks(monkeypatch, spec):
     monkeypatch.setattr(entangle_circle, "pair_closed_form_grid", recording)
     run_sweep(spec, "closed_form")
     return blocks
+
+
+def _point_halves(record, parts, parities, terms):
+    """The two Gram halves of one point, per point: gram_entries on the
+    (z, amps) of each half's two slots."""
+    inputs = [_inputs(record, parts[var], parts[lab]) for var, lab in entangle_circle.SLOT_ROLES]
+    return [entangle_circle.gram_entries(*inputs[u], *inputs[v], parity, terms)
+            for (u, v), parity in zip(entangle_circle.GRAM_HALVES, parities)]
 
 
 def _point_parts(spec):
@@ -398,12 +441,8 @@ def test_grid_gram_halves_are_the_per_point_gram_entries(monkeypatch, axes, rows
         columns = [np.broadcast_to(col, tails.shape).ravel().tolist()
                    for half in block[:2] for col in half]
         got += zip(*columns)
-    expected = [
-        (*entangle_circle.gram_entries(record, parts[var], parts[lab], parts[lab_prime],
-                                       parity[var], 6),)
-        for parts in _point_parts(spec) for var, lab, lab_prime in entangle_circle.GRAM_HALVES
-    ]
-    assert got == [a + b for a, b in zip(expected[::2], expected[1::2])]
+    expected = [sum(_point_halves(record, parts, parity, 6), ()) for parts in _point_parts(spec)]
+    assert got == expected
 
 
 @pytest.mark.parametrize("terms", [2, 6])
@@ -419,10 +458,8 @@ def test_closed_form_grid_tails_are_the_slots_pair_tail(monkeypatch, axes, rows,
     got = [t.hex() for _, tails in blocks for t in tails.ravel().tolist()]
     expected = []
     for parts in _point_parts(spec):
-        (n_u1, n_v1, _), (n_u2, n_v2, _) = (
-            entangle_circle.gram_entries(form.record, parts[var], parts[lab], parts[lab_prime],
-                                         None, terms)
-            for var, lab, lab_prime in entangle_circle.GRAM_HALVES)
+        (n_u1, n_v1, _), (n_u2, n_v2, _) = _point_halves(
+            form.record, parts, (None, None), terms)
         slot_tails = [form.record(parts[var], parts[lab], None, terms, False).tail_bound
                       for var, lab in entangle_circle.SLOT_ROLES]
         tail = entangle_circle.pair_tail(

@@ -186,6 +186,14 @@ class TestSweeps:
         with pytest.raises(ValueError, match=rf"^sweep {name} must be {kind}, got "):
             small_spec(**{name: value})
 
+    @pytest.mark.parametrize(
+        "fixed", [{"x2": 1.0}, {"phi": 1.0}, (("phi", 1.0, 2.0),), None, "rho", (("rho",),),
+                  ((1.0, "rho"),), ("rho", 1.0)],
+    )
+    def test_fixed_that_is_not_name_value_pairs_is_refused_naming_the_field(self, fixed):
+        with pytest.raises(ValueError, match=r"^sweep fixed must be \(name, value\) pairs, got "):
+            small_spec(family="coset", fixed=fixed)
+
     def test_fixed_domain_checked(self):
         with pytest.raises(GridDomainError):
             small_spec(fixed=(("sigma", 1.2),))
@@ -775,13 +783,15 @@ def test_a_failing_closed_form_sweep_replays_the_points_up_to_its_first_failure(
     # the sweep then calls EntangledPair.closed_form point by point up to
     # (2, 0), and names that point with the entry's message
     spec = small_spec(pair=pair, truncation=8)
-    bad = complex(spec.axis1.values()[2])
+    # z of the slot u1 = (omega, phi = pi/2) there; no u2 = (sigma, 0) has it
+    bad = entangle_circle.CIRCLE_PAIR.record.z(
+        states.Mp2Variable(spec.axis1.values()[2]), states.CircleLabel(math.pi / 2.0))
     gram_entries = entangle_circle.gram_entries
 
-    def failing(slots, var, *args):
-        if var.omega == bad:
+    def failing(zu, *args):
+        if zu == bad:
             raise ValueError("planted")
-        return gram_entries(slots, var, *args)
+        return gram_entries(zu, *args)
 
     monkeypatch.setattr(entangle_circle, "gram_entries", failing)
     counts = _counting_pair_builds(monkeypatch)
@@ -845,6 +855,32 @@ def test_a_successful_sweep_makes_no_per_point_call(monkeypatch, pair, provenanc
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
+def _counting_record_calls(monkeypatch, family: str) -> dict:
+    # the calls a sweep of ``family`` makes to its record's z and amps
+    form, components = grids._FAMILY_TABLE[family]
+    counts = {"z": 0, "amps": 0}
+    record = dataclasses.replace(form.record, **{
+        name: _counting(counts, name, getattr(form.record, name)) for name in counts})
+    monkeypatch.setitem(
+        grids._FAMILY_TABLE, family, (dataclasses.replace(form, record=record), components))
+    return counts
+
+
+@pytest.mark.parametrize(
+    ("axes", "provenance"),
+    [((("phi", 0.0, 3.0, 64), ("phi_prime", 0.5, 2.5, 64)), "closed_form"),
+     (DEFAULT_AXES["circle"], "series")],
+    ids=["phi-x-phi-prime-closed-form", "default-series"],
+)
+def test_a_sweep_evaluates_each_slot_input_once(monkeypatch, axes, provenance):
+    # each of the four slot roles reads one axis here, so its (z, amps) are
+    # 64 record calls: 256 for the sweep, not one per point and half
+    counts = _counting_record_calls(monkeypatch, "circle")
+    run_sweep(SweepSpec("circle", SectorPair.PM, AxisSpec(*axes[0]), AxisSpec(*axes[1])),
+              provenance)
+    assert counts == {"z": 256, "amps": 256}
+
+
 def test_a_both_disagreement_makes_no_per_point_call(monkeypatch):
     # the disagreement is a GridDomainError, a ValueError, raised over the
     # kernel's rows and not by them: it is not replayed
@@ -864,7 +900,7 @@ def test_a_both_disagreement_makes_no_per_point_call(monkeypatch):
 @pytest.mark.parametrize("error", [ValueError, OverflowError])
 @pytest.mark.parametrize(
     ("owner", "name", "provenance"),
-    [(states.SlotMap, "batch", "series"), (entangle_circle, "projections", "series"),
+    [(states, "fock_series_batch", "series"), (entangle_circle, "projections", "series"),
      (entangle_circle, "gram_halves", "closed_form")],
     ids=["slot-batch", "projections", "gram-halves"],
 )
@@ -874,8 +910,12 @@ def test_a_fault_only_a_batch_builder_raises_propagates_unchanged(
     # every point passes the replay, so the builder's own exception is
     # raised as it was: not swallowed, and not named as a point's
     planted = error("planted")
+    builder = getattr(owner, name)
 
     def failing(*args):
+        # the per-point slots are fock_series_batch's batches of one, which build
+        if owner is states and len(args[0]) == 1:
+            return builder(*args)
         raise planted
 
     monkeypatch.setattr(owner, name, failing)

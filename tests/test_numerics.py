@@ -43,6 +43,15 @@ class TestLogFactorial:
         with pytest.raises(ValueError):
             log_factorial(-1)
 
+    @pytest.mark.parametrize("n", [25.5, 2.5, 3.0, True, False, np.bool_(True), "3", None])
+    def test_rejects_a_non_integer_or_bool(self, n):
+        # ln Gamma(26.5) is no factorial, and True is no count
+        with pytest.raises(ValueError, match="^n must be a non-negative integer$"):
+            log_factorial(n)
+
+    def test_a_numpy_integer_is_an_integer(self):
+        assert log_factorial(np.int64(25)) == log_factorial(25)
+
 
 def power_term(z, k):
     """(z/2)^k / sqrt(k!): Fock term k of the one series builder at unit

@@ -322,15 +322,22 @@ class TestSlotMemo:
         grid = grid_to_json(run_sweep(spec, "closed_form"))
         assert states.fock_series.cache_info() == before
 
-        def through_the_memo(record, points, parity, terms):
-            slots = [record(var, label, parity, terms, False) for var, label in points]
+        batch = states.fock_series_batch
+
+        def through_the_memo(zs, amps, parity, terms, g):
+            # the memoized fock_series builds its slot of one with the
+            # unpatched batch
+            with monkeypatch.context() as unpatched:
+                unpatched.setattr(states, "fock_series_batch", batch)
+                slots = [states.fock_series(z, pair, parity, terms, g)
+                         for z, pair in zip(zs, amps)]
             return states.SlotBatch(
                 np.array([slot.norm_sq() for slot in slots]),
                 np.array([slot.tail_bound for slot in slots]),
                 np.reshape([slot.terms for slot in slots], (len(slots), terms)),
             )
 
-        monkeypatch.setattr(states.SlotMap, "batch", through_the_memo)
+        monkeypatch.setattr(states, "fock_series_batch", through_the_memo)
         assert grid_to_json(run_sweep(spec, "closed_form")) == grid
         assert states.fock_series.cache_info().misses > 0
 

@@ -557,11 +557,22 @@ RECORD_POINTS = {
 @pytest.mark.parametrize("terms", BATCH_TERMS)
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-def test_record_batch_is_its_batch_of_one(record, parity, terms, data):
+def test_a_batch_over_record_input_columns_is_the_record_call(record, parity, terms, data):
+    # a sweep's slot item: fock_series_batch over the object columns of
+    # record.z and record.amps (p = 1), as a sweep's input item forms them,
+    # each slot the record's call bit for bit, or raising where one of its
+    # points' calls raises
     slots, point = RECORD_POINTS[record]
     points = data.draw(st.lists(point, min_size=1, max_size=5))
+    z_of, amps_of = np.frompyfunc(slots.z, 2, 1), np.frompyfunc(slots.amps, 2, 1)
+
+    def build(points):
+        var, label = (np.array(column, object) for column in zip(*points))
+        z = z_of(var, label)
+        return fock_series_batch(z, amps_of(var, z), parity, terms, slots.g)
+
     _assert_batch(
-        lambda points: slots.batch(points, parity, terms), points,
+        build, points,
         [_outcome(lambda: slots(var, label, parity, terms, False)) for var, label in points],
         parity, terms,
     )
