@@ -8,9 +8,10 @@ hashed with sha256 (a sweep that raises hashes its error type and text):
   form's pairs for ``closed_form`` and ``both``),
 * on the family's default axes, on the angle axes phi x rho, on the
   label axes phi x phi' (there both Gram halves and the series projection
-  read both axes, so every block of the sweep is one row) and on the polar
+  read both axes, so every block of the sweep is one row), on the polar
   axes of the first variable, its modulus x its argument (there the slot
-  inputs of u1 and v1 read both axes),
+  inputs of u1 and v1 read both axes), and for the coset on its fiducial
+  axes x x y (there the label reads both axes, so every block is one row),
 * at 6 x 5 points and truncations N = 6 and N = 40,
 
 plus the ``mp2ent verify`` report, exit code and stderr at the default
@@ -55,6 +56,7 @@ ANGLE_AXES = (("phi", 0.0, 3.0), ("rho", 0.0, 3.0))
 LABEL_AXES = (("phi", 0.0, 3.0), ("phi_prime", 0.5, 2.5))
 POLAR_AXES = (("omega", 0.1, 0.9), ("arg_omega", 0.0, 3.0))
 CAT_POLAR_AXES = (("alpha", 0.1, 1.9), ("arg_alpha", 0.0, 3.0))
+FIDUCIAL_AXES = (("x", 0.5, 2.0), ("y", -1.0, 1.0))
 
 
 def _sha256(text: str) -> str:
@@ -70,6 +72,8 @@ def cases():
             "labels": LABEL_AXES,
             "polar": CAT_POLAR_AXES if family == "cat" else POLAR_AXES,
         }
+        if family == "coset":
+            axes["fiducial"] = FIDUCIAL_AXES
         for pair in SectorPair:
             covered = pair in _CLOSED_FORM_PAIRS.get(family, ())
             for provenance in PROVENANCES if covered else ("series",):

@@ -88,6 +88,8 @@ class DensityMatrix:
         object.__setattr__(self, "entries", entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("density matrix must be square")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("density matrix entries must be finite")
         if np.max(np.abs(entries - entries.conj().T)) > _HERMITIAN_TOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
         if abs(np.trace(entries).real - 1.0) > _TRACE_TOL:
@@ -141,13 +143,15 @@ def density_matrix_cat(
 
 def _cat_ket(alpha: complex, parity: Parity, dim: int):
     """(|a>, sign = (-1)^parity, norm = 2 (1 + sign e^(-2|a|^2))) of the cat
-    of ``parity`` over ``dim`` Fock states; undefined if odd at alpha = 0."""
-    alpha = complex(alpha)
+    of ``parity`` (a :class:`Parity` or its value) over ``dim`` Fock
+    states, a = ``alpha`` a finite cat displacement; undefined if odd at
+    alpha = 0.  |a> is built first: where |a|^2 overflows, its weight
+    e^(-|a|^2/2) raises the cat slot's overflow ValueError."""
+    alpha, parity = cat_displacement(alpha), Parity(parity)
     if parity is Parity.ODD and alpha == 0:
         raise ValueError("odd cat state is undefined at alpha = 0")
-    sign = (-1.0) ** parity
-    norm = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
-    return coherent_fock_vector(alpha, dim), sign, norm
+    vec, sign = coherent_fock_vector(alpha, dim), (-1.0) ** parity
+    return vec, sign, 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
 
 
 def _embedded_unit_vector(seq: CoefficientSequence, dim: int) -> np.ndarray:

@@ -262,31 +262,28 @@ class EntangledPair:
 
             G(a, b) = <a, b> = A_a A_b f(conj(z_a) z_b / 4),   f = cosh or sinh,
 
-        (cosh for the even sector) with z_a from ``record.z`` and A_a the
-        sector's entry of ``record.amps``, and that of two grouped total slots
+        (cosh for the even sector) with (z_a, amps) from ``record.inputs``
+        and A_a the sector's entry of amps, and that of two grouped total slots
         a ``terms``-term sum (:func:`gram_entries`), so the norm of
         p (u1 u2 + s e^(i rho) v1 v2) is the Gram form
 
             P = p^2 [ N(u1) N(u2) + N(v1) N(v2)
                       + 2 Re(s e^(i rho) conj(G(u1, v1) G(u2, v2))) ],
 
-        N(a) = Re G(a, a), one :func:`gram_entries` call per
-        :data:`GRAM_HALVES` half on the ``record.z`` and ``record.amps`` of
-        its two slots, each formed here once.  Each N is evaluated by the
-        same expression as G, so at coincident labels (v1 = u1, v2 = u2)
-        the terms cancel bit for bit.  A record with a log-weight is
-        refused.
+        N(a) = Re G(a, a), one :func:`gram_entries` call per half, (u1, v1)
+        and (u2, v2), on the inputs of its two slots, each formed here
+        once.  Each N is evaluated by the same expression as G, so at
+        coincident labels (v1 = u1, v2 = u2) the terms cancel bit for bit.
+        A record with a log-weight is refused.
         """
         first, second, label, label_prime = parts  # not *parts: per-point calls are hot
-        (p1, p2), terms, record = slot_parities(pair), check_truncation(terms), self.record
-        if record.g is not None:
+        (p1, p2), terms, inputs = slot_parities(pair), check_truncation(terms), self.record.inputs
+        if self.record.g is not None:
             raise ValueError("the closed form needs a record without a log-weight")
-        zu1, zv1 = record.z(first, label), record.z(first, label_prime)
-        zu2, zv2 = record.z(second, label_prime), record.z(second, label)
         return gram_form(
             self.amp_prefactor,
-            *gram_entries(zu1, record.amps(first, zu1), zv1, record.amps(first, zv1), p1, terms),
-            *gram_entries(zu2, record.amps(second, zu2), zv2, record.amps(second, zv2), p2, terms),
+            *gram_entries(*inputs(first, label), *inputs(first, label_prime), p1, terms),
+            *gram_entries(*inputs(second, label_prime), *inputs(second, label), p2, terms),
             self.swap_sign * cmath.exp(1j * rho),
         )
 
@@ -535,11 +532,6 @@ def gram_entries(
     cu, cv = zu.conjugate() * 0.25, zv.conjugate() * 0.25
     gu, gv = (au * au * f(cu * zu)).real, (av * av * f(cv * zv)).real
     return gu, gv, au * av * f(cu * zv)
-
-
-# The two Gram halves as the SLOT_ROLES indices of their slots (u, v):
-# N(u1), N(v1), G(u1, v1) and N(u2), N(v2), G(u2, v2).
-GRAM_HALVES = ((0, 2), (1, 3))
 
 
 def gram_form(p, n_u1, n_v1, g1, n_u2, n_v2, g2, phase):

@@ -2,11 +2,12 @@
 
 A sweep is two named axes plus fixed values for the remaining parameters of
 one family (circle, cylinder, coset, cat).  This module is the one place
-that knows which axes each item of the pair reads (a component, a slot, a
-Gram half, the (u1, v1) projection): :func:`_sweep_blocks` holds each item
-in one form, arrays shaped (n1 or 1, n2 or 1, ...), built once per
-distinct value of the swept axes it reads from its parents broadcast to
-its shape, and hands :func:`entangle_circle.pair_norm_grid` (series) or
+that knows which axes each item of the pair reads (a parameter, a
+component, a slot input, a slot, a Gram half, the (u1, v1) projection):
+:func:`_sweep_blocks` holds each item, by name, in one form, arrays shaped
+(n1 or 1, n2 or 1, ...), the broadcast of its parents' shapes, built once
+per distinct value of the swept axes it reads, and hands
+:func:`entangle_circle.pair_norm_grid` (series) or
 :func:`entangle_circle.pair_closed_form_grid` (closed form) one block at a
 time, the whole grid or, where an item reads both axes, one row; each
 kernel broadcasts its block and returns it, equal bit for bit to the
@@ -315,15 +316,15 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     fixed = {name: default for name, (default, _) in PARAMETERS[spec.family].items()}
     fixed.update(spec.fixed)
 
-    def column(kernel, halves: bool) -> tuple[np.ndarray, np.ndarray]:
-        # the kernel's values and tails over the grid, scaled; if a block
-        # raises, the error of the first failing point, or its own where no
-        # point fails on its own
+    def column(name: str) -> tuple[np.ndarray, np.ndarray]:
+        # the values and tails over the grid of the kernel ``name``, scaled;
+        # if a block raises, the error of the first failing point, or its
+        # own where no point fails on its own
         try:
-            blocks = [np.broadcast_arrays(*kernel(form, block))
-                      for block in _sweep_blocks(spec, form, components, fixed, halves)]
+            blocks = [np.broadcast_arrays(*getattr(entangle_circle, name)(form, block))
+                      for block in _sweep_blocks(spec, form, components, fixed, name)]
         except (ValueError, ArithmeticError):
-            _replay(spec, form, components, fixed, halves)
+            _replay(spec, form, components, fixed, name)
             raise
         values, tails = (np.concatenate(col) for col in zip(*blocks))
         values *= scale
@@ -331,10 +332,10 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
         return values, tails
 
     if provenance != "closed_form":
-        values, tails = column(entangle_circle.pair_norm_grid, False)
+        values, tails = column("pair_norm_grid")
         if provenance == "series":
             return ProbabilityGrid(spec, values, float(tails.max()), provenance)
-    closed, closed_tails = column(entangle_circle.pair_closed_form_grid, True)
+    closed, closed_tails = column("pair_closed_form_grid")
     if provenance == "closed_form":
         return ProbabilityGrid(
             spec, _clamp_residue(closed), float(closed_tails.max()), provenance)
@@ -348,14 +349,16 @@ def run_sweep(spec: SweepSpec, provenance: str = "series") -> ProbabilityGrid:
     return ProbabilityGrid(spec, values, float(tails.max()), provenance)
 
 
-def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: bool) -> None:
+def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], kernel: str) -> None:
     """Walk the sweep point by point in row-major order through the
     per-point API, and raise at the first point that fails: a
     GridDomainError naming the point if its components (the labels first,
-    as a point's params dataclass builds them) or its pair builder
-    (``form.matrix``, or ``form.closed_form`` and, for the total, its
-    grouped slots, whose tails the grid reports) raise, or the pair norm's
-    own error unnamed.  Returns if no point fails."""
+    as callers build the label objects before the params that take them)
+    or the per-point twin of the kernel ``kernel`` (``form.matrix`` for
+    ``pair_norm_grid``; ``form.closed_form`` and, for the total, its
+    grouped slots, whose tails the grid reports, for
+    ``pair_closed_form_grid``) raise, or the pair norm's own error unnamed.
+    Returns if no point fails."""
     name1, name2 = spec.axis1.name, spec.axis2.name
     pair, terms = spec.pair, spec.truncation
     for v1 in spec.axis1.values():
@@ -367,7 +370,7 @@ def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: 
                     for names, builder in (components[k] for k in (2, 3, 0, 1))
                 )
                 parts = (first, second, label, label_prime)
-                if halves:
+                if kernel == "pair_closed_form_grid":
                     form.closed_form(parts, pair, at["rho"], terms)
                     if pair is SectorPair.TOTAL:
                         for var, lab in entangle_circle.SLOT_ROLES:
@@ -379,119 +382,118 @@ def _replay(spec: SweepSpec, form, components, fixed: dict[str, float], halves: 
             matrix.norm_sq()
 
 
-def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], halves: bool = False):
-    """Yield the sweep in blocks of axis1 rows, each block the arrays that
-    its kernel reads: the (u1, v1) projection, u2, v2 and the phase
-    f = s e^(i rho) for ``entangle_circle.pair_norm_grid``, or with
-    ``halves`` the two Gram halves and f for ``pair_closed_form_grid``,
-    then for the TOTAL pair the u1, u2, v1 and v2 slots, whose tails the
-    closed form reports.
+# the items each sweep column's kernel reads, by name (see _sweep_blocks)
+_COLUMNS = {"pair_norm_grid": ("proj", "u2", "v2", "f"),
+            "pair_closed_form_grid": ("half1", "half2", "f")}
 
-    Items.  A component (first, second, label, label', f) reads the
-    parameter names of its table entry; the input item of a slot role
-    (var, label) those of its two components, its slot those of its input
-    item, a Gram half those of its two slots' input items, and the
-    projection those of u1 and v1.  Each item has one form: arrays shaped
-    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read, so one call
-    per distinct value of the axes it reads builds it.  A component is its
-    builder broadcast over the axis values and fixed values it reads (an
-    object array; f a complex one).  A derived item is its builder called
-    on its parents' arrays broadcast to its shape and flattened (views,
-    zero-stride along an axis a parent does not read, so no parent is
-    copied), its columns reshaped to that shape: an input item is the
-    object columns z and amps of ``record.z`` and ``record.amps``, the
-    only calls a sweep makes to them; slots come from
-    ``states.fock_series_batch`` over an input item as the columns of a
-    :class:`~mp2ent.states.SlotBatch` (N, T, terms), the halves from
-    ``entangle_circle.gram_halves`` over the input items of (u1, v1) and of
-    (u2, v2), and projections from ``entangle_circle.projections``; none
-    reads or fills the fock_series memo.  A builder that fails raises its
-    plain exception, which :func:`run_sweep` turns into the failing
-    point's.
+
+def _sweep_blocks(spec: SweepSpec, form, components, fixed: dict[str, float], kernel: str):
+    """Yield the sweep in blocks of axis1 rows, each block the items that
+    the kernel named ``kernel`` reads (:data:`_COLUMNS`): the (u1, v1)
+    projection, u2, v2 and the phase f = s e^(i rho) for
+    ``entangle_circle.pair_norm_grid``; the two Gram halves and f for
+    ``pair_closed_form_grid``, then for the TOTAL pair the u1, u2, v1 and
+    v2 slots, whose tails the closed form reports.  Another name raises.
+
+    Items.  Each item is named and has one form: arrays shaped
+    (n1 or 1, n2 or 1, ...), 1 along an axis it does not read.  A
+    parameter is one object array: its axis values as an (n1, 1) column or
+    a (1, n2) row, or its fixed value as (1, 1).  Any other item's shape is
+    the broadcast of its parents' shapes.  A ufunc builder (a component's
+    or an input item's ``np.frompyfunc``) takes its parents' arrays as they
+    are and broadcasts them itself; any other builder (a batch builder, f)
+    takes them broadcast to its shape and flattened (views, zero-stride
+    along an axis a parent does not read, so no parent is copied), then
+    the arguments its table entry lists, and returns a tuple of columns,
+    reshaped to that shape.  So one call per distinct value of the axes an
+    item reads builds it.  The table declares each item after its parents:
+    the components first, second, label and label' (the family's builders
+    over the parameters they name, object arrays) and f (complex); each
+    slot role's input item (``u1-in``, ...: the object columns z and amps
+    of ``record.inputs``, the only calls a sweep makes to the record's z
+    and amps) right before its slot (the columns of a
+    :class:`~mp2ent.states.SlotBatch` from ``states.fock_series_batch``),
+    so that a slot batch that fails leaves the later roles' inputs
+    unbuilt; the projection of u1 and v1
+    (``entangle_circle.projections``); and the Gram halves over the input
+    items of (u1, v1) and (u2, v2) (``entangle_circle.gram_halves``).  Only
+    the items the kernel reads and their ancestors are built, in table
+    order, and none reads or fills the fock_series memo.  A builder that
+    fails raises its plain exception, which :func:`run_sweep` turns into
+    the failing point's.
 
     Blocks.  Every parameter is read by some kernel item, so a block's
-    arrays broadcast to (rows, n2); and every item reads a subset of some
-    kernel item's axes.  A block is the whole grid when no item reads both
-    axes, and one row otherwise: an item that reads both is built a row at
-    a time, the others once a sweep and viewed at each row.
+    arrays broadcast to (rows, n2).  An item reads both axes when both its
+    dimensions pass 1 (an axis has at least 2 steps).  A block is the whole
+    grid when no item reads both axes, and one row otherwise: an item that
+    reads both is built a row at a time, the others once a sweep and
+    viewed at each row.
     """
-    name1, name2 = spec.axis1.name, spec.axis2.name
-    ax1, ax2 = (np.array(axis.values(), object) for axis in (spec.axis1, spec.axis2))
-    cells = {name: np.full((1, 1), value, object) for name, value in fixed.items()}
-    record, terms, parities = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
-    components = (*components, (("rho",), lambda rho: form.swap_sign * cmath.exp(1j * rho)))
-    n = len(components)
+    if kernel not in _COLUMNS:
+        raise ValueError(f"unknown sweep kernel {kernel!r}; use one of {tuple(_COLUMNS)}")
+    reads = _COLUMNS[kernel]
+    if kernel == "pair_closed_form_grid" and spec.pair is SectorPair.TOTAL:
+        reads += ("u1", "u2", "v1", "v2")
+    record, terms, (p1, p2) = form.record, spec.truncation, entangle_circle.slot_parities(spec.pair)
+    inputs = np.frompyfunc(record.inputs, 2, 2)
+    phase = np.frompyfunc(lambda rho: form.swap_sign * cmath.exp(1j * rho), 1, 1)
+    batch, halves, g = states.fock_series_batch, entangle_circle.gram_halves, record.g
 
-    z_of, amps_of = np.frompyfunc(record.z, 2, 1), np.frompyfunc(record.amps, 2, 1)
+    # item -> (its parents, its builder, then the builder's arguments after
+    # the parents' columns, which it takes parent after parent)
+    table = dict(zip(("first", "second", "label", "label'"), (
+        (names, np.frompyfunc(builder, len(names), 1)) for names, builder in components)))
+    table.update({
+        "f": (("rho",), lambda rho: (phase(rho).astype(complex),)),
+        "u1-in": (("first", "label"), inputs), "u1": (("u1-in",), batch, p1, terms, g),
+        "u2-in": (("second", "label'"), inputs), "u2": (("u2-in",), batch, p2, terms, g),
+        "v1-in": (("first", "label'"), inputs), "v1": (("v1-in",), batch, p1, terms, g),
+        "v2-in": (("second", "label"), inputs), "v2": (("v2-in",), batch, p2, terms, g),
+        "proj": (("u1", "v1"), lambda *c: entangle_circle.projections(c[:3], c[3:])),
+        "half1": (("u1-in", "v1-in"), halves, p1, terms),
+        "half2": (("u2-in", "v2-in"), halves, p2, terms),
+    })
+    # the items the kernel reads and their ancestors, in table order
+    needed = set(reads)
+    for name in reversed(table):
+        needed.update(table[name][0] if name in needed else ())
+    order = [name for name in table if name in needed]
 
-    def inputs(var, label):
-        # a slot role's object columns z and amps (p = 1) at its components' points
-        z = z_of(var, label)
-        return z, amps_of(var, z)
-
-    def slot(parity):
-        # a slot role's builder over its input item's columns
-        return lambda *cols: states.fock_series_batch(*cols, parity, terms, record.g)
-
-    def half(parity):
-        # a Gram half's builder over the input items of its two slots
-        return lambda *cols: entangle_circle.gram_halves(*cols, parity, terms)
-
-    # the derived items: the items each reads, and its builder over their
-    # columns at its points, parent after parent, built in this order; and
-    # what the kernel reads
-    if not halves:
-        # each slot right after its input item (items n + 2r and n + 2r + 1
-        # for role r), so that a slot batch that fails leaves the later
-        # roles' inputs unbuilt; then the projection of u1 and v1, the three
-        # slot columns of each
-        derived = [item for r, role in enumerate(entangle_circle.SLOT_ROLES)
-                   for item in ((role, inputs), ((n + 2 * r,), slot(parities[role[0]])))]
-        derived.append(((n + 1, n + 5), lambda *c: entangle_circle.projections(c[:3], c[3:])))
-        kernel_items = (n + 8, n + 3, n + 7, n - 1)
-    else:
-        # the input items n to n + 3, the halves over them, then for the
-        # total the slots whose tails it reports
-        derived = [(role, inputs) for role in entangle_circle.SLOT_ROLES]
-        derived += [((n + u, n + v), half(parity))
-                    for (u, v), parity in zip(entangle_circle.GRAM_HALVES, parities)]
-        derived += [((n + r,), slot(None)) for r in range(4) if spec.pair is SectorPair.TOTAL]
-        kernel_items = (n + 4, n + 5, n - 1, *range(n + 6, n + len(derived)))
-    reads = [set(names) for names, _ in components]
-    for parents, _ in derived:
-        reads.append(set().union(*(reads[c] for c in parents)))
-    on1 = [name1 in names for names in reads]
-    on2 = [name2 in names for names in reads]
-
-    def build(k: int, rows: slice, items: list) -> tuple:
-        # item k at the axis1 values of rows, its parents read from items
-        if k < n:
-            names, builder = components[k]
-            at = {**cells, name1: ax1[rows, None], name2: ax2[None, :]}
-            made = np.frompyfunc(builder, len(names), 1)(*(at[name] for name in names))
-            return (made.astype(complex) if k == n - 1 else made,)
-        parents, builder = derived[k - n]
+    def build(name: str, items: dict) -> tuple:
+        # the item at the points of the parents' arrays in items
+        parents, builder, *args = table[name]
+        if isinstance(builder, np.ufunc):  # it broadcasts its parents' arrays itself
+            columns = builder(*(col for p in parents for col in items[p]))
+            return columns if builder.nout > 1 else (columns,)
         # each dimension is 1 or full, so the broadcast shape is the largest;
         # np.broadcast_to costs a few us a call, so only parents that need it
-        shape = tuple(map(max, zip(*(items[c][0].shape[:2] for c in parents))))
+        shape = tuple(map(max, zip(*(items[p][0].shape[:2] for p in parents))))
         columns = builder(*(
             (col if col.shape[:2] == shape else np.broadcast_to(col, shape + col.shape[2:]))
-            .reshape(-1, *col.shape[2:]) for c in parents for col in items[c]))
+            .reshape(-1, *col.shape[2:]) for p in parents for col in items[p]), *args)
         return tuple(col.reshape(*shape, *col.shape[1:]) for col in columns)
 
-    both = [k for k in range(len(reads)) if on1[k] and on2[k]]
-    whole: list = []  # each item that does not read both axes, built once a sweep
-    for k in range(len(reads)):
-        whole.append(None if k in both else build(k, slice(None), whole))
+    # the parameters: each axis as a column or a row, each fixed value (1, 1)
+    whole = {name: (np.full((1, 1), value, object),) for name, value in fixed.items()}
+    whole[spec.axis1.name] = (np.array(spec.axis1.values(), object)[:, None],)
+    whole[spec.axis2.name] = (np.array(spec.axis2.values(), object)[None, :],)
+    # an item's shape is the broadcast of its parents'; each item that does
+    # not read both axes is built once a sweep
+    shapes = {name: item[0].shape for name, item in whole.items()}
+    for name in order:
+        shapes[name] = tuple(map(max, zip(*(shapes[p] for p in table[name][0]))))
+        whole[name] = None if min(shapes[name]) > 1 else build(name, whole)
+    both = [name for name in order if whole[name] is None]
     # one block of the whole grid, unless an item reads both axes; then one
     # row a block, so that such items (a slot's N terms, a projection or a
     # Gram half) are held a row at a time
-    for rows in (slice(i, i + 1) for i in range(len(ax1))) if both else [slice(None)]:
-        items = [tuple(col[rows] for col in item) if on1[k] and not on2[k] else item
-                 for k, item in enumerate(whole)]
-        for k in both:
-            items[k] = build(k, rows, items)
-        yield tuple(items[k] for k in kernel_items)
+    for rows in (slice(i, i + 1) for i in range(spec.axis1.steps)) if both else [slice(None)]:
+        # an item that reads axis1 alone is viewed at the rows
+        items = {name: tuple(col[rows] for col in item) if shapes[name][0] > 1 == shapes[name][1]
+                 else item for name, item in whole.items()}
+        for name in both:
+            items[name] = build(name, items)
+        yield tuple(items[name] for name in reads)
 
 
 def _clamp_residue(values: np.ndarray) -> np.ndarray:

@@ -43,8 +43,8 @@ def check_truncation(terms) -> int:
 
 def check_real(value, where: str) -> float:
     """``value`` as a float: the one check of a real parameter (a sweep
-    bound or fixed value, a pair's phase rho), which must be a real number
-    and not a bool."""
+    bound or fixed value, a pair's phase rho, a theta nome), which must be
+    a real number and not a bool."""
     # float first: for a float, the numbers.Real check alone would cost
     # several times the rest of the call
     if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
@@ -114,7 +114,7 @@ def log_factorial_array(max_k: int) -> np.ndarray:
 
 
 def _check_nome(q: float) -> float:
-    q = float(q)
+    q = check_real(q, "theta nome q")
     if not (0.0 <= q < 1.0):
         raise ValueError(f"theta series requires 0 <= q < 1, got {q}")
     return q

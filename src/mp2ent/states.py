@@ -15,7 +15,7 @@ columns), with no object per slot.  The per-point paths call the memoized
 :func:`fock_series`, which wraps row 0 of its batch of one in a
 CoefficientSequence, and the grid sweeps call fock_series_batch over the
 (z, amplitudes) of a slot role at an axis of points, each evaluated once a
-sweep by the record's own ``z`` and ``amps``; a batch raises wherever one
+sweep by the record's ``inputs``; a batch raises wherever one
 of its elements would, and a failing sweep names its point by replaying
 the per-point path (:func:`mp2ent.grids.run_sweep`).  ``parity=None``
 gives the grouped total slot, even + odd, whose sequence carries parity
@@ -385,10 +385,10 @@ class SlotMap:
     Calling a record, ``record(var, label, parity, terms, prefactor)``, is
     the only place where a (variable, label) pair becomes a memoized
     fock_series call; ``parity=None`` gives the grouped total slot.  Its
-    ``z`` and ``amps`` are called per point there and in
-    :meth:`~mp2ent.entangle_circle.EntangledPair.closed_form`, and by a
-    sweep's input items (:func:`mp2ent.grids._sweep_blocks`, always
-    p = 1), each distinct input once a sweep, whose columns make one
+    ``z`` and ``amps`` are called only through :meth:`inputs`: per point
+    there and in :meth:`~mp2ent.entangle_circle.EntangledPair.closed_form`,
+    and by a sweep's input items (:func:`mp2ent.grids._sweep_blocks`,
+    always p = 1), each distinct input once a sweep, whose columns make one
     fock_series_batch call.
     """
 
@@ -404,14 +404,19 @@ class SlotMap:
     ) -> CoefficientSequence:
         terms = check_truncation(terms)  # a bad truncation raises whatever the memo holds
         try:
-            z = self.z(var, label)
-            even, odd = self.amps(var, z)
+            z, (even, odd) = self.inputs(var, label)
             p = self.prefactor if prefactor else 1.0
             return fock_series(z, (p * even, p * odd), parity, terms, self.g)
         except OverflowError:
             if self.overflow is None:
                 raise
             raise ValueError(self.overflow(var, label)) from None
+
+    def inputs(self, var, label) -> tuple[complex, tuple[float, float]]:
+        """The slot inputs of ``var`` at ``label`` (p = 1): z, then the
+        sector amplitudes at that z."""
+        z = self.z(var, label)
+        return z, self.amps(var, z)
 
 
 def _disk_weights(modulus: float) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import pytest
 
 from mp2ent.cat_compare import (
     CatPairParams,
+    DensityMatrix,
     cat_entangled_probability,
     cat_overlap_block,
     cat_overlap_block_norm,
@@ -119,6 +120,54 @@ class TestDensityMatrices:
     def test_odd_cat_rejected_at_zero(self):
         with pytest.raises(ValueError):
             density_matrix_cat(0.0, Parity.ODD, 16)
+
+    @pytest.mark.parametrize("build", [density_matrix_cat, cat_overlap_block_norm])
+    def test_a_parity_value_is_its_parity(self, build):
+        # the parity 1 is the odd cat, refused at alpha = 0 and not a NaN
+        # matrix or norm; 0 and 1 give what Parity.EVEN and Parity.ODD give
+        with pytest.raises(ValueError, match="^odd cat state is undefined at alpha = 0$"):
+            build(0.0, 1, 8)
+        for parity in Parity:
+            got, expected = build(0.7, int(parity), 8), build(0.7, parity, 8)
+            if build is density_matrix_cat:
+                got, expected = got.entries, expected.entries
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("parity", [2, -1, "x", None])
+    @pytest.mark.parametrize("build", [density_matrix_cat, cat_overlap_block_norm])
+    def test_a_bad_parity_is_refused(self, build, parity):
+        with pytest.raises(ValueError, match=f"^{parity!r} is not a valid Parity$"):
+            build(0.7, parity, 8)
+
+    @pytest.mark.parametrize(
+        ("alpha", "message"),
+        [("0.5", "cat displacement must be a complex number, got '0.5'"),
+         (True, "cat displacement must be a complex number, got True"),
+         (math.nan, "cat displacements must be finite"),
+         (complex(0.5, math.inf), "cat displacements must be finite"),
+         (-math.inf, "cat displacements must be finite"),
+         (1e200, "cat displacement |alpha| = 1e+200 overflows |alpha|^2 in the weight"),
+         (1e200j, "cat displacement |alpha| = 1e+200 overflows |alpha|^2 in the weight")],
+    )
+    @pytest.mark.parametrize("build", [density_matrix_cat, cat_overlap_block_norm])
+    def test_a_bad_displacement_is_refused_by_name(self, build, alpha, message):
+        # the cat slot's own checks and overflow text, not a tail-bound
+        # error or a bare OverflowError
+        for parity in Parity:
+            with pytest.raises(ValueError) as info:
+                build(alpha, parity, 8)
+            assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), None])
+    def test_a_density_matrix_refuses_non_finite_entries(self, bad):
+        # NaN fails every > check, so the Hermitian and trace tests pass it;
+        # None stands for a matrix of NaN, the rest for an off-diagonal pair
+        entries = np.full((2, 2), np.nan, complex)
+        if bad is not None:
+            entries = np.eye(2, dtype=complex) / 2.0
+            entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(ValueError, match="^density matrix entries must be finite$"):
+            DensityMatrix(entries, "x")
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])

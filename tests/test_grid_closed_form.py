@@ -407,10 +407,11 @@ def _closed_form_blocks(monkeypatch, spec):
 
 def _point_halves(record, parts, parities, terms):
     """The two Gram halves of one point, per point: gram_entries on the
-    (z, amps) of each half's two slots."""
-    inputs = [_inputs(record, parts[var], parts[lab]) for var, lab in entangle_circle.SLOT_ROLES]
-    return [entangle_circle.gram_entries(*inputs[u], *inputs[v], parity, terms)
-            for (u, v), parity in zip(entangle_circle.GRAM_HALVES, parities)]
+    (z, amps) of each half's two slots, (u1, v1) and (u2, v2)."""
+    u1, u2, v1, v2 = (_inputs(record, parts[var], parts[lab])
+                      for var, lab in entangle_circle.SLOT_ROLES)
+    return [entangle_circle.gram_entries(*u, *v, parity, terms)
+            for (u, v), parity in zip(((u1, v1), (u2, v2)), parities)]
 
 
 def _point_parts(spec):

@@ -881,6 +881,33 @@ def test_a_sweep_evaluates_each_slot_input_once(monkeypatch, axes, provenance):
     assert counts == {"z": 256, "amps": 256}
 
 
+@pytest.mark.parametrize(("failing", "made"), [(1, 8), (2, 13), (3, 21), (4, 26)],
+                         ids=["u1", "u2", "v1", "v2"])
+def test_a_failing_slot_batch_leaves_the_later_roles_inputs_unbuilt(monkeypatch, failing, made):
+    # each slot is built right after its input item, so where the slot
+    # batch of a role fails (the failing-th of u1, u2, v1, v2) the sweep has
+    # made the record calls of that role's input item and the earlier
+    # roles' only: 8 for one on omega, 5 for one on sigma
+    counts = _counting_record_calls(monkeypatch, "circle")
+    batches, batch = [], states.fock_series_batch
+
+    def failing_batch(*args):
+        batches.append(dict(counts))
+        if len(batches) == failing:
+            raise ValueError("planted")
+        return batch(*args)
+
+    def replay(*args):
+        raise GridDomainError("replayed")
+
+    monkeypatch.setattr(states, "fock_series_batch", failing_batch)
+    monkeypatch.setattr(grids, "_replay", replay)
+    with pytest.raises(GridDomainError, match="^replayed$"):
+        run_sweep(SweepSpec("circle", SectorPair.PM, AxisSpec("omega", 0.0, 0.9, 8),
+                            AxisSpec("sigma", 0.0, 0.9, 5), truncation=8))
+    assert batches[-1] == {"z": made, "amps": made}
+
+
 def test_a_both_disagreement_makes_no_per_point_call(monkeypatch):
     # the disagreement is a GridDomainError, a ValueError, raised over the
     # kernel's rows and not by them: it is not replayed
@@ -999,23 +1026,25 @@ def test_single_row_block_sweeps_project_each_distinct_u1_v1_once(monkeypatch, f
 # v1 = (omega, phi'), v2 = (sigma, phi), half 1 = (omega, phi, phi'),
 # half 2 = (sigma, phi', phi).  The series kernel reads the (u1, v1)
 # projection, u2, v2 and the phase of rho; the closed form the halves and
-# the phase.  The last entry is the rows of a block: all 4 of the grid,
-# unless an item reads both axes, then one.
+# the phase.  A column is named by its kernel.  The last entry is the rows
+# of a block: all 4 of the grid, unless an item reads both axes, then one.
+SERIES, CLOSED = "pair_norm_grid", "pair_closed_form_grid"
 ROW_LISTS = [
-    ("omega", "rho", False, ("axis1", "fixed", "axis1", "fixed", "axis2"), 4),
-    ("omega", "rho", True, ("axis1", "fixed", "axis2"), 4),
-    ("rho", "phi", False, ("axis2", "fixed", "fixed", "axis2", "axis1"), 4),
-    ("omega", "phi", False, ("both", "fixed", "axis1", "axis2", "fixed"), 1),
-    ("sigma", "phi", True, ("axis2", "both", "fixed"), 1),
+    ("omega", "rho", SERIES, ("axis1", "fixed", "axis1", "fixed", "axis2"), 4),
+    ("omega", "rho", CLOSED, ("axis1", "fixed", "axis2"), 4),
+    ("rho", "phi", SERIES, ("axis2", "fixed", "fixed", "axis2", "axis1"), 4),
+    ("omega", "phi", SERIES, ("both", "fixed", "axis1", "axis2", "fixed"), 1),
+    ("sigma", "phi", CLOSED, ("axis2", "both", "fixed"), 1),
 ]
+KERNEL_IDS = {SERIES: "slots", CLOSED: "halves"}
 AXES_OF = {"fixed": set(), "axis1": {1}, "axis2": {2}, "both": {1, 2}}
 
 
 @pytest.mark.parametrize(
-    ("name1", "name2", "halves", "kinds", "rows"), ROW_LISTS,
-    ids=[f"{a}x{b}-{'halves' if h else 'slots'}" for a, b, h, *_ in ROW_LISTS],
+    ("name1", "name2", "kernel", "kinds", "rows"), ROW_LISTS,
+    ids=[f"{a}x{b}-{KERNEL_IDS[k]}" for a, b, k, *_ in ROW_LISTS],
 )
-def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves, kinds, rows):
+def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, kernel, kinds, rows):
     # each kernel item comes as arrays of shape (rows or 1, 3 or 1), 1 along
     # an axis it does not read; one that does not vary along axis1 is
     # converted once, the same arrays in every block
@@ -1025,9 +1054,9 @@ def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves,
     )
     form, components = grids._FAMILY_TABLE["circle"]
     fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
-    blocks = list(grids._sweep_blocks(spec, form, components, fixed, halves))
+    blocks = list(grids._sweep_blocks(spec, form, components, fixed, kernel))
     reads = [AXES_OF[kind] for kind in kinds]
-    if not halves:
+    if kernel == SERIES:
         u1, u2, v1, v2, rho = reads
         reads = [u1 | v1, u2, v2, rho]
     assert len(blocks) == 4 // rows
@@ -1038,21 +1067,21 @@ def test_sweep_blocks_shape_each_item_by_the_axes_it_reads(name1, name2, halves,
             assert [a.shape[:2] for a in arrays] == [shape] * len(arrays)
         shared = [all(a is b for a, b in zip(arrays, items[0])) for arrays in items]
         assert shared == [True] + [1 not in axes] * (len(blocks) - 1)
-    if not halves:
+    if kernel == SERIES:
         assert [a.shape[2:] for a in blocks[0][1] + blocks[0][2]] == [(), (), (6,)] * 2
     if name1 == "rho":
         (phase,) = blocks[0][-1]
         assert phase.ravel().tolist() == [-1.0 * cmath.exp(1j * v) for v in spec.axis1.values()]
 
 
-@pytest.mark.parametrize("halves", [False, True], ids=["slots", "halves"])
+@pytest.mark.parametrize("kernel", [SERIES, CLOSED], ids=KERNEL_IDS.get)
 @pytest.mark.parametrize(
     ("name1", "name2"),
     list(dict.fromkeys((a, b) for a, b, *_ in ROW_LISTS)) + [("omega", "arg_omega")],
     ids=lambda name: name,
 )
 def test_sweep_blocks_build_each_component_once_per_distinct_value(
-    monkeypatch, name1, name2, halves
+    monkeypatch, name1, name2, kernel
 ):
     # a component (first, second, label, label', the phase of rho) is built
     # n1 times a sweep if it reads axis1, n2 if axis2, n1 n2 if both (the
@@ -1076,10 +1105,80 @@ def test_sweep_blocks_build_each_component_once_per_distinct_value(
     # the phase's builder is s e^(i rho), one cmath.exp call
     monkeypatch.setattr(grids, "cmath", type("cmath", (), {"exp": counted(-1, cmath.exp)}))
     fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
-    list(grids._sweep_blocks(spec, form, counted_components, fixed, halves))
+    list(grids._sweep_blocks(spec, form, counted_components, fixed, kernel))
     sizes = {name1: 4, name2: 3}
     reads = [names for names, _ in components] + [("rho",)]
     assert calls == [math.prod(sizes.get(name, 1) for name in names) for names in reads]
+
+
+# every (pair, provenance) the coset covers: its closed form's pairs
+# under closed_form and both
+COSET_CASES = [(pair, provenance) for pair in SectorPair for provenance in PROVENANCES
+               if provenance == "series" or pair in grids._CLOSED_FORM_PAIRS["coset"]]
+# the fiducial axes, whose first vanishing (x, y) is the point (0, 1), and
+# a vanishing (x2, y2), fixed, which fails at the first point
+VANISHING_FIDUCIALS = [
+    ((("x", 0.0, 1.0, 3), ("y", -1.0, 1.0, 3)), (), "x=0.0, y=0.0"),
+    ((("omega", 0.0, 0.5, 3), ("sigma", 0.0, 0.5, 2)), (("x2", 0.0), ("y2", 0.0)),
+     "omega=0.0, sigma=0.0"),
+]
+
+
+@pytest.mark.parametrize(("axes", "fixed", "named"), VANISHING_FIDUCIALS,
+                         ids=["fiducial-axes", "fixed-x2-y2"])
+@pytest.mark.parametrize(("pair", "provenance"), COSET_CASES,
+                         ids=[f"{pair.value}-{provenance}" for pair, provenance in COSET_CASES])
+def test_a_coset_sweep_names_its_first_vanishing_fiducial_point(
+    pair, provenance, axes, fixed, named
+):
+    spec = SweepSpec("coset", pair, AxisSpec(*axes[0]), AxisSpec(*axes[1]), fixed=fixed,
+                     truncation=8)
+    with pytest.raises(GridDomainError) as info:
+        run_sweep(spec, provenance)
+    assert str(info.value) == f"point ({named}): fiducial coefficients (x, y) must not both vanish"
+
+
+@pytest.mark.parametrize(
+    ("flags", "named"),
+    [(["--axis1", "x:0:1:3", "--axis2", "y:-1:1:3"], "x=0.0, y=0.0"),
+     (["--set", "x2=0", "--set", "y2=0"], "omega=0.0, sigma=0.0")],
+    ids=["fiducial-axes", "fixed-x2-y2"],
+)
+def test_a_vanishing_coset_fiducial_exits_2_naming_the_point(tmp_path, capsys, flags, named):
+    out = tmp_path / "x.csv"
+    assert main(["coset", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: point ({named}): fiducial coefficients (x, y) must not both vanish\n")
+    assert not out.exists()
+
+
+def test_sweep_blocks_refuse_an_unknown_kernel():
+    spec = small_spec()
+    form, components = grids._FAMILY_TABLE["circle"]
+    fixed = {name: default for name, (default, _) in PARAMETERS["circle"].items()}
+    with pytest.raises(ValueError, match="^unknown sweep kernel 'pair_matrix'; use one of "):
+        next(grids._sweep_blocks(spec, form, components, fixed, "pair_matrix"))
+
+
+@pytest.mark.parametrize(
+    ("family", "pair", "slots"),
+    [("circle", SectorPair.PM, 0), ("coset", SectorPair.MM, 0), ("circle", SectorPair.TOTAL, 4)],
+    ids=["circle-pm", "coset-mm", "circle-total"],
+)
+@pytest.mark.parametrize("axes", [("omega", "sigma"), ("phi", "phi_prime")], ids="x".join)
+def test_a_closed_form_sweep_builds_no_projection_and_only_the_totals_slots(
+    monkeypatch, family, pair, slots, axes
+):
+    # a sector closed form reads the Gram halves and the phase, so it builds
+    # no slot batch and no projection; the total's also reads its four
+    # slots, once each (on phi x phi' each reads one axis), for their tails
+    counts = {"fock_series_batch": 0, "projections": 0}
+    for owner, name in ((states, "fock_series_batch"), (entangle_circle, "projections")):
+        monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+    spec = SweepSpec(family, pair, AxisSpec(axes[0], 0.1, 0.5, 4), AxisSpec(axes[1], 0.2, 0.6, 3),
+                     truncation=6)
+    run_sweep(spec, "closed_form")
+    assert counts == {"fock_series_batch": slots, "projections": 0}
 
 
 @pytest.mark.parametrize("provenance", PROVENANCES)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -134,11 +135,18 @@ class TestTheta:
         assert abs(theta2(q, 60).value - hand) <= tv.tail_bound
 
     def test_rejects_divergent_nome(self):
-        for q in (1.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                theta3(q)
-            with pytest.raises(ValueError):
-                theta2(q)
+        for q in (1.0, 1.5, -0.1, math.nan):
+            for theta in (theta3, theta2):
+                with pytest.raises(ValueError, match=r"^theta series requires 0 <= q < 1, got "):
+                    theta(q)
+
+    @pytest.mark.parametrize("q", [False, True, "0.5", 1 + 0j, 0.5j, None])
+    @pytest.mark.parametrize("theta", [theta3, theta2])
+    def test_rejects_a_nome_that_is_not_a_real_number(self, theta, q):
+        # not whatever float() takes: a bool or a string is no nome
+        message = f"^theta nome q must be a real number, got {re.escape(repr(q))}$"
+        with pytest.raises(ValueError, match=message):
+            theta(q)
 
     @settings(max_examples=60)
     @given(st.floats(min_value=0.0, max_value=0.9), st.floats(min_value=0.0, max_value=0.9))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -558,24 +559,50 @@ RECORD_POINTS = {
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_a_batch_over_record_input_columns_is_the_record_call(record, parity, terms, data):
-    # a sweep's slot item: fock_series_batch over the object columns of
-    # record.z and record.amps (p = 1), as a sweep's input item forms them,
+    # a sweep's slot item: fock_series_batch over the object columns z and
+    # amps of record.inputs (p = 1), as a sweep's input item forms them,
     # each slot the record's call bit for bit, or raising where one of its
     # points' calls raises
     slots, point = RECORD_POINTS[record]
     points = data.draw(st.lists(point, min_size=1, max_size=5))
-    z_of, amps_of = np.frompyfunc(slots.z, 2, 1), np.frompyfunc(slots.amps, 2, 1)
+    inputs = np.frompyfunc(slots.inputs, 2, 2)
 
     def build(points):
         var, label = (np.array(column, object) for column in zip(*points))
-        z = z_of(var, label)
-        return fock_series_batch(z, amps_of(var, z), parity, terms, slots.g)
+        return fock_series_batch(*inputs(var, label), parity, terms, slots.g)
 
     _assert_batch(
         build, points,
         [_outcome(lambda: slots(var, label, parity, terms, False)) for var, label in points],
         parity, terms,
     )
+
+
+@pytest.mark.parametrize("record", RECORD_POINTS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_record_inputs_are_z_then_the_amplitudes_at_that_z(record, data):
+    # the one (z, amps) rule: one z call, then one amps call on its z
+    slots, point = RECORD_POINTS[record]
+    var, label = data.draw(point)
+    calls = []
+
+    def logged(name, function):
+        def call(*args):
+            calls.append((name, args))
+            return function(*args)
+        return call
+
+    logging = replace(slots, z=logged("z", slots.z), amps=logged("amps", slots.amps))
+    try:
+        z = slots.z(var, label)
+        expected = z, slots.amps(var, z)
+    except (ValueError, ArithmeticError) as exc:
+        with pytest.raises(type(exc)):
+            logging.inputs(var, label)
+        return
+    assert logging.inputs(var, label) == expected
+    assert calls == [("z", (var, label)), ("amps", (var, z))]
 
 
 @pytest.mark.parametrize(
